@@ -351,7 +351,16 @@ Accelerator::beginResume()
                 onResumed();
             } else if (saved == Status::kDone ||
                        saved == Status::kError) {
-                raiseDoorbell();
+                // Same rule as restore(): a ring job that drained to
+                // completion under the preempt posts through the ring
+                // it came from. The scheduler arms the ring when the
+                // RESUME write is acknowledged, one PCIe hop after it
+                // lands, so the ring is armed before this blob (a
+                // host round trip per line) is back.
+                if (_ringArmed && _ringState.jobActive)
+                    ringPostCompletion(saved);
+                else
+                    raiseDoorbell();
             }
         });
 }

@@ -505,6 +505,9 @@ Cluster::importParcel(MigrationParcel &p)
     dst._gen = std::move(p.gen);
     dst._nextId = std::max(dst._nextId, p.nextId);
     dst._mode = svc::Tenant::Mode::kActive;
+    // The imported queue, mailboxes and ring entries are pending work
+    // the destination plane's pump must visit.
+    _planes[p.dstNode]->markReady(dst);
 
     ft.node = p.dstNode;
     ft.state = MigState::kSettled;

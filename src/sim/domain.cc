@@ -11,9 +11,8 @@ namespace {
 thread_local const ExecContext *t_exec = nullptr;
 thread_local unsigned t_defaultSimThreads = 1;
 thread_local bool t_defaultDomainSplit = false;
-/** Set while the calling thread is a pool worker (or inside drive()),
- *  so nested run()/drive() calls execute inline instead of
- *  deadlocking on their own pool. */
+/** Set while the calling thread is a pool worker, so a nested run()
+ *  executes inline instead of deadlocking on its own pool. */
 thread_local bool t_onExecutor = false;
 
 } // namespace
@@ -83,18 +82,17 @@ DomainSet::~DomainSet()
         q->clearPending();
 }
 
-Tick
-DomainSet::minCrossLatency() const
+void
+DomainSet::refreshLookahead()
 {
     // Deferred channels constrain the window even when same-domain:
     // their sends sit in the outbox until a barrier, so the window
     // must not outrun the earliest possible delivery.
-    Tick min = kTickForever;
+    _lookahead = kTickForever;
     for (const ChannelBase *c : _channels) {
         if (c->deferred())
-            min = std::min(min, c->minLatency());
+            _lookahead = std::min(_lookahead, c->minLatency());
     }
-    return min;
 }
 
 std::uint64_t
@@ -131,12 +129,14 @@ ChannelBase::ChannelBase(DomainSet &set, DomainId src, DomainId dst,
                    "lookahead)",
                    _name.c_str());
     set._channels.push_back(this);
+    set.refreshLookahead();
 }
 
 ChannelBase::~ChannelBase()
 {
     auto &v = _set._channels;
     v.erase(std::remove(v.begin(), v.end(), this), v.end());
+    _set.refreshLookahead();
 }
 
 void
@@ -155,7 +155,8 @@ ChannelBase::post(Tick extra_delay, EventQueue::Callback cb)
 }
 
 EpochScheduler::EpochScheduler(DomainSet &set, unsigned threads)
-    : _set(set), _threads(threads == 0 ? 1 : threads)
+    : _set(set), _threads(threads == 0 ? 1 : threads),
+      _next(set.size(), kTickForever)
 {
     if (_threads <= 1)
         return;
@@ -177,6 +178,14 @@ void
 EpochScheduler::runDomain(DomainId d)
 {
     EventQueue &q = _set.queue(d);
+    if (!due(d)) {
+        // Nothing to execute: runUntil would only move the clock (and
+        // runAll not even that). Cross-domain work arrives only at
+        // barriers, so nothing can become due mid-window.
+        if (!_drainAll)
+            q.coastTo(_epochEnd);
+        return;
+    }
     ExecScope scope(q, d);
     if (_drainAll)
         q.runAll();
@@ -205,8 +214,6 @@ EpochScheduler::workerLoop(unsigned index)
             // never affects results, only who computes them.
             for (DomainId d = index; d < _set.size(); d += _threads)
                 runDomain(d);
-        } else if (task == Task::kDrive && index == 0) {
-            (*_driveFn)();
         }
         {
             std::lock_guard<std::mutex> lk(_m);
@@ -232,7 +239,10 @@ EpochScheduler::dispatchToPool(Task task)
 void
 EpochScheduler::executeEpoch()
 {
-    if (_workers.empty() || t_onExecutor) {
+    unsigned busy = 0;
+    for (DomainId d = 0; d < _set.size() && busy < 2; ++d)
+        busy += due(d) ? 1 : 0;
+    if (_workers.empty() || t_onExecutor || busy < 2) {
         for (DomainId d = 0; d < _set.size(); ++d)
             runDomain(d);
         return;
@@ -251,32 +261,25 @@ EpochScheduler::deliverPosts()
     // and the message streams — never of which domain an endpoint
     // lives in — so every DomainPlan delivers the same streams in
     // the same order.
-    struct Ref
-    {
-        Tick when;
-        std::uint32_t chan;
-        std::uint64_t seq;
-        DomainId src;
-        std::uint32_t idx;
-    };
-    std::vector<Ref> order;
+    std::vector<PostRef> &order = _postOrder;
+    order.clear();
     for (DomainId d = 0; d < _set.size(); ++d) {
         auto &ob = _set.queue(d).outbox();
         for (std::uint32_t i = 0; i < ob.size(); ++i)
             order.push_back(
-                Ref{ob[i].when, ob[i].chan, ob[i].seq, d, i});
+                PostRef{ob[i].when, ob[i].chan, ob[i].seq, d, i});
     }
     if (order.empty())
         return;
     std::sort(order.begin(), order.end(),
-              [](const Ref &a, const Ref &b) {
+              [](const PostRef &a, const PostRef &b) {
                   if (a.when != b.when)
                       return a.when < b.when;
                   if (a.chan != b.chan)
                       return a.chan < b.chan;
                   return a.seq < b.seq;
               });
-    for (const Ref &r : order) {
+    for (const PostRef &r : order) {
         EventQueue::CrossPost &p = _set.queue(r.src).outbox()[r.idx];
         // Conservative guarantee: when >= send time + lookahead,
         // which is beyond the epoch the send happened in, so this
@@ -289,40 +292,48 @@ EpochScheduler::deliverPosts()
         _set.queue(d).outbox().clear();
 }
 
+bool
+EpochScheduler::step(Tick limit)
+{
+    deliverPosts();
+    Tick tmin = kTickForever;
+    for (DomainId d = 0; d < _set.size(); ++d) {
+        _next[d] = _set.queue(d).nextEventTick();
+        tmin = std::min(tmin, _next[d]);
+    }
+    if (tmin == kTickForever || tmin > limit)
+        return false;
+    Tick la = _set.minCrossLatency();
+    if (la == kTickForever) {
+        // Independent domains: one epoch covers the whole run.
+        _drainAll = limit == kTickForever;
+        _epochEnd = limit;
+    } else {
+        _drainAll = false;
+        Tick end = tmin > kTickForever - la ? kTickForever - 1
+                                            : tmin + la - 1;
+        _epochEnd = std::min(limit, end);
+    }
+    executeEpoch();
+    ++_epochs;
+    if (_barrierHook)
+        _barrierHook();
+    return true;
+}
+
 std::uint64_t
 EpochScheduler::run(Tick limit)
 {
     std::uint64_t before = _set.executed();
-    for (;;) {
-        deliverPosts();
-        Tick tmin = _set.nextEventTick();
-        if (tmin == kTickForever || tmin > limit)
-            break;
-        Tick la = _set.minCrossLatency();
-        if (la == kTickForever) {
-            // Independent domains: one epoch covers the whole run.
-            _drainAll = limit == kTickForever;
-            _epochEnd = limit;
-        } else {
-            _drainAll = false;
-            Tick end = tmin > kTickForever - la ? kTickForever - 1
-                                                : tmin + la - 1;
-            _epochEnd = std::min(limit, end);
-        }
-        executeEpoch();
-        ++_epochs;
-        if (_barrierHook)
-            _barrierHook();
+    while (step(limit)) {
     }
     // Like EventQueue::runUntil, finite limits advance every domain's
-    // clock to the limit even when no event lands there.
+    // clock to the limit even when no event lands there (none is due
+    // by then: step() stopped on tmin > limit).
     if (limit != kTickForever) {
         for (DomainId d = 0; d < _set.size(); ++d) {
-            if (_set.queue(d).now() < limit) {
-                _drainAll = false;
-                _epochEnd = limit;
-                runDomain(d);
-            }
+            if (_set.queue(d).now() < limit)
+                _set.queue(d).coastTo(limit);
         }
     }
     if (_barrierHook)
@@ -347,47 +358,18 @@ EpochScheduler::pumpUntil(const std::function<bool()> &stop,
     if (check())
         return finish(true);
     for (;;) {
-        // One run() iteration per predicate evaluation: same window
+        // One run() step per predicate evaluation: same window
         // derivation, same executeEpoch (pool or serial), same
         // barrier — so a pump's event schedule is exactly a prefix
         // of what run() would execute, in every plan. check() may
         // nest another pump (the service plane verifies results
-        // through the guest API); the next iteration simply
-        // re-derives its window from wherever that left the set.
-        deliverPosts();
-        Tick tmin = _set.nextEventTick();
-        if (tmin == kTickForever)
+        // through the guest API); the next step simply re-derives
+        // its window from wherever that left the set.
+        if (!step(kTickForever))
             return finish(false);
-        Tick la = _set.minCrossLatency();
-        if (la == kTickForever) {
-            _drainAll = true;
-            _epochEnd = kTickForever;
-        } else {
-            _drainAll = false;
-            _epochEnd = tmin > kTickForever - la ? kTickForever - 1
-                                                 : tmin + la - 1;
-        }
-        executeEpoch();
-        ++_epochs;
-        if (_barrierHook)
-            _barrierHook();
         if (check())
             return finish(true);
     }
-}
-
-void
-EpochScheduler::drive(const std::function<void()> &fn)
-{
-    if (_workers.empty() || t_onExecutor) {
-        fn();
-        return;
-    }
-    _driveFn = &fn;
-    dispatchToPool(Task::kDrive);
-    _driveFn = nullptr;
-    if (_barrierHook)
-        _barrierHook();
 }
 
 } // namespace optimus::sim

@@ -150,9 +150,10 @@ class DomainSet
      * window on purpose: the platform's boundary channels defer in
      * *every* plan so a single-domain run executes the exact same
      * epoch schedule as a split run — that is what makes the two
-     * byte-identical.
+     * byte-identical. Cached: recomputed only when a channel is
+     * registered or destroyed.
      */
-    Tick minCrossLatency() const;
+    Tick minCrossLatency() const { return _lookahead; }
 
     /** Number of registered channels (same-domain ones included). */
     std::size_t numChannels() const { return _channels.size(); }
@@ -167,8 +168,12 @@ class DomainSet
     friend class ChannelBase;
     friend class EpochScheduler;
 
+    /** Re-derive _lookahead from the channel registry. */
+    void refreshLookahead();
+
     std::vector<std::unique_ptr<EventQueue>> _queues;
     std::vector<ChannelBase *> _channels;
+    Tick _lookahead = kTickForever;
     /** Registration-order channel ids: the deterministic same-tick
      *  delivery tie-break (see EventQueue::CrossPost). */
     std::uint32_t _nextChannelId = 0;
@@ -285,6 +290,13 @@ class Channel : public ChannelBase
  * worker pool when constructed with threads > 1 and strictly serially
  * (domain-id order, on the calling thread) otherwise.
  *
+ * A barrier costs only its pending work: each epoch reads every
+ * domain's next event tick once, takes the window from their minimum,
+ * and coasts a domain with nothing due in the window straight to its
+ * end (EventQueue::coastTo). An epoch with fewer than two due domains
+ * runs inline on the calling thread even when a pool exists: one busy
+ * domain has no parallelism to offer, only a pool handoff to pay for.
+ *
  * Determinism: per-domain execution is single-threaded and the
  * barrier delivery order is a sorted merge, so results are identical
  * for every pool size — including the telemetry/trace byte streams
@@ -307,16 +319,6 @@ class EpochScheduler
      * @return events executed across all domains.
      */
     std::uint64_t run(Tick limit = kTickForever);
-
-    /**
-     * Execute @p fn on the pool's first worker thread (inline when
-     * serial or already on a pool thread). For drive loops that step
-     * a single-domain set directly — e.g. the guest-API pump or the
-     * service plane's dispatch loop — so that `--sim-threads N`
-     * moves *all* simulation execution onto the pool, not just the
-     * windowed runs.
-     */
-    void drive(const std::function<void()> &fn);
 
     /**
      * Advance the whole set, epoch by epoch, until @p stop() returns
@@ -363,10 +365,32 @@ class EpochScheduler
     {
         kNone,
         kEpoch,
-        kDrive,
         kStop,
     };
 
+    /** One buffered post's barrier-delivery key (see deliverPosts). */
+    struct PostRef
+    {
+        Tick when;
+        std::uint32_t chan;
+        std::uint64_t seq;
+        DomainId src;
+        std::uint32_t idx;
+    };
+
+    /**
+     * One epoch: deliver posts, read every domain's next tick, and
+     * unless nothing is due at or before @p limit, stage the window,
+     * execute it and run the barrier hook.
+     * @retval false nothing was due (no epoch ran).
+     */
+    bool step(Tick limit);
+    /** Whether domain @p d has an event inside the staged window. */
+    bool
+    due(DomainId d) const
+    {
+        return _next[d] != kTickForever && _next[d] <= _epochEnd;
+    }
     void runDomain(DomainId d);
     void executeEpoch();
     void deliverPosts();
@@ -381,10 +405,13 @@ class EpochScheduler
     std::uint64_t _epochs = 0;
     std::uint64_t _delivered = 0;
 
-    // Epoch parameters staged by run() for the workers.
+    // Epoch parameters staged by step() for the workers.
     Tick _epochEnd = 0;
     bool _drainAll = false;
-    const std::function<void()> *_driveFn = nullptr;
+    /** Each domain's next event tick, read once per epoch. */
+    std::vector<Tick> _next;
+    /** deliverPosts()' sort buffer, kept across barriers. */
+    std::vector<PostRef> _postOrder;
 
     // Pool state (threads > 1 only). All shard handoff is ordered by
     // _m: the coordinator publishes a generation under the lock and

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -84,13 +85,24 @@ EventQueue::farMinTick() const
 {
     // Far slots cover disjoint, increasing tick ranges starting at
     // _ringLimit, so the first occupied slot in circular order from
-    // there holds the earliest far event.
-    std::uint32_t start = farSlotOf(_ringLimit);
-    for (std::uint32_t k = 0; k < kFarSlots; ++k) {
-        std::uint32_t f = (start + k) & (kFarSlots - 1);
-        if (!(_farOccupied[f >> 6] & (1ULL << (f & 63))))
+    // there holds the earliest far event. Scan a word at a time: the
+    // start word from the start bit up, the other words whole, and
+    // last the start word's bits below the start (the circle's tail).
+    constexpr std::uint32_t kWords = kFarSlots / 64;
+    const std::uint32_t start = farSlotOf(_ringLimit);
+    const std::uint32_t w0 = start >> 6;
+    const std::uint64_t from_start = ~0ULL << (start & 63);
+    for (std::uint32_t k = 0; k <= kWords; ++k) {
+        const std::uint32_t w = (w0 + k) % kWords;
+        std::uint64_t bits = _farOccupied[w];
+        if (k == 0)
+            bits &= from_start;
+        else if (k == kWords)
+            bits &= ~from_start;
+        if (bits == 0)
             continue;
-        const std::vector<Event> &fb = _farBuckets[f];
+        const std::vector<Event> &fb =
+            _farBuckets[(w << 6) + std::countr_zero(bits)];
         Tick min = fb.front().when;
         for (std::size_t i = 1; i < fb.size(); ++i)
             min = std::min(min, fb[i].when);

@@ -244,6 +244,28 @@ class EventQueue
     std::uint64_t runUntil(Tick limit);
 
     /**
+     * runUntil(@p limit) for a queue with no event at or before
+     * @p limit: advance time to @p limit without executing anything,
+     * leaving exactly the state runUntil would. The epoch scheduler
+     * coasts idle domains through a window this way, skipping the
+     * slot activation runUntil pays just to find nothing due.
+     */
+    void
+    coastTo(Tick limit)
+    {
+#ifndef NDEBUG
+        OPTIMUS_ASSERT(nextEventTick() > limit,
+                       "coasting past a pending event (%llu <= %llu)",
+                       static_cast<unsigned long long>(nextEventTick()),
+                       static_cast<unsigned long long>(limit));
+#endif
+        if (_activeSlot != kNoSlot)
+            deactivate();
+        if (_now < limit)
+            _now = limit;
+    }
+
+    /**
      * Run until the queue drains or @p max_events have executed.
      * @return number of events executed.
      */

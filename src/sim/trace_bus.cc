@@ -114,7 +114,12 @@ TraceBus::armDomains(std::uint32_t domains)
 void
 TraceBus::flushMerged()
 {
-    if (_lanes.empty())
+    // Lanes fill only through emit(), which components reach through
+    // wants() — so with no sink attached nothing was buffered, the
+    // case at nearly every barrier of an untraced run. (The lanes
+    // themselves belong to the workers; a shared fill counter would
+    // race between them.)
+    if (_lanes.empty() || _mask == 0)
         return;
     // Successive flushes cover disjoint, increasing tick ranges (an
     // epoch's emissions all precede the next epoch's), so a sorted

@@ -1,6 +1,8 @@
 #include "svc/service_plane.hh"
 
 #include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
 
@@ -52,9 +54,10 @@ foldHistogram(Fnv &f, const sim::Histogram &h)
 
 } // namespace
 
-Tenant::Tenant(ServicePlane &plane, const TenantConfig &cfg,
-               sim::TelemetryNode *node)
+Tenant::Tenant(ServicePlane &plane, std::size_t index,
+               const TenantConfig &cfg, sim::TelemetryNode *node)
     : _plane(plane),
+      _index(index),
       _cfg(cfg),
       _arrivals(node, "arrivals", "requests generated"),
       _admitted(node, "admitted", "requests accepted into the queue"),
@@ -79,6 +82,17 @@ Tenant::Tenant(ServicePlane &plane, const TenantConfig &cfg,
         _gen = std::make_unique<ArrivalGen>(_cfg.arrivals, _cfg.seed);
 }
 
+bool
+Tenant::pending() const
+{
+    if (!_queue.empty())
+        return true;
+    for (const auto &w : _workers)
+        if ((w->done && w->busy) || !w->inflight.empty())
+            return true;
+    return false;
+}
+
 ServicePlane::ServicePlane(hv::System &sys)
     : _sys(sys), _node(&sys.telemetry.node("svc"))
 {
@@ -94,8 +108,9 @@ ServicePlane::addTenant(const TenantConfig &cfg)
         OPTIMUS_FATAL("svc: tenant '%s' needs a nonzero queueDepth",
                    cfg.name.c_str());
 
-    auto t = std::unique_ptr<Tenant>(new Tenant(
-        *this, cfg, &_sys.telemetry.node("svc." + cfg.name)));
+    auto t = std::unique_ptr<Tenant>(
+        new Tenant(*this, _tenants.size(), cfg,
+                   &_sys.telemetry.node("svc." + cfg.name)));
 
     // One VM per tenant; each worker is a process of that VM with
     // its own virtual accelerator on the tenant's slot (temporal
@@ -129,18 +144,21 @@ ServicePlane::addTenant(const TenantConfig &cfg)
             h.setupRing(entries);
         } else {
             Tenant::Worker *wp = w.get();
-            vaccel.setCompletionHandler([this,
+            const Tenant *tp = t.get();
+            vaccel.setCompletionHandler([this, tp,
                                          wp](accel::Status st) {
                 // Event-callback context: record only, never pump.
                 wp->done = true;
                 wp->doneStatus = st;
                 wp->doneTick = _sys.eq.now();
+                markReady(*tp);
             });
         }
         t->_workers.push_back(std::move(w));
     }
 
     _tenants.push_back(std::move(t));
+    _ready.resize((_tenants.size() + 63) / 64);
     return *_tenants.back();
 }
 
@@ -159,6 +177,7 @@ ServicePlane::admit(Tenant &t, int user)
     r.arrival = _sys.eq.now();
     r.user = user;
     t._queue.push_back(r);
+    markReady(t);
     return true;
 }
 
@@ -168,7 +187,11 @@ ServicePlane::scheduleOpenArrival(Tenant &t)
     sim::Tick at = t._epoch + t._gen->nextOffset();
     if (at >= _horizon)
         return;
-    _sys.eq.scheduleAt(at, [this, &t]() { onOpenArrival(t); });
+    // A chain restarted after a migration (resumeOpenArrivals) may
+    // draw offsets the parcel's flight has already passed; those
+    // arrivals land at once, as a catch-up burst.
+    _sys.eq.scheduleAt(std::max(at, _sys.eq.now()),
+                       [this, &t]() { onOpenArrival(t); });
 }
 
 void
@@ -272,17 +295,52 @@ ServicePlane::run(sim::Tick window)
         [this]() { pump(); });
 }
 
+std::size_t
+ServicePlane::nextReady(std::size_t i) const
+{
+    std::size_t w = i >> 6;
+    if (w >= _ready.size())
+        return _tenants.size();
+    std::uint64_t bits = _ready[w] & (~0ULL << (i & 63));
+    while (bits == 0) {
+        if (++w == _ready.size())
+            return _tenants.size();
+        bits = _ready[w];
+    }
+    return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
 void
 ServicePlane::pump()
 {
+    // The set is re-read after every visit: a verify() inside a visit
+    // may pump the scheduler, whose events can ready any tenant. A
+    // tenant readied ahead of the cursor is visited in this pass, one
+    // behind it in the next — exactly when a sweep over every tenant
+    // would have reached it.
     bool progress = true;
     while (progress) {
         progress = false;
-        for (auto &t : _tenants) {
-            progress |= drainCompletions(*t);
-            progress |= dispatch(*t);
+        for (std::size_t i = nextReady(0); i < _tenants.size();
+             i = nextReady(i + 1)) {
+            Tenant &t = *_tenants[i];
+            progress |= drainCompletions(t);
+            progress |= dispatch(t);
+            if (!t.pending())
+                _ready[i >> 6] &= ~(1ULL << (i & 63));
         }
     }
+#ifndef NDEBUG
+    // The ready-set invariant: no tenant outside the set has work a
+    // visit would act on.
+    for (std::size_t i = 0; i < _tenants.size(); ++i) {
+        const bool ready = (_ready[i >> 6] >> (i & 63)) & 1;
+        OPTIMUS_ASSERT(ready || !_tenants[i]->pending(),
+                       "svc: tenant '%s' has pending work outside the "
+                       "ready set",
+                       _tenants[i]->name().c_str());
+    }
+#endif
 }
 
 void

@@ -193,10 +193,15 @@ class Tenant
         std::deque<Inflight> inflight;
     };
 
-    Tenant(ServicePlane &plane, const TenantConfig &cfg,
-           sim::TelemetryNode *node);
+    Tenant(ServicePlane &plane, std::size_t index,
+           const TenantConfig &cfg, sim::TelemetryNode *node);
+
+    /** Work a pump() visit would act on: a queued request, a
+     *  consumable done mailbox, or an in-flight ring entry. */
+    bool pending() const;
 
     ServicePlane &_plane;
+    std::size_t _index; ///< position in the plane (its ready bit)
     TenantConfig _cfg;
     Mode _mode = Mode::kActive;
     std::unique_ptr<ArrivalGen> _gen; ///< open-loop only
@@ -253,10 +258,12 @@ class ServicePlane
      */
     void beginWindow(sim::Tick window);
 
-    /** Fixpoint over all tenants: consume completion mailboxes and
-     *  issue queued requests until nothing changes. Must only be
-     *  called at top level / an epoch barrier, never from an event
-     *  callback. */
+    /** Fixpoint over the ready tenants (those with pending work, see
+     *  markReady()), in index order: consume completion mailboxes
+     *  and issue queued requests until nothing changes. A tenant
+     *  outside the ready set has nothing a visit would act on, so
+     *  skipping it changes no result. Must only be called at top
+     *  level / an epoch barrier, never from an event callback. */
     void pump();
 
     /** No queued requests and no busy workers (the drain test). */
@@ -316,9 +323,26 @@ class ServicePlane
                 accel::Status st, sim::Tick issued,
                 sim::Tick done_tick);
 
+    /**
+     * Put @p t in the ready set. Every path that gives a tenant
+     * pending work calls this: admit(), the MMIO completion handler,
+     * and fleet::Cluster::importParcel. Only this plane's hv-domain
+     * events and the barrier write the set, so it needs no lock.
+     */
+    void
+    markReady(const Tenant &t)
+    {
+        _ready[t._index >> 6] |= 1ULL << (t._index & 63);
+    }
+    /** First ready tenant at or after @p i; numTenants() if none. */
+    std::size_t nextReady(std::size_t i) const;
+
     hv::System &_sys;
     sim::TelemetryNode *_node; ///< "sys.svc"
     std::vector<std::unique_ptr<Tenant>> _tenants;
+    /** Ready set, one bit per tenant index. A bit is cleared only by
+     *  a pump() visit that leaves its tenant without pending work. */
+    std::vector<std::uint64_t> _ready;
     std::vector<std::unique_ptr<hv::AccelHandle>> _handles;
     std::function<void(Tenant &, int)> _straySink;
     sim::Tick _horizon = 0; ///< arrivals stop at this tick

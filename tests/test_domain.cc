@@ -393,7 +393,7 @@ TEST(SerialVsThreadedTest, FaultCampaignResultsMatch)
     EXPECT_EQ(faultCampaign(4), serial);
 }
 
-/** And over the service plane's drive loop (sched.drive path). */
+/** And over the service plane's barrier pump (sched.pumpUntil). */
 std::uint64_t
 servicePlaneFingerprint(unsigned threads)
 {

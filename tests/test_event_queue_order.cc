@@ -193,6 +193,28 @@ TEST(EventQueueOrder, RunUntilAdvancesTimeOnEmptyQueue)
     EXPECT_EQ(eq.now(), 5000u);
 }
 
+TEST(EventQueueOrder, CoastToLeavesTheStateRunUntilWould)
+{
+    // coastTo is runUntil for a queue with nothing due: time moves,
+    // and a slot left active (here by runOne) is released, so an
+    // earlier schedule afterwards still runs first.
+    EventQueue eq;
+    std::vector<Tick> order;
+    auto rec = [&]() { order.push_back(eq.now()); };
+    eq.scheduleAt(4100, rec);
+    eq.scheduleAt(5000, rec); // same slot as 4100
+    ASSERT_TRUE(eq.runOne());
+    eq.coastTo(4200);
+    EXPECT_EQ(eq.now(), 4200u);
+    EXPECT_EQ(eq.nextEventTick(), 5000u);
+    eq.scheduleAt(4300, rec);
+    eq.coastTo(4250);
+    eq.coastTo(4000); // never moves time backwards
+    EXPECT_EQ(eq.now(), 4250u);
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<Tick>{4100, 4300, 5000}));
+}
+
 TEST(EventQueueOrder, FarRingAndHeapEventsComeBackInOrder)
 {
     EventQueue eq;
@@ -213,6 +235,47 @@ TEST(EventQueueOrder, FarRingAndHeapEventsComeBackInOrder)
     std::sort(expect.begin(), expect.end());
     EXPECT_EQ(order, expect);
     EXPECT_EQ(eq.now(), 2 * kFarWindow);
+}
+
+TEST(EventQueueOrder, FarRingScanWrapsAroundTheStartSlotsWord)
+{
+    // The far-ring minimum scan starts at the slot of the near
+    // window's end and walks the occupancy bitmap a 64-bit word at a
+    // time. Park that start slot mid-word (slot 70: word 1, bit 6),
+    // then occupy the start slot itself, later bits of its word, a
+    // later word, word 0 (wrapped), and the start word's bits below
+    // the start (wrapped all the way round: the latest far ticks).
+    constexpr Tick W = kNearWindow;
+    EventQueue eq;
+    std::vector<Tick> order;
+    auto rec = [&]() { order.push_back(eq.now()); };
+    eq.scheduleAt(69 * W + 1, rec);
+    EXPECT_EQ(eq.runUntil(69 * W + 1), 1u); // window now ends at 70W
+    order.clear();
+
+    // Slots 64 and 69 share the start word but lie below its start
+    // bit; slot 200 (word 3) and slot 10 (word 0) come before them.
+    std::vector<Tick> ticks = {320 * W + 17, 325 * W + 19, 266 * W + 13,
+                               200 * W + 11};
+    for (Tick t : ticks)
+        eq.scheduleAt(t, rec);
+    EXPECT_EQ(eq.nextEventTick(), 200 * W + 11);
+    for (Tick t : {100 * W + 7, 70 * W + 5}) {
+        eq.scheduleAt(t, rec);
+        ticks.push_back(t);
+    }
+    EXPECT_EQ(eq.nextEventTick(), 70 * W + 5);
+
+    // Each step moves the start slot past the event it ran, so the
+    // scan meets every case: the start bit itself, later in the start
+    // word, a later word, word 0, and the start word's low bits.
+    std::sort(ticks.begin(), ticks.end());
+    for (Tick t : ticks) {
+        EXPECT_EQ(eq.nextEventTick(), t);
+        EXPECT_EQ(eq.runUntil(t), 1u);
+    }
+    EXPECT_EQ(order, ticks);
+    EXPECT_EQ(eq.nextEventTick(), kTickForever);
 }
 
 TEST(EventQueueOrder, SameTickFifoSurvivesLevelMigration)

@@ -298,6 +298,53 @@ TEST(RingTest, PreemptMidRingKeepsJobsCorrect)
 }
 
 // ---------------------------------------------------------------
+// A ring tenant time-sharing a slot with MMIO tenants: a ring job
+// that finishes while its preempt drains is saved as DONE, and the
+// RESUME that restores it must post that completion through the
+// ring. A plain doorbell instead would leave the job active forever
+// and stall the tenant behind a full queue.
+// ---------------------------------------------------------------
+
+TEST(RingTest, RingTenantSharingSlotWithMmioTenantsCompletesAll)
+{
+    hv::System sys(hv::makeOptimusConfig("SHA", 1));
+    sys.hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
+                     100 * sim::kTickUs);
+    svc::ServicePlane plane(sys);
+    auto spec = [](const std::string &name, std::uint64_t seed) {
+        svc::TenantConfig cfg;
+        cfg.name = name;
+        cfg.app = "SHA";
+        cfg.bytes = 512;
+        cfg.seed = seed;
+        cfg.slot = 0;
+        cfg.arrivals.kind = svc::ArrivalKind::kPoisson;
+        cfg.arrivals.ratePerSec = 20000.0;
+        return cfg;
+    };
+    for (std::uint64_t seed = 11; seed <= 13; ++seed)
+        plane.addTenant(spec("m" + std::to_string(seed), seed));
+    svc::TenantConfig rc = spec("ring", 99);
+    rc.cmdPath = ring::CmdPath::kRing;
+    rc.batchMax = 4;
+    svc::Tenant &rt = plane.addTenant(rc);
+    plane.run(50 * sim::kTickMs);
+
+    EXPECT_GT(sys.hv.contextSwitches(), 100u);
+    for (std::size_t i = 0; i < plane.numTenants(); ++i) {
+        const svc::Tenant &t = plane.tenant(i);
+        EXPECT_GT(t.arrivals(), 0u) << t.name();
+        EXPECT_EQ(t.rejected(), 0u) << t.name();
+        EXPECT_EQ(t.queueLength(), 0u) << t.name();
+        EXPECT_EQ(t.errors(), 0u) << t.name();
+        EXPECT_EQ(t.verifyFailures(), 0u) << t.name();
+        EXPECT_EQ(t.completed(), t.arrivals()) << t.name();
+    }
+    EXPECT_GT(rt.completed(), 900u);
+    EXPECT_TRUE(plane.idle());
+}
+
+// ---------------------------------------------------------------
 // Migration with outstanding entries: the device checkpoint carries
 // the poller cursors, the new slot re-arms, and the tail of the
 // ring completes on the destination hardware.
