@@ -313,8 +313,10 @@ Accelerator::beginPreempt()
         OPTIMUS_ASSERT(arch.size() <= archStateCapacity(),
                        "%s arch state exceeds declared capacity",
                        _name.c_str());
-        std::memcpy(blob.data() + sizeof(header), arch.data(),
-                    arch.size());
+        // An empty vector's data() may be null, which memcpy forbids.
+        if (!arch.empty())
+            std::memcpy(blob.data() + sizeof(header), arch.data(),
+                        arch.size());
 
         transferStateBlob(true, std::move(blob),
                           [this](std::vector<std::uint8_t>) {

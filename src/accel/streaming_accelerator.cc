@@ -168,7 +168,10 @@ StreamingAccelerator::saveArchState() const
     std::uint64_t tlen = transform.size();
     std::memcpy(blob.data(), &pos, 8);
     std::memcpy(blob.data() + 8, &tlen, 8);
-    std::memcpy(blob.data() + 16, transform.data(), transform.size());
+    // An empty vector's data() may be null, which memcpy forbids.
+    if (!transform.empty())
+        std::memcpy(blob.data() + 16, transform.data(),
+                    transform.size());
     return blob;
 }
 

@@ -145,7 +145,7 @@ OptimusHv::createVirtualAccel(guest::Process &proc,
     if (slot.scheduled == nullptr && !slot.switching) {
         slot.scheduled = raw;
         slot.scheduledAt = eventq().now();
-        scheduleVaccel(slot, *raw, []() {});
+        scheduleVaccel(*raw, []() {});
     }
     if (slot.vaccels.size() == 2)
         armSliceTimer(slot_idx);
@@ -218,16 +218,16 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
             // operations; guests may not issue them directly.
             bits &= ~(ctrl::kPreempt | ctrl::kResume);
             if (bits & ctrl::kStart) {
-                v._visibleStatus = Status::kRunning;
-                v._cachedResult = 0;
-                v._cachedProgress = 0;
-                v._savedContext = false;
+                v._ctx.visibleStatus = Status::kRunning;
+                v._ctx.cachedResult = 0;
+                v._ctx.cachedProgress = 0;
+                v._ctx.savedContext = false;
                 // A fresh START acknowledges and clears any earlier
                 // fault; a quarantined vaccel becomes eligible again.
-                v._errStatus = 0;
-                v._quarantined = false;
+                v._ctx.errStatus = 0;
+                v._ctx.quarantined = false;
                 if (!sched) {
-                    v._pendingStart = true;
+                    v._ctx.pendingStart = true;
                     Slot &slot = _slots[v._slot];
                     if (optimusMode() && slot.scheduled == nullptr &&
                         !slot.switching) {
@@ -245,11 +245,11 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
                 armWatchdog(v);
             }
             if (bits & ctrl::kSoftReset) {
-                v._visibleStatus = Status::kIdle;
-                v._pendingStart = false;
-                v._savedContext = false;
-                v._errStatus = 0;
-                v._quarantined = false;
+                v._ctx.visibleStatus = Status::kIdle;
+                v._ctx.pendingStart = false;
+                v._ctx.savedContext = false;
+                v._ctx.errStatus = 0;
+                v._ctx.quarantined = false;
                 if (!sched) {
                     done();
                     return;
@@ -263,7 +263,7 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
             return;
         }
         if (r == reg::kStateBuf) {
-            v._stateBufGva = value;
+            v._ctx.stateBufGva = value;
             if (sched) {
                 forward(value);
             } else {
@@ -275,11 +275,11 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
             r < reg::kApp0 + 8ULL * reg::kNumAppRegs && r % 8 == 0) {
             auto idx =
                 static_cast<std::uint32_t>((r - reg::kApp0) / 8);
-            v._regCache[idx] = value;
-            if (std::find(v._touchedRegs.begin(),
-                          v._touchedRegs.end(),
-                          idx) == v._touchedRegs.end()) {
-                v._touchedRegs.push_back(idx);
+            v._ctx.regCache[idx] = value;
+            if (std::find(v._ctx.touchedRegs.begin(),
+                          v._ctx.touchedRegs.end(),
+                          idx) == v._ctx.touchedRegs.end()) {
+                v._ctx.touchedRegs.push_back(idx);
             }
             if (sched) {
                 forward(value);
@@ -310,23 +310,23 @@ OptimusHv::mmioRead(VirtualAccel &v, std::uint64_t r,
         if (r == reg::kStatus) {
             // The hypervisor hides the physical accelerator's
             // status (it may be running someone else's job).
-            done(static_cast<std::uint64_t>(v._visibleStatus));
+            done(static_cast<std::uint64_t>(v._ctx.visibleStatus));
             return;
         }
         if (r == reg::kErrStatus) {
             // Hypervisor-owned: each tenant observes only its own
             // faults, never the physical device's (or a co-tenant's).
-            done(v._errStatus);
+            done(v._ctx.errStatus);
             return;
         }
         if ((r == reg::kResult || r == reg::kProgress) && !sched) {
-            done(r == reg::kResult ? v._cachedResult
-                                   : v._cachedProgress);
+            done(r == reg::kResult ? v._ctx.cachedResult
+                                   : v._ctx.cachedProgress);
             return;
         }
         if (r >= reg::kApp0 &&
             r < reg::kApp0 + 8ULL * reg::kNumAppRegs && r % 8 == 0) {
-            done(v._regCache[(r - reg::kApp0) / 8]);
+            done(v._ctx.regCache[(r - reg::kApp0) / 8]);
             return;
         }
         if (!sched) {
@@ -411,13 +411,13 @@ ring::DeviceConfig
 OptimusHv::ringConfigFor(const VirtualAccel &v) const
 {
     ring::DeviceConfig cfg;
-    cfg.base = mem::Gva(v._ringBase);
-    cfg.entries = v._ringEntries;
-    cfg.state.prodSeq = v._ringProdSeq;
-    cfg.state.nextSeq = v._ringConsSeq;
-    cfg.state.compSeq = v._ringCompSeq;
-    cfg.state.jobSeq = v._ringJobSeq;
-    cfg.state.jobActive = v._ringJobActive;
+    cfg.base = mem::Gva(v._ctx.ringBase);
+    cfg.entries = v._ctx.ringEntries;
+    cfg.state.prodSeq = v._ctx.ringProdSeq;
+    cfg.state.nextSeq = v._ctx.ringConsSeq;
+    cfg.state.compSeq = v._ctx.ringCompSeq;
+    cfg.state.jobSeq = v._ctx.ringJobSeq;
+    cfg.state.jobActive = v._ctx.ringJobActive;
     return cfg;
 }
 
@@ -439,14 +439,14 @@ OptimusHv::setupRing(VirtualAccel &v, mem::Gva base,
         _platform.params().hypercallCost,
         [this, &v, base, entries,
          done = std::move(done)]() mutable {
-            v._ringEnabled = true;
-            v._ringBase = base.value();
-            v._ringEntries = entries;
-            v._ringProdSeq = 0;
-            v._ringConsSeq = 0;
-            v._ringCompSeq = 0;
-            v._ringJobSeq = 0;
-            v._ringJobActive = false;
+            v._ctx.ringEnabled = true;
+            v._ctx.ringBase = base.value();
+            v._ctx.ringEntries = entries;
+            v._ctx.ringProdSeq = 0;
+            v._ctx.ringConsSeq = 0;
+            v._ctx.ringCompSeq = 0;
+            v._ctx.ringJobSeq = 0;
+            v._ctx.ringJobActive = false;
             if (isScheduled(v))
                 _platform.accel(v._slot).armRing(ringConfigFor(v));
             done();
@@ -457,7 +457,7 @@ void
 OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
                        std::function<void()> done)
 {
-    OPTIMUS_ASSERT(v._ringEnabled, "ringPublish without setupRing");
+    OPTIMUS_ASSERT(v._ctx.ringEnabled, "ringPublish without setupRing");
     if (!done)
         done = []() {};
     // The publish itself is two plain stores in the guest's own
@@ -481,17 +481,17 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
                 r.proc = v._procId;
                 _trace->emit(r);
             }
-            if (prod_seq > v._ringProdSeq)
-                v._ringProdSeq = prod_seq;
+            if (prod_seq > v._ctx.ringProdSeq)
+                v._ctx.ringProdSeq = prod_seq;
             // Like START, new work acknowledges an earlier fault and
             // makes a quarantined tenant eligible again — but unlike
             // START it preserves a saved context: publishing behind a
             // preempted job just queues more entries.
-            v._visibleStatus = Status::kRunning;
-            v._errStatus = 0;
-            v._quarantined = false;
+            v._ctx.visibleStatus = Status::kRunning;
+            v._ctx.errStatus = 0;
+            v._ctx.quarantined = false;
             if (isScheduled(v)) {
-                _platform.accel(v._slot).ringNotify(v._ringProdSeq);
+                _platform.accel(v._slot).ringNotify(v._ctx.ringProdSeq);
             } else {
                 Slot &slot = _slots[v._slot];
                 if (optimusMode() && slot.scheduled == nullptr &&
@@ -510,20 +510,20 @@ void
 OptimusHv::syncRingFromDevice(VirtualAccel &v,
                               const accel::Accelerator &a)
 {
-    if (!v._ringEnabled || !a.ringArmed())
+    if (!v._ctx.ringEnabled || !a.ringArmed())
         return;
     const ring::DeviceState &st = a.ringState();
     // Cursors only ever advance; a stale device view (e.g. a
     // freshly-armed placeholder next to imported mirrors) must not
     // roll them back.
-    if (st.compSeq > v._ringCompSeq) {
-        std::uint64_t n = st.compSeq - v._ringCompSeq;
+    if (st.compSeq > v._ctx.ringCompSeq) {
+        std::uint64_t n = st.compSeq - v._ctx.ringCompSeq;
         _ringCompletes += n;
         if (v._sched)
             v._sched->ringCompletes += n;
         if (_trace &&
             _trace->wants(sim::TraceKind::kRingComplete)) {
-            for (std::uint64_t seq = v._ringCompSeq;
+            for (std::uint64_t seq = v._ctx.ringCompSeq;
                  seq < st.compSeq; ++seq) {
                 sim::TraceRecord r;
                 r.kind = sim::TraceKind::kRingComplete;
@@ -535,40 +535,40 @@ OptimusHv::syncRingFromDevice(VirtualAccel &v,
                 _trace->emit(r);
             }
         }
-        v._ringCompSeq = st.compSeq;
+        v._ctx.ringCompSeq = st.compSeq;
     }
-    if (st.nextSeq > v._ringConsSeq)
-        v._ringConsSeq = st.nextSeq;
-    if (st.prodSeq > v._ringProdSeq)
-        v._ringProdSeq = st.prodSeq;
+    if (st.nextSeq > v._ctx.ringConsSeq)
+        v._ctx.ringConsSeq = st.nextSeq;
+    if (st.prodSeq > v._ctx.ringProdSeq)
+        v._ctx.ringProdSeq = st.prodSeq;
     if (st.jobActive) {
-        v._ringJobActive = true;
-        v._ringJobSeq = st.jobSeq;
-    } else if (st.nextSeq >= v._ringConsSeq &&
-               st.compSeq >= v._ringCompSeq) {
+        v._ctx.ringJobActive = true;
+        v._ctx.ringJobSeq = st.jobSeq;
+    } else if (st.nextSeq >= v._ctx.ringConsSeq &&
+               st.compSeq >= v._ctx.ringCompSeq) {
         // Only a device whose cursors are current can attest that no
         // job is in flight.
-        v._ringJobActive = false;
+        v._ctx.ringJobActive = false;
     }
 }
 
 void
 OptimusHv::postRingErrors(VirtualAccel &v)
 {
-    if (!v._ringEnabled)
+    if (!v._ctx.ringEnabled)
         return;
     // Pick up completions the device posted since the last doorbell
     // so they are not overwritten as errors.
     const Slot &slot = _slots[v._slot];
     if (slot.scheduled == &v)
         syncRingFromDevice(v, _platform.accel(v._slot));
-    const std::uint64_t from = v._ringCompSeq;
-    const std::uint64_t to = v._ringProdSeq;
-    v._ringJobActive = false;
+    const std::uint64_t from = v._ctx.ringCompSeq;
+    const std::uint64_t to = v._ctx.ringProdSeq;
+    v._ctx.ringJobActive = false;
     if (from >= to)
         return;
-    v._ringCompSeq = to;
-    v._ringConsSeq = to;
+    v._ctx.ringCompSeq = to;
+    v._ctx.ringConsSeq = to;
     _ringCompletes += to - from;
     if (v._sched)
         v._sched->ringCompletes += to - from;
@@ -584,9 +584,9 @@ OptimusHv::postRingErrors(VirtualAccel &v)
             _trace->emit(r);
         }
     }
-    const std::uint64_t err = v._errStatus;
-    const std::uint64_t base = v._ringBase;
-    const std::uint32_t entries = v._ringEntries;
+    const std::uint64_t err = v._ctx.errStatus;
+    const std::uint64_t base = v._ctx.ringBase;
+    const std::uint32_t entries = v._ctx.ringEntries;
     const sim::Tick at = eventq().now();
     guest::Process *proc = v._proc;
     // The entry slots and cursor words live in guest memory (host
@@ -662,8 +662,7 @@ OptimusHv::programOffsetEntry(VirtualAccel &v,
 }
 
 void
-OptimusHv::scheduleVaccel(Slot &slot, VirtualAccel &v,
-                          std::function<void()> done)
+OptimusHv::scheduleVaccel(VirtualAccel &v, std::function<void()> done)
 {
     if (v._sched)
         ++v._sched->slices;
@@ -674,43 +673,41 @@ OptimusHv::scheduleVaccel(Slot &slot, VirtualAccel &v,
 
     // 1. Reset the physical accelerator (isolation: clear the
     //    previous tenant's state), via the VCU reset table.
-    auto after_reset = [this, &slot, &v,
-                        done = std::move(done)]() mutable {
+    auto after_reset = [this, &v, done = std::move(done)]() mutable {
         // 2. Install v's offset-table entry (page table slicing).
-        programOffsetEntry(v, [this, &slot, &v,
+        programOffsetEntry(v, [this, &v,
                                done = std::move(done)]() mutable {
             // 3. Synchronize cached application registers and the
             //    state buffer pointer.
             std::vector<std::pair<std::uint64_t, std::uint64_t>> w;
-            for (std::uint32_t idx : v._touchedRegs) {
+            for (std::uint32_t idx : v._ctx.touchedRegs) {
                 w.emplace_back(
                     accelRegOffset(v._slot, reg::appReg(idx)),
-                    v._regCache[idx]);
+                    v._ctx.regCache[idx]);
             }
-            if (v._stateBufGva != 0) {
+            if (v._ctx.stateBufGva != 0) {
                 w.emplace_back(
                     accelRegOffset(v._slot, reg::kStateBuf),
-                    v._stateBufGva);
+                    v._ctx.stateBufGva);
             }
             // 4. Kick the job: resume a saved context, or start a
             //    job the guest requested while descheduled.
-            if (v._savedContext) {
+            if (v._ctx.savedContext) {
                 w.emplace_back(accelRegOffset(v._slot, reg::kCtrl),
                                ctrl::kResume);
-                v._savedContext = false;
-            } else if (v._pendingStart) {
+                v._ctx.savedContext = false;
+            } else if (v._ctx.pendingStart) {
                 w.emplace_back(accelRegOffset(v._slot, reg::kCtrl),
                                ctrl::kStart);
-                v._pendingStart = false;
+                v._ctx.pendingStart = false;
             }
-            (void)slot;
             // 5. Ring tenants: re-arm the device poller with the
             //    mirrored cursors — only after the register replay
             //    (and any RESUME) landed, or the poller could fetch a
             //    command into a half-programmed device.
             auto arm = [this, &v,
                         done = std::move(done)]() mutable {
-                if (v._ringEnabled)
+                if (v._ctx.ringEnabled)
                     _platform.accel(v._slot).armRing(
                         ringConfigFor(v));
                 done();
@@ -719,17 +716,10 @@ OptimusHv::scheduleVaccel(Slot &slot, VirtualAccel &v,
         });
     };
 
-    if (optimusMode()) {
-        deviceMmio(true,
-                   fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                   1ULL << v._slot,
-                   [after_reset =
-                        std::move(after_reset)](std::uint64_t) mutable {
-                       after_reset();
-                   });
-    } else {
+    if (optimusMode())
+        vcuReset(v._slot, std::move(after_reset));
+    else
         after_reset();
-    }
 }
 
 sim::Tick
@@ -838,29 +828,20 @@ OptimusHv::sliceExpired(std::uint32_t slot_idx, std::uint64_t epoch)
 void
 OptimusHv::performSwitch(std::uint32_t slot_idx, VirtualAccel *to)
 {
-    Slot &slot = _slots[slot_idx];
     OPTIMUS_ASSERT(optimusMode(),
                    "temporal multiplexing requires OPTIMUS mode");
-    slot.switching = true;
-    ++slot.timerEpoch; // cancel any pending slice timer
-
-    VirtualAccel *from = slot.scheduled;
-    const auto &p = _platform.params();
-
     auto proceed = [this, slot_idx, to]() {
-        Slot &s = _slots[slot_idx];
         ++_ctxSwitches;
         // Software cost: trap handling, table updates, register
         // synchronization bookkeeping.
         eventq().scheduleIn(
             _platform.params().contextSwitchSwCost,
             [this, slot_idx, to]() {
-                Slot &s2 = _slots[slot_idx];
-                scheduleVaccel(s2, *to, [this, slot_idx, to]() {
-                    Slot &s3 = _slots[slot_idx];
-                    s3.scheduled = to;
-                    s3.scheduledAt = eventq().now();
-                    s3.switching = false;
+                scheduleVaccel(*to, [this, slot_idx, to]() {
+                    Slot &s = _slots[slot_idx];
+                    s.scheduled = to;
+                    s.scheduledAt = eventq().now();
+                    s.switching = false;
                     armSliceTimer(slot_idx);
                     // The tenant only now gained the hardware: the
                     // no-progress deadline restarts from this instant,
@@ -872,66 +853,85 @@ OptimusHv::performSwitch(std::uint32_t slot_idx, VirtualAccel *to)
                     armWatchdog(*to);
                 });
             });
-        (void)s;
     };
 
-    if (from == nullptr) {
-        proceed();
+    Slot &slot = _slots[slot_idx];
+    if (slot.scheduled != nullptr) {
+        // Saved or force-reset, the holder gives way.
+        cede(slot_idx, *slot.scheduled, true,
+             [proceed](bool) { proceed(); });
         return;
     }
+    slot.switching = true;
+    ++slot.timerEpoch; // cancel any pending slice timer
+    proceed();
+}
 
-    notePreempted(slot_idx, *from);
+void
+OptimusHv::cede(std::uint32_t slot_idx, VirtualAccel &v,
+                bool ring_errors, std::function<void(bool)> then)
+{
+    Slot &slot = _slots[slot_idx];
+    slot.switching = true;
+    ++slot.timerEpoch; // cancel any pending slice timer
+    notePreempted(slot_idx, v);
 
-    if (from->_stateBufGva == 0 &&
-        from->_visibleStatus == Status::kRunning) {
+    auto outcome = [this, slot_idx, &v, ring_errors,
+                    then = std::move(then)](bool saved) {
+        VaccelContext &c = v._ctx;
+        if (saved) {
+            // The hardware registers still hold v's values; cache
+            // the guest-visible ones before they are clobbered.
+            c.savedContext = true;
+            c.cachedResult = _platform.accel(slot_idx).result();
+            c.cachedProgress = _platform.accel(slot_idx).progress();
+            then(true);
+            return;
+        }
+        ++_forcedResets;
+        noteError(v, accel::errst::kForcedReset);
+        c.visibleStatus = Status::kError;
+        c.savedContext = false;
+        if (ring_errors)
+            postRingErrors(v);
+        vcuReset(slot_idx, [then]() { then(false); });
+    };
+    if (v._ctx.stateBufGva == 0 &&
+        v._ctx.visibleStatus == Status::kRunning) {
         // The accelerator does not implement the preemption
         // interface (no state buffer): forcibly reset it.
-        ++_forcedResets;
-        noteError(*from, accel::errst::kForcedReset);
-        from->_visibleStatus = Status::kError;
-        from->_savedContext = false;
-        postRingErrors(*from);
-        deviceMmio(true,
-                   fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                   1ULL << slot_idx,
-                   [proceed](std::uint64_t) { proceed(); });
+        outcome(false);
         return;
     }
 
-    // Ask the accelerator to save its context; continue on the
-    // SAVED doorbell, or force a reset after the timeout.
+    // Ask the accelerator to save its context; the SAVED doorbell
+    // (onDoorbell) or else the timeout takes the outcome.
     std::uint64_t token = ++slot.preemptToken;
-    slot.onSaved = [this, slot_idx, from, proceed]() {
-        Slot &s = _slots[slot_idx];
-        from->_savedContext = true;
-        // The hardware registers still hold from's values; cache
-        // the guest-visible ones before they are clobbered.
-        from->_cachedResult = _platform.accel(slot_idx).result();
-        from->_cachedProgress =
-            _platform.accel(slot_idx).progress();
-        (void)s;
-        proceed();
-    };
-
-    eventq().scheduleIn(p.preemptTimeout, [this, slot_idx, token,
-                                           from, proceed]() {
-        Slot &s = _slots[slot_idx];
-        if (s.preemptToken != token || !s.onSaved)
-            return; // save completed in time
-        s.onSaved = nullptr;
-        ++_forcedResets;
-        noteError(*from, accel::errst::kForcedReset);
-        from->_visibleStatus = Status::kError;
-        from->_savedContext = false;
-        postRingErrors(*from);
-        deviceMmio(true,
-                   fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                   1ULL << slot_idx,
-                   [proceed](std::uint64_t) { proceed(); });
-    });
-
+    slot.onCeded = std::move(outcome);
+    eventq().scheduleIn(_platform.params().preemptTimeout,
+                        [this, slot_idx, token]() {
+                            Slot &s = _slots[slot_idx];
+                            if (s.preemptToken != token || !s.onCeded)
+                                return; // save completed in time
+                            auto cb = std::move(s.onCeded);
+                            s.onCeded = nullptr;
+                            cb(false);
+                        });
     deviceMmio(true, accelRegOffset(slot_idx, reg::kCtrl),
                ctrl::kPreempt, nullptr);
+}
+
+void
+OptimusHv::vacate(std::uint32_t slot_idx)
+{
+    Slot &slot = _slots[slot_idx];
+    slot.scheduled = nullptr;
+    slot.switching = false;
+    // Co-tenants keep their shares: the next eligible vaccel takes the
+    // slot through the full reattach path (VCU reset, offset entry,
+    // register replay).
+    if (VirtualAccel *next = pickNext(slot))
+        performSwitch(slot_idx, next);
 }
 
 void
@@ -950,26 +950,26 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
         // The poller is quiescent now: refresh the ring mirrors so
         // the saved context re-arms exactly where the device stopped.
         syncRingFromDevice(*v, a);
-        if (slot.onSaved) {
+        if (slot.onCeded) {
             ++slot.preemptToken; // cancel the timeout
-            auto cb = std::move(slot.onSaved);
-            slot.onSaved = nullptr;
-            cb();
+            auto cb = std::move(slot.onCeded);
+            slot.onCeded = nullptr;
+            cb(true);
         }
         return;
     }
     if (st == Status::kDone || st == Status::kError) {
         if (st == Status::kError)
             noteError(*v, accel::errst::kDeviceError);
-        if (v->_ringEnabled) {
+        if (v->_ctx.ringEnabled) {
             syncRingFromDevice(*v, a);
-            v->_cachedResult = a.result();
-            v->_cachedProgress = a.progress();
+            v->_ctx.cachedResult = a.result();
+            v->_ctx.cachedProgress = a.progress();
             if (st == Status::kError) {
                 // Per-job results ride the ring; the doorbell only
                 // announces the fault. Everything submitted but not
                 // completed gets an error completion.
-                v->_visibleStatus = Status::kError;
+                v->_ctx.visibleStatus = Status::kError;
                 postRingErrors(*v);
                 if (v->_completion)
                     v->_completion(st);
@@ -978,18 +978,18 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
             // Drained doorbell: every entry the device knew of is
             // complete. A publish kick that raced the drain just
             // re-notifies the poller instead.
-            if (v->_ringProdSeq > v->_ringConsSeq) {
-                a.ringNotify(v->_ringProdSeq);
+            if (v->_ctx.ringProdSeq > v->_ctx.ringConsSeq) {
+                a.ringNotify(v->_ctx.ringProdSeq);
                 return;
             }
-            v->_visibleStatus = Status::kDone;
+            v->_ctx.visibleStatus = Status::kDone;
             if (v->_completion)
                 v->_completion(st);
             return;
         }
-        v->_visibleStatus = st;
-        v->_cachedResult = a.result();
-        v->_cachedProgress = a.progress();
+        v->_ctx.visibleStatus = st;
+        v->_ctx.cachedResult = a.result();
+        v->_ctx.cachedProgress = a.progress();
         if (v->_completion)
             v->_completion(st);
     }
@@ -1000,130 +1000,76 @@ OptimusHv::migrate(VirtualAccel &v, std::uint32_t dst_idx,
                    std::function<void(bool)> done)
 {
     OPTIMUS_ASSERT(dst_idx < _slots.size(), "bad destination slot");
-    if (!optimusMode() || dst_idx == v._slot) {
+    const std::uint32_t src_idx = v._slot;
+    if (!optimusMode() || dst_idx == src_idx) {
         done(false);
         return;
     }
     // Both slots must host the same accelerator configuration:
     // migration moves state, not bitstreams.
     const auto &apps = _platform.config().apps;
-    if (apps[v._slot] != apps[dst_idx]) {
+    if (apps[src_idx] != apps[dst_idx]) {
         done(false);
         return;
     }
-    Slot &src = _slots[v._slot];
-    Slot &dst = _slots[dst_idx];
-    if (src.switching || dst.switching) {
+    if (_slots[src_idx].switching || _slots[dst_idx].switching) {
         done(false); // a context switch is already in flight
         return;
     }
-
-    auto move_and_resume = [this, &v, dst_idx,
-                            done = std::move(done)]() mutable {
-        Slot &src2 = _slots[v._slot];
-        Slot &dst2 = _slots[dst_idx];
-
-        // Detach from the source slot's tenant list.
-        std::unique_ptr<VirtualAccel> owned;
-        for (auto it = src2.vaccels.begin();
-             it != src2.vaccels.end(); ++it) {
-            if (it->get() == &v) {
-                owned = std::move(*it);
-                src2.vaccels.erase(it);
-                break;
-            }
-        }
-        OPTIMUS_ASSERT(owned != nullptr,
-                       "migrating an unknown virtual accelerator");
-        if (!src2.vaccels.empty())
-            src2.rrNext %= static_cast<std::uint32_t>(
-                src2.vaccels.size());
-
-        v._slot = dst_idx;
-        dst2.vaccels.push_back(std::move(owned));
-        ++_migrations;
-
-        // Hand the vacated source slot to its next tenant.
-        if (src2.scheduled == nullptr) {
-            if (VirtualAccel *next = pickNext(src2)) {
-                performSwitch(
-                    static_cast<std::uint32_t>(&src2 - &_slots[0]),
-                    next);
-            }
-        }
-
-        // Schedule on the destination, or let its timer pick v up.
-        if (dst2.scheduled == nullptr && !dst2.switching) {
-            dst2.scheduled = &v;
-            dst2.scheduledAt = eventq().now();
-            scheduleVaccel(dst2, v,
-                           [done = std::move(done)]() mutable {
-                               done(true);
-                           });
-        } else {
-            done(true);
-        }
-        if (dst2.vaccels.size() >= 2)
-            armSliceTimer(dst_idx);
-    };
-
-    if (src.scheduled != &v) {
-        // Descheduled: the cached registers and saved context (if
-        // any) move with the vaccel.
-        move_and_resume();
-        return;
-    }
-
-    // Scheduled: preempt first.
-    if (v._visibleStatus == Status::kRunning &&
-        v._stateBufGva == 0) {
+    const bool held = _slots[src_idx].scheduled == &v;
+    if (held && v._ctx.visibleStatus == Status::kRunning &&
+        v._ctx.stateBufGva == 0) {
         done(false); // cannot cede without a state buffer
         return;
     }
-    std::uint32_t src_idx = v._slot;
-    src.switching = true;
-    ++src.timerEpoch;
-    notePreempted(src_idx, v);
 
-    std::uint64_t token = ++src.preemptToken;
-    src.onSaved = [this, src_idx, &v,
-                   move_and_resume =
-                       std::move(move_and_resume)]() mutable {
-        Slot &s = _slots[src_idx];
-        v._savedContext = true;
-        v._cachedResult = _platform.accel(src_idx).result();
-        v._cachedProgress = _platform.accel(src_idx).progress();
-        s.scheduled = nullptr;
-        s.switching = false;
-        move_and_resume();
+    // Saved, or never scheduled: the cached registers and saved
+    // context (if any) move with the vaccel. Force-reset: it stays,
+    // errored, on the source slot.
+    auto relocate = [this, &v, src_idx, dst_idx,
+                     done = std::move(done)](bool saved) {
+        Slot &src = _slots[src_idx];
+        if (!saved) {
+            vacate(src_idx);
+            done(false);
+            return;
+        }
+        auto it = std::find_if(
+            src.vaccels.begin(), src.vaccels.end(),
+            [&v](const auto &p) { return p.get() == &v; });
+        OPTIMUS_ASSERT(it != src.vaccels.end(),
+                       "migrating an unknown virtual accelerator");
+        std::unique_ptr<VirtualAccel> owned = std::move(*it);
+        src.vaccels.erase(it);
+        if (!src.vaccels.empty())
+            src.rrNext %= static_cast<std::uint32_t>(
+                src.vaccels.size());
+
+        Slot &dst = _slots[dst_idx];
+        v._slot = dst_idx;
+        dst.vaccels.push_back(std::move(owned));
+        ++_migrations;
+
+        // Hand the source slot to its next tenant, unless a co-tenant
+        // holds it.
+        if (src.scheduled == &v || src.scheduled == nullptr)
+            vacate(src_idx);
+
+        // Schedule on the destination, or let its timer pick v up.
+        if (dst.scheduled == nullptr && !dst.switching) {
+            dst.scheduled = &v;
+            dst.scheduledAt = eventq().now();
+            scheduleVaccel(v, [done]() { done(true); });
+        } else {
+            done(true);
+        }
+        if (dst.vaccels.size() >= 2)
+            armSliceTimer(dst_idx);
     };
-    eventq().scheduleIn(
-        _platform.params().preemptTimeout,
-        [this, src_idx, token, &v]() {
-            Slot &s = _slots[src_idx];
-            if (s.preemptToken != token || !s.onSaved)
-                return;
-            // The accelerator failed to cede: reset it and abandon
-            // the migration (the vaccel stays, errored, on src).
-            s.onSaved = nullptr;
-            ++_forcedResets;
-            noteError(v, accel::errst::kForcedReset);
-            v._visibleStatus = Status::kError;
-            v._savedContext = false;
-            postRingErrors(v);
-            deviceMmio(
-                true,
-                fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                1ULL << src_idx, [this, src_idx](std::uint64_t) {
-                    Slot &s2 = _slots[src_idx];
-                    s2.scheduled = nullptr;
-                    s2.switching = false;
-                    if (VirtualAccel *next = pickNext(s2))
-                        performSwitch(src_idx, next);
-                });
-        });
-    deviceMmio(true, accelRegOffset(src_idx, reg::kCtrl),
-               ctrl::kPreempt, nullptr);
+    if (held)
+        cede(src_idx, v, true, std::move(relocate));
+    else
+        relocate(true);
 }
 
 void
@@ -1143,29 +1089,11 @@ OptimusHv::exportContext(
     // Snapshot the hypervisor-side state, then neutralize the source
     // vaccel: the job now lives in the context, so the local
     // scheduler must never consider it eligible again.
-    auto capture = [this, &v]() {
-        VaccelContext ctx;
-        ctx.regCache = v._regCache;
-        ctx.touchedRegs = v._touchedRegs;
-        ctx.stateBufGva = v._stateBufGva;
-        ctx.pendingStart = v._pendingStart;
-        ctx.savedContext = v._savedContext;
-        ctx.visibleStatus = v._visibleStatus;
-        ctx.cachedResult = v._cachedResult;
-        ctx.cachedProgress = v._cachedProgress;
-        ctx.errStatus = v._errStatus;
-        ctx.quarantined = v._quarantined;
-        ctx.ringEnabled = v._ringEnabled;
-        ctx.ringBase = v._ringBase;
-        ctx.ringEntries = v._ringEntries;
-        ctx.ringProdSeq = v._ringProdSeq;
-        ctx.ringConsSeq = v._ringConsSeq;
-        ctx.ringCompSeq = v._ringCompSeq;
-        ctx.ringJobSeq = v._ringJobSeq;
-        ctx.ringJobActive = v._ringJobActive;
-        v._pendingStart = false;
-        v._savedContext = false;
-        v._visibleStatus = Status::kIdle;
+    auto capture = [&v]() {
+        VaccelContext ctx = v._ctx;
+        v._ctx.pendingStart = false;
+        v._ctx.savedContext = false;
+        v._ctx.visibleStatus = Status::kIdle;
         ++v._wdEpoch; // cancel any pending watchdog check
         v._wdArmed = false;
         return ctx;
@@ -1178,102 +1106,40 @@ OptimusHv::exportContext(
         return;
     }
 
-    if (v._visibleStatus == Status::kRunning &&
-        v._stateBufGva == 0) {
-        done(false, {}); // cannot cede without a state buffer
+    const std::uint32_t src_idx = v._slot;
+    if (v._ctx.visibleStatus == Status::kRunning) {
+        if (v._ctx.stateBufGva == 0) {
+            done(false, {}); // cannot cede without a state buffer
+            return;
+        }
+        // A forced reset exports the errored context anyway: the
+        // destination's service layer sees kError with the
+        // kForcedReset bit and retries the request, and
+        // importContext() posts the ring error completions.
+        cede(src_idx, v, false, [this, src_idx, capture, done](bool) {
+            VaccelContext ctx = capture();
+            vacate(src_idx);
+            done(true, std::move(ctx));
+        });
         return;
     }
 
-    std::uint32_t src_idx = v._slot;
+    // Nothing live on the device (idle or completed, with the result
+    // already cached by the doorbell): reset the slot for the next
+    // tenant and capture directly, without a PREEMPT.
     src.switching = true;
     ++src.timerEpoch;
     notePreempted(src_idx, v);
-
-    auto vacate = [this, src_idx]() {
-        Slot &s = _slots[src_idx];
-        s.scheduled = nullptr;
-        s.switching = false;
-        if (VirtualAccel *next = pickNext(s))
-            performSwitch(src_idx, next);
-    };
-
-    if (v._visibleStatus != Status::kRunning) {
-        // Nothing live on the device (idle or completed, with the
-        // result already cached by the doorbell): reset the slot for
-        // the next tenant and capture directly.
-        VaccelContext ctx = capture();
-        deviceMmio(true,
-                   fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                   1ULL << src_idx,
-                   [vacate](std::uint64_t) { vacate(); });
-        done(true, std::move(ctx));
-        return;
-    }
-
-    // Running on the device: preempt through the standard path —
-    // drain, save to the guest state buffer, SAVED doorbell — with
-    // the usual forced-reset timeout.
-    std::uint64_t token = ++src.preemptToken;
-    src.onSaved = [this, src_idx, &v, capture, vacate,
-                   done]() mutable {
-        v._savedContext = true;
-        v._cachedResult = _platform.accel(src_idx).result();
-        v._cachedProgress = _platform.accel(src_idx).progress();
-        VaccelContext ctx = capture();
-        vacate();
-        done(true, std::move(ctx));
-    };
-    eventq().scheduleIn(
-        _platform.params().preemptTimeout,
-        [this, src_idx, token, &v, capture, vacate,
-         done]() mutable {
-            Slot &s = _slots[src_idx];
-            if (s.preemptToken != token || !s.onSaved)
-                return; // save completed in time
-            s.onSaved = nullptr;
-            ++_forcedResets;
-            noteError(v, accel::errst::kForcedReset);
-            v._visibleStatus = Status::kError;
-            v._savedContext = false;
-            deviceMmio(
-                true,
-                fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-                1ULL << src_idx,
-                [capture, vacate, done](std::uint64_t) mutable {
-                    // Export the errored context anyway: the
-                    // destination's service layer sees kError with
-                    // the kForcedReset bit and retries the request.
-                    VaccelContext ctx = capture();
-                    vacate();
-                    done(true, std::move(ctx));
-                });
-        });
-    deviceMmio(true, accelRegOffset(src_idx, reg::kCtrl),
-               ctrl::kPreempt, nullptr);
+    VaccelContext ctx = capture();
+    vcuReset(src_idx, [this, src_idx]() { vacate(src_idx); });
+    done(true, std::move(ctx));
 }
 
 void
 OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx)
 {
-    v._regCache = ctx.regCache;
-    v._touchedRegs = ctx.touchedRegs;
-    v._stateBufGva = ctx.stateBufGva;
-    v._pendingStart = ctx.pendingStart;
-    v._savedContext = ctx.savedContext;
-    v._visibleStatus = ctx.visibleStatus;
-    v._cachedResult = ctx.cachedResult;
-    v._cachedProgress = ctx.cachedProgress;
-    v._errStatus = ctx.errStatus;
-    v._quarantined = ctx.quarantined;
+    v._ctx = ctx;
     if (ctx.ringEnabled) {
-        v._ringEnabled = true;
-        v._ringBase = ctx.ringBase;
-        v._ringEntries = ctx.ringEntries;
-        v._ringProdSeq = ctx.ringProdSeq;
-        v._ringConsSeq = ctx.ringConsSeq;
-        v._ringCompSeq = ctx.ringCompSeq;
-        v._ringJobSeq = ctx.ringJobSeq;
-        v._ringJobActive = ctx.ringJobActive;
         // A kError context with submitted-but-uncompleted entries
         // came from a forced reset that raced the export — the
         // source could not post the error completions, so deliver
@@ -1301,7 +1167,7 @@ OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx)
         slot.switching = true;
         ++slot.timerEpoch;
         ++_ctxSwitches;
-        scheduleVaccel(slot, v, [this, slot_idx]() {
+        scheduleVaccel(v, [this, slot_idx]() {
             Slot &s = _slots[slot_idx];
             s.scheduledAt = eventq().now();
             s.switching = false;
@@ -1353,7 +1219,7 @@ OptimusHv::setWatchdog(sim::Tick deadline)
         return;
     for (auto &slot : _slots) {
         for (auto &v : slot.vaccels) {
-            if (v->_visibleStatus == Status::kRunning)
+            if (v->_ctx.visibleStatus == Status::kRunning)
                 armWatchdog(*v);
         }
     }
@@ -1381,7 +1247,7 @@ OptimusHv::watchdogCheck(VirtualAccel *v, std::uint64_t epoch)
     v->_wdArmed = false;
     if (_wdDeadline == 0)
         return;
-    if (v->_visibleStatus != Status::kRunning)
+    if (v->_ctx.visibleStatus != Status::kRunning)
         return; // finished or reset; the next START re-arms
     Slot &slot = _slots[v->_slot];
     if (slot.scheduled != v || slot.switching) {
@@ -1416,10 +1282,10 @@ OptimusHv::quarantine(VirtualAccel &v)
     if (v._sched)
         ++v._sched->watchdogFires;
     noteError(v, accel::errst::kWatchdog);
-    v._visibleStatus = Status::kError;
-    v._quarantined = true;
-    v._pendingStart = false;
-    v._savedContext = false;
+    v._ctx.visibleStatus = Status::kError;
+    v._ctx.quarantined = true;
+    v._ctx.pendingStart = false;
+    v._ctx.savedContext = false;
     // Ring tenants learn of the quarantine through their completion
     // ring: every submitted-but-uncompleted entry reports kError with
     // the kWatchdog bit.
@@ -1470,24 +1336,22 @@ OptimusHv::resetSlot(std::uint32_t slot_idx)
     slot.switching = true;
     ++slot.timerEpoch;   // cancel the pending slice timer
     ++slot.preemptToken; // cancel any pending preempt timeout
-    slot.onSaved = nullptr;
+    slot.onCeded = nullptr;
+    vcuReset(slot_idx, [this, slot_idx]() { vacate(slot_idx); });
+}
+
+void
+OptimusHv::vcuReset(std::uint32_t slot_idx, std::function<void()> done)
+{
     deviceMmio(true, fpga::kVcuMmioBase + fpga::vcu_reg::kResetTable,
-               1ULL << slot_idx, [this, slot_idx](std::uint64_t) {
-                   Slot &s = _slots[slot_idx];
-                   s.scheduled = nullptr;
-                   s.switching = false;
-                   // Co-tenants keep their shares: the next eligible
-                   // vaccel takes the slot through the full reattach
-                   // path (VCU reset, offset entry, register replay).
-                   if (VirtualAccel *next = pickNext(s))
-                       performSwitch(slot_idx, next);
-               });
+               1ULL << slot_idx,
+               [done = std::move(done)](std::uint64_t) { done(); });
 }
 
 void
 OptimusHv::noteError(VirtualAccel &v, std::uint64_t bits)
 {
-    v._errStatus |= bits;
+    v._ctx.errStatus |= bits;
     if (v._sched)
         ++v._sched->faults;
 }
@@ -1536,7 +1400,7 @@ OptimusHv::peekProgress(const VirtualAccel &v) const
             .accel(v._slot)
             .progress();
     }
-    return v._cachedProgress;
+    return v._ctx.cachedProgress;
 }
 
 sim::Tick

@@ -67,9 +67,12 @@ struct VaccelContext
     std::uint64_t cachedProgress = 0;
     std::uint64_t errStatus = 0;
     bool quarantined = false;
-    /** Command-ring attachment and mirrored cursors (DESIGN.md §14).
-     *  The ring contents themselves live in the tenant's DMA window
-     *  and travel with the migration memory image. */
+    /** Command-ring attachment and mirrored cursors (DESIGN.md §14):
+     *  the guest's publish cursor and the device poller's fetch/post
+     *  cursors, refreshed at every doorbell, which re-arm the poller
+     *  exactly after preemption, slot migration and import. The ring
+     *  contents themselves live in the tenant's DMA window and travel
+     *  with the migration memory image. */
     bool ringEnabled = false;
     std::uint64_t ringBase = 0;
     std::uint32_t ringEntries = 0;
@@ -106,15 +109,15 @@ class VirtualAccel
     std::uint64_t sliceIovaBase() const { return _sliceIovaBase; }
 
     /** The hypervisor-maintained job status the guest observes. */
-    accel::Status visibleStatus() const { return _visibleStatus; }
-    std::uint64_t cachedResult() const { return _cachedResult; }
-    std::uint64_t cachedProgress() const { return _cachedProgress; }
+    accel::Status visibleStatus() const { return _ctx.visibleStatus; }
+    std::uint64_t cachedResult() const { return _ctx.cachedResult; }
+    std::uint64_t cachedProgress() const { return _ctx.cachedProgress; }
 
     /** Guest-visible error bits (accel::errst); the ERR_STATUS
      *  register this tenant reads.  Cleared by START / SOFT_RESET. */
-    std::uint64_t errorStatus() const { return _errStatus; }
+    std::uint64_t errorStatus() const { return _ctx.errStatus; }
     /** Whether the watchdog quarantined this vaccel. */
-    bool quarantined() const { return _quarantined; }
+    bool quarantined() const { return _ctx.quarantined; }
 
     /** Invoked (like an interrupt) on job DONE / ERROR. */
     void setCompletionHandler(CompletionHandler h)
@@ -124,11 +127,11 @@ class VirtualAccel
 
     /** Whether this vaccel drives its jobs through a shared-memory
      *  command ring (OptimusHv::setupRing) instead of MMIO START. */
-    bool ringEnabled() const { return _ringEnabled; }
+    bool ringEnabled() const { return _ctx.ringEnabled; }
     /** Hypervisor mirror of the guest's published submit cursor. */
-    std::uint64_t ringProdSeq() const { return _ringProdSeq; }
+    std::uint64_t ringProdSeq() const { return _ctx.ringProdSeq; }
     /** Hypervisor mirror of the device's completion cursor. */
-    std::uint64_t ringCompSeq() const { return _ringCompSeq; }
+    std::uint64_t ringCompSeq() const { return _ctx.ringCompSeq; }
 
   private:
     friend class OptimusHv;
@@ -180,36 +183,13 @@ class VirtualAccel
     /** IOVA base of this vaccel's slice (page table slicing). */
     std::uint64_t _sliceIovaBase = 0;
 
-    std::array<std::uint64_t, accel::reg::kNumAppRegs> _regCache{};
-    std::vector<std::uint32_t> _touchedRegs;
-    std::uint64_t _stateBufGva = 0;
-
-    bool _pendingStart = false;
-    bool _savedContext = false;
-    accel::Status _visibleStatus = accel::Status::kIdle;
-    std::uint64_t _cachedResult = 0;
-    std::uint64_t _cachedProgress = 0;
-
-    std::uint64_t _errStatus = 0;
-    bool _quarantined = false;
+    /** Everything a migration moves; exportContext() hands out a
+     *  copy and importContext() assigns one. */
+    VaccelContext _ctx;
     /** Watchdog state: arm epoch, armed flag, last progress seen. */
     std::uint64_t _wdEpoch = 0;
     bool _wdArmed = false;
     std::uint64_t _wdLastProgress = 0;
-
-    /** Ring-path mirrors (valid when _ringEnabled): the hypervisor's
-     *  view of the guest's publish cursor and the device poller's
-     *  fetch/post cursors, refreshed at every doorbell. They are what
-     *  re-arms the device poller exactly after preemption, slot
-     *  migration, and cross-node import. */
-    bool _ringEnabled = false;
-    std::uint64_t _ringBase = 0;
-    std::uint32_t _ringEntries = 0;
-    std::uint64_t _ringProdSeq = 0;
-    std::uint64_t _ringConsSeq = 0;
-    std::uint64_t _ringCompSeq = 0;
-    std::uint64_t _ringJobSeq = 0;
-    bool _ringJobActive = false;
 
     double _weight = 1.0;
     std::int32_t _priority = 0;
@@ -269,8 +249,10 @@ class OptimusHv
      * configuration. A scheduled vaccel is preempted first; its
      * saved context resumes on the destination. @p done receives
      * false if the migration could not start (mismatched app types,
-     * a context switch already in flight, or a vaccel that cannot
-     * cede).
+     * a context switch already in flight, or a running vaccel without
+     * a state buffer), or if the preempt timed out: the source is then
+     * force-reset and the vaccel stays, in kError with the
+     * kForcedReset ERR_STATUS bit, on its slot.
      */
     void migrate(VirtualAccel &v, std::uint32_t dst_slot,
                  std::function<void(bool)> done);
@@ -280,16 +262,17 @@ class OptimusHv
     /**
      * Detach @p v's job into a portable VaccelContext (cross-node
      * migration, fleet::Cluster). A scheduled, running vaccel is
-     * first preempted off its slot through the standard PR 4/6
-     * preemption path — drain, state save to the guest buffer, SAVED
-     * doorbell — or, on timeout, force-reset with the kForcedReset
-     * ERR_STATUS bit (the context then carries kError and the
-     * service layer's retry path re-runs the request on the
-     * destination). After a successful export the source vaccel is
-     * neutralized (kIdle, no pending start, no saved context) so the
-     * local scheduler never runs it again; its slot is handed to the
-     * next tenant. @p done receives false — retry later — only if a
-     * context switch already holds the slot.
+     * first preempted off its slot through the standard preemption
+     * path — drain, state save to the guest buffer, SAVED doorbell —
+     * or, on timeout, force-reset with the kForcedReset ERR_STATUS
+     * bit (the context then carries kError, importContext() posts its
+     * ring error completions, and the service layer's retry path
+     * re-runs the request on the destination). After a successful
+     * export the source vaccel is neutralized (kIdle, no pending
+     * start, no saved context) so the local scheduler never runs it
+     * again; its slot is handed to the next tenant. @p done receives
+     * false — retry later — if a context switch already holds the
+     * slot, or if @p v is running without a state buffer.
      */
     void exportContext(
         VirtualAccel &v,
@@ -374,7 +357,7 @@ class OptimusHv
     std::uint64_t peekProgress(const VirtualAccel &v) const;
     accel::Status peekStatus(const VirtualAccel &v) const
     {
-        return v._visibleStatus;
+        return v._ctx.visibleStatus;
     }
     /** Whether @p v currently owns its physical accelerator. */
     bool isScheduled(const VirtualAccel &v) const;
@@ -401,7 +384,9 @@ class OptimusHv
         bool switching = false;
         std::uint64_t timerEpoch = 0;
         std::uint64_t preemptToken = 0;
-        std::function<void()> onSaved;
+        /** The pending cede's outcome (see cede()): taken exactly once,
+         *  by the SAVED doorbell (true) or the preempt timeout (false). */
+        std::function<void(bool)> onCeded;
         sim::Tick scheduledAt = 0;
     };
 
@@ -441,16 +426,33 @@ class OptimusHv
     void quarantine(VirtualAccel &v);
     /** Reset a physical slot via the VCU and reschedule its tenants. */
     void resetSlot(std::uint32_t slot_idx);
+    /** Write @p slot_idx's bit to the VCU reset table, then @p done. */
+    void vcuReset(std::uint32_t slot_idx, std::function<void()> done);
     /** Raise ERR_STATUS bits on @p v (guest-visible, per-tenant). */
     void noteError(VirtualAccel &v, std::uint64_t bits);
     /** Account a preemption: occupancy, counters, trace record. */
     void notePreempted(std::uint32_t slot_idx, VirtualAccel &v);
-    void scheduleVaccel(Slot &slot, VirtualAccel &v,
-                        std::function<void()> done);
+    void scheduleVaccel(VirtualAccel &v, std::function<void()> done);
     void armSliceTimer(std::uint32_t slot_idx);
     void sliceExpired(std::uint32_t slot_idx, std::uint64_t epoch);
     VirtualAccel *pickNext(Slot &slot);
     void performSwitch(std::uint32_t slot_idx, VirtualAccel *to);
+    /**
+     * Take slot @p slot_idx away from its holder @p v (Section 4.2):
+     * write PREEMPT, and on the SAVED doorbell cache v's result and
+     * progress, mark its context saved and call @p then(true). A
+     * running holder without a state buffer, or one that misses the
+     * preempt timeout, is force-reset instead: kForcedReset, kError,
+     * no saved context, a VCU reset, then @p then(false). With
+     * @p ring_errors the forced reset first posts v's ring error
+     * completions; without it importContext() posts them from v's
+     * exported context. The slot stays switching with v scheduled
+     * until @p then hands it on.
+     */
+    void cede(std::uint32_t slot_idx, VirtualAccel &v, bool ring_errors,
+              std::function<void(bool)> then);
+    /** Release @p slot_idx and hand it to the next eligible tenant. */
+    void vacate(std::uint32_t slot_idx);
     void onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a);
     sim::Tick sliceFor(const Slot &slot, const VirtualAccel &v) const;
     std::uint64_t sliceStride() const;

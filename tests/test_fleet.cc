@@ -3,8 +3,8 @@
  * Fleet plane tests: byte-determinism of an N-node cluster across
  * worker pool widths, conservation of work across forced live
  * migrations (nothing lost in flight, blackout measured per move),
- * placement policy behavior, and automatic rebalancing of a hot
- * node.
+ * an export whose preempt times out on a wedged source, placement
+ * policy behavior, and automatic rebalancing of a hot node.
  */
 
 #include <gtest/gtest.h>
@@ -115,6 +115,50 @@ TEST(FleetTest, ForcedMigrationConservesWork)
     EXPECT_GT(cl.fleetCompleted(), 0u);
     EXPECT_EQ(cl.fleetArrivals(),
               cl.fleetCompleted() + cl.fleetDropped());
+}
+
+TEST(FleetTest, ExportTimeoutShipsErroredContextAndRetries)
+{
+    for (ring::CmdPath path :
+         {ring::CmdPath::kMmio, ring::CmdPath::kRing}) {
+        SCOPED_TRACE(path == ring::CmdPath::kRing ? "ring" : "mmio");
+        fleet::ClusterConfig cfg = twoNodeConfig();
+        cfg.rebalanceInterval = 0; // forced moves only
+        fleet::Cluster cl(cfg);
+        fleet::FleetTenantSpec spec = shaTenant("t0", 12, 20000.0);
+        spec.svc.cmdPath = path;
+        spec.svc.batchMax = 8; // several ring entries outstanding
+        std::size_t t = cl.addTenant(spec);
+        const unsigned src = cl.tenantNode(t);
+        const unsigned dst = 1 - src;
+
+        // The source device wedges, so the export's preempt times
+        // out: the source is force-reset and the errored context
+        // ships anyway (a ring tenant's error completions are posted
+        // by the import, not at the source).
+        const sim::Tick start = cl.now();
+        bool wedged = false;
+        bool moved = false;
+        cl.setBarrierProbe([&]() {
+            if (!wedged && cl.now() >= start + 300 * sim::kTickUs) {
+                cl.node(src).platform.accel(0).wedge();
+                wedged = true;
+            }
+            if (!moved && cl.now() >= start + 400 * sim::kTickUs)
+                moved = cl.migrateTenant(t, dst);
+        });
+        cl.run(2 * sim::kTickMs);
+
+        EXPECT_EQ(cl.migrationsCompleted(), 1u);
+        EXPECT_EQ(cl.node(src).hv.forcedResets(), 1u);
+        EXPECT_EQ(cl.fleetArrivals(),
+                  cl.fleetCompleted() + cl.fleetDropped());
+        // The destination retried what the reset lost, and every
+        // output it delivered is correct.
+        const svc::Tenant &b = cl.binding(t, dst);
+        EXPECT_GT(b.errors(), 0u);
+        EXPECT_EQ(b.verifyFailures(), 0u);
+    }
 }
 
 TEST(FleetTest, MigrateTenantRejectsBadTargets)

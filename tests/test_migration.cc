@@ -2,8 +2,10 @@
  * @file
  * Virtual-accelerator migration tests (the Section 7.1 extension):
  * a running job moves to another physical slot mid-execution and
- * completes correctly; migration is refused across accelerator
- * types; descheduled tenants migrate with their cached state.
+ * completes correctly; a source that cannot cede is force-reset and
+ * the migration reports failure; migration is refused across
+ * accelerator types; descheduled tenants migrate with their cached
+ * state.
  */
 
 #include <gtest/gtest.h>
@@ -50,6 +52,40 @@ TEST(MigrationTest, RunningJobMigratesAndCompletesCorrectly)
     EXPECT_EQ(h.progress(), layout.nodes);
     // Work really happened on the destination accelerator.
     EXPECT_GT(sys.platform.accel(1).dma().readsIssued(), 0u);
+}
+
+TEST(MigrationTest, SourceThatCannotCedeReportsFailureOnce)
+{
+    System sys(makeOptimusConfig("LL", 2));
+    AccelHandle &h = sys.attach(0, 1ULL << 30);
+
+    auto layout = workload::buildLinkedList(h, 60000, 33);
+    h.writeAppReg(accel::LinkedlistAccel::kRegHead,
+                  layout.head.value());
+    h.writeAppReg(accel::LinkedlistAccel::kRegCount, 0);
+    h.setupStateBuffer();
+    h.start();
+    sys.run(sys.eq.now() + sim::kTickMs);
+
+    // A wedged device ignores PREEMPT: the save times out, the VCU
+    // force-resets the source, and the migration is abandoned.
+    sys.platform.accel(0).wedge();
+    int calls = 0;
+    bool result = true;
+    sys.hv.migrate(h.vaccel(), 1, [&](bool ok) {
+        ++calls;
+        result = ok;
+    });
+    sys.run(sys.eq.now() + 20 * sim::kTickMs);
+
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(result);
+    EXPECT_EQ(sys.hv.forcedResets(), 1u);
+    EXPECT_EQ(sys.hv.migrations(), 0u);
+    EXPECT_EQ(h.vaccel().slot(), 0u);
+    EXPECT_EQ(sys.hv.peekStatus(h.vaccel()), accel::Status::kError);
+    EXPECT_NE(h.vaccel().errorStatus() & accel::errst::kForcedReset,
+              0u);
 }
 
 TEST(MigrationTest, RefusedAcrossAcceleratorTypes)
