@@ -16,8 +16,8 @@
  *  4. Per-node breakdown of one 4-node least-loaded run, plus the
  *     fleet-merged row (sim::Histogram::merge across bindings).
  *
- * All cells are deterministic: byte-identical across --jobs,
- * --sim-threads, and --domain-plan. `--nodes N` restricts sweep 1 to
+ * All cells are deterministic: byte-identical across --jobs and
+ * --sim-threads. `--nodes N` restricts sweep 1 to
  * one cluster size and re-sizes sweeps 2 and 4; `--fleet-policy P`
  * restricts sweep 1 to one policy (restricted-out rows render as
  * "skipped" so a fixed flag set still yields a stable table shape).

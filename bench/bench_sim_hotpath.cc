@@ -395,33 +395,20 @@ epochPingPong(const std::string &name, unsigned threads, int legs)
 }
 
 // ---------------------------------------------------------------
-// Split platform: one big System across domains, vs single-domain.
+// Whole platform: one System on its one domain.
 // ---------------------------------------------------------------
 
 /**
- * The tentpole measurement: a whole OPTIMUS System (two MB tenants
- * run to completion) under an explicit domain plan and pool width,
- * pricing the epoch-barrier machinery and the cross-domain channel
- * traffic of the split platform against the single-domain engine.
- *
- * The plan and width are pinned per row — not inherited from
- * --domain-plan/--sim-threads — so the JSON is byte-identical under
- * any CLI combination; and because the deferred boundary channels
- * run the same epoch schedule in every plan, all three rows must
- * produce the *same* fingerprint (the footer checks).
+ * A whole OPTIMUS System (two MB tenants run to completion), pricing
+ * the epoch barriers its deferred boundary channels impose: every
+ * DMA crosses `shell.to_host`/`to_fpga` and is delivered at a
+ * barrier. The pool width is pinned, not inherited from
+ * --sim-threads, so the JSON is byte-identical under any CLI.
  */
 exp::ResultRow
-splitPlatformRow(const std::string &name, bool split,
-                 unsigned threads, const exp::RunContext &ctx)
+platformRow(const exp::RunContext &ctx)
 {
-    bool prev_split = sim::setDefaultDomainSplit(false);
-    unsigned prev_threads = sim::setDefaultSimThreads(1);
-    hv::PlatformConfig c = hv::makeOptimusConfig("MB", 2);
-    if (split)
-        c.domains = hv::splitPlan();
-    hv::System sys(std::move(c), threads);
-    sim::setDefaultDomainSplit(prev_split);
-    sim::setDefaultSimThreads(prev_threads);
+    hv::System sys(hv::makeOptimusConfig("MB", 2), 1);
 
     std::uint64_t bytes = ctx.scaledBytes(1ULL << 21);
     hv::AccelHandle &a = sys.attach(0);
@@ -437,15 +424,13 @@ splitPlatformRow(const std::string &name, bool split,
     b.wait();
     double wall_ms = t.ms();
     if (!wa->verify() || !wb->verify())
-        OPTIMUS_FATAL("split-platform MB workload corrupted");
+        OPTIMUS_FATAL("platform MB workload corrupted");
 
-    exp::ResultRow row(name);
+    exp::ResultRow row("platform_single_serial");
     row.count("domains", sys.domains.size());
     row.count("epochs", sys.sched.epochs());
     // Posts carried through the boundary channels and delivered at
-    // barriers — the cross-domain traffic under a split plan, and
-    // the very same count under single-domain (the channels defer
-    // in every plan; that is why the rows agree byte-for-byte).
+    // barriers.
     row.count("boundary_posts", sys.sched.delivered());
     row.count("events", sys.domains.executed());
     row.count("end_us", sys.eq.now() / sim::kTickUs);
@@ -571,38 +556,12 @@ main(int argc, char **argv)
                     (same ? "IDENTICAL" : "DIVERGED")};
         });
 
-    r.table("Split platform: one System across domains",
-            "DESIGN.md §12 (splitting the stock platform)")
-        .add("platform_single_serial",
-             [](const exp::RunContext &ctx) {
-                 return splitPlatformRow("platform_single_serial",
-                                         false, 1, ctx);
-             })
-        .add("platform_split_serial",
-             [](const exp::RunContext &ctx) {
-                 return splitPlatformRow("platform_split_serial",
-                                         true, 1, ctx);
-             })
-        .add("platform_split_pool2",
-             [](const exp::RunContext &ctx) {
-                 return splitPlatformRow("platform_split_pool2",
-                                         true, 2, ctx);
-             })
-        .note("boundary_posts = deferred channel posts delivered at "
-              "epoch barriers (the cross-domain traffic under the "
-              "split plan); identical across rows by design.")
-        .footer([](const std::vector<exp::ResultRow> &rows)
-                    -> std::vector<std::string> {
-            if (rows.size() < 3)
-                return {};
-            bool same =
-                rows[0].fingerprint() == rows[1].fingerprint() &&
-                rows[1].fingerprint() == rows[2].fingerprint();
-            return {std::string(
-                        "single vs split vs split-pool2 "
-                        "fingerprints: ") +
-                    (same ? "IDENTICAL" : "DIVERGED")};
-        });
+    r.table("Whole platform: one System on one domain",
+            "DESIGN.md §12 (one domain per node)")
+        .add("platform_single_serial", platformRow)
+        .note("boundary_posts = deferred boundary-channel posts "
+              "delivered at epoch barriers; barrier_us = wall-clock "
+              "per epoch.");
 
     return r.main(argc, argv);
 }

@@ -116,9 +116,6 @@ membench(const std::string &name, std::uint32_t jobs,
     for (auto *h : handles)
         before.push_back(sys.hv.peekProgress(h->vaccel()));
 
-    // Count across every shard: under a split domain plan the
-    // host-side events execute on another queue, and the total is
-    // what stays plan-invariant.
     std::uint64_t ev0 = sys.domains.executed();
     sim::Tick t0 = sys.now();
     exp::WallTimer t;

@@ -81,6 +81,7 @@ Accelerator::restore(const Checkpoint &ck)
     ++_epoch;
     _dma.reset();
     _doneDuringSave = false;
+    _preemptAfterRestore = false;
     _savedJobStatus = Status::kIdle;
     _stateBuf = ck.stateBuf;
     _appRegs = ck.appRegs;
@@ -179,6 +180,7 @@ Accelerator::command(std::uint64_t bits)
         _result = 0;
         _progress = 0;
         _doneDuringSave = false;
+        _preemptAfterRestore = false;
         _savedJobStatus = Status::kIdle;
         onSoftReset();
         return;
@@ -213,6 +215,7 @@ Accelerator::hardReset()
     _progress = 0;
     _stateBuf = 0;
     _doneDuringSave = false;
+    _preemptAfterRestore = false;
     _savedJobStatus = Status::kIdle;
     _wedged = false;
     _mmioWedged = false;
@@ -284,10 +287,14 @@ Accelerator::raiseDoorbell()
 void
 Accelerator::beginPreempt()
 {
-    if (_status == Status::kSaving || _status == Status::kSaved ||
-        _status == Status::kRestoring) {
-        return; // already context switching
+    if (_status == Status::kRestoring) {
+        // The context is still streaming in: save it again as soon
+        // as it is whole, so the SAVED doorbell still comes.
+        _preemptAfterRestore = true;
+        return;
     }
+    if (_status == Status::kSaving || _status == Status::kSaved)
+        return; // already context switching
     ++_preempts;
     Status at_preempt = _status;
     _status = Status::kSaving;
@@ -349,6 +356,13 @@ Accelerator::beginResume()
 
             auto saved = static_cast<Status>(header[0]);
             _status = saved;
+            if (_preemptAfterRestore) {
+                // The job stays parked; the next RESUME restores the
+                // blob this preempt writes back.
+                _preemptAfterRestore = false;
+                beginPreempt();
+                return;
+            }
             if (saved == Status::kRunning) {
                 onResumed();
             } else if (saved == Status::kDone ||

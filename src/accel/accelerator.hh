@@ -276,6 +276,9 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
      *  or checkpoint of the kSaved context should report). */
     Status _savedJobStatus = Status::kIdle;
     bool _doneDuringSave = false;
+    /** A PREEMPT that landed while a RESUME was still restoring; it
+     *  runs the moment the restore completes. */
+    bool _preemptAfterRestore = false;
     bool _wedged = false;
     bool _mmioWedged = false;
     std::uint64_t _syntheticStateBytes = 0;

@@ -3,12 +3,12 @@
  * The host-side terminus of the package interconnect.
  *
  * Everything that physically lives in the CPU package — the IOMMU
- * walk, the memory-controller queue, DRAM itself — executes here, on
- * the host domain's event queue. DMAs arrive from the FPGA shell
- * front over the shell's to-host channel and their completions leave
- * over the to-FPGA channel; under a split DomainPlan those channels
- * are the *only* coupling between the two sides, which is what lets
- * the epoch scheduler advance them concurrently.
+ * walk, the memory-controller queue, DRAM itself — executes here.
+ * DMAs arrive from the FPGA shell front over the shell's to-host
+ * channel and their completions leave over the to-FPGA channel;
+ * those channels are the *only* coupling between the two sides of
+ * the package, and their deferred delivery fixes the node's epoch
+ * schedule (DESIGN.md §12).
  */
 
 #ifndef OPTIMUS_CCIP_HOST_BRIDGE_HH
@@ -23,7 +23,7 @@
 
 namespace optimus::ccip {
 
-/** Host-domain DMA service: translate, access memory, send back. */
+/** Host-side DMA service: translate, access memory, send back. */
 class HostBridge
 {
   public:
@@ -33,7 +33,7 @@ class HostBridge
 
     /**
      * Service one DMA arriving from the FPGA side. Runs entirely on
-     * the host domain; the completion (or the fault, marked with
+     * the host side; the completion (or the fault, marked with
      * error + transFault) goes back through the to-FPGA channel.
      */
     void onRequest(DmaTxnPtr txn);

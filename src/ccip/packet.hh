@@ -65,7 +65,7 @@ struct DmaTxn
     std::uint8_t retries = 0;
     /** Physical link index (0 = UPI, 1 = PCIe0, 2 = PCIe1) stamped by
      *  the shell front at issue so the response leg reserves the same
-     *  link after crossing back from the host domain. */
+     *  link after crossing back from the host side. */
     std::uint8_t link = 0;
 
     /** Write payload on the way up; read data on the way back. */

@@ -7,12 +7,11 @@
 
 namespace optimus::ccip {
 
-Shell::Shell(sim::DomainSet &domains, sim::DomainId afu_domain,
-             sim::DomainId host_domain,
+Shell::Shell(sim::DomainSet &domains, sim::DomainId domain,
              const sim::PlatformParams &params,
              mem::HostMemory &memory, mem::MemoryController &memctl,
              iommu::Iommu &iommu, sim::Scope scope)
-    : _eq(domains.queue(afu_domain)),
+    : _eq(domains.queue(domain)),
       _iommu(iommu),
       _upi(_eq, "upi", params.upiLatency, params.upiReadGbps,
            params.upiReadGbps * params.writeBwFactor,
@@ -28,11 +27,9 @@ Shell::Shell(sim::DomainSet &domains, sim::DomainId afu_domain,
       _mmioLinkLatency(params.pcieLatency),
       _dmaMaxRetries(params.dmaMaxRetries),
       _dmaRetryBackoff(params.dmaRetryBackoff),
-      _toHost(domains, afu_domain, host_domain, _chanLatency,
-              "shell.to_host",
+      _toHost(domains, domain, domain, _chanLatency, "shell.to_host",
               sim::ChannelBase::Delivery::kDeferred),
-      _toFpga(domains, host_domain, afu_domain, _chanLatency,
-              "shell.to_fpga",
+      _toFpga(domains, domain, domain, _chanLatency, "shell.to_fpga",
               sim::ChannelBase::Delivery::kDeferred),
       _bridge(memory, memctl, iommu, _toFpga, scope.sub("bridge")),
       _trace(scope.bus),

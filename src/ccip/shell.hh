@@ -10,15 +10,14 @@
  *
  * The shell is split across the package boundary the way the real
  * hardware is: the **front** (link selection, serialization, retry
- * and fault hooks, MMIO, response delivery) lives on the FPGA/AFU
- * domain, while translation and the memory access live in a
- * HostBridge on the host domain. The two halves talk only through a
- * pair of typed sim::Channels whose static latency is the link
- * propagation latency — so a DomainPlan may place {mem, iommu} on a
- * different simulation domain and the epoch scheduler can advance
- * both sides concurrently. The channels use deferred (barrier)
- * delivery in every plan, which keeps single-domain and split runs
- * byte-identical.
+ * and fault hooks, MMIO, response delivery) lives on the FPGA side,
+ * while translation and the memory access live in a HostBridge on the
+ * host side. The two halves talk only through a pair of typed
+ * sim::Channels whose static latency is the link propagation
+ * latency. Both halves share the node's one simulation domain; the
+ * channels still use deferred (barrier) delivery, which fixes the
+ * epoch schedule every recorded fingerprint depends on (DESIGN.md
+ * §12).
  */
 
 #ifndef OPTIMUS_CCIP_SHELL_HH
@@ -47,7 +46,7 @@ class Shell
   public:
     using DmaSink = std::function<void(DmaTxnPtr)>;
     using MmioSink = std::function<void(MmioOp)>;
-    /** Invoked on the AFU domain when a response that faulted in
+    /** Invoked on the AFU side when a response that faulted in
      *  translation arrives back from the host bridge. */
     using XlatFaultSink = std::function<void(const DmaTxn &)>;
 
@@ -71,15 +70,13 @@ class Shell
     void setFaultHook(DmaFaultHook *hook) { _faultHook = hook; }
 
     /**
-     * @param afu_domain Domain of the FPGA-side front (links, MMIO,
-     *        response delivery — and the accelerators behind it).
-     * @param host_domain Domain of the host bridge; @p memctl and
+     * @param domain The node's simulation domain; @p memctl and
      *        @p iommu must be wired onto that domain's queue.
      */
-    Shell(sim::DomainSet &domains, sim::DomainId afu_domain,
-          sim::DomainId host_domain, const sim::PlatformParams &params,
-          mem::HostMemory &memory, mem::MemoryController &memctl,
-          iommu::Iommu &iommu, sim::Scope scope = {});
+    Shell(sim::DomainSet &domains, sim::DomainId domain,
+          const sim::PlatformParams &params, mem::HostMemory &memory,
+          mem::MemoryController &memctl, iommu::Iommu &iommu,
+          sim::Scope scope = {});
 
     /**
      * Submit a DMA from the AFU side. The transaction's iova and tag
@@ -97,7 +94,7 @@ class Shell
     /** Where MMIO operations are delivered on the AFU side. */
     void setMmioSink(MmioSink sink) { _mmioSink = std::move(sink); }
 
-    /** Where translation faults surface on the AFU domain (the
+    /** Where translation faults surface on the AFU side (the
      *  hypervisor quarantines the owning vaccel from here). */
     void
     setTranslationFaultSink(XlatFaultSink sink)
@@ -111,7 +108,7 @@ class Shell
     Link &pcie1() { return _pcie1; }
     HostBridge &bridge() { return _bridge; }
 
-    /** The package-crossing channels (cross-domain traffic gauges). */
+    /** The package-crossing channels (boundary traffic gauges). */
     const sim::ChannelBase &toHostChannel() const { return _toHost; }
     const sim::ChannelBase &toFpgaChannel() const { return _toFpga; }
 
@@ -136,7 +133,7 @@ class Shell
     /** Small header/ack size accompanying each transfer. */
     static constexpr std::uint64_t kCtrlBytes = 16;
 
-    sim::EventQueue &_eq; ///< the AFU domain's queue
+    sim::EventQueue &_eq; ///< the node domain's queue
     iommu::Iommu &_iommu;
 
     Link _upi;
@@ -151,7 +148,7 @@ class Shell
     sim::Tick _dmaRetryBackoff;
 
     /** AFU -> host requests and host -> AFU completions. Deferred
-     *  delivery in every plan (see file comment). */
+     *  delivery (see file comment). */
     sim::Channel<DmaTxnPtr> _toHost;
     sim::Channel<DmaTxnPtr> _toFpga;
     HostBridge _bridge;

@@ -135,9 +135,8 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
         std::fprintf(
             out,
             "usage: %s [--jobs N] [--sim-threads N]"
-            " [--domain-plan single|split]\n"
-            "          [--filter REGEX] [--json PATH]"
-            " [--csv PATH] [--telemetry DIR]\n"
+            " [--filter REGEX] [--json PATH]\n"
+            "          [--csv PATH] [--telemetry DIR]\n"
             "          [--time-scale F]"
             " [--faults PLAN] [--repeat N] [--fail-fast]\n"
             "          [--nodes N] [--fleet-policy P]"
@@ -150,16 +149,6 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
             "                   host's hardware threads (results "
             "are identical\n"
             "                   at any width)\n"
-            "  --domain-plan P  'split' places each System's host "
-            "side\n"
-            "                   ({mem, iommu}) on its own simulation "
-            "domain so\n"
-            "                   --sim-threads can parallelize one "
-            "System;\n"
-            "                   'single' (default) keeps the whole "
-            "platform on\n"
-            "                   one domain (results are identical "
-            "either way)\n"
             "  --nodes N        restrict fleet benches to N-node "
             "clusters\n"
             "                   (0/default sweeps the bench's node "
@@ -206,22 +195,6 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
                 std::strtoul(v, nullptr, 10));
             if (opts.simThreads == 0)
                 opts.simThreads = 1;
-        } else if (a == "--domain-plan") {
-            const char *v = val();
-            if (!v)
-                return false;
-            if (std::strcmp(v, "split") == 0) {
-                opts.domainSplit = true;
-            } else if (std::strcmp(v, "single") == 0) {
-                opts.domainSplit = false;
-            } else {
-                std::fprintf(stderr,
-                             "--domain-plan wants 'single' or "
-                             "'split', got '%s'\n",
-                             v);
-                usage(stderr);
-                return false;
-            }
         } else if (a == "--filter" || a == "-f") {
             const char *v = val();
             if (!v)
@@ -381,10 +354,6 @@ Runner::run(const Options &opts)
                     " hardware_concurrency / jobs; jobs=1 passes"
                     " the request through)\n",
                     opts.jobs, opts.simThreads, simThreads);
-        std::printf("# domain plan: %s (%u domain(s)/System)\n",
-                    opts.domainSplit ? "split" : "single",
-                    opts.domainSplit ? hv::splitPlan().domainCount()
-                                     : 1u);
         std::printf("# command path: %s\n",
                     opts.cmdPath.empty() ? "bench default"
                                          : opts.cmdPath.c_str());
@@ -398,7 +367,6 @@ Runner::run(const Options &opts)
     ctx.timeScale = opts.timeScale;
     ctx.faults = opts.faults;
     ctx.simThreads = simThreads;
-    ctx.domainSplit = opts.domainSplit;
     ctx.nodes = opts.nodes;
     ctx.fleetPolicy = opts.fleetPolicy;
     ctx.cmdPath = opts.cmdPath;
@@ -470,16 +438,6 @@ Runner::run(const Options &opts)
             unsigned prev;
             ~RestoreSim() { sim::setDefaultSimThreads(prev); }
         } restoreSim{prevSim};
-        // Same thread-local pattern for the domain plan: a System
-        // built by the scenario body splits (or not) without naming
-        // the plan itself.
-        bool prevSplit = sim::defaultDomainSplit();
-        sim::setDefaultDomainSplit(opts.domainSplit);
-        struct RestoreSplit
-        {
-            bool prev;
-            ~RestoreSplit() { sim::setDefaultDomainSplit(prev); }
-        } restoreSplit{prevSplit};
         for (;;) {
             if (abort.load(std::memory_order_relaxed))
                 return;
@@ -558,9 +516,8 @@ Runner::run(const Options &opts)
 
     std::fprintf(stderr,
                  "[%s] %zu scenario(s), jobs=%u, sim-threads=%u, "
-                 "domain-plan=%s, cmd-path=%s, %.0f ms\n",
+                 "cmd-path=%s, %.0f ms\n",
                  _bench.c_str(), jobs.size(), opts.jobs, simThreads,
-                 opts.domainSplit ? "split" : "single",
                  opts.cmdPath.empty() ? "default"
                                       : opts.cmdPath.c_str(),
                  _wallMs);

@@ -59,15 +59,6 @@ class Runner
          * JSON is byte-identical at any value.
          */
         unsigned simThreads = 1;
-        /**
-         * Run every System under the split domain plan — host side
-         * {mem, iommu} on its own shard, coupled to the FPGA side
-         * through the shell's package channels — instead of the
-         * single-domain default (`--domain-plan split`). Results are
-         * byte-identical under either plan at any pool width; only
-         * wall-clock changes.
-         */
-        bool domainSplit = false;
         /** Run every selected scenario this many times: the
          *  deterministic cells must agree byte-for-byte across
          *  repeats (a mismatch fails the scenario), and each

@@ -43,15 +43,6 @@ struct RunContext
      */
     unsigned simThreads = 1;
 
-    /**
-     * True when --domain-plan split is active: the runner installs
-     * sim::setDefaultDomainSplit(true) on every worker, so each
-     * System a scenario builds places {mem, iommu} on their own
-     * shard. Mirrored here for scenarios that want to report it.
-     * Never affects results — only which threads execute what.
-     */
-    bool domainSplit = false;
-
     /** --nodes: restrict fleet scenarios to this cluster size;
      *  0 = run the bench's full node-count sweep. */
     unsigned nodes = 0;

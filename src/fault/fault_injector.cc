@@ -11,7 +11,6 @@ using Kind = FaultDirective::Kind;
 FaultInjector::FaultInjector(hv::System &sys, FaultPlan plan)
     : _sys(sys),
       _plan(std::move(plan)),
-      _hostEq(&sys.platform.hostQueue()),
       _alive(std::make_shared<bool>(true)),
       _trace(&sys.trace),
       _comp(sys.trace.registerComponent("fault")),
@@ -80,18 +79,11 @@ FaultInjector::scheduleOneShot(const FaultDirective &d,
                                std::uint32_t index,
                                std::uint64_t fired)
 {
-    // IOTLB poisoning mutates host-domain state (the IOMMU's TLB),
-    // so its one-shots live on the host shard's queue; the other
-    // kinds (accelerator wedges, wild DMAs) act on FPGA-side state
-    // and fire on domain 0. Under a single-domain plan both are the
-    // same queue.
-    sim::EventQueue &q =
-        d.kind == Kind::kPoisonIotlb ? *_hostEq : _sys.eq;
-    sim::Tick now = q.now();
+    sim::Tick now = _sys.eq.now();
     sim::Tick when = fired == 0 ? d.at : now + d.period;
     sim::Tick delay = when > now ? when - now : 0;
     auto alive = _alive;
-    q.scheduleIn(delay, [this, alive, d, index, fired]() {
+    _sys.eq.scheduleIn(delay, [this, alive, d, index, fired]() {
         if (!*alive)
             return;
         fire(d, index);
@@ -243,10 +235,7 @@ FaultInjector::forceFault(mem::Iova iova, bool is_write,
                           std::uint16_t vm, std::uint16_t proc)
 {
     (void)is_write;
-    // Invoked from the IOMMU's walk — host-domain context: read the
-    // host shard's clock, not domain 0's (they agree only at epoch
-    // barriers).
-    sim::Tick now = _hostEq->now();
+    sim::Tick now = _sys.eq.now();
     for (Rule &r : _xlatRules) {
         if (now < r.d.at)
             continue;
@@ -254,10 +243,7 @@ FaultInjector::forceFault(mem::Iova iova, bool is_write,
             continue;
         if (r.d.slot >= 0) {
             // Slot filtering resolves the owning vaccel through
-            // hypervisor state; its slot binding is stable except
-            // across migrations, so slot-filtered translation-fault
-            // rules must not be combined with concurrent migration
-            // under a split domain plan.
+            // hypervisor state, on the same domain as this walk.
             hv::VirtualAccel *v = _sys.hv.vaccelForIova(iova);
             if (!v ||
                 v->slot() != static_cast<std::uint32_t>(r.d.slot))

@@ -51,10 +51,9 @@ class FaultInjector : public ccip::Shell::DmaFaultHook,
     bool forceFault(mem::Iova iova, bool is_write, std::uint16_t vm,
                     std::uint16_t proc) override;
 
-    /** All injections, both domains' counters summed (the FPGA-side
-     *  kinds count in one counter, host-side kinds — IOTLB poison,
-     *  forced translation faults — in another, so each stays
-     *  single-writer under a split domain plan). */
+    /** All injections, both sides' counters summed (the FPGA-side
+     *  kinds count in `injections`, the host-side kinds — IOTLB
+     *  poison, forced translation faults — in `host_injections`). */
     std::uint64_t injections() const
     {
         return _injections.value() + _hostInjections.value();
@@ -79,19 +78,14 @@ class FaultInjector : public ccip::Shell::DmaFaultHook,
     void fire(const FaultDirective &d, std::uint32_t index);
     void fireWildDma(const FaultDirective &d, std::uint32_t index);
     bool ruleMatches(Rule &r, std::int32_t slot, std::int32_t vm);
-    /** @p host marks an injection made from the host domain's
-     *  execution context (it bumps the host-side counter). */
+    /** @p host marks a host-side kind (it bumps the host-side
+     *  counter). */
     void noteInjection(const FaultDirective &d, std::uint32_t index,
                        std::uint64_t addr, std::uint16_t vm,
                        std::uint16_t proc, bool host = false);
 
     hv::System &_sys;
     FaultPlan _plan;
-    /** The host-side shard's queue (domain 0 itself under a
-     *  single-domain plan): IOTLB poisoning and forced translation
-     *  faults act on host-domain state, so they schedule and read
-     *  time here. */
-    sim::EventQueue *_hostEq = nullptr;
     std::vector<Rule> _dmaRules;   ///< kDrop / kDelay
     std::vector<Rule> _xlatRules;  ///< kIommuFault
 

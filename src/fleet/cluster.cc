@@ -188,45 +188,18 @@ GlobalScheduler::rebalance(sim::Tick now)
 
 // ---------------------------------------------------------- Cluster
 
-ClusterConfig
-Cluster::applyNodeDefaults(ClusterConfig cfg)
-{
-    if (cfg.nodes == 0)
-        cfg.nodes = 1;
-    // Same default as the solo System: split the per-node platform
-    // when the environment asks for it (--domain-plan split). Applied
-    // to the template *before* sizing so every node gets the split.
-    if (cfg.node.domains.singleDomain() && sim::defaultDomainSplit())
-        cfg.node.domains = hv::splitPlan();
-    return cfg;
-}
-
-sim::DomainId
-Cluster::hvDomainOf(unsigned node) const
-{
-    return node * _cfg.node.totalDomains() + _cfg.node.domains.hv;
-}
-
 Cluster::Cluster(ClusterConfig cfg, unsigned sim_threads)
-    : _cfg(applyNodeDefaults(std::move(cfg))),
-      _domains(_cfg.node.totalDomains() * _cfg.nodes),
+    : _cfg(std::move(cfg)),
+      _domains(_cfg.nodes),
       _sched(_domains, sim_threads == 0 ? sim::defaultSimThreads()
                                         : sim_threads)
 {
-    const std::uint32_t span = _cfg.node.totalDomains();
     _strays.resize(_cfg.nodes);
     _inbox.resize(_cfg.nodes);
 
     for (unsigned i = 0; i < _cfg.nodes; ++i) {
-        hv::PlatformConfig nc = _cfg.node;
-        const std::uint32_t base = i * span;
-        nc.domains.ccip += base;
-        nc.domains.mem += base;
-        nc.domains.iommu += base;
-        nc.domains.accel += base;
-        nc.domains.hv += base;
         _nodes.push_back(
-            std::make_unique<hv::System>(_domains, _sched, std::move(nc)));
+            std::make_unique<hv::System>(_domains, _sched, i, _cfg.node));
         _planes.push_back(
             std::make_unique<svc::ServicePlane>(*_nodes.back()));
         const unsigned node_idx = i;
@@ -256,12 +229,12 @@ Cluster::Cluster(ClusterConfig cfg, unsigned sim_threads)
                                       ? _cfg.rackLinkLatency
                                       : _cfg.interRackLinkLatency;
             auto ch = std::make_unique<sim::Channel<ParcelPtr>>(
-                _domains, hvDomainOf(s), hvDomainOf(d), lat,
+                _domains, s, d, lat,
                 sim::strprintf("fleet.link%u_%u", s, d),
                 sim::ChannelBase::Delivery::kDeferred);
             const unsigned dst_idx = d;
             ch->onReceive([this, dst_idx](ParcelPtr p) {
-                // Destination hv domain's event context: inbox only.
+                // Destination node's event context: inbox only.
                 _inbox[dst_idx].push_back(std::move(p));
             });
             _links[s][d] = std::move(ch);
@@ -382,13 +355,7 @@ Cluster::assembleAndSend(std::size_t ti)
         pw.cur = sw.cur;
         pw.issued = sw.issued;
         pw.batchLeft = sw.batchLeft;
-        for (const auto &inf : sw.inflight) {
-            MigrationParcel::WorkerState::RingInflight ri;
-            ri.req = inf.req;
-            ri.issued = inf.issued;
-            ri.seq = inf.seq;
-            pw.inflight.push_back(ri);
-        }
+        pw.inflight = std::move(sw.inflight);
         parcel->bytes += 64ULL * pw.inflight.size();
 
         hv::AccelHandle &h = *sw.handle;
@@ -468,14 +435,7 @@ Cluster::importParcel(MigrationParcel &p)
         dw.issued = pw.issued;
         dw.batchLeft = pw.batchLeft;
         dw.done = false;
-        dw.inflight.clear();
-        for (const auto &ri : pw.inflight) {
-            svc::Tenant::Worker::Inflight inf;
-            inf.req = ri.req;
-            inf.issued = ri.issued;
-            inf.seq = ri.seq;
-            dw.inflight.push_back(inf);
-        }
+        dw.inflight = std::move(pw.inflight);
         sys.hv.importContext(h.vaccel(), pw.ctx);
 
         if (h.ringEnabled()) {

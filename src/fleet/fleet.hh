@@ -3,16 +3,13 @@
  * The fleet plane: N FPGA nodes (each a full hv::System) behind one
  * global scheduler, with cross-node live tenant migration.
  *
- * Topology: one sim::DomainSet holds every node's domain group side
- * by side (node i's DomainPlan is the per-node template offset by
- * i x span), driven by a single sim::EpochScheduler — so
- * `--sim-threads` parallelizes across nodes exactly as it does
- * across the split platform inside one node. Node-to-node links are
- * sim::Channels between the nodes' hypervisor domains at
- * configurable rack / inter-rack latency; since every link latency
- * is at least the intra-node interconnect latency, the epoch
- * schedule (and therefore byte-determinism across pool widths and
- * domain plans) is unchanged by clustering.
+ * Topology: one sim::DomainSet holds one domain per node (node i is
+ * domain i), driven by a single sim::EpochScheduler — so
+ * `--sim-threads` parallelizes across nodes. Node-to-node links are
+ * sim::Channels between the nodes' domains at configurable rack /
+ * inter-rack latency; since every link latency is at least the
+ * intra-node interconnect latency, the epoch schedule (and therefore
+ * byte-determinism across pool widths) is unchanged by clustering.
  *
  * Tenancy: a fleet tenant is one logical svc tenant with a *binding*
  * (VM + workers + programmed workload) on every node, created in
@@ -33,7 +30,7 @@
  * barriers (where no domain executes) or inside single-domain event
  * callbacks that only append to per-node inboxes; every scan runs in
  * index order with deterministic tie-breaks. Fleet results are
- * byte-identical across --sim-threads, --jobs, and --domain-plan.
+ * byte-identical across --sim-threads and --jobs.
  */
 
 #ifndef OPTIMUS_FLEET_FLEET_HH
@@ -79,15 +76,15 @@ struct FleetTenantSpec
 /** Everything configurable about a cluster. */
 struct ClusterConfig
 {
-    unsigned nodes = 2;
+    unsigned nodes = 2; ///< at least one
     /** Nodes per rack: rack(n) = n / nodesPerRack. */
     unsigned nodesPerRack = 4;
     sim::Tick rackLinkLatency = 2 * sim::kTickUs;
     sim::Tick interRackLinkLatency = 10 * sim::kTickUs;
     /** Migration payload bandwidth on the node links. */
     double migrationGbps = 100.0;
-    /** Per-node platform template; node i runs this config with its
-     *  domain plan offset into node i's domain group. */
+    /** Per-node platform template; node i runs this config on
+     *  domain i. */
     hv::PlatformConfig node;
 
     Policy policy = Policy::kLeastLoaded;
@@ -122,14 +119,8 @@ struct MigrationParcel
          *  for ring tenants, the ring contents and cursors). */
         std::vector<std::uint8_t> memory;
         /** Ring path: issued-but-uncompleted requests, oldest
-         *  first; mirrors svc::Tenant::Worker::Inflight. */
-        struct RingInflight
-        {
-            svc::Request req;
-            sim::Tick issued = 0;
-            std::uint64_t seq = 0;
-        };
-        std::vector<RingInflight> inflight;
+         *  first. */
+        std::deque<svc::Inflight> inflight;
     };
     std::vector<WorkerState> workers;
 
@@ -281,7 +272,7 @@ class Cluster
     std::uint64_t fleetDropped() const;
 
     /** FNV-1a over every plane fingerprint plus the migration
-     *  accounting; byte-stable across pool widths and plans. */
+     *  accounting; byte-stable across pool widths. */
     std::uint64_t fingerprint() const;
 
   private:
@@ -321,8 +312,6 @@ class Cluster
         int user;
     };
 
-    static ClusterConfig applyNodeDefaults(ClusterConfig cfg);
-    sim::DomainId hvDomainOf(unsigned node) const;
     void barrierStep();
     void pumpPlanes();
     void drainInboxes();
@@ -346,7 +335,7 @@ class Cluster
     std::vector<std::vector<std::unique_ptr<sim::Channel<ParcelPtr>>>>
         _links;
     /** Parcels received, per destination node (written only by that
-     *  node's hv domain; drained at barriers). */
+     *  node's domain; drained at barriers). */
     std::vector<std::vector<ParcelPtr>> _inbox;
     /** Forwarded arrivals, per source node (same discipline). */
     std::vector<std::vector<Stray>> _strays;

@@ -15,7 +15,6 @@ namespace ctrl = accel::ctrl;
 OptimusHv::OptimusHv(Platform &platform)
     : _platform(platform),
       _slots(platform.numAccels()),
-      _trace(&platform.trace()),
       _comp(platform.trace().registerComponent("hv")),
       _traps(&platform.telemetry().node("hv"), "mmio_traps",
              "MMIO traps taken (trap-and-emulate)"),
@@ -51,9 +50,7 @@ OptimusHv::OptimusHv(Platform &platform)
     // Translation faults are detected host-side (the IOMMU walk runs
     // behind the shell's package channels) but must be attributed to
     // a tenant — hypervisor state. The shell's fault sink fires on
-    // the FPGA/hv domain after the faulted transaction crosses back,
-    // so this callback may touch vaccel state without racing the
-    // host shard.
+    // the FPGA side after the faulted transaction crosses back.
     _platform.shell().setTranslationFaultSink(
         [this](const ccip::DmaTxn &txn) {
             OPTIMUS_WARN("IO page fault at IOVA 0x%llx (%s)",
@@ -382,9 +379,9 @@ OptimusHv::registerDmaPage(VirtualAccel &v, mem::Gva page_base,
         mem::Iova iova(page_base.value() + offset);
 
         // Frame pinning and the IO page-table install touch
-        // host-domain state, so the work crosses the package (one
-        // interconnect latency each way, in every plan) and the
-        // acknowledgement returns on the hypervisor domain.
+        // host-side state, so the work crosses the package (one
+        // interconnect latency each way) and the acknowledgement
+        // returns on the hypervisor side.
         _platform.runOnHost([this, hpa, iova,
                              done = std::move(done)]() mutable {
             _platform.frames().pin(hpa);
@@ -470,17 +467,7 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
             ++_ringKicks;
             if (v._sched)
                 ++v._sched->ringSubmits;
-            if (_trace &&
-                _trace->wants(sim::TraceKind::kRingSubmit)) {
-                sim::TraceRecord r;
-                r.kind = sim::TraceKind::kRingSubmit;
-                r.comp = _comp;
-                r.addr = v._id;
-                r.arg = prod_seq;
-                r.vm = v._vmId;
-                r.proc = v._procId;
-                _trace->emit(r);
-            }
+            emitTrace(sim::TraceKind::kRingSubmit, &v, v._id, prod_seq);
             if (prod_seq > v._ctx.ringProdSeq)
                 v._ctx.ringProdSeq = prod_seq;
             // Like START, new work acknowledges an earlier fault and
@@ -507,6 +494,38 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
 }
 
 void
+OptimusHv::emitTrace(sim::TraceKind kind, const VirtualAccel *v,
+                     std::uint64_t addr, std::uint64_t arg,
+                     sim::Tick start)
+{
+    sim::TraceBus &bus = _platform.trace();
+    if (!bus.wants(kind))
+        return;
+    sim::TraceRecord r;
+    r.kind = kind;
+    r.comp = _comp;
+    r.start = start;
+    r.addr = addr;
+    r.arg = arg;
+    if (v) {
+        r.vm = v->_vmId;
+        r.proc = v->_procId;
+    }
+    bus.emit(r);
+}
+
+void
+OptimusHv::noteRingCompletes(VirtualAccel &v, std::uint64_t from,
+                             std::uint64_t to)
+{
+    _ringCompletes += to - from;
+    if (v._sched)
+        v._sched->ringCompletes += to - from;
+    for (std::uint64_t seq = from; seq < to; ++seq)
+        emitTrace(sim::TraceKind::kRingComplete, &v, v._id, seq);
+}
+
+void
 OptimusHv::syncRingFromDevice(VirtualAccel &v,
                               const accel::Accelerator &a)
 {
@@ -517,24 +536,7 @@ OptimusHv::syncRingFromDevice(VirtualAccel &v,
     // freshly-armed placeholder next to imported mirrors) must not
     // roll them back.
     if (st.compSeq > v._ctx.ringCompSeq) {
-        std::uint64_t n = st.compSeq - v._ctx.ringCompSeq;
-        _ringCompletes += n;
-        if (v._sched)
-            v._sched->ringCompletes += n;
-        if (_trace &&
-            _trace->wants(sim::TraceKind::kRingComplete)) {
-            for (std::uint64_t seq = v._ctx.ringCompSeq;
-                 seq < st.compSeq; ++seq) {
-                sim::TraceRecord r;
-                r.kind = sim::TraceKind::kRingComplete;
-                r.comp = _comp;
-                r.addr = v._id;
-                r.arg = seq;
-                r.vm = v._vmId;
-                r.proc = v._procId;
-                _trace->emit(r);
-            }
-        }
+        noteRingCompletes(v, v._ctx.ringCompSeq, st.compSeq);
         v._ctx.ringCompSeq = st.compSeq;
     }
     if (st.nextSeq > v._ctx.ringConsSeq)
@@ -569,21 +571,7 @@ OptimusHv::postRingErrors(VirtualAccel &v)
         return;
     v._ctx.ringCompSeq = to;
     v._ctx.ringConsSeq = to;
-    _ringCompletes += to - from;
-    if (v._sched)
-        v._sched->ringCompletes += to - from;
-    if (_trace && _trace->wants(sim::TraceKind::kRingComplete)) {
-        for (std::uint64_t seq = from; seq < to; ++seq) {
-            sim::TraceRecord r;
-            r.kind = sim::TraceKind::kRingComplete;
-            r.comp = _comp;
-            r.addr = v._id;
-            r.arg = seq;
-            r.vm = v._vmId;
-            r.proc = v._procId;
-            _trace->emit(r);
-        }
-    }
+    noteRingCompletes(v, from, to);
     const std::uint64_t err = v._ctx.errStatus;
     const std::uint64_t base = v._ctx.ringBase;
     const std::uint32_t entries = v._ctx.ringEntries;
@@ -1196,17 +1184,8 @@ OptimusHv::notePreempted(std::uint32_t slot_idx, VirtualAccel &v)
         v._sched->occupancyTicks += held;
         ++v._sched->preempts;
     }
-    if (_trace && _trace->wants(sim::TraceKind::kSchedPreempt)) {
-        sim::TraceRecord r;
-        r.kind = sim::TraceKind::kSchedPreempt;
-        r.comp = _comp;
-        r.start = slot.scheduledAt;
-        r.addr = v._id;
-        r.arg = slot_idx;
-        r.vm = v._vmId;
-        r.proc = v._procId;
-        _trace->emit(r);
-    }
+    emitTrace(sim::TraceKind::kSchedPreempt, &v, v._id, slot_idx,
+              slot.scheduledAt);
 }
 
 // -------------------------------------------------- watchdog & recovery
@@ -1290,16 +1269,7 @@ OptimusHv::quarantine(VirtualAccel &v)
     // ring: every submitted-but-uncompleted entry reports kError with
     // the kWatchdog bit.
     postRingErrors(v);
-    if (_trace && _trace->wants(sim::TraceKind::kWatchdogFire)) {
-        sim::TraceRecord r;
-        r.kind = sim::TraceKind::kWatchdogFire;
-        r.comp = _comp;
-        r.addr = v._id;
-        r.arg = v._slot;
-        r.vm = v._vmId;
-        r.proc = v._procId;
-        _trace->emit(r);
-    }
+    emitTrace(sim::TraceKind::kWatchdogFire, &v, v._id, v._slot);
     if (v._completion)
         v._completion(Status::kError);
     resetSlot(v._slot);
@@ -1310,18 +1280,8 @@ OptimusHv::resetSlot(std::uint32_t slot_idx)
 {
     Slot &slot = _slots[slot_idx];
     ++_slotResets;
-    if (_trace && _trace->wants(sim::TraceKind::kSlotReset)) {
-        sim::TraceRecord r;
-        r.kind = sim::TraceKind::kSlotReset;
-        r.comp = _comp;
-        r.addr = slot_idx;
-        r.arg = 1ULL << slot_idx;
-        if (slot.scheduled) {
-            r.vm = slot.scheduled->_vmId;
-            r.proc = slot.scheduled->_procId;
-        }
-        _trace->emit(r);
-    }
+    emitTrace(sim::TraceKind::kSlotReset, slot.scheduled, slot_idx,
+              1ULL << slot_idx);
     if (slot.scheduled)
         notePreempted(slot_idx, *slot.scheduled);
 

@@ -466,6 +466,15 @@ class OptimusHv
      *  ring entry of @p v (quarantine, forced reset, migration
      *  timeout), carrying its ERR_STATUS bits. */
     void postRingErrors(VirtualAccel &v);
+    /** Account @p v's ring completions [@p from, @p to): counters
+     *  and one kRingComplete trace record per entry. */
+    void noteRingCompletes(VirtualAccel &v, std::uint64_t from,
+                           std::uint64_t to);
+    /** Emit one hypervisor trace record, attributed to @p v's VM and
+     *  process when @p v is set; a no-op unless a sink wants @p kind. */
+    void emitTrace(sim::TraceKind kind, const VirtualAccel *v,
+                   std::uint64_t addr, std::uint64_t arg,
+                   sim::Tick start = 0);
 
     Platform &_platform;
     std::vector<Slot> _slots;
@@ -483,7 +492,7 @@ class OptimusHv
     std::vector<VirtualAccel *> _byId;
     sim::Tick _wdDeadline = 0;
 
-    sim::TraceBus *_trace = nullptr;
+    /** This hypervisor's trace component id. */
     std::uint32_t _comp = 0;
 
     sim::Counter _traps;

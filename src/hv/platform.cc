@@ -5,65 +5,29 @@
 
 namespace optimus::hv {
 
-Platform::Platform(sim::DomainSet &domains, PlatformConfig config,
-                   sim::Telemetry &telemetry, sim::TraceBus &trace)
-    : _domains(domains),
-      _eq(domains.queue(config.domains.hv)),
+Platform::Platform(sim::DomainSet &domains, sim::DomainId domain,
+                   PlatformConfig config, sim::Telemetry &telemetry,
+                   sim::TraceBus &trace)
+    : _eq(domains.queue(domain)),
       _config(std::move(config)),
       _telemetry(telemetry),
       _trace(trace),
       _memory(188ULL << 30),
       _frames(mem::Hpa(mem::kPage2M), mem::Hpa(188ULL << 30)),
-      _memctl(domains.queue(_config.domains.mem), _config.params,
-              {&telemetry.node("mem"), &trace}),
-      _iommu(domains.queue(_config.domains.iommu), _config.params,
-             {&telemetry.node("iommu"), &trace}),
-      _shell(domains, _config.domains.ccip, _config.domains.iommu,
-             _config.params, _memory, _memctl, _iommu,
-             {&telemetry.node("shell"), &trace}),
-      _hvToHost(domains, _config.domains.hv, _config.domains.iommu,
-                _config.params.upiLatency, "hv.to_host",
-                sim::ChannelBase::Delivery::kDeferred),
-      _hostToHv(domains, _config.domains.iommu, _config.domains.hv,
-                _config.params.upiLatency, "hv.to_hv",
-                sim::ChannelBase::Delivery::kDeferred)
+      _memctl(_eq, _config.params, {&telemetry.node("mem"), &trace}),
+      _iommu(_eq, _config.params, {&telemetry.node("iommu"), &trace}),
+      _shell(domains, domain, _config.params, _memory, _memctl,
+             _iommu, {&telemetry.node("shell"), &trace}),
+      _hvToHost(domains, domain, domain, _config.params.upiLatency,
+                "hv.to_host", sim::ChannelBase::Delivery::kDeferred),
+      _hostToHv(domains, domain, domain, _config.params.upiLatency,
+                "hv.to_hv", sim::ChannelBase::Delivery::kDeferred)
 {
     _hvToHost.onReceive([](std::function<void()> fn) { fn(); });
     _hostToHv.onReceive([](std::function<void()> fn) { fn(); });
 
     OPTIMUS_ASSERT(!_config.apps.empty(),
                    "platform needs at least one accelerator");
-    OPTIMUS_ASSERT(_config.domains.domainCount() <= domains.size(),
-                   "domain plan references shard %u but the set has "
-                   "%u domains",
-                   _config.domains.domainCount() - 1, domains.size());
-    // Coupling-class validator: only channel-mediated edges may cross
-    // domains. The synchronous edge inventory of the stock graph is
-    //   accel↔ccip   direct calls both ways (fabric ports, auditor
-    //                delivery, MMIO dispatch, dmaResponse)
-    //   hv↔ccip      MMIO trap path (OptimusHv ↔ monitor/shell) and
-    //                completion handlers
-    //   iommu↔mem    host bridge services a DMA with an IOMMU walk
-    //                and a memory-controller access in one flow
-    // while ccip↔{iommu,mem} crosses only via the shell's channels
-    // and hv↔{iommu,mem} only via runOnHost/runOnHv. A plan cutting
-    // any synchronous edge is rejected here, naming that edge.
-    const DomainPlan &plan = _config.domains;
-    OPTIMUS_ASSERT(plan.accel == plan.ccip,
-                   "domain plan cuts the synchronous edge accel<->ccip"
-                   " (accel=%u ccip=%u): fabric ports and response "
-                   "delivery are direct calls",
-                   plan.accel, plan.ccip);
-    OPTIMUS_ASSERT(plan.hv == plan.ccip,
-                   "domain plan cuts the synchronous edge hv<->ccip "
-                   "(hv=%u ccip=%u): the MMIO trap path is a direct "
-                   "call",
-                   plan.hv, plan.ccip);
-    OPTIMUS_ASSERT(plan.iommu == plan.mem,
-                   "domain plan cuts the synchronous edge iommu<->mem "
-                   "(iommu=%u mem=%u): the host bridge translates and "
-                   "accesses memory in one flow",
-                   plan.iommu, plan.mem);
     if (_config.mode == FabricMode::kPassthrough) {
         OPTIMUS_ASSERT(_config.apps.size() == 1,
                        "pass-through hosts exactly one accelerator");
@@ -79,13 +43,13 @@ Platform::Platform(sim::DomainSet &domains, PlatformConfig config,
         // Instance names like "accel0.MB" address a nested telemetry
         // node, so per-accelerator stats group under their slot.
         _accels.push_back(accel::makeAccelerator(
-            _config.apps[i], domains.queue(_config.domains.accel),
+            _config.apps[i], _eq,
             _config.params, name, {&telemetry.node(name), &trace}));
     }
 
     if (_config.mode == FabricMode::kOptimus) {
         _monitor = std::make_unique<fpga::HardwareMonitor>(
-            domains.queue(_config.domains.ccip), _config.params,
+            _eq, _config.params,
             _shell,
             static_cast<std::uint32_t>(_config.apps.size()),
             _config.treeArity,

@@ -38,60 +38,6 @@ enum class FabricMode
     kPassthrough, ///< one accelerator wired straight to the shell
 };
 
-/**
- * Logical-domain assignment for the platform's component groups,
- * resolved at Platform wiring time: each group's components are
- * constructed against the EventQueue shard of its domain (see
- * sim/domain.hh and DESIGN.md §12).
- *
- * Constraint: groups joined by synchronous call edges must share a
- * domain; only channel-mediated edges may cross. The channel-carried
- * boundary is the package interconnect: the shell front sits on the
- * FPGA side and the IOMMU walk + memory access sit behind the
- * shell's to-host/to-FPGA channels (plus the hypervisor's
- * runOnHost/runOnHv pair), so `{mem, iommu}` may legally live on a
- * different domain than `{ccip, accel, hv}` — that is splitPlan().
- * Platform::Platform validates any other split against the edge
- * inventory and rejects it naming the offending synchronous edge.
- */
-struct DomainPlan
-{
-    sim::DomainId ccip = 0;
-    sim::DomainId mem = 0;
-    sim::DomainId iommu = 0;
-    sim::DomainId accel = 0;
-    sim::DomainId hv = 0;
-
-    /** Domains the plan requires (highest referenced id + 1). */
-    std::uint32_t
-    domainCount() const
-    {
-        sim::DomainId m = ccip;
-        for (sim::DomainId d : {mem, iommu, accel, hv})
-            m = d > m ? d : m;
-        return m + 1;
-    }
-
-    bool
-    singleDomain() const
-    {
-        return ccip == mem && mem == iommu && iommu == accel &&
-               accel == hv;
-    }
-};
-
-/** The stock two-domain split: FPGA side {ccip, accel, hv} on domain
- *  0, host side {mem, iommu} on domain 1, coupled only by the
- *  shell's package-crossing channels. */
-inline DomainPlan
-splitPlan()
-{
-    DomainPlan p;
-    p.mem = 1;
-    p.iommu = 1;
-    return p;
-}
-
 /** Full platform configuration. */
 struct PlatformConfig
 {
@@ -101,25 +47,6 @@ struct PlatformConfig
     std::vector<std::string> apps;
     /** Multiplexer tree arity (binary by default). */
     std::uint32_t treeArity = 2;
-    /** Component-group → domain assignment (all domain 0 by
-     *  default, i.e. the strictly serial classic engine). */
-    DomainPlan domains;
-    /**
-     * Extra domains beyond the platform's own, for harness-side
-     * actors (load generators, future fleet peers) that talk to the
-     * platform through sim::Channels. The System sizes its DomainSet
-     * to cover both.
-     */
-    std::uint32_t extraDomains = 0;
-
-    /** Total domains the System's DomainSet must provide: the plan's
-     *  own plus the harness extras. The single sizing authority —
-     *  every DomainSet built for this config uses this. */
-    std::uint32_t
-    totalDomains() const
-    {
-        return domains.domainCount() + extraDomains;
-    }
 };
 
 /** The simulated machine. */
@@ -131,14 +58,13 @@ class Platform
      * construction: @p telemetry supplies the stat tree nodes
      * (mem/iommu/shell/fabric/accelN.APP) and @p trace the shared
      * trace bus, so no component's stats can be silently dropped.
-     * Components are constructed against the shard of @p domains
-     * their group is assigned to by config.domains.
+     * The whole platform lives on shard @p domain of @p domains.
      */
-    Platform(sim::DomainSet &domains, PlatformConfig config,
-             sim::Telemetry &telemetry, sim::TraceBus &trace);
+    Platform(sim::DomainSet &domains, sim::DomainId domain,
+             PlatformConfig config, sim::Telemetry &telemetry,
+             sim::TraceBus &trace);
 
     sim::EventQueue &eventq() { return _eq; }
-    sim::DomainSet &domains() { return _domains; }
     const PlatformConfig &config() const { return _config; }
     const sim::PlatformParams &params() const { return _config.params; }
 
@@ -165,20 +91,11 @@ class Platform
     sim::Telemetry &telemetry() { return _telemetry; }
     sim::TraceBus &trace() { return _trace; }
 
-    /** The host-side domain's queue (mem/iommu shard; the hv queue
-     *  itself under a single-domain plan). */
-    sim::EventQueue &
-    hostQueue()
-    {
-        return _domains.queue(_config.domains.iommu);
-    }
-
     /**
-     * Execute @p fn on the host domain (it may freely touch the
-     * IOMMU page tables and frame state). Crosses the package via a
-     * deferred channel — one interconnect latency away — in every
-     * plan, so hypercall-driven host work is timed identically under
-     * split and single-domain plans.
+     * Execute @p fn on the host side of the package (it may freely
+     * touch the IOMMU page tables and frame state). Crosses the
+     * package via a deferred channel, one interconnect latency away,
+     * like the shell's DMA traffic.
      */
     void
     runOnHost(std::function<void()> fn)
@@ -186,7 +103,7 @@ class Platform
         _hvToHost.send(std::move(fn));
     }
 
-    /** Execute @p fn back on the hypervisor domain (completion legs
+    /** Execute @p fn back on the hypervisor side (completion legs
      *  of runOnHost work). */
     void
     runOnHv(std::function<void()> fn)
@@ -230,7 +147,6 @@ class Platform
         ccip::Shell &_shell;
     };
 
-    sim::DomainSet &_domains;
     sim::EventQueue &_eq;
     PlatformConfig _config;
     sim::Telemetry &_telemetry;
@@ -241,7 +157,7 @@ class Platform
     mem::MemoryController _memctl;
     iommu::Iommu _iommu;
     ccip::Shell _shell;
-    /** Hypercall work crossing to the host domain and back (page
+    /** Hypercall work crossing to the host side and back (page
      *  mapping, pinning); deferred channels like the shell's. */
     sim::Channel<std::function<void()>> _hvToHost;
     sim::Channel<std::function<void()>> _hostToHv;

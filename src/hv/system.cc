@@ -20,45 +20,22 @@ SystemObserver::current()
     return t_observer;
 }
 
-namespace {
-
-/**
- * Resolve the effective config before the DomainSet is sized: a
- * default (single-domain) plan picks up the thread-local domain-plan
- * default — which the experiment runner sets per worker from
- * `--domain-plan` — exactly like sim_threads picks up
- * defaultSimThreads(). An explicitly split (or otherwise non-default)
- * plan is left alone.
- */
-PlatformConfig
-applyDefaultPlan(PlatformConfig config)
-{
-    if (config.domains.singleDomain() && sim::defaultDomainSplit())
-        config.domains = splitPlan();
-    return config;
-}
-
-} // namespace
-
 System::System(PlatformConfig config, unsigned sim_threads)
-    : _ownedDomains(std::make_unique<sim::DomainSet>(
-          (config = applyDefaultPlan(std::move(config)))
-              .totalDomains())),
+    : _ownedDomains(std::make_unique<sim::DomainSet>()),
       _ownedSched(std::make_unique<sim::EpochScheduler>(
           *_ownedDomains, sim_threads == 0
                               ? sim::defaultSimThreads()
                               : sim_threads)),
       domains(*_ownedDomains),
-      eq(domains.queue(config.domains.hv)),
+      eq(domains.queue(0)),
       sched(*_ownedSched),
-      platform(domains, std::move(config), telemetry, trace),
+      platform(domains, 0, std::move(config), telemetry, trace),
       hv(platform),
       _observer(SystemObserver::current())
 {
     // Always arm the trace lanes and barrier hook, even for one
     // domain: the platform's boundary channels use deferred (barrier)
-    // delivery in every plan, so barriers — and the merged-lane trace
-    // path, whose (tick, component) ordering is plan-invariant — are
+    // delivery, so barriers — and the merged-lane trace path — are
     // part of the stock engine, not a multi-domain special case.
     trace.armDomains(domains.size());
     sched.setBarrierHook([this]() { trace.flushMerged(); });
@@ -68,11 +45,12 @@ System::System(PlatformConfig config, unsigned sim_threads)
 }
 
 System::System(sim::DomainSet &ext_domains,
-               sim::EpochScheduler &ext_sched, PlatformConfig config)
+               sim::EpochScheduler &ext_sched, sim::DomainId domain,
+               PlatformConfig config)
     : domains(ext_domains),
-      eq(domains.queue(config.domains.hv)),
+      eq(domains.queue(domain)),
       sched(ext_sched),
-      platform(domains, std::move(config), telemetry, trace),
+      platform(domains, domain, std::move(config), telemetry, trace),
       hv(platform),
       _observer(SystemObserver::current())
 {

@@ -61,27 +61,25 @@ class System
 {
   public:
     /**
-     * @p sim_threads sizes the epoch scheduler's worker pool; 0 (the
-     * default) picks up sim::defaultSimThreads() — which the
-     * experiment runner sets per worker from `--sim-threads`. The
-     * thread count never affects results: 1 is the strictly serial
-     * classic engine and any N > 1 executes the same schedule on a
-     * pool (see sim/domain.hh).
+     * Solo form: the System owns a one-domain DomainSet and its
+     * EpochScheduler. @p sim_threads sizes the scheduler's worker
+     * pool; 0 (the default) picks up sim::defaultSimThreads() — which
+     * the experiment runner sets per worker from `--sim-threads`. The
+     * thread count never affects results, and with one domain every
+     * epoch runs inline on the calling thread (see sim/domain.hh).
      */
     explicit System(PlatformConfig config, unsigned sim_threads = 0);
 
     /**
      * Embedded (cluster-node) form: the caller owns the DomainSet and
-     * EpochScheduler, shared by several Systems living on disjoint
-     * domain groups of one simulation context (fleet::Cluster). The
-     * config's domain plan must already be offset into this node's
-     * group — no thread-local plan defaults are applied. The embedder
-     * is responsible for the barrier hook (flushing every node's
-     * trace bus) and for driving the shared scheduler; run()/runAll()
-     * on any node advance the whole set.
+     * EpochScheduler, shared by several Systems of one simulation
+     * context (fleet::Cluster), each on its own domain @p domain. The
+     * embedder is responsible for the barrier hook (flushing every
+     * node's trace bus) and for driving the shared scheduler;
+     * run()/runAll() on any node advance the whole set.
      */
-    System(sim::DomainSet &ext_domains,
-           sim::EpochScheduler &ext_sched, PlatformConfig config);
+    System(sim::DomainSet &ext_domains, sim::EpochScheduler &ext_sched,
+           sim::DomainId domain, PlatformConfig config);
 
     ~System();
     System(const System &) = delete;
@@ -137,9 +135,8 @@ class System
      * Advance the whole simulation — every domain, in conservative
      * lookahead epochs — up to and including @p limit. The epoch
      * schedule (windows of one interconnect latency, deferred channel
-     * posts delivered at the barriers) is identical for every domain
-     * plan and pool size; a split plan merely executes the host-side
-     * window on another shard. @return events executed.
+     * posts delivered at the barriers) is identical for every pool
+     * size. @return events executed.
      */
     std::uint64_t run(sim::Tick limit) { return sched.run(limit); }
 
@@ -160,15 +157,15 @@ class System
   public:
     /**
      * The simulation context: one EventQueue shard per logical
-     * domain (sized by the config's domain plan + extraDomains for
-     * the solo form; the embedder's full set for the cluster form)
-     * and the cross-domain channel registry. Declared first so every
-     * other member may reference its shards.
+     * domain (a single shard for the solo form; the embedder's full
+     * set, one shard per node, for the cluster form) and the channel
+     * registry. Declared first so every other member may reference
+     * its shards.
      */
     sim::DomainSet &domains;
-    /** This system's hypervisor-domain shard — the whole simulation
-     *  for the default single-domain plan; kept as a member-style
-     *  reference so existing `sys.eq` call sites read naturally. */
+    /** This system's shard, on which its whole platform runs; kept
+     *  as a member-style reference so `sys.eq` call sites read
+     *  naturally. */
     sim::EventQueue &eq;
     /** Root of the observability spine: the stat tree ("sys.…") and
      *  the trace bus every component publishes on. Declared before

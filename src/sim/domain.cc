@@ -10,7 +10,6 @@ namespace {
 
 thread_local const ExecContext *t_exec = nullptr;
 thread_local unsigned t_defaultSimThreads = 1;
-thread_local bool t_defaultDomainSplit = false;
 /** Set while the calling thread is a pool worker, so a nested run()
  *  executes inline instead of deadlocking on its own pool. */
 thread_local bool t_onExecutor = false;
@@ -45,20 +44,6 @@ setDefaultSimThreads(unsigned n)
 {
     unsigned prev = t_defaultSimThreads;
     t_defaultSimThreads = n == 0 ? 1 : n;
-    return prev;
-}
-
-bool
-defaultDomainSplit()
-{
-    return t_defaultDomainSplit;
-}
-
-bool
-setDefaultDomainSplit(bool split)
-{
-    bool prev = t_defaultDomainSplit;
-    t_defaultDomainSplit = split;
     return prev;
 }
 
@@ -259,8 +244,7 @@ EpochScheduler::deliverPosts()
     // destination seqs in exactly that order, fixing the FIFO
     // tie-break. The key is a pure function of the channel topology
     // and the message streams — never of which domain an endpoint
-    // lives in — so every DomainPlan delivers the same streams in
-    // the same order.
+    // lives in or which worker ran it.
     std::vector<PostRef> &order = _postOrder;
     order.clear();
     for (DomainId d = 0; d < _set.size(); ++d) {
@@ -361,7 +345,7 @@ EpochScheduler::pumpUntil(const std::function<bool()> &stop,
         // One run() step per predicate evaluation: same window
         // derivation, same executeEpoch (pool or serial), same
         // barrier — so a pump's event schedule is exactly a prefix
-        // of what run() would execute, in every plan. check() may
+        // of what run() would execute, at any pool width. check() may
         // nest another pump (the service plane verifies results
         // through the guest API); the next step simply re-derives
         // its window from wherever that left the set.

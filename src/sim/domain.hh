@@ -99,17 +99,6 @@ unsigned defaultSimThreads();
 /** Set the calling thread's default; returns the previous value. */
 unsigned setDefaultSimThreads(unsigned n);
 
-/**
- * Whether a System constructed on this thread with a default
- * (single-domain) PlatformConfig should apply the split platform plan
- * (host-side {mem, iommu} on their own domain). Thread-local for the
- * same reason as defaultSimThreads: parallel experiment workers each
- * carry their own setting. Defaults to false = single-domain.
- */
-bool defaultDomainSplit();
-/** Set the calling thread's default; returns the previous value. */
-bool setDefaultDomainSplit(bool split);
-
 class ChannelBase;
 
 /**
@@ -147,11 +136,10 @@ class DomainSet
      * deferred (barrier) delivery. kTickForever when no such channel
      * exists (the domains are independent and an epoch may run each
      * to completion). Deferred same-domain channels constrain the
-     * window on purpose: the platform's boundary channels defer in
-     * *every* plan so a single-domain run executes the exact same
-     * epoch schedule as a split run — that is what makes the two
-     * byte-identical. Cached: recomputed only when a channel is
-     * registered or destroyed.
+     * window on purpose: the platform's boundary channels defer even
+     * though both ends share the node's domain, which fixes the
+     * epoch schedule every recorded fingerprint depends on. Cached:
+     * recomputed only when a channel is registered or destroyed.
      */
     Tick minCrossLatency() const { return _lookahead; }
 
@@ -195,10 +183,10 @@ class ChannelBase
      * kDeferred channels always buffer in the source outbox and are
      * delivered by the EpochScheduler at the barrier, *even when both
      * endpoints share a domain*. The platform's boundary channels are
-     * kDeferred so the barrier-delivery order — (tick, channel id,
-     * send seq) — and the epoch windows are identical under every
-     * DomainPlan, which is what makes split and single-domain runs
-     * byte-identical. Cross-domain channels are deferred regardless.
+     * kDeferred: their barrier-delivery order — (tick, channel id,
+     * send seq) — and the epoch windows they impose are part of the
+     * stock engine's timing. Cross-domain channels are deferred
+     * regardless.
      */
     enum class Delivery
     {
@@ -328,11 +316,11 @@ class EpochScheduler
      * evaluated once up front and then at every epoch barrier, on
      * the calling thread, outside any domain's ExecScope.
      *
-     * Barrier granularity is what keeps determinism plan-invariant:
-     * every epoch executes to its window end in every DomainPlan, so
-     * the predicate always observes a state that is identical across
-     * plans and pool sizes — a mid-window stop would leave a
-     * plan-dependent residue of unexecuted events behind. The price
+     * Barrier granularity is what keeps determinism pool-invariant:
+     * every epoch executes to its window end, so the predicate always
+     * observes a state that is identical across pool sizes — a
+     * mid-window stop would leave a schedule-dependent residue of
+     * unexecuted events in the other domains behind. The price
      * is that a pump returns up to one lookahead window after the
      * condition became true, with that window's pending work already
      * executed; callers built on completion flags (all of ours) are

@@ -131,8 +131,7 @@ class EventQueue
      * send seq) pair is the deterministic tie-break for same-tick
      * deliveries — a pure function of the component topology and the
      * message streams, never of which domain a channel endpoint
-     * happens to live in, so a split plan and a single-domain plan
-     * deliver identical streams in identical order.
+     * happens to live in or which worker ran it.
      */
     struct CrossPost
     {

@@ -127,9 +127,8 @@ TraceBus::flushMerged()
     // (tick, component, domain, lane seq): each registered component
     // lives in exactly one domain, so ordering by component first
     // makes the merged stream independent of which domain a
-    // component was placed in — a split DomainPlan and a
-    // single-domain one emit byte-identical streams. Unregistered
-    // records (comp 0) fall back to the (domain, seq) tie-break.
+    // component was placed in. Unregistered records (comp 0) fall
+    // back to the (domain, seq) tie-break.
     struct Ref
     {
         Tick at;

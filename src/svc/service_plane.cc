@@ -284,8 +284,9 @@ ServicePlane::run(sim::Tick window)
 
     // Top-level driver: pump the whole domain set in conservative
     // epochs, interleaving the dispatch/drain fixpoint at each epoch
-    // barrier (where no shard is executing, so touching domain-0
-    // state and issuing guest-API calls is race-free in every plan).
+    // barrier (where no shard is executing, so touching the node's
+    // state and issuing guest-API calls is race-free at any pool
+    // width).
     // After the horizon the generators are quiet and the pump keeps
     // going until every queue is empty and every worker idle (the
     // drain); a false return means the set drained first — the same
@@ -414,7 +415,7 @@ ServicePlane::drainCompletions(Tenant &t)
                 OPTIMUS_ASSERT(!w.inflight.empty(),
                                "ring completion without an "
                                "inflight request");
-                Tenant::Worker::Inflight inf = w.inflight.front();
+                Inflight inf = w.inflight.front();
                 w.inflight.pop_front();
                 OPTIMUS_ASSERT(e.seq == inf.seq,
                                "ring completion out of order");
@@ -460,7 +461,7 @@ ServicePlane::dispatch(Tenant &t)
             std::uint64_t pushed = 0;
             while (!t._queue.empty() &&
                    w.inflight.size() < limit && !sq.full()) {
-                Tenant::Worker::Inflight inf;
+                Inflight inf;
                 inf.req = t._queue.front();
                 t._queue.pop_front();
                 ++inf.req.attempts;

@@ -94,6 +94,15 @@ struct Request
     int user = -1;          ///< closed-loop user index, -1 open-loop
 };
 
+/** Ring path: one issued-but-uncompleted request per submit entry.
+ *  A migration parcel carries a worker's queue of these whole. */
+struct Inflight
+{
+    Request req;
+    sim::Tick issued = 0;
+    std::uint64_t seq = 0;
+};
+
 class ServicePlane;
 
 /** One tenant: queue, workers, generator, and its stat subtree. */
@@ -182,14 +191,8 @@ class Tenant
         accel::Status doneStatus = accel::Status::kIdle;
         sim::Tick doneTick = 0;
 
-        /** Ring path: one issued-but-uncompleted request per submit
-         *  entry, oldest first (completions post in order). */
-        struct Inflight
-        {
-            Request req;
-            sim::Tick issued = 0;
-            std::uint64_t seq = 0;
-        };
+        /** Ring path: issued-but-uncompleted requests, oldest
+         *  first (completions post in order). */
         std::deque<Inflight> inflight;
     };
 

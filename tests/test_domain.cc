@@ -334,10 +334,10 @@ TEST(RunnerCapTest, JobsComposeWithSimThreads)
 
 /**
  * End-to-end: a faulted two-tenant System must produce identical
- * results at sim-threads 1 and 4. The default single-domain plan
- * makes the threaded run execute the same schedule on a worker, so
- * every observable — job digest, progress counters, recovery
- * actions, final clock — must match bit-for-bit.
+ * results at sim-threads 1 and 4. A System is one domain, so the
+ * threaded run executes the same schedule, and every observable —
+ * job digest, progress counters, recovery actions, final clock —
+ * must match bit-for-bit.
  */
 struct CampaignResult
 {

@@ -285,4 +285,22 @@ TEST(ExpRunner, WallClockCellsAreOutsideTheContract)
     EXPECT_FALSE(exp::sameResults(a, c));
 }
 
+TEST(ExpRunner, RemovedSplitFlagFailsParsingCleanly)
+{
+    // Every System is one simulation domain: the old split-plan flag
+    // is an unknown flag, reported without touching the options.
+    char prog[] = "bench";
+    char flag[] = "--domain-plan";
+    char value[] = "split";
+    char *argv[] = {prog, flag, value};
+    exp::Runner::Options o;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(exp::Runner::parseArgs(3, argv, o));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown flag --domain-plan"), std::string::npos)
+        << err;
+    EXPECT_EQ(o.simThreads, 1u);
+    EXPECT_EQ(o.jobs, 1u);
+}
+
 } // namespace

@@ -3,8 +3,9 @@
  * Fleet plane tests: byte-determinism of an N-node cluster across
  * worker pool widths, conservation of work across forced live
  * migrations (nothing lost in flight, blackout measured per move),
- * an export whose preempt times out on a wedged source, placement
- * policy behavior, and automatic rebalancing of a hot node.
+ * an export whose preempt times out on a wedged source, a rebalancer
+ * export that lands while the device is restoring, placement policy
+ * behavior, and automatic rebalancing of a hot node.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +34,19 @@ shaTenant(const std::string &name, std::uint64_t seed, double rate,
     spec.svc.sloNs = 300000;
     spec.homeRack = home_rack;
     return spec;
+}
+
+/** perfbench's per-tenant seed: splitmix(splitmix(seed) + i) | 1. */
+std::uint64_t
+subSeed(std::uint64_t seed, std::uint64_t i)
+{
+    auto splitmix = [](std::uint64_t x) {
+        x += 0x9e3779b97f4a7c15ULL;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return x ^ (x >> 31);
+    };
+    return splitmix(splitmix(seed) + i) | 1;
 }
 
 fleet::ClusterConfig
@@ -159,6 +173,32 @@ TEST(FleetTest, ExportTimeoutShipsErroredContextAndRetries)
         EXPECT_GT(b.errors(), 0u);
         EXPECT_EQ(b.verifyFailures(), 0u);
     }
+}
+
+TEST(FleetTest, RebalancerExportDuringRestoreCedesCleanly)
+{
+    // Time-shared slots plus the rebalancer: an export can land just
+    // after its worker was switched back in, while the device is
+    // still restoring. That PREEMPT must still end in SAVED, not in
+    // a forced reset after the 5 ms preempt timeout.
+    fleet::ClusterConfig cfg = twoNodeConfig();
+    cfg.rebalanceInterval = 200 * sim::kTickUs;
+    fleet::Cluster cl(cfg);
+    for (unsigned n = 0; n < cl.numNodes(); ++n)
+        cl.node(n).hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
+                                100 * sim::kTickUs);
+    for (unsigned i = 0; i < 4; ++i)
+        cl.addTenant(shaTenant("t" + std::to_string(i), subSeed(1, i),
+                               i % 2 ? 40000.0 : 20000.0));
+    cl.run(3 * sim::kTickMs);
+
+    std::uint64_t resets = 0;
+    for (unsigned n = 0; n < cl.numNodes(); ++n)
+        resets += cl.node(n).hv.forcedResets();
+    EXPECT_GE(cl.migrationsCompleted(), 1u);
+    EXPECT_EQ(resets, 0u);
+    EXPECT_EQ(cl.fleetArrivals(), 344u);
+    EXPECT_EQ(cl.fleetCompleted(), cl.fleetArrivals());
 }
 
 TEST(FleetTest, MigrateTenantRejectsBadTargets)

@@ -159,7 +159,7 @@ class ShellFixture : public ::testing::Test
     mem::HostMemory memory{4ULL << 30};
     mem::MemoryController memctl{eq, params};
     iommu::Iommu iommu{eq, params};
-    Shell shell{domains, 0, 0, params, memory, memctl, iommu};
+    Shell shell{domains, 0, params, memory, memctl, iommu};
     sim::EpochScheduler sched{domains, 1};
     std::vector<DmaTxnPtr> responses;
 };
@@ -273,7 +273,7 @@ class TracedShellFixture : public ::testing::Test
     mem::HostMemory memory{4ULL << 30};
     mem::MemoryController memctl{eq, params};
     iommu::Iommu iommu{eq, params};
-    Shell shell{domains, 0,     0,      params,
+    Shell shell{domains, 0,      params,
                 memory,  memctl, iommu, {&telemetry.node("shell"), &bus}};
     sim::EpochScheduler sched{domains, 1};
     std::vector<DmaTxnPtr> responses;

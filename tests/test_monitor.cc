@@ -310,7 +310,7 @@ class MonitorFixture : public ::testing::Test
     mem::HostMemory memory{4ULL << 30};
     mem::MemoryController memctl{eq, params};
     iommu::Iommu iommu{eq, params};
-    ccip::Shell shell{domains, 0, 0, params, memory, memctl, iommu};
+    ccip::Shell shell{domains, 0, params, memory, memctl, iommu};
     HardwareMonitor monitor{eq, params, shell, 4, 2};
     sim::EpochScheduler sched{domains, 1};
 };

@@ -3,8 +3,9 @@
  * Preemption-interface tests (Section 4.2): drain-save-resume round
  * trips preserve results for the conforming microbenchmarks (MB, LL)
  * and the streaming accelerators; forced reset fires on accelerators
- * that cannot cede; completion during a drain is handled; the state
- * buffer lives in guest DMA memory and really receives the context.
+ * that cannot cede; completion during a drain is handled; a preempt
+ * during a restore still saves; the state buffer lives in guest DMA
+ * memory and really receives the context.
  */
 
 #include <gtest/gtest.h>
@@ -154,6 +155,37 @@ TEST(PreemptionTest, CompletionDuringDrainYieldsDone)
         EXPECT_EQ(h1.wait(), accel::Status::kDone);
         EXPECT_EQ(h1.result(), layout.checksum);
     }
+}
+
+TEST(PreemptionTest, PreemptDuringRestoreStillSaves)
+{
+    // A PREEMPT that lands while a RESUME is still streaming the
+    // context back in must not be lost: once the restore completes
+    // the device saves again and answers SAVED, and the job resumes
+    // to a correct result later.
+    System sys(makeOptimusConfig("MB", 1));
+    AccelHandle &h = sys.attach(0, 1ULL << 30);
+    auto wl = workload::Workload::create("MB", h, 1ULL << 20, 3);
+    wl->program();
+    h.setupStateBuffer();
+    h.start();
+    accel::Accelerator &dev = sys.platform.accel(0);
+    h.pumpUntil([&]() { return dev.progress() > 0; });
+
+    dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
+    h.pumpUntil([&]() { return dev.status() == accel::Status::kSaved; });
+    dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kResume);
+    ASSERT_EQ(dev.status(), accel::Status::kRestoring);
+    dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
+    h.pumpUntil([&]() {
+        return dev.status() == accel::Status::kSaved ||
+               dev.status() == accel::Status::kDone;
+    });
+    EXPECT_EQ(dev.status(), accel::Status::kSaved);
+
+    dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kResume);
+    EXPECT_EQ(h.wait(), accel::Status::kDone);
+    EXPECT_TRUE(wl->verify());
 }
 
 TEST(PreemptionTest, SixteenTenantsAllComplete)

@@ -4,7 +4,7 @@
  * guest-side queue mechanics against real process memory; the full
  * submit -> poll -> complete path matching the MMIO baseline's
  * results; byte-determinism of a ring-path service plane across
- * worker pool widths and domain plans; preemption with a non-empty
+ * worker pool widths; preemption with a non-empty
  * ring; slot-to-slot migration (device checkpoint/restore) with
  * outstanding entries; fleet live-migration of a ring tenant; and
  * quarantine error delivery through the completion ring.
@@ -26,7 +26,6 @@
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
 #include "ring/ring.hh"
-#include "sim/domain.hh"
 #include "svc/service_plane.hh"
 
 using namespace optimus;
@@ -209,52 +208,41 @@ TEST(RingTest, BatchedSubmitsCompleteInOrder)
 
 // ---------------------------------------------------------------
 // Determinism: a ring-path plane is byte-identical across pool
-// widths and domain plans (the bench's --jobs axis is covered by
-// exp::Runner's slot discipline + the CI diff loops).
+// widths (the bench's --jobs axis is covered by exp::Runner's slot
+// discipline + the CI diff loops).
 // ---------------------------------------------------------------
 
 std::uint64_t
-ringPlaneFingerprint(unsigned threads, bool split)
+ringPlaneFingerprint(unsigned threads)
 {
-    bool prev_split = sim::setDefaultDomainSplit(split);
-    unsigned prev_threads = sim::setDefaultSimThreads(threads);
-    std::uint64_t fp = 0;
-    {
-        hv::System sys(hv::makeOptimusConfig("SHA", 1));
-        sys.hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
-                         100 * sim::kTickUs);
-        svc::ServicePlane plane(sys);
-        for (int i = 0; i < 2; ++i) {
-            svc::TenantConfig cfg;
-            cfg.name = "t" + std::to_string(i);
-            cfg.app = "SHA";
-            cfg.bytes = 512;
-            cfg.seed = 51 + static_cast<std::uint64_t>(i);
-            cfg.slot = 0;
-            cfg.arrivals.kind = svc::ArrivalKind::kPoisson;
-            cfg.arrivals.ratePerSec = 60000.0;
-            cfg.cmdPath = ring::CmdPath::kRing;
-            cfg.batchMax = 4;
-            plane.addTenant(cfg);
-        }
-        plane.run(sim::kTickMs);
-        exp::Fingerprint f;
-        f.add(plane.fingerprint());
-        f.add(sys.hv.ringSubmits()).add(sys.hv.ringCompletes());
-        f.add(sys.hv.traps()).add(sys.eq.now());
-        fp = f.value();
+    hv::System sys(hv::makeOptimusConfig("SHA", 1), threads);
+    sys.hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
+                     100 * sim::kTickUs);
+    svc::ServicePlane plane(sys);
+    for (int i = 0; i < 2; ++i) {
+        svc::TenantConfig cfg;
+        cfg.name = "t" + std::to_string(i);
+        cfg.app = "SHA";
+        cfg.bytes = 512;
+        cfg.seed = 51 + static_cast<std::uint64_t>(i);
+        cfg.slot = 0;
+        cfg.arrivals.kind = svc::ArrivalKind::kPoisson;
+        cfg.arrivals.ratePerSec = 60000.0;
+        cfg.cmdPath = ring::CmdPath::kRing;
+        cfg.batchMax = 4;
+        plane.addTenant(cfg);
     }
-    sim::setDefaultSimThreads(prev_threads);
-    sim::setDefaultDomainSplit(prev_split);
-    return fp;
+    plane.run(sim::kTickMs);
+    exp::Fingerprint f;
+    f.add(plane.fingerprint());
+    f.add(sys.hv.ringSubmits()).add(sys.hv.ringCompletes());
+    f.add(sys.hv.traps()).add(sys.eq.now());
+    return f.value();
 }
 
-TEST(RingTest, DeterministicAcrossSimThreadsAndDomainPlan)
+TEST(RingTest, DeterministicAcrossSimThreads)
 {
-    const std::uint64_t base = ringPlaneFingerprint(1, false);
-    EXPECT_EQ(ringPlaneFingerprint(4, false), base);
-    EXPECT_EQ(ringPlaneFingerprint(1, true), base);
-    EXPECT_EQ(ringPlaneFingerprint(4, true), base);
+    EXPECT_EQ(ringPlaneFingerprint(4), ringPlaneFingerprint(1));
 }
 
 // ---------------------------------------------------------------
