@@ -5,6 +5,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -708,7 +709,12 @@ Runner::writeJson(const std::string &path) const
             for (const Metric &m : r.metrics) {
                 if (!m.deterministic)
                     continue; // wall-clock: JSON stays reproducible
-                if (m.numeric)
+                // JSON has no inf or nan: a non-finite cell is null.
+                if (m.numeric && !std::isfinite(m.value))
+                    std::fprintf(f, "%s\"%s\": null",
+                                 firstM ? "" : ", ",
+                                 jsonEscape(m.key).c_str());
+                else if (m.numeric)
                     std::fprintf(f, "%s\"%s\": %.17g",
                                  firstM ? "" : ", ",
                                  jsonEscape(m.key).c_str(),

@@ -46,6 +46,10 @@ OptimusHv::OptimusHv(Platform &platform)
     for (std::uint32_t i = 0; i < platform.numAccels(); ++i) {
         platform.accel(i).setDoorbell(
             [this, i](accel::Accelerator &a) { onDoorbell(i, a); });
+        _slots[i].sliceTimer.bind(eventq(),
+                                  [this, i]() { sliceExpired(i); });
+        _slots[i].preemptTimer.bind(
+            eventq(), [this, i]() { settleCede(i, false); });
     }
     // Translation faults are detected host-side (the IOMMU walk runs
     // behind the shell's package channels) but must be attributed to
@@ -120,26 +124,23 @@ OptimusHv::createVirtualAccel(guest::Process &proc,
         &_platform.telemetry()
              .node(proc.vm().name() + "." + proc.name())
              .child(sim::strprintf("vaccel%u", v->_id)));
-    if (optimusMode()) {
-        v->_windowBytes = _platform.params().sliceBytes;
-        v->_windowBase = proc.mmapNoReserve(v->_windowBytes);
-        v->_sliceIovaBase =
-            sliceStride() * (static_cast<std::uint64_t>(v->_id) + 1);
-    } else {
-        // Pass-through with vIOMMU: the device sees guest virtual
-        // addresses directly (identity IOVA), but the guest library
-        // still reserves a DMA region to allocate from.
-        v->_windowBytes = _platform.params().sliceBytes;
-        v->_windowBase = proc.mmapNoReserve(v->_windowBytes);
-        v->_sliceIovaBase = v->_windowBase.value();
-    }
-    _occupancy.push_back(0);
+    // Every vaccel reserves a DMA window to allocate from. Its IOVAs
+    // are its page-table slice under OPTIMUS; pass-through with vIOMMU
+    // lets the device see guest virtual addresses (identity IOVA).
+    v->_windowBytes = _platform.params().sliceBytes;
+    v->_windowBase = proc.mmapNoReserve(v->_windowBytes);
+    v->_sliceIovaBase =
+        optimusMode()
+            ? sliceStride() * (static_cast<std::uint64_t>(v->_id) + 1)
+            : v->_windowBase.value();
 
     VirtualAccel *raw = v.get();
+    raw->_watchdog.bind(eventq(), [this, raw]() { watchdogCheck(*raw); });
     _byId.push_back(raw);
     slot.vaccels.push_back(std::move(v));
 
-    if (slot.scheduled == nullptr && !slot.switching) {
+    if (slot.state == SlotState::kVacant) {
+        setState(slot, SlotState::kHeld);
         slot.scheduled = raw;
         slot.scheduledAt = eventq().now();
         scheduleVaccel(*raw, []() {});
@@ -225,17 +226,7 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
                 v._ctx.quarantined = false;
                 if (!sched) {
                     v._ctx.pendingStart = true;
-                    Slot &slot = _slots[v._slot];
-                    if (optimusMode() && slot.scheduled == nullptr &&
-                        !slot.switching) {
-                        // The slot sits vacant (e.g. after a
-                        // quarantine reset emptied it): claim it now
-                        // — the dormant slice timer would never fire.
-                        performSwitch(v._slot, &v);
-                    } else {
-                        armSliceTimer(v._slot);
-                    }
-                    armWatchdog(v);
+                    wake(v);
                     done();
                     return;
                 }
@@ -259,17 +250,13 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
             forward(bits);
             return;
         }
+        // Cached registers reach the device only while v holds it;
+        // scheduleVaccel() replays them otherwise.
         if (r == reg::kStateBuf) {
             v._ctx.stateBufGva = value;
-            if (sched) {
-                forward(value);
-            } else {
-                done();
-            }
-            return;
-        }
-        if (r >= reg::kApp0 &&
-            r < reg::kApp0 + 8ULL * reg::kNumAppRegs && r % 8 == 0) {
+        } else if (r >= reg::kApp0 &&
+                   r < reg::kApp0 + 8ULL * reg::kNumAppRegs &&
+                   r % 8 == 0) {
             auto idx =
                 static_cast<std::uint32_t>((r - reg::kApp0) / 8);
             v._ctx.regCache[idx] = value;
@@ -278,15 +265,14 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
                           idx) == v._ctx.touchedRegs.end()) {
                 v._ctx.touchedRegs.push_back(idx);
             }
-            if (sched) {
-                forward(value);
-            } else {
-                done();
-            }
+        } else {
+            done(); // read-only or unknown register: ignored
             return;
         }
-        // Read-only or unknown register: ignored.
-        done();
+        if (sched)
+            forward(value);
+        else
+            done();
     });
 }
 
@@ -349,23 +335,14 @@ OptimusHv::registerDmaPage(VirtualAccel &v, mem::Gva page_base,
     eventq().scheduleIn(p.hypercallCost, [this, &v, page_base,
                                           done = std::move(
                                               done)]() mutable {
-        if (page_base.pageOffset(mem::kPage2M) != 0) {
-            ++_rejectedPages;
-            done(false);
-            return;
-        }
-        // Window check: the page must fall inside this virtual
-        // accelerator's DMA slice.
-        if (optimusMode()) {
-            std::uint64_t off = page_base - v._windowBase;
-            if (page_base < v._windowBase ||
-                off + mem::kPage2M > v._windowBytes) {
-                ++_rejectedPages;
-                done(false);
-                return;
-            }
-        }
-        if (!v._proc->isBacked(page_base)) {
+        // A page must be 2 MB aligned, backed, and (window check)
+        // inside this virtual accelerator's DMA slice.
+        if (page_base.pageOffset(mem::kPage2M) != 0 ||
+            (optimusMode() &&
+             (page_base < v._windowBase ||
+              (page_base - v._windowBase) + mem::kPage2M >
+                  v._windowBytes)) ||
+            !v._proc->isBacked(page_base)) {
             ++_rejectedPages;
             done(false);
             return;
@@ -404,20 +381,6 @@ OptimusHv::registerDmaPage(VirtualAccel &v, mem::Gva page_base,
 
 // --------------------------------------- doorbell-free command rings
 
-ring::DeviceConfig
-OptimusHv::ringConfigFor(const VirtualAccel &v) const
-{
-    ring::DeviceConfig cfg;
-    cfg.base = mem::Gva(v._ctx.ringBase);
-    cfg.entries = v._ctx.ringEntries;
-    cfg.state.prodSeq = v._ctx.ringProdSeq;
-    cfg.state.nextSeq = v._ctx.ringConsSeq;
-    cfg.state.compSeq = v._ctx.ringCompSeq;
-    cfg.state.jobSeq = v._ctx.ringJobSeq;
-    cfg.state.jobActive = v._ctx.ringJobActive;
-    return cfg;
-}
-
 void
 OptimusHv::setupRing(VirtualAccel &v, mem::Gva base,
                      std::uint32_t entries,
@@ -436,16 +399,9 @@ OptimusHv::setupRing(VirtualAccel &v, mem::Gva base,
         _platform.params().hypercallCost,
         [this, &v, base, entries,
          done = std::move(done)]() mutable {
-            v._ctx.ringEnabled = true;
-            v._ctx.ringBase = base.value();
-            v._ctx.ringEntries = entries;
-            v._ctx.ringProdSeq = 0;
-            v._ctx.ringConsSeq = 0;
-            v._ctx.ringCompSeq = 0;
-            v._ctx.ringJobSeq = 0;
-            v._ctx.ringJobActive = false;
+            v._ctx.ring = ring::DeviceConfig{base, entries, {}};
             if (isScheduled(v))
-                _platform.accel(v._slot).armRing(ringConfigFor(v));
+                _platform.accel(v._slot).armRing(v._ctx.ring);
             done();
         });
 }
@@ -454,7 +410,7 @@ void
 OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
                        std::function<void()> done)
 {
-    OPTIMUS_ASSERT(v._ctx.ringEnabled, "ringPublish without setupRing");
+    OPTIMUS_ASSERT(v.ringEnabled(), "ringPublish without setupRing");
     if (!done)
         done = []() {};
     // The publish itself is two plain stores in the guest's own
@@ -465,11 +421,10 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
         [this, &v, prod_seq, done = std::move(done)]() mutable {
             ++_ringSubmits;
             ++_ringKicks;
-            if (v._sched)
-                ++v._sched->ringSubmits;
+            ++v._sched->ringSubmits;
             emitTrace(sim::TraceKind::kRingSubmit, &v, v._id, prod_seq);
-            if (prod_seq > v._ctx.ringProdSeq)
-                v._ctx.ringProdSeq = prod_seq;
+            std::uint64_t &prod = v._ctx.ring.state.prodSeq;
+            prod = std::max(prod, prod_seq);
             // Like START, new work acknowledges an earlier fault and
             // makes a quarantined tenant eligible again — but unlike
             // START it preserves a saved context: publishing behind a
@@ -478,17 +433,11 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
             v._ctx.errStatus = 0;
             v._ctx.quarantined = false;
             if (isScheduled(v)) {
-                _platform.accel(v._slot).ringNotify(v._ctx.ringProdSeq);
+                _platform.accel(v._slot).ringNotify(prod);
+                armWatchdog(v);
             } else {
-                Slot &slot = _slots[v._slot];
-                if (optimusMode() && slot.scheduled == nullptr &&
-                    !slot.switching) {
-                    performSwitch(v._slot, &v);
-                } else {
-                    armSliceTimer(v._slot);
-                }
+                wake(v);
             }
-            armWatchdog(v);
             done();
         });
 }
@@ -519,8 +468,7 @@ OptimusHv::noteRingCompletes(VirtualAccel &v, std::uint64_t from,
                              std::uint64_t to)
 {
     _ringCompletes += to - from;
-    if (v._sched)
-        v._sched->ringCompletes += to - from;
+    v._sched->ringCompletes += to - from;
     for (std::uint64_t seq = from; seq < to; ++seq)
         emitTrace(sim::TraceKind::kRingComplete, &v, v._id, seq);
 }
@@ -529,52 +477,50 @@ void
 OptimusHv::syncRingFromDevice(VirtualAccel &v,
                               const accel::Accelerator &a)
 {
-    if (!v._ctx.ringEnabled || !a.ringArmed())
+    if (!v.ringEnabled() || !a.ringArmed())
         return;
     const ring::DeviceState &st = a.ringState();
+    ring::DeviceState &m = v._ctx.ring.state;
     // Cursors only ever advance; a stale device view (e.g. a
     // freshly-armed placeholder next to imported mirrors) must not
     // roll them back.
-    if (st.compSeq > v._ctx.ringCompSeq) {
-        noteRingCompletes(v, v._ctx.ringCompSeq, st.compSeq);
-        v._ctx.ringCompSeq = st.compSeq;
+    if (st.compSeq > m.compSeq) {
+        noteRingCompletes(v, m.compSeq, st.compSeq);
+        m.compSeq = st.compSeq;
     }
-    if (st.nextSeq > v._ctx.ringConsSeq)
-        v._ctx.ringConsSeq = st.nextSeq;
-    if (st.prodSeq > v._ctx.ringProdSeq)
-        v._ctx.ringProdSeq = st.prodSeq;
+    m.nextSeq = std::max(m.nextSeq, st.nextSeq);
+    m.prodSeq = std::max(m.prodSeq, st.prodSeq);
     if (st.jobActive) {
-        v._ctx.ringJobActive = true;
-        v._ctx.ringJobSeq = st.jobSeq;
-    } else if (st.nextSeq >= v._ctx.ringConsSeq &&
-               st.compSeq >= v._ctx.ringCompSeq) {
+        m.jobActive = true;
+        m.jobSeq = st.jobSeq;
+    } else if (st.nextSeq >= m.nextSeq && st.compSeq >= m.compSeq) {
         // Only a device whose cursors are current can attest that no
         // job is in flight.
-        v._ctx.ringJobActive = false;
+        m.jobActive = false;
     }
 }
 
 void
 OptimusHv::postRingErrors(VirtualAccel &v)
 {
-    if (!v._ctx.ringEnabled)
+    if (!v.ringEnabled())
         return;
     // Pick up completions the device posted since the last doorbell
     // so they are not overwritten as errors.
-    const Slot &slot = _slots[v._slot];
-    if (slot.scheduled == &v)
+    if (_slots[v._slot].scheduled == &v)
         syncRingFromDevice(v, _platform.accel(v._slot));
-    const std::uint64_t from = v._ctx.ringCompSeq;
-    const std::uint64_t to = v._ctx.ringProdSeq;
-    v._ctx.ringJobActive = false;
+    ring::DeviceState &m = v._ctx.ring.state;
+    const std::uint64_t from = m.compSeq;
+    const std::uint64_t to = m.prodSeq;
+    m.jobActive = false;
     if (from >= to)
         return;
-    v._ctx.ringCompSeq = to;
-    v._ctx.ringConsSeq = to;
+    m.compSeq = to;
+    m.nextSeq = to;
     noteRingCompletes(v, from, to);
     const std::uint64_t err = v._ctx.errStatus;
-    const std::uint64_t base = v._ctx.ringBase;
-    const std::uint32_t entries = v._ctx.ringEntries;
+    const std::uint64_t base = v._ctx.ring.base.value();
+    const std::uint32_t entries = v._ctx.ring.entries;
     const sim::Tick at = eventq().now();
     guest::Process *proc = v._proc;
     // The entry slots and cursor words live in guest memory (host
@@ -650,10 +596,41 @@ OptimusHv::programOffsetEntry(VirtualAccel &v,
 }
 
 void
+OptimusHv::setState(Slot &slot, SlotState to)
+{
+    // The legal source states of each target.
+    using S = SlotState;
+    const S from = slot.state;
+    bool legal = false;
+    switch (to) {
+      case S::kHeld: // creation on a vacant slot; attach() completes
+        legal = from == S::kVacant || from == S::kAttaching;
+        break;
+      case S::kCeding:    // cede()
+      case S::kResetting: // resetHolder()
+        legal = from == S::kHeld;
+        break;
+      case S::kAttaching: // a switch proceeds; a migration onto a
+                          // vacant slot; an import onto an idle
+                          // placeholder
+        legal = from == S::kCeding || from == S::kVacant ||
+                from == S::kHeld;
+        break;
+      case S::kVacant: // vacate()
+        legal = from == S::kCeding || from == S::kResetting;
+        break;
+    }
+    OPTIMUS_ASSERT(legal, "illegal slot transition %d -> %d",
+                   static_cast<int>(from), static_cast<int>(to));
+    slot.state = to;
+    if (slot.midSwitch())
+        slot.sliceTimer.cancel();
+}
+
+void
 OptimusHv::scheduleVaccel(VirtualAccel &v, std::function<void()> done)
 {
-    if (v._sched)
-        ++v._sched->slices;
+    ++v._sched->slices;
     // Attribution: while v holds the slot, every DMA its auditor
     // forwards is stamped with v's VM/process identity.
     if (fpga::HardwareMonitor *m = _platform.monitor())
@@ -695,9 +672,8 @@ OptimusHv::scheduleVaccel(VirtualAccel &v, std::function<void()> done)
             //    command into a half-programmed device.
             auto arm = [this, &v,
                         done = std::move(done)]() mutable {
-                if (v._ctx.ringEnabled)
-                    _platform.accel(v._slot).armRing(
-                        ringConfigFor(v));
+                if (v.ringEnabled())
+                    _platform.accel(v._slot).armRing(v._ctx.ring);
                 done();
             };
             deviceMmioSeq(std::move(w), std::move(arm));
@@ -734,16 +710,45 @@ OptimusHv::setPolicy(std::uint32_t slot_idx, SchedPolicy policy,
 }
 
 void
+OptimusHv::attach(VirtualAccel &v, std::function<void()> done)
+{
+    scheduleVaccel(v, [this, &v, done = std::move(done)]() {
+        Slot &s = _slots[v._slot];
+        setState(s, SlotState::kHeld);
+        s.scheduled = &v;
+        s.scheduledAt = eventq().now();
+        armSliceTimer(v._slot);
+        // The tenant only now gained the hardware: the no-progress
+        // deadline restarts from this instant, invalidating any check
+        // armed while the switch (38us of software cost plus the VCU
+        // sequence) was still in flight — that one would expire
+        // before the device had a chance to move.
+        v._watchdog.cancel();
+        armWatchdog(v);
+        done();
+    });
+}
+
+void
+OptimusHv::wake(VirtualAccel &v)
+{
+    // A vacant slot (e.g. after a quarantine reset emptied it) is
+    // claimed now: its dormant slice timer would never fire.
+    if (_slots[v._slot].state == SlotState::kVacant)
+        performSwitch(v._slot, &v);
+    else
+        armSliceTimer(v._slot);
+    armWatchdog(v);
+}
+
+void
 OptimusHv::armSliceTimer(std::uint32_t slot_idx)
 {
     Slot &slot = _slots[slot_idx];
-    std::uint64_t epoch = ++slot.timerEpoch;
+    slot.sliceTimer.cancel();
     if (slot.vaccels.size() < 2 || slot.scheduled == nullptr)
         return;
-    eventq().scheduleIn(sliceFor(slot, *slot.scheduled),
-                        [this, slot_idx, epoch]() {
-                            sliceExpired(slot_idx, epoch);
-                        });
+    slot.sliceTimer.scheduleIn(sliceFor(slot, *slot.scheduled));
 }
 
 namespace {
@@ -790,10 +795,10 @@ OptimusHv::pickNext(Slot &slot)
 }
 
 void
-OptimusHv::sliceExpired(std::uint32_t slot_idx, std::uint64_t epoch)
+OptimusHv::sliceExpired(std::uint32_t slot_idx)
 {
     Slot &slot = _slots[slot_idx];
-    if (epoch != slot.timerEpoch || slot.switching)
+    if (slot.midSwitch())
         return;
 
     VirtualAccel *next = pickNext(slot);
@@ -819,28 +824,12 @@ OptimusHv::performSwitch(std::uint32_t slot_idx, VirtualAccel *to)
     OPTIMUS_ASSERT(optimusMode(),
                    "temporal multiplexing requires OPTIMUS mode");
     auto proceed = [this, slot_idx, to]() {
+        setState(_slots[slot_idx], SlotState::kAttaching);
         ++_ctxSwitches;
         // Software cost: trap handling, table updates, register
         // synchronization bookkeeping.
-        eventq().scheduleIn(
-            _platform.params().contextSwitchSwCost,
-            [this, slot_idx, to]() {
-                scheduleVaccel(*to, [this, slot_idx, to]() {
-                    Slot &s = _slots[slot_idx];
-                    s.scheduled = to;
-                    s.scheduledAt = eventq().now();
-                    s.switching = false;
-                    armSliceTimer(slot_idx);
-                    // The tenant only now gained the hardware: the
-                    // no-progress deadline restarts from this instant,
-                    // invalidating any check armed while the switch
-                    // (38us of software cost plus the VCU sequence)
-                    // was still in flight — that one would expire
-                    // before the device had a chance to move.
-                    to->_wdArmed = false;
-                    armWatchdog(*to);
-                });
-            });
+        eventq().scheduleIn(_platform.params().contextSwitchSwCost,
+                            [this, to]() { attach(*to, []() {}); });
     };
 
     Slot &slot = _slots[slot_idx];
@@ -850,8 +839,6 @@ OptimusHv::performSwitch(std::uint32_t slot_idx, VirtualAccel *to)
              [proceed](bool) { proceed(); });
         return;
     }
-    slot.switching = true;
-    ++slot.timerEpoch; // cancel any pending slice timer
     proceed();
 }
 
@@ -860,11 +847,10 @@ OptimusHv::cede(std::uint32_t slot_idx, VirtualAccel &v,
                 bool ring_errors, std::function<void(bool)> then)
 {
     Slot &slot = _slots[slot_idx];
-    slot.switching = true;
-    ++slot.timerEpoch; // cancel any pending slice timer
+    setState(slot, SlotState::kCeding);
     notePreempted(slot_idx, v);
 
-    auto outcome = [this, slot_idx, &v, ring_errors,
+    slot.onCeded = [this, slot_idx, &v, ring_errors,
                     then = std::move(then)](bool saved) {
         VaccelContext &c = v._ctx;
         if (saved) {
@@ -888,33 +874,33 @@ OptimusHv::cede(std::uint32_t slot_idx, VirtualAccel &v,
         v._ctx.visibleStatus == Status::kRunning) {
         // The accelerator does not implement the preemption
         // interface (no state buffer): forcibly reset it.
-        outcome(false);
+        settleCede(slot_idx, false);
         return;
     }
 
     // Ask the accelerator to save its context; the SAVED doorbell
     // (onDoorbell) or else the timeout takes the outcome.
-    std::uint64_t token = ++slot.preemptToken;
-    slot.onCeded = std::move(outcome);
-    eventq().scheduleIn(_platform.params().preemptTimeout,
-                        [this, slot_idx, token]() {
-                            Slot &s = _slots[slot_idx];
-                            if (s.preemptToken != token || !s.onCeded)
-                                return; // save completed in time
-                            auto cb = std::move(s.onCeded);
-                            s.onCeded = nullptr;
-                            cb(false);
-                        });
+    slot.preemptTimer.scheduleIn(_platform.params().preemptTimeout);
     deviceMmio(true, accelRegOffset(slot_idx, reg::kCtrl),
                ctrl::kPreempt, nullptr);
+}
+
+void
+OptimusHv::settleCede(std::uint32_t slot_idx, bool saved)
+{
+    Slot &slot = _slots[slot_idx];
+    slot.preemptTimer.cancel();
+    auto outcome = std::move(slot.onCeded);
+    slot.onCeded = nullptr;
+    outcome(saved);
 }
 
 void
 OptimusHv::vacate(std::uint32_t slot_idx)
 {
     Slot &slot = _slots[slot_idx];
+    setState(slot, SlotState::kVacant);
     slot.scheduled = nullptr;
-    slot.switching = false;
     // Co-tenants keep their shares: the next eligible vaccel takes the
     // slot through the full reattach path (VCU reset, offset entry,
     // register replay).
@@ -930,26 +916,21 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
     if (v == nullptr)
         return;
 
-    if (v->_sched)
-        ++v->_sched->doorbells;
+    ++v->_sched->doorbells;
 
     Status st = a.status();
     if (st == Status::kSaved) {
         // The poller is quiescent now: refresh the ring mirrors so
         // the saved context re-arms exactly where the device stopped.
         syncRingFromDevice(*v, a);
-        if (slot.onCeded) {
-            ++slot.preemptToken; // cancel the timeout
-            auto cb = std::move(slot.onCeded);
-            slot.onCeded = nullptr;
-            cb(true);
-        }
+        if (slot.onCeded)
+            settleCede(slot_idx, true);
         return;
     }
     if (st == Status::kDone || st == Status::kError) {
         if (st == Status::kError)
             noteError(*v, accel::errst::kDeviceError);
-        if (v->_ctx.ringEnabled) {
+        if (v->ringEnabled()) {
             syncRingFromDevice(*v, a);
             v->_ctx.cachedResult = a.result();
             v->_ctx.cachedProgress = a.progress();
@@ -966,8 +947,9 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
             // Drained doorbell: every entry the device knew of is
             // complete. A publish kick that raced the drain just
             // re-notifies the poller instead.
-            if (v->_ctx.ringProdSeq > v->_ctx.ringConsSeq) {
-                a.ringNotify(v->_ctx.ringProdSeq);
+            const ring::DeviceState &m = v->_ctx.ring.state;
+            if (m.prodSeq > m.nextSeq) {
+                a.ringNotify(m.prodSeq);
                 return;
             }
             v->_ctx.visibleStatus = Status::kDone;
@@ -983,151 +965,115 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
     }
 }
 
+bool
+OptimusHv::release(VirtualAccel &v, bool ring_errors,
+                   std::function<void(bool)> then)
+{
+    const std::uint32_t slot_idx = v._slot;
+    Slot &slot = _slots[slot_idx];
+    const bool running = v._ctx.visibleStatus == Status::kRunning;
+    if (slot.midSwitch() ||
+        (slot.scheduled == &v && running && v._ctx.stateBufGva == 0))
+        return false;
+    if (slot.scheduled != &v) {
+        // Descheduled: the cached registers and saved context are
+        // already complete.
+        then(true);
+    } else if (running) {
+        cede(slot_idx, v, ring_errors,
+             [this, slot_idx, then = std::move(then)](bool saved) {
+                 then(saved);
+                 vacate(slot_idx);
+             });
+    } else {
+        // Nothing live on the device (idle or finished, with the
+        // result already cached by the doorbell): no PREEMPT.
+        resetHolder(slot_idx);
+        then(true);
+    }
+    return true;
+}
+
 void
 OptimusHv::migrate(VirtualAccel &v, std::uint32_t dst_idx,
                    std::function<void(bool)> done)
 {
     OPTIMUS_ASSERT(dst_idx < _slots.size(), "bad destination slot");
     const std::uint32_t src_idx = v._slot;
-    if (!optimusMode() || dst_idx == src_idx) {
-        done(false);
-        return;
-    }
     // Both slots must host the same accelerator configuration:
     // migration moves state, not bitstreams.
     const auto &apps = _platform.config().apps;
-    if (apps[src_idx] != apps[dst_idx]) {
+    if (!optimusMode() || dst_idx == src_idx ||
+        apps[src_idx] != apps[dst_idx] || _slots[dst_idx].midSwitch()) {
         done(false);
         return;
     }
-    if (_slots[src_idx].switching || _slots[dst_idx].switching) {
-        done(false); // a context switch is already in flight
-        return;
-    }
-    const bool held = _slots[src_idx].scheduled == &v;
-    if (held && v._ctx.visibleStatus == Status::kRunning &&
-        v._ctx.stateBufGva == 0) {
-        done(false); // cannot cede without a state buffer
-        return;
-    }
-
-    // Saved, or never scheduled: the cached registers and saved
-    // context (if any) move with the vaccel. Force-reset: it stays,
+    // Saved, reset or never scheduled, v moves with its cached
+    // registers and saved context (if any). Force-reset, it stays,
     // errored, on the source slot.
-    auto relocate = [this, &v, src_idx, dst_idx,
-                     done = std::move(done)](bool saved) {
-        Slot &src = _slots[src_idx];
+    auto move = [this, &v, src_idx, dst_idx, done](bool saved) {
         if (!saved) {
-            vacate(src_idx);
             done(false);
             return;
         }
+        Slot &src = _slots[src_idx];
         auto it = std::find_if(
             src.vaccels.begin(), src.vaccels.end(),
             [&v](const auto &p) { return p.get() == &v; });
         OPTIMUS_ASSERT(it != src.vaccels.end(),
                        "migrating an unknown virtual accelerator");
-        std::unique_ptr<VirtualAccel> owned = std::move(*it);
+        Slot &dst = _slots[dst_idx];
+        dst.vaccels.push_back(std::move(*it));
         src.vaccels.erase(it);
         if (!src.vaccels.empty())
             src.rrNext %= static_cast<std::uint32_t>(
                 src.vaccels.size());
-
-        Slot &dst = _slots[dst_idx];
         v._slot = dst_idx;
-        dst.vaccels.push_back(std::move(owned));
         ++_migrations;
 
-        // Hand the source slot to its next tenant, unless a co-tenant
-        // holds it.
-        if (src.scheduled == &v || src.scheduled == nullptr)
-            vacate(src_idx);
-
-        // Schedule on the destination, or let its timer pick v up.
-        if (dst.scheduled == nullptr && !dst.switching) {
-            dst.scheduled = &v;
-            dst.scheduledAt = eventq().now();
-            scheduleVaccel(v, [done]() { done(true); });
+        // Only a running job takes the hardware: a vacant destination
+        // now, an occupied one at its next slice.
+        if (v._ctx.visibleStatus != Status::kRunning) {
+            done(true);
+        } else if (dst.state == SlotState::kVacant) {
+            setState(dst, SlotState::kAttaching);
+            attach(v, [done]() { done(true); });
         } else {
+            armSliceTimer(dst_idx);
             done(true);
         }
-        if (dst.vaccels.size() >= 2)
-            armSliceTimer(dst_idx);
     };
-    if (held)
-        cede(src_idx, v, true, std::move(relocate));
-    else
-        relocate(true);
+    if (!release(v, true, std::move(move)))
+        done(false); // a switch is in flight, or v cannot cede
 }
 
 void
 OptimusHv::exportContext(
     VirtualAccel &v, std::function<void(bool, VaccelContext)> done)
 {
-    if (!optimusMode()) {
-        done(false, {});
-        return;
-    }
-    Slot &src = _slots[v._slot];
-    if (src.switching) {
-        done(false, {}); // a context switch is in flight; retry
-        return;
-    }
-
     // Snapshot the hypervisor-side state, then neutralize the source
     // vaccel: the job now lives in the context, so the local
-    // scheduler must never consider it eligible again.
-    auto capture = [&v]() {
+    // scheduler must never consider it eligible again. A forced reset
+    // exports the errored context anyway: the destination's service
+    // layer sees kError with the kForcedReset bit and retries the
+    // request, and importContext() posts the ring error completions.
+    auto capture = [&v, done](bool) {
         VaccelContext ctx = v._ctx;
         v._ctx.pendingStart = false;
         v._ctx.savedContext = false;
         v._ctx.visibleStatus = Status::kIdle;
-        ++v._wdEpoch; // cancel any pending watchdog check
-        v._wdArmed = false;
-        return ctx;
+        v._watchdog.cancel();
+        done(true, std::move(ctx));
     };
-
-    if (src.scheduled != &v) {
-        // Descheduled: the cached registers and saved context are
-        // already complete.
-        done(true, capture());
-        return;
-    }
-
-    const std::uint32_t src_idx = v._slot;
-    if (v._ctx.visibleStatus == Status::kRunning) {
-        if (v._ctx.stateBufGva == 0) {
-            done(false, {}); // cannot cede without a state buffer
-            return;
-        }
-        // A forced reset exports the errored context anyway: the
-        // destination's service layer sees kError with the
-        // kForcedReset bit and retries the request, and
-        // importContext() posts the ring error completions.
-        cede(src_idx, v, false, [this, src_idx, capture, done](bool) {
-            VaccelContext ctx = capture();
-            vacate(src_idx);
-            done(true, std::move(ctx));
-        });
-        return;
-    }
-
-    // Nothing live on the device (idle or completed, with the result
-    // already cached by the doorbell): reset the slot for the next
-    // tenant and capture directly, without a PREEMPT.
-    src.switching = true;
-    ++src.timerEpoch;
-    notePreempted(src_idx, v);
-    VaccelContext ctx = capture();
-    vcuReset(src_idx, [this, src_idx]() { vacate(src_idx); });
-    done(true, std::move(ctx));
+    if (!optimusMode() || !release(v, false, std::move(capture)))
+        done(false, {}); // retry later
 }
 
 void
 OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx)
 {
     v._ctx = ctx;
-    if (ctx.ringEnabled) {
+    if (v.ringEnabled()) {
         // A kError context with submitted-but-uncompleted entries
         // came from a forced reset that raced the export — the
         // source could not post the error completions, so deliver
@@ -1136,54 +1082,32 @@ OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx)
             postRingErrors(v);
         // Re-arm an idle placeholder's poller with the imported
         // cursors (tenant setup armed it with fresh ones).
-        Slot &rs = _slots[v._slot];
-        if (rs.scheduled == &v && !rs.switching)
-            _platform.accel(v._slot).armRing(ringConfigFor(v));
+        if (isScheduled(v))
+            _platform.accel(v._slot).armRing(v._ctx.ring);
     }
     if (ctx.visibleStatus != Status::kRunning || !optimusMode())
         return;
 
-    // Mirror a postponed START: claim a vacant slot now, or wait for
-    // the slice timer. One extra case is specific to import — v may
-    // itself be holding the slot as an idle placeholder (destination
-    // bindings are created eagerly); switching to it would idle-save
-    // the device and clobber the imported context, so reprogram the
-    // device from the context instead.
-    Slot &slot = _slots[v._slot];
-    std::uint32_t slot_idx = v._slot;
-    if (slot.scheduled == &v && !slot.switching) {
-        slot.switching = true;
-        ++slot.timerEpoch;
+    // Mirror a postponed START. One extra case is specific to import:
+    // v may itself be holding the slot as an idle placeholder
+    // (destination bindings are created eagerly); switching to it
+    // would idle-save the device and clobber the imported context, so
+    // reprogram the device from the context instead.
+    if (isScheduled(v)) {
+        setState(_slots[v._slot], SlotState::kAttaching);
         ++_ctxSwitches;
-        scheduleVaccel(v, [this, slot_idx]() {
-            Slot &s = _slots[slot_idx];
-            s.scheduledAt = eventq().now();
-            s.switching = false;
-            armSliceTimer(slot_idx);
-            if (s.scheduled) {
-                s.scheduled->_wdArmed = false;
-                armWatchdog(*s.scheduled);
-            }
-        });
+        attach(v, []() {});
         return;
     }
-    if (slot.scheduled == nullptr && !slot.switching)
-        performSwitch(slot_idx, &v);
-    else
-        armSliceTimer(slot_idx);
-    armWatchdog(v);
+    wake(v);
 }
 
 void
 OptimusHv::notePreempted(std::uint32_t slot_idx, VirtualAccel &v)
 {
     Slot &slot = _slots[slot_idx];
-    sim::Tick held = eventq().now() - slot.scheduledAt;
-    _occupancy[v._id] += held;
-    if (v._sched) {
-        v._sched->occupancyTicks += held;
-        ++v._sched->preempts;
-    }
+    v._sched->occupancyTicks += eventq().now() - slot.scheduledAt;
+    ++v._sched->preempts;
     emitTrace(sim::TraceKind::kSchedPreempt, &v, v._id, slot_idx,
               slot.scheduledAt);
 }
@@ -1207,59 +1131,40 @@ OptimusHv::setWatchdog(sim::Tick deadline)
 void
 OptimusHv::armWatchdog(VirtualAccel &v)
 {
-    if (_wdDeadline == 0 || v._wdArmed)
+    if (_wdDeadline == 0 || v._watchdog.armed())
         return;
-    v._wdArmed = true;
     v._wdLastProgress = peekProgress(v);
-    std::uint64_t epoch = ++v._wdEpoch;
-    VirtualAccel *vp = &v;
-    eventq().scheduleIn(_wdDeadline, [this, vp, epoch]() {
-        watchdogCheck(vp, epoch);
-    });
+    v._watchdog.scheduleIn(_wdDeadline);
 }
 
 void
-OptimusHv::watchdogCheck(VirtualAccel *v, std::uint64_t epoch)
+OptimusHv::watchdogCheck(VirtualAccel &v)
 {
-    if (epoch != v->_wdEpoch)
-        return;
-    v->_wdArmed = false;
-    if (_wdDeadline == 0)
-        return;
-    if (v->_ctx.visibleStatus != Status::kRunning)
-        return; // finished or reset; the next START re-arms
-    Slot &slot = _slots[v->_slot];
-    if (slot.scheduled != v || slot.switching) {
-        // Descheduled by temporal multiplexing: progress legitimately
-        // cannot advance, so the deadline restarts from here.
-        armWatchdog(*v);
-        return;
+    if (_wdDeadline == 0 || v._ctx.visibleStatus != Status::kRunning)
+        return; // disabled, or finished or reset: the next START re-arms
+    if (isScheduled(v)) {
+        // The health probe is an MMIO read of PROGRESS: a device whose
+        // MMIO interface wedged answers all-ones, which can never
+        // match a live progress counter — the probe fails, the tenant
+        // is quarantined even though the datapath may still be moving.
+        std::uint64_t p = _platform.accel(v._slot).mmioWedged()
+                              ? ~0ULL
+                              : peekProgress(v);
+        if (p == v._wdLastProgress || p == ~0ULL) {
+            quarantine(v);
+            return;
+        }
     }
-    // The health probe is an MMIO read of PROGRESS: a device whose
-    // MMIO interface wedged answers all-ones, which can never match
-    // a live progress counter — the probe fails, the tenant is
-    // quarantined even though the datapath may still be moving.
-    std::uint64_t p = _platform.accel(v->_slot).mmioWedged()
-                          ? ~0ULL
-                          : peekProgress(*v);
-    if (p != v->_wdLastProgress && p != ~0ULL) {
-        v->_wdLastProgress = p;
-        v->_wdArmed = true;
-        std::uint64_t next = ++v->_wdEpoch;
-        eventq().scheduleIn(_wdDeadline, [this, v, next]() {
-            watchdogCheck(v, next);
-        });
-        return;
-    }
-    quarantine(*v);
+    // Progressing, or descheduled by temporal multiplexing (progress
+    // legitimately cannot advance): the deadline restarts from here.
+    armWatchdog(v);
 }
 
 void
 OptimusHv::quarantine(VirtualAccel &v)
 {
     ++_watchdogFires;
-    if (v._sched)
-        ++v._sched->watchdogFires;
+    ++v._sched->watchdogFires;
     noteError(v, accel::errst::kWatchdog);
     v._ctx.visibleStatus = Status::kError;
     v._ctx.quarantined = true;
@@ -1282,21 +1187,23 @@ OptimusHv::resetSlot(std::uint32_t slot_idx)
     ++_slotResets;
     emitTrace(sim::TraceKind::kSlotReset, slot.scheduled, slot_idx,
               1ULL << slot_idx);
-    if (slot.scheduled)
-        notePreempted(slot_idx, *slot.scheduled);
-
-    if (!optimusMode()) {
-        // Pass-through has no VCU: reset the device directly. The
-        // sole tenant keeps its binding to the slot.
-        slot.scheduledAt = eventq().now();
-        _platform.accel(slot_idx).hardReset();
+    if (optimusMode()) {
+        resetHolder(slot_idx);
         return;
     }
+    // Pass-through has no VCU: reset the device directly. The sole
+    // tenant keeps its binding to the slot.
+    notePreempted(slot_idx, *slot.scheduled);
+    slot.scheduledAt = eventq().now();
+    _platform.accel(slot_idx).hardReset();
+}
 
-    slot.switching = true;
-    ++slot.timerEpoch;   // cancel the pending slice timer
-    ++slot.preemptToken; // cancel any pending preempt timeout
-    slot.onCeded = nullptr;
+void
+OptimusHv::resetHolder(std::uint32_t slot_idx)
+{
+    Slot &slot = _slots[slot_idx];
+    setState(slot, SlotState::kResetting);
+    notePreempted(slot_idx, *slot.scheduled);
     vcuReset(slot_idx, [this, slot_idx]() { vacate(slot_idx); });
 }
 
@@ -1312,8 +1219,7 @@ void
 OptimusHv::noteError(VirtualAccel &v, std::uint64_t bits)
 {
     v._ctx.errStatus |= bits;
-    if (v._sched)
-        ++v._sched->faults;
+    ++v._sched->faults;
 }
 
 VirtualAccel *
@@ -1349,7 +1255,7 @@ OptimusHv::isScheduled(const VirtualAccel &v) const
     // on a device about to be reset for the incoming tenant, and
     // the job would be lost with the vaccel stuck in kRunning.
     const Slot &slot = _slots[v._slot];
-    return slot.scheduled == &v && !slot.switching;
+    return slot.scheduled == &v && slot.state == SlotState::kHeld;
 }
 
 std::uint64_t
@@ -1366,7 +1272,7 @@ OptimusHv::peekProgress(const VirtualAccel &v) const
 sim::Tick
 OptimusHv::occupancy(const VirtualAccel &v) const
 {
-    sim::Tick t = _occupancy[v._id];
+    sim::Tick t = v._sched->occupancyTicks.value();
     const Slot &slot = _slots[v._slot];
     if (slot.scheduled == &v)
         t += _platform.eventq().now() - slot.scheduledAt;

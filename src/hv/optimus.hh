@@ -67,20 +67,14 @@ struct VaccelContext
     std::uint64_t cachedProgress = 0;
     std::uint64_t errStatus = 0;
     bool quarantined = false;
-    /** Command-ring attachment and mirrored cursors (DESIGN.md §14):
-     *  the guest's publish cursor and the device poller's fetch/post
-     *  cursors, refreshed at every doorbell, which re-arm the poller
-     *  exactly after preemption, slot migration and import. The ring
-     *  contents themselves live in the tenant's DMA window and travel
-     *  with the migration memory image. */
-    bool ringEnabled = false;
-    std::uint64_t ringBase = 0;
-    std::uint32_t ringEntries = 0;
-    std::uint64_t ringProdSeq = 0;
-    std::uint64_t ringConsSeq = 0;
-    std::uint64_t ringCompSeq = 0;
-    std::uint64_t ringJobSeq = 0;
-    bool ringJobActive = false;
+    /** Command-ring attachment (entries != 0 once setupRing() ran)
+     *  and mirrored cursors (DESIGN.md §14): the guest's publish
+     *  cursor and the device poller's fetch/post cursors, refreshed at
+     *  every doorbell, which re-arm the poller exactly after
+     *  preemption, slot migration and import. The ring contents
+     *  themselves live in the tenant's DMA window and travel with the
+     *  migration memory image. */
+    ring::DeviceConfig ring;
 };
 
 /** One virtual accelerator, as exposed to a guest. */
@@ -127,11 +121,11 @@ class VirtualAccel
 
     /** Whether this vaccel drives its jobs through a shared-memory
      *  command ring (OptimusHv::setupRing) instead of MMIO START. */
-    bool ringEnabled() const { return _ctx.ringEnabled; }
+    bool ringEnabled() const { return _ctx.ring.entries != 0; }
     /** Hypervisor mirror of the guest's published submit cursor. */
-    std::uint64_t ringProdSeq() const { return _ctx.ringProdSeq; }
+    std::uint64_t ringProdSeq() const { return _ctx.ring.state.prodSeq; }
     /** Hypervisor mirror of the device's completion cursor. */
-    std::uint64_t ringCompSeq() const { return _ctx.ringCompSeq; }
+    std::uint64_t ringCompSeq() const { return _ctx.ring.state.compSeq; }
 
   private:
     friend class OptimusHv;
@@ -186,9 +180,9 @@ class VirtualAccel
     /** Everything a migration moves; exportContext() hands out a
      *  copy and importContext() assigns one. */
     VaccelContext _ctx;
-    /** Watchdog state: arm epoch, armed flag, last progress seen. */
-    std::uint64_t _wdEpoch = 0;
-    bool _wdArmed = false;
+    /** The forward-progress check (OptimusHv::setWatchdog) and the
+     *  progress it last saw. */
+    sim::PeriodicEvent _watchdog;
     std::uint64_t _wdLastProgress = 0;
 
     double _weight = 1.0;
@@ -246,11 +240,13 @@ class OptimusHv
      * (Section 7.1: "OPTIMUS's virtual accelerators can
      * theoretically be migrated" — implemented here as an
      * extension). The destination must host the same accelerator
-     * configuration. A scheduled vaccel is preempted first; its
-     * saved context resumes on the destination. @p done receives
-     * false if the migration could not start (mismatched app types,
-     * a context switch already in flight, or a running vaccel without
-     * a state buffer), or if the preempt timed out: the source is then
+     * configuration. A running holder is preempted first, an idle or
+     * finished one reset without a PREEMPT (release()). Only a running
+     * job takes the destination's hardware: a vacant slot at once, an
+     * occupied one at its next slice. @p done receives false if the
+     * migration could not start (mismatched app types, a context
+     * switch already in flight, or a running vaccel without a state
+     * buffer), or if the preempt timed out: the source is then
      * force-reset and the vaccel stays, in kError with the
      * kForcedReset ERR_STATUS bit, on its slot.
      */
@@ -374,20 +370,40 @@ class OptimusHv
     sim::Tick occupancy(const VirtualAccel &v) const;
 
   private:
+    /** A physical slot's lifecycle (DESIGN.md §4). setState() is its
+     *  one writer and holds the table of legal transitions. */
+    enum class SlotState
+    {
+        kVacant,    ///< no holder
+        kHeld,      ///< `scheduled` owns the device
+        kCeding,    ///< cede(): the holder is preempted or force-reset
+        kResetting, ///< resetHolder(): reset without a PREEMPT
+        kAttaching, ///< attach() programs the incoming tenant
+    };
+
     struct Slot
     {
         std::vector<std::unique_ptr<VirtualAccel>> vaccels;
         SchedPolicy policy = SchedPolicy::kRoundRobin;
         sim::Tick baseSlice = 0;
         std::uint32_t rrNext = 0;
+        SlotState state = SlotState::kVacant;
+        /** The holder; while a switch is in flight, the outgoing one
+         *  (nullptr if the slot was vacant). */
         VirtualAccel *scheduled = nullptr;
-        bool switching = false;
-        std::uint64_t timerEpoch = 0;
-        std::uint64_t preemptToken = 0;
-        /** The pending cede's outcome (see cede()): taken exactly once,
-         *  by the SAVED doorbell (true) or the preempt timeout (false). */
-        std::function<void(bool)> onCeded;
         sim::Tick scheduledAt = 0;
+        sim::PeriodicEvent sliceTimer;
+        /** The pending cede's outcome (see cede()): taken exactly once,
+         *  by the SAVED doorbell (true) or preemptTimer (false). */
+        std::function<void(bool)> onCeded;
+        sim::PeriodicEvent preemptTimer;
+
+        /** A switch or reset owns the slot: no tenant may use the
+         *  device, and migrations are refused. */
+        bool midSwitch() const
+        {
+            return state != SlotState::kVacant && state != SlotState::kHeld;
+        }
     };
 
     bool optimusMode() const
@@ -422,19 +438,36 @@ class OptimusHv
     void programOffsetEntry(VirtualAccel &v,
                             std::function<void()> done);
     void armWatchdog(VirtualAccel &v);
-    void watchdogCheck(VirtualAccel *v, std::uint64_t epoch);
+    void watchdogCheck(VirtualAccel &v);
     void quarantine(VirtualAccel &v);
     /** Reset a physical slot via the VCU and reschedule its tenants. */
     void resetSlot(std::uint32_t slot_idx);
+    /** kHeld -> kResetting: account the holder's preemption, reset the
+     *  device through the VCU, then vacate(). */
+    void resetHolder(std::uint32_t slot_idx);
     /** Write @p slot_idx's bit to the VCU reset table, then @p done. */
     void vcuReset(std::uint32_t slot_idx, std::function<void()> done);
     /** Raise ERR_STATUS bits on @p v (guest-visible, per-tenant). */
     void noteError(VirtualAccel &v, std::uint64_t bits);
     /** Account a preemption: occupancy, counters, trace record. */
     void notePreempted(std::uint32_t slot_idx, VirtualAccel &v);
+    /** The one writer of Slot::state; panics on an illegal
+     *  transition. A slot that stops running a holder stops its
+     *  slice timer. */
+    void setState(Slot &slot, SlotState to);
     void scheduleVaccel(VirtualAccel &v, std::function<void()> done);
+    /**
+     * Bring @p v onto its slot, which the caller put in kAttaching:
+     * reset and reprogram the device (scheduleVaccel()), mark the slot
+     * held by @p v, restart the slice timer and @p v's watchdog, then
+     * call @p done.
+     */
+    void attach(VirtualAccel &v, std::function<void()> done);
+    /** Runnable @p v wants the hardware: claim its slot if vacant,
+     *  else wait for the slice timer; arm its watchdog. */
+    void wake(VirtualAccel &v);
     void armSliceTimer(std::uint32_t slot_idx);
-    void sliceExpired(std::uint32_t slot_idx, std::uint64_t epoch);
+    void sliceExpired(std::uint32_t slot_idx);
     VirtualAccel *pickNext(Slot &slot);
     void performSwitch(std::uint32_t slot_idx, VirtualAccel *to);
     /**
@@ -446,18 +479,30 @@ class OptimusHv
      * no saved context, a VCU reset, then @p then(false). With
      * @p ring_errors the forced reset first posts v's ring error
      * completions; without it importContext() posts them from v's
-     * exported context. The slot stays switching with v scheduled
-     * until @p then hands it on.
+     * exported context. The slot stays kCeding with v scheduled until
+     * @p then hands it on.
      */
     void cede(std::uint32_t slot_idx, VirtualAccel &v, bool ring_errors,
               std::function<void(bool)> then);
+    /** Take the pending cede's outcome on @p slot_idx (see cede()). */
+    void settleCede(std::uint32_t slot_idx, bool saved);
     /** Release @p slot_idx and hand it to the next eligible tenant. */
     void vacate(std::uint32_t slot_idx);
+    /**
+     * Detach @p v from the hardware, the half that migrate() and
+     * exportContext() share. A running holder is ceded (see cede();
+     * @p ring_errors as there); an idle or finished holder is reset
+     * without a PREEMPT; a descheduled @p v is left alone. @p then
+     * receives whether v's context survived (false: forced reset) and
+     * runs before the slot is handed on. Returns false, without
+     * calling @p then, while a switch holds the slot or when a running
+     * holder has no state buffer.
+     */
+    bool release(VirtualAccel &v, bool ring_errors,
+                 std::function<void(bool)> then);
     void onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a);
     sim::Tick sliceFor(const Slot &slot, const VirtualAccel &v) const;
     std::uint64_t sliceStride() const;
-    /** Device-side ring cursors for re-arming @p v's poller. */
-    ring::DeviceConfig ringConfigFor(const VirtualAccel &v) const;
     /** Refresh @p v's ring mirrors from the device poller's cursors
      *  (at doorbells, while @p v still owns the device). */
     void syncRingFromDevice(VirtualAccel &v,
@@ -486,8 +531,6 @@ class OptimusHv
     std::vector<std::unique_ptr<guest::Vm>> _vms;
     std::uint32_t _nextVaccelId = 0;
 
-    /** Per-vaccel accumulated occupancy, indexed by vaccel id. */
-    std::vector<sim::Tick> _occupancy;
     /** Every vaccel ever created, indexed by id (owner: its slot). */
     std::vector<VirtualAccel *> _byId;
     sim::Tick _wdDeadline = 0;

@@ -2,8 +2,7 @@
  * @file
  * Stock trace-bus sinks: an in-memory collector (tests, ad-hoc
  * analysis) and a Chrome-trace/Perfetto JSON exporter keyed by
- * component path.  The CSV DMA trace lives in ccip/trace.hh as
- * another sink over the same bus.
+ * component path.  Any number of sinks can observe one bus.
  */
 
 #ifndef OPTIMUS_SIM_TRACE_SINKS_HH

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -283,6 +287,39 @@ TEST(ExpRunner, WallClockCellsAreOutsideTheContract)
     exp::ResultRow c("row");
     c.count("ops", 101).wall("wall_ms", "%.2f", 1.23);
     EXPECT_FALSE(exp::sameResults(a, c));
+}
+
+TEST(ExpRunner, NonFiniteMetricsWriteJsonNull)
+{
+    // A ratio over an empty window (0/0) or a zero denominator must
+    // still leave a parseable file: JSON has no inf or nan.
+    exp::Runner r("t");
+    r.table("tbl", "test");
+    r.add("ratios", [](const exp::RunContext &) {
+        return exp::ResultRow("ratios")
+            .num("over_zero", "%.2f",
+                 std::numeric_limits<double>::infinity())
+            .num("zero_over_zero", "%.2f",
+                 std::numeric_limits<double>::quiet_NaN())
+            .num("one", "%.2f", 1.0);
+    });
+    exp::Runner::Options o;
+    o.quiet = true;
+    o.jsonPath = testing::TempDir() + "exp_runner_nonfinite.json";
+    ASSERT_EQ(r.run(o), 0);
+
+    std::ifstream in(o.jsonPath);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string json = ss.str();
+    EXPECT_NE(json.find("\"over_zero\": null"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"zero_over_zero\": null"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"one\": 1"), std::string::npos) << json;
+    EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+    EXPECT_EQ(json.find("nan"), std::string::npos) << json;
+    std::remove(o.jsonPath.c_str());
 }
 
 TEST(ExpRunner, RemovedSplitFlagFailsParsingCleanly)

@@ -58,10 +58,12 @@ TEST(HistogramTest, BucketBoundsBracketEveryValue)
         // The very top bucket's bound saturates (2^64 - 1 is
         // inclusive there); everywhere else hi is exclusive.
         EXPECT_GE(Histogram::bucketHi(idx), v) << "v=" << v;
-        if (v != ~std::uint64_t{0})
+        if (v != ~std::uint64_t{0}) {
             EXPECT_GT(Histogram::bucketHi(idx), v) << "v=" << v;
-        if (v > prev_val)
+        }
+        if (v > prev_val) {
             EXPECT_GE(idx, prev_idx) << "v=" << v;
+        }
         prev_idx = idx;
         prev_val = v;
     }

@@ -7,14 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include <sstream>
+#include <vector>
 
 #include "ccip/channel_selector.hh"
 #include "ccip/link.hh"
 #include "ccip/shell.hh"
-#include "ccip/trace.hh"
 #include "iommu/iommu.hh"
 #include "mem/host_memory.hh"
 #include "mem/memory_controller.hh"
@@ -279,45 +277,46 @@ class TracedShellFixture : public ::testing::Test
     std::vector<DmaTxnPtr> responses;
 };
 
-TEST_F(TracedShellFixture, TraceWriterRecordsCompletedTransactions)
+TEST_F(TracedShellFixture, TwoSinksBothObserveTheSameTransaction)
 {
-    std::ostringstream os;
-    ccip::TraceWriter trace(os, bus);
+    // Regression for the old Shell::setTracer single-slot design,
+    // where attaching a second tracer silently evicted the first.
+    const std::uint32_t mask =
+        sim::traceMask(sim::TraceKind::kDmaComplete);
+    sim::ChromeTraceSink chrome(bus, mask);
+    sim::CollectSink collector;
+    bus.attach(&collector, mask);
 
-    auto w = makeTxn(true, 0x40);
+    auto w = makeTxn(true, 0x80);
     shell.fromAfu(w);
     auto bad = makeTxn(false, 0x4000000000ULL); // faults
     shell.fromAfu(bad);
     runAll();
 
-    EXPECT_EQ(trace.rows(), 2u);
-    std::string csv = os.str();
-    EXPECT_NE(csv.find("complete_ns,issue_ns,rw,tag,iova"),
-              std::string::npos);
-    EXPECT_NE(csv.find(",W,"), std::string::npos);
-    EXPECT_NE(csv.find(",1\n"), std::string::npos); // error row
-}
+    EXPECT_EQ(chrome.size(), 2u);
+    ASSERT_EQ(collector.records().size(), 2u);
+    const sim::TraceRecord *write = nullptr;
+    const sim::TraceRecord *fault = nullptr;
+    for (const sim::TraceRecord &r : collector.records()) {
+        EXPECT_EQ(r.kind, sim::TraceKind::kDmaComplete);
+        if (r.addr == 0x80u)
+            write = &r;
+        else
+            fault = &r;
+    }
+    ASSERT_NE(write, nullptr);
+    ASSERT_NE(fault, nullptr);
+    EXPECT_NE(write->flags & sim::kTraceWrite, 0);
+    EXPECT_EQ(write->flags & sim::kTraceError, 0);
+    EXPECT_NE(fault->flags & sim::kTraceError, 0);
 
-TEST_F(TracedShellFixture, TwoSinksBothObserveTheSameTransaction)
-{
-    // Regression for the old Shell::setTracer single-slot design,
-    // where attaching a second tracer silently evicted the first.
+    // The Chrome export carries the same span attributes.
     std::ostringstream os;
-    ccip::TraceWriter writer(os, bus);
-    sim::CollectSink collector;
-    bus.attach(&collector,
-               sim::traceMask(sim::TraceKind::kDmaComplete));
-
-    auto w = makeTxn(true, 0x80);
-    shell.fromAfu(w);
-    runAll();
-
-    EXPECT_EQ(writer.rows(), 1u);
-    ASSERT_EQ(collector.records().size(), 1u);
-    const sim::TraceRecord &r = collector.records()[0];
-    EXPECT_EQ(r.kind, sim::TraceKind::kDmaComplete);
-    EXPECT_EQ(r.addr, 0x80u);
-    EXPECT_NE(os.str().find(",W,"), std::string::npos);
+    chrome.write(os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"addr\": \"0x80\""), std::string::npos);
+    EXPECT_NE(json.find("\"rw\": \"W\""), std::string::npos);
+    EXPECT_NE(json.find("\"error\": 1"), std::string::npos);
 
     bus.detach(&collector);
 }

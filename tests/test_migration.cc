@@ -5,7 +5,7 @@
  * completes correctly; a source that cannot cede is force-reset and
  * the migration reports failure; migration is refused across
  * accelerator types; descheduled tenants migrate with their cached
- * state.
+ * state; a finished job moves without completing a second time.
  */
 
 #include <gtest/gtest.h>
@@ -131,6 +131,38 @@ TEST(MigrationTest, DescheduledTenantMigratesWithPendingStart)
     EXPECT_EQ(second.vaccel().slot(), 1u);
     EXPECT_EQ(second.wait(), accel::Status::kDone);
     EXPECT_EQ(second.result(), layout.checksum);
+}
+
+TEST(MigrationTest, FinishedHolderMigratesWithoutSecondCompletion)
+{
+    // A finished job moves with its cached result but does not take
+    // the destination slot: nothing is left to resume there, so no
+    // second DONE doorbell may reach the completion handler.
+    System sys(makeOptimusConfig("LL", 2));
+    AccelHandle &h = sys.attach(0, 1ULL << 30);
+    int completions = 0;
+    h.vaccel().setCompletionHandler(
+        [&](accel::Status) { ++completions; });
+
+    auto layout = workload::buildLinkedList(h, 500, 55);
+    h.writeAppReg(accel::LinkedlistAccel::kRegHead,
+                  layout.head.value());
+    h.writeAppReg(accel::LinkedlistAccel::kRegCount, 0);
+    h.setupStateBuffer();
+    h.start();
+    ASSERT_EQ(h.wait(), accel::Status::kDone);
+    ASSERT_EQ(completions, 1);
+
+    bool migrated = false;
+    sys.hv.migrate(h.vaccel(), 1, [&](bool ok) { migrated = ok; });
+    h.pumpUntil([&]() { return migrated; });
+    sys.run(sys.eq.now() + 5 * sim::kTickMs);
+
+    EXPECT_EQ(h.vaccel().slot(), 1u);
+    EXPECT_EQ(sys.hv.migrations(), 1u);
+    EXPECT_EQ(completions, 1);
+    EXPECT_EQ(sys.hv.peekStatus(h.vaccel()), accel::Status::kDone);
+    EXPECT_EQ(h.result(), layout.checksum);
 }
 
 TEST(MigrationTest, LoadBalancingAcrossSlots)

@@ -81,8 +81,9 @@ TEST(TrafficTest, GeneratorsAreDeterministicAndShaped)
             last = va;
         }
         // Fixed is seed-independent; the random processes are not.
-        if (kind != ArrivalKind::kFixed)
+        if (kind != ArrivalKind::kFixed) {
             EXPECT_TRUE(differs);
+        }
         // Long-run mean rate within 15% of the request.
         double secs = static_cast<double>(last) /
                       static_cast<double>(sim::kTickSec);
