@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "sim/logging.hh"
+
 namespace optimus::algo {
 
 namespace {
@@ -114,16 +116,19 @@ Md5::update(const void *data, std::size_t len)
 Md5::Digest
 Md5::finish()
 {
-    std::uint64_t bit_len = _totalLen * 8;
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0;
-    while (_bufLen != 56)
-        update(&zero, 1);
-    std::uint8_t len_le[8];
+    // Padding: 0x80, zeros, then the 64-bit length at byte 56, in
+    // one block or, when fewer than 8 bytes are left after 0x80, two.
+    _buf[_bufLen++] = 0x80;
+    if (_bufLen > 56) {
+        std::memset(_buf + _bufLen, 0, 64 - _bufLen);
+        processBlock(_buf);
+        _bufLen = 0;
+    }
+    std::memset(_buf + _bufLen, 0, 56 - _bufLen);
+    const std::uint64_t bit_len = _totalLen * 8;
     for (int i = 0; i < 8; ++i)
-        len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-    update(len_le, 8);
+        _buf[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+    processBlock(_buf);
 
     Digest d;
     for (int i = 0; i < 4; ++i) {
@@ -165,6 +170,9 @@ optimus::algo::Md5::serialize() const
 void
 optimus::algo::Md5::deserialize(const std::vector<std::uint8_t> &blob)
 {
+    // The blob comes back from guest memory: check it before use.
+    OPTIMUS_ASSERT(blob.size() >= sizeof(_h) + 8 + 8 + sizeof(_buf),
+                   "short MD5 state (%zu bytes)", blob.size());
     const std::uint8_t *p = blob.data();
     std::memcpy(_h, p, sizeof(_h));
     p += sizeof(_h);
@@ -173,6 +181,9 @@ optimus::algo::Md5::deserialize(const std::vector<std::uint8_t> &blob)
     std::uint64_t buf_len = 0;
     std::memcpy(&buf_len, p, 8);
     p += 8;
+    OPTIMUS_ASSERT(buf_len < sizeof(_buf),
+                   "MD5 state buffer fill %llu out of range",
+                   static_cast<unsigned long long>(buf_len));
     _bufLen = static_cast<std::size_t>(buf_len);
-    std::memcpy(_buf, p, 64);
+    std::memcpy(_buf, p, sizeof(_buf));
 }

@@ -31,6 +31,11 @@ class Md5
 
     /** Serialize internal state (for accelerator preemption). */
     std::vector<std::uint8_t> serialize() const;
+    /**
+     * Restore a serialize()d state. The blob may come from guest
+     * memory, so a short blob or a buffer fill at or past the block
+     * size panics instead of corrupting memory.
+     */
     void deserialize(const std::vector<std::uint8_t> &blob);
 
   private:
@@ -39,6 +44,7 @@ class Md5
     std::uint32_t _h[4];
     std::uint64_t _totalLen;
     std::uint8_t _buf[64];
+    /** Bytes held in _buf; always below the block size. */
     std::size_t _bufLen;
 };
 

@@ -1,6 +1,10 @@
 #include "accel/algo/sha.hh"
 
+#include <bit>
 #include <cstring>
+#include <utility>
+
+#include "sim/logging.hh"
 
 namespace optimus::algo {
 
@@ -73,6 +77,64 @@ std::uint64_t
 rotr64(std::uint64_t x, std::uint64_t n)
 {
     return (x >> n) | (x << (64 - n));
+}
+
+/** Big-endian 64-bit load and store, the same on any host. */
+std::uint64_t
+loadBe64(const std::uint8_t *p)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, p, 8);
+    if constexpr (std::endian::native == std::endian::little)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+void
+storeBe64(std::uint8_t *p, std::uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::little)
+        v = __builtin_bswap64(v);
+    std::memcpy(p, &v, 8);
+}
+
+/**
+ * SHA-512 round @p I. The working variables a..h rotate one slot of
+ * @p s per round instead of being shifted, and @p w holds the last 16
+ * message-schedule words: from round 16 on, W[I] replaces W[I-16] in
+ * slot I % 16. With I a constant, every index below is one too, so
+ * the compiler scalarizes @p s and @p w instead of indexing memory.
+ */
+template <unsigned I>
+[[gnu::always_inline]] inline void
+round512(std::uint64_t (&s)[8], std::uint64_t (&w)[16])
+{
+    const std::uint64_t a = s[(0 - I) & 7], b = s[(1 - I) & 7];
+    const std::uint64_t c = s[(2 - I) & 7], e = s[(4 - I) & 7];
+    const std::uint64_t f = s[(5 - I) & 7], g = s[(6 - I) & 7];
+    std::uint64_t &d = s[(3 - I) & 7];
+    std::uint64_t &h = s[(7 - I) & 7];
+    if constexpr (I >= 16) {
+        const std::uint64_t w2 = w[(I - 2) & 15];
+        const std::uint64_t w15 = w[(I - 15) & 15];
+        w[I & 15] += (rotr64(w2, 19) ^ rotr64(w2, 61) ^ (w2 >> 6)) +
+                     w[(I - 7) & 15] +
+                     (rotr64(w15, 1) ^ rotr64(w15, 8) ^ (w15 >> 7));
+    }
+    const std::uint64_t t1 =
+        h + (rotr64(e, 14) ^ rotr64(e, 18) ^ rotr64(e, 41)) +
+        (g ^ (e & (f ^ g))) + kK512[I] + w[I & 15];
+    d += t1;
+    h = t1 + (rotr64(a, 28) ^ rotr64(a, 34) ^ rotr64(a, 39)) +
+        ((a & b) | (c & (a | b)));
+}
+
+template <unsigned... I>
+[[gnu::always_inline]] inline void
+rounds512(std::uint64_t (&s)[8], std::uint64_t (&w)[16],
+          std::integer_sequence<unsigned, I...>)
+{
+    (round512<I>(s, w), ...);
 }
 
 } // namespace
@@ -170,16 +232,17 @@ Sha256::update(const void *data, std::size_t len)
 Sha256::Digest
 Sha256::finish()
 {
-    std::uint64_t bit_len = _totalLen * 8;
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0;
-    while (_bufLen != 56)
-        update(&zero, 1);
-    std::uint8_t len_be[8];
-    for (int i = 0; i < 8; ++i)
-        len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be, 8);
+    // Padding: 0x80, zeros, then the 64-bit length at byte 56, in
+    // one block or, when fewer than 8 bytes are left after 0x80, two.
+    _buf[_bufLen++] = 0x80;
+    if (_bufLen > 56) {
+        std::memset(_buf + _bufLen, 0, 64 - _bufLen);
+        processBlock(_buf);
+        _bufLen = 0;
+    }
+    std::memset(_buf + _bufLen, 0, 56 - _bufLen);
+    storeBe64(_buf + 56, _totalLen * 8);
+    processBlock(_buf);
 
     Digest d;
     for (int i = 0; i < 8; ++i) {
@@ -225,49 +288,16 @@ Sha512::reset()
 void
 Sha512::processBlock(const std::uint8_t *block)
 {
-    std::uint64_t w[80];
-    for (int i = 0; i < 16; ++i) {
-        std::uint64_t v = 0;
-        for (int j = 0; j < 8; ++j)
-            v = (v << 8) | block[i * 8 + j];
-        w[i] = v;
-    }
-    for (int i = 16; i < 80; ++i) {
-        std::uint64_t s0 = rotr64(w[i - 15], 1) ^ rotr64(w[i - 15], 8) ^
-                           (w[i - 15] >> 7);
-        std::uint64_t s1 = rotr64(w[i - 2], 19) ^ rotr64(w[i - 2], 61) ^
-                           (w[i - 2] >> 6);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    std::uint64_t a = _h[0], b = _h[1], c = _h[2], d = _h[3];
-    std::uint64_t e = _h[4], f = _h[5], g = _h[6], h = _h[7];
-    for (int i = 0; i < 80; ++i) {
-        std::uint64_t s1 =
-            rotr64(e, 14) ^ rotr64(e, 18) ^ rotr64(e, 41);
-        std::uint64_t ch = (e & f) ^ (~e & g);
-        std::uint64_t t1 = h + s1 + ch + kK512[i] + w[i];
-        std::uint64_t s0 =
-            rotr64(a, 28) ^ rotr64(a, 34) ^ rotr64(a, 39);
-        std::uint64_t maj = (a & b) ^ (a & c) ^ (b & c);
-        std::uint64_t t2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + t1;
-        d = c;
-        c = b;
-        b = a;
-        a = t1 + t2;
-    }
-    _h[0] += a;
-    _h[1] += b;
-    _h[2] += c;
-    _h[3] += d;
-    _h[4] += e;
-    _h[5] += f;
-    _h[6] += g;
-    _h[7] += h;
+    std::uint64_t w[16];
+    for (int i = 0; i < 16; ++i)
+        w[i] = loadBe64(block + 8 * i);
+    std::uint64_t s[8];
+    std::memcpy(s, _h, sizeof(s));
+    rounds512(s, w, std::make_integer_sequence<unsigned, 80>{});
+    // 80 rounds rotate the slots ten full turns: s[i] is back to
+    // holding working variable i.
+    for (int i = 0; i < 8; ++i)
+        _h[i] += s[i];
 }
 
 void
@@ -302,28 +332,23 @@ Sha512::update(const void *data, std::size_t len)
 Sha512::Digest
 Sha512::finish()
 {
-    std::uint64_t bit_len = _totalLen * 8;
-    std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    std::uint8_t zero = 0;
-    while (_bufLen != 112)
-        update(&zero, 1);
-    // 128-bit big-endian length; the high 64 bits are zero for any
-    // simulated input size.
-    std::uint8_t len_be[16] = {};
-    for (int i = 0; i < 8; ++i) {
-        len_be[8 + i] =
-            static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    // Padding: 0x80, zeros, then the 128-bit length at byte 112, in
+    // one block or, when fewer than 16 bytes are left after 0x80, two.
+    _buf[_bufLen++] = 0x80;
+    if (_bufLen > 112) {
+        std::memset(_buf + _bufLen, 0, 128 - _bufLen);
+        processBlock(_buf);
+        _bufLen = 0;
     }
-    update(len_be, 16);
+    std::memset(_buf + _bufLen, 0, 112 - _bufLen);
+    // The high 64 length bits are zero for any simulated input size.
+    std::memset(_buf + 112, 0, 8);
+    storeBe64(_buf + 120, _totalLen * 8);
+    processBlock(_buf);
 
     Digest d;
-    for (int i = 0; i < 8; ++i) {
-        for (int j = 0; j < 8; ++j) {
-            d[i * 8 + j] =
-                static_cast<std::uint8_t>(_h[i] >> (56 - 8 * j));
-        }
-    }
+    for (int i = 0; i < 8; ++i)
+        storeBe64(d.data() + 8 * i, _h[i]);
     reset();
     return d;
 }
@@ -355,6 +380,9 @@ Sha512::serialize() const
 void
 Sha512::deserialize(const std::vector<std::uint8_t> &blob)
 {
+    // The blob comes back from guest memory: check it before use.
+    OPTIMUS_ASSERT(blob.size() >= sizeof(_h) + 8 + 8 + sizeof(_buf),
+                   "short SHA-512 state (%zu bytes)", blob.size());
     const std::uint8_t *p = blob.data();
     std::memcpy(_h, p, sizeof(_h));
     p += sizeof(_h);
@@ -363,8 +391,11 @@ Sha512::deserialize(const std::vector<std::uint8_t> &blob)
     std::uint64_t buf_len = 0;
     std::memcpy(&buf_len, p, 8);
     p += 8;
+    OPTIMUS_ASSERT(buf_len < sizeof(_buf),
+                   "SHA-512 state buffer fill %llu out of range",
+                   static_cast<unsigned long long>(buf_len));
     _bufLen = static_cast<std::size_t>(buf_len);
-    std::memcpy(_buf, p, 128);
+    std::memcpy(_buf, p, sizeof(_buf));
 }
 
 } // namespace optimus::algo

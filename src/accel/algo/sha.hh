@@ -38,6 +38,7 @@ class Sha256
     std::uint32_t _h[8];
     std::uint64_t _totalLen;
     std::uint8_t _buf[64];
+    /** Bytes held in _buf; always below the block size. */
     std::size_t _bufLen;
 };
 
@@ -57,6 +58,11 @@ class Sha512
 
     /** Serialize internal state (for accelerator preemption). */
     std::vector<std::uint8_t> serialize() const;
+    /**
+     * Restore a serialize()d state. The blob may come from guest
+     * memory, so a short blob or a buffer fill at or past the block
+     * size panics instead of corrupting memory.
+     */
     void deserialize(const std::vector<std::uint8_t> &blob);
 
   private:
@@ -67,6 +73,7 @@ class Sha512
      *  sufficient for simulated inputs). */
     std::uint64_t _totalLen;
     std::uint8_t _buf[128];
+    /** Bytes held in _buf; always below the block size. */
     std::size_t _bufLen;
 };
 

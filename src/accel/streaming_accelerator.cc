@@ -184,7 +184,9 @@ StreamingAccelerator::restoreArchState(
     std::uint64_t tlen = 0;
     std::memcpy(&pos, blob.data(), 8);
     std::memcpy(&tlen, blob.data() + 8, 8);
-    OPTIMUS_ASSERT(blob.size() >= 16 + tlen, "truncated arch state");
+    // tlen comes from guest memory: compare it without an addition
+    // that could wrap.
+    OPTIMUS_ASSERT(tlen <= blob.size() - 16, "truncated arch state");
 
     _consumedOff = pos;
     _nextReadOff = pos;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -148,6 +149,7 @@ class ShaWorkload : public StreamWorkloadBase
     program() override
     {
         _input = randomBytes(_bytes, _seed);
+        _expect.reset();
         _src = _h.dmaAlloc(_bytes);
         _dst = _h.dmaAlloc(64);
         _h.memWrite(_src, _input.data(), _bytes);
@@ -159,12 +161,21 @@ class ShaWorkload : public StreamWorkloadBase
     bool
     verify() override
     {
-        auto expect =
-            algo::Sha512::hash(_input.data(), _input.size());
+        if (!_expect)
+            _expect = algo::Sha512::hash(_input.data(), _input.size());
         algo::Sha512::Digest got;
         _h.memRead(_dst, got.data(), got.size());
-        return got == expect;
+        return got == *_expect;
     }
+
+  private:
+    /**
+     * Reference digest of _input. A service tenant verifies one
+     * programmed job once per request, so the first verify() after
+     * program() computes it and later ones reuse it; every verify()
+     * still reads the device's output.
+     */
+    std::optional<algo::Sha512::Digest> _expect;
 };
 
 class FirWorkload : public StreamWorkloadBase

@@ -1,14 +1,17 @@
 /**
  * @file
  * Known-answer tests for the cryptographic kernels: FIPS-197 AES
- * vectors, RFC 1321 MD5 vectors, FIPS 180-4 SHA vectors, and
- * serialization round-trips used by accelerator preemption.
+ * vectors, RFC 1321 MD5 vectors, FIPS 180-4 SHA vectors, digests at
+ * the padding boundaries (generated with Python's hashlib), and the
+ * serialization round-trips used by accelerator preemption, including
+ * the rejection of a malformed state blob.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "accel/algo/aes128.hh"
 #include "accel/algo/md5.hh"
@@ -28,6 +31,24 @@ hex(const std::uint8_t *data, std::size_t len)
         s.push_back(digits[data[i] & 0xf]);
     }
     return s;
+}
+
+/** Bytes i % 251: no period that lines up with a block size. */
+std::string
+pattern(std::size_t len)
+{
+    std::string s(len, 0);
+    for (std::size_t i = 0; i < len; ++i)
+        s[i] = static_cast<char>(i % 251);
+    return s;
+}
+
+template <typename Hash>
+std::string
+hexHash(const std::string &in)
+{
+    auto d = Hash::hash(in.data(), in.size());
+    return hex(d.data(), d.size());
 }
 
 TEST(Aes128Test, Fips197AppendixB)
@@ -90,6 +111,24 @@ TEST(Md5Test, Rfc1321Vectors)
           "57edf4a22be3c955ac49da2e2107b67a");
 }
 
+TEST(Md5Test, PaddingBoundaries)
+{
+    // 55 is the longest input padded within one block; from 56 on
+    // the length field spills into a second.
+    EXPECT_EQ(hexHash<Md5>(pattern(55)),
+              "6912ee65fff2d9f9ce2508cddf8bcda0");
+    EXPECT_EQ(hexHash<Md5>(pattern(56)),
+              "51fdd1acda72405dfdfa03fcb85896d7");
+    EXPECT_EQ(hexHash<Md5>(pattern(57)),
+              "5320ef4c17ef34a0cf2db763338d25eb");
+    EXPECT_EQ(hexHash<Md5>(pattern(63)),
+              "48a6295221902e8e0938f773a7185e72");
+    EXPECT_EQ(hexHash<Md5>(pattern(64)),
+              "b2d3f56bc197fd985d5965079b5e7148");
+    EXPECT_EQ(hexHash<Md5>(pattern(65)),
+              "8bd7053801c768420faf816fadba971c");
+}
+
 TEST(Md5Test, IncrementalMatchesOneShot)
 {
     std::string input(1000, 'x');
@@ -120,6 +159,19 @@ TEST(Md5Test, SerializeRoundTrip)
     EXPECT_EQ(a.finish(), b.finish());
 }
 
+TEST(Md5Test, DeserializeRejectsMalformedBlob)
+{
+    Md5 md5;
+    std::vector<std::uint8_t> blob = md5.serialize();
+    std::vector<std::uint8_t> short_blob(blob.begin(), blob.end() - 1);
+    EXPECT_DEATH(md5.deserialize(short_blob), "short MD5 state");
+
+    // Buffer fill after the state words and the total length.
+    const std::uint64_t full = 64;
+    std::memcpy(blob.data() + 16 + 8, &full, 8);
+    EXPECT_DEATH(md5.deserialize(blob), "fill 64 out of range");
+}
+
 TEST(Sha256Test, Fips180Vectors)
 {
     auto d1 = Sha256::hash("abc", 3);
@@ -136,6 +188,28 @@ TEST(Sha256Test, Fips180Vectors)
     EXPECT_EQ(hex(d3.data(), d3.size()),
               "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ec"
               "edd419db06c1");
+}
+
+TEST(Sha256Test, PaddingBoundaries)
+{
+    EXPECT_EQ(hexHash<Sha256>(pattern(55)),
+              "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d4"
+              "5ae59b598b59");
+    EXPECT_EQ(hexHash<Sha256>(pattern(56)),
+              "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de"
+              "82a60895f562");
+    EXPECT_EQ(hexHash<Sha256>(pattern(57)),
+              "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03"
+              "d1c12eac4d8f");
+    EXPECT_EQ(hexHash<Sha256>(pattern(63)),
+              "29af2686fd53374a36b0846694cc342177e428d1647515f07878"
+              "4d69cdb9e488");
+    EXPECT_EQ(hexHash<Sha256>(pattern(64)),
+              "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c44"
+              "7cd1d9151108");
+    EXPECT_EQ(hexHash<Sha256>(pattern(65)),
+              "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc07507"
+              "4f2fabb31781");
 }
 
 TEST(Sha256Test, DoubleHashMatchesComposition)
@@ -158,22 +232,94 @@ TEST(Sha512Test, Fips180Vectors)
               "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4"
               "a921d36ce9ce47d0d13c5d85f2b0ff8318d2877eec2f63b931bd"
               "47417a81a538327af927da3e");
+    // 112 bytes: the length field spills into a second block.
+    EXPECT_EQ(hexHash<Sha512>("abcdefghbcdefghicdefghijdefghijkefghijkl"
+                              "fghijklmghijklmnhijklmnoijklmnopjklmnopq"
+                              "klmnopqrlmnopqrsmnopqrstnopqrstu"),
+              "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299"
+              "aeadb6889018501d289e4900f7e4331b99dec4b5433ac7d329ee"
+              "b6dd26545e96e55b874be909");
+    EXPECT_EQ(hexHash<Sha512>(std::string(1000000, 'a')),
+              "e718483d0ce769644e2e42c7bc15b4638e1f98b13b2044285632"
+              "a803afa973ebde0ff244877ea60a4cb0432ce577c31beb009c5c"
+              "2c49aa2e4eadb217ad8cc09b");
+}
+
+TEST(Sha512Test, PaddingBoundaries)
+{
+    // 111 is the longest input padded within one block; from 112 on
+    // the length field spills into a second.
+    EXPECT_EQ(hexHash<Sha512>(pattern(111)),
+              "a1a111449b198d9b1f538bad7f3fc1022b3a5b1a5e90a0bc860d"
+              "e8512746cbc31599e6c834de3a3235327af0b51ff57bf7acf197"
+              "4a73014d9c3953812edc7c8d");
+    EXPECT_EQ(hexHash<Sha512>(pattern(112)),
+              "c5fbd731d19d2ae1180f001be72c2c1aaba1d7b094b3748880e2"
+              "4593b8e117a750e11c1bd867cc2f96dace8c8b74abd2d5c4f236"
+              "be444e77d30d1916174070b9");
+    EXPECT_EQ(hexHash<Sha512>(pattern(113)),
+              "61b2e77db697dfe5571fff3ed06bd60c41e1e7b7c08a80de01cb"
+              "16526d9a9a52d690dfbe792278a60f6e2b4c57a97c729773f26e"
+              "258d2393890c985d645f6715");
+    EXPECT_EQ(hexHash<Sha512>(pattern(127)),
+              "eab89674feaa34e27aebeeff3c0a4d70070bb872d5e9f186cf1d"
+              "bbdee517b6e35724d629ff025a5b07185e911ada7e3c8acf830a"
+              "a0e4f71777bd2d44f504f7f0");
+    EXPECT_EQ(hexHash<Sha512>(pattern(128)),
+              "1dffd5e3adb71d45d2245939665521ae001a317a03720a45732b"
+              "a1900ca3b8351fc5c9b4ca513eba6f80bc7b1d1fdad4abd13491"
+              "cb824d61b08d8c0e1561b3f7");
+    EXPECT_EQ(hexHash<Sha512>(pattern(129)),
+              "1d9da57fbbdab09afb3506ab2d223d06109d65c1c8ad197f5013"
+              "8f714bc4c3f2fe5787922639c680acad1c651f955990425954ce"
+              "2cba0c5cc83f2667d878eb0f");
+    EXPECT_EQ(hexHash<Sha512>(pattern(239)),
+              "cb4c7fd522756d5781ad3a4f590a1d862906b960e7720136cb3f"
+              "b36b563caa1ea5689134291fa79c80ccc2b4092b41df32ebdcb3"
+              "6dbe79db483440228c1622a8");
+    EXPECT_EQ(hexHash<Sha512>(pattern(240)),
+              "6c48466c9f6c07e4ab762c696b7eeb35cfe236fca73683e5fab8"
+              "73ac3489b4d2eb3d7afcce7e8165dbbf37aded3b5b0c889c0b7e"
+              "0f1790a8330d8677429d91a5");
 }
 
 TEST(Sha512Test, IncrementalAndSerializeRoundTrip)
 {
-    std::string input(4096, 0);
-    for (std::size_t i = 0; i < input.size(); ++i)
-        input[i] = static_cast<char>(i % 251);
+    // Splitting at every offset of a 300-byte input leaves every
+    // buffer fill from 0 to 127 in the state, on both sides of the
+    // padding's 112-byte boundary.
+    const std::string input = pattern(300);
+    const Sha512::Digest want = Sha512::hash(input.data(), input.size());
+    for (std::size_t k = 0; k <= input.size(); ++k) {
+        const char *rest = input.data() + k;
+        const std::size_t rest_len = input.size() - k;
+        Sha512 a;
+        a.update(input.data(), k);
+        const std::vector<std::uint8_t> blob = a.serialize();
+        Sha512 b;
+        b.deserialize(blob);
+        Sha512 prefix;
+        prefix.deserialize(blob);
+        a.update(rest, rest_len);
+        b.update(rest, rest_len);
+        EXPECT_EQ(a.finish(), want) << "split at " << k;
+        EXPECT_EQ(b.finish(), want) << "restored at " << k;
+        EXPECT_EQ(prefix.finish(), Sha512::hash(input.data(), k))
+            << "finished at " << k;
+    }
+}
 
-    Sha512 a;
-    a.update(input.data(), 1000);
-    auto blob = a.serialize();
-    Sha512 b;
-    b.deserialize(blob);
-    a.update(input.data() + 1000, input.size() - 1000);
-    b.update(input.data() + 1000, input.size() - 1000);
-    EXPECT_EQ(a.finish(), b.finish());
+TEST(Sha512Test, DeserializeRejectsMalformedBlob)
+{
+    Sha512 sha;
+    std::vector<std::uint8_t> blob = sha.serialize();
+    std::vector<std::uint8_t> short_blob(blob.begin(), blob.end() - 1);
+    EXPECT_DEATH(sha.deserialize(short_blob), "short SHA-512 state");
+
+    // Buffer fill after the state words and the total length.
+    const std::uint64_t full = 128;
+    std::memcpy(blob.data() + 64 + 8, &full, 8);
+    EXPECT_DEATH(sha.deserialize(blob), "fill 128 out of range");
 }
 
 } // namespace

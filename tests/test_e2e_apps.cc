@@ -4,7 +4,8 @@
  * job through the full stack (guest library -> hypervisor traps ->
  * hardware monitor -> multiplexer tree -> auditors -> IOMMU -> DRAM)
  * and its output is verified against the software reference. Runs
- * under both OPTIMUS and pass-through fabrics.
+ * under both OPTIMUS and pass-through fabrics. A flipped output byte
+ * must fail the stream apps' verify().
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <string>
 #include <tuple>
 
+#include "accel/regs.hh"
+#include "accel/streaming_accelerator.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
 
@@ -53,6 +56,42 @@ INSTANTIATE_TEST_SUITE_P(
         return std::get<0>(info.param) +
                (std::get<1>(info.param) ? "_optimus"
                                         : "_passthrough");
+    });
+
+/**
+ * verify() checks the device's output on every call: one flipped
+ * output byte fails it, and restoring the byte passes it again.
+ */
+class VerifyReadsOutputTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(VerifyReadsOutputTest, FlippedOutputByteFailsVerify)
+{
+    const std::string app = GetParam();
+    hv::System sys(hv::makeOptimusConfig(app, 1));
+    hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
+    auto wl = hv::workload::Workload::create(app, h, 16 * 1024, 5);
+    wl->program();
+    h.start();
+    ASSERT_EQ(h.wait(), accel::Status::kDone) << app;
+    ASSERT_TRUE(wl->verify()) << app;
+
+    const mem::Gva dst(
+        h.mmioRead(accel::reg::appReg(accel::stream_reg::kDst)));
+    const auto byte = h.process().readValue<std::uint8_t>(dst);
+    const auto flipped = static_cast<std::uint8_t>(byte ^ 0x01);
+    h.memWrite(dst, &flipped, 1);
+    EXPECT_FALSE(wl->verify()) << app;
+    h.memWrite(dst, &byte, 1);
+    EXPECT_TRUE(wl->verify()) << app;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StreamApps, VerifyReadsOutputTest,
+    ::testing::Values("AES", "MD5", "SHA", "FIR", "GRS", "GAU", "SBL"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
     });
 
 /** The same job must produce identical results under both fabrics. */

@@ -5,7 +5,8 @@
  * and the streaming accelerators; forced reset fires on accelerators
  * that cannot cede; completion during a drain is handled; a preempt
  * during a restore still saves; the state buffer lives in guest DMA
- * memory and really receives the context.
+ * memory and really receives the context, and a tenant that corrupts
+ * it stops its own resume instead of corrupting the device model.
  */
 
 #include <gtest/gtest.h>
@@ -106,6 +107,50 @@ TEST(PreemptionTest, StateBufferReceivesTheContext)
               static_cast<std::uint64_t>(accel::Status::kRunning));
     EXPECT_EQ(h1.wait(), accel::Status::kDone);
     EXPECT_EQ(h1.result(), layout.checksum);
+}
+
+TEST(PreemptionTest, CorruptStateBufferFailsTheResume)
+{
+    // The state buffer is the tenant's own memory. A saved SHA-512
+    // buffer fill rewritten past the block size must stop the
+    // restore, not let the next update() write past the hash state.
+    sim::PlatformParams p = sim::PlatformParams::harpDefaults();
+    p.timeSlice = 100 * sim::kTickUs;
+    System sys(makeOptimusConfig("SHA", 1, p));
+    AccelHandle &h1 = sys.attach(0, 1ULL << 30);
+    AccelHandle &h2 = sys.attachShared(0);
+
+    auto wl1 = workload::Workload::create("SHA", h1, 512 * 1024, 17);
+    wl1->program();
+    h1.setupStateBuffer();
+    const mem::Gva buf(h1.mmioRead(accel::reg::kStateBuf));
+    auto wl2 = workload::Workload::create("SHA", h2, 512 * 1024, 18);
+    wl2->program();
+    h2.setupStateBuffer();
+
+    h1.start();
+    h2.start();
+    // Once h2 holds the slot, h1's mid-job save has fully landed.
+    h1.pumpUntil([&]() {
+        return sys.hv.isScheduled(h2.vaccel()) &&
+               h1.process().readValue<std::uint64_t>(buf) ==
+                   static_cast<std::uint64_t>(accel::Status::kRunning);
+    });
+
+    // The blob: a 24-byte header (status, result, progress), the
+    // stream position and transform length, then the SHA-512 state,
+    // whose buffer fill follows its eight hash words and total length.
+    // Each death runs in a child; the parent's simulation is intact.
+    const mem::Gva tlen = buf + 32;
+    const mem::Gva fill = buf + 112;
+    const auto saved_fill = h1.process().readValue<std::uint64_t>(fill);
+    h1.process().writeValue<std::uint64_t>(fill, 200);
+    EXPECT_DEATH(h1.wait(), "SHA-512 state buffer fill 200 out of range");
+    h1.process().writeValue(fill, saved_fill);
+
+    // A transform length near 2^64 must not wrap the bounds check.
+    h1.process().writeValue<std::uint64_t>(tlen, ~0ULL - 7);
+    EXPECT_DEATH(h1.wait(), "truncated arch state");
 }
 
 TEST(PreemptionTest, AcceleratorWithoutStateBufferIsForciblyReset)
