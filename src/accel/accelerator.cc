@@ -47,71 +47,6 @@ Accelerator::dmaResponse(ccip::DmaTxnPtr txn)
         txn->onComplete(*txn);
 }
 
-Accelerator::Checkpoint
-Accelerator::checkpoint() const
-{
-    OPTIMUS_ASSERT(_status != Status::kRunning &&
-                       _status != Status::kSaving &&
-                       _status != Status::kRestoring,
-                   "%s: checkpoint while pipeline active (status %u)",
-                   _name.c_str(),
-                   static_cast<unsigned>(_status));
-    Checkpoint ck;
-    ck.status =
-        _status == Status::kSaved ? _savedJobStatus : _status;
-    ck.result = _result;
-    ck.progress = _progress;
-    ck.stateBuf = _stateBuf;
-    ck.appRegs = _appRegs;
-    ck.arch = saveArchState();
-    ck.ringArmed = _ringArmed;
-    ck.ringCfg.base = _ringBase;
-    ck.ringCfg.entries = _ringEntries;
-    ck.ringCfg.state = _ringState;
-    return ck;
-}
-
-void
-Accelerator::restore(const Checkpoint &ck)
-{
-    OPTIMUS_ASSERT(!_wedged, "%s: restore into a wedged pipeline",
-                   _name.c_str());
-    // Kill any stale guarded callbacks from this instance's previous
-    // life, exactly as a soft reset would, before adopting the job.
-    ++_epoch;
-    _dma.reset();
-    _doneDuringSave = false;
-    _preemptAfterRestore = false;
-    _savedJobStatus = Status::kIdle;
-    _stateBuf = ck.stateBuf;
-    _appRegs = ck.appRegs;
-    _result = ck.result;
-    _progress = ck.progress;
-    restoreArchState(ck.arch);
-    _ringArmed = ck.ringArmed;
-    _ringBase = ck.ringCfg.base;
-    _ringEntries = ck.ringCfg.entries;
-    _ringState = ck.ringCfg.state;
-    _ringFetchInFlight = false;
-    _ringPollPending = false;
-    _status = ck.status;
-    if (ck.status == Status::kRunning) {
-        onResumed();
-    } else if (ck.status == Status::kDone ||
-               ck.status == Status::kError) {
-        // A job that drained to completion under a pending preempt
-        // never posted its completion; deliver it through the ring
-        // it was submitted on. Already-posted jobs take the plain
-        // doorbell, exactly as before.
-        if (_ringArmed && _ringState.jobActive)
-            ringPostCompletion(ck.status);
-        else
-            raiseDoorbell();
-    }
-    if (_ringArmed && !_ringState.jobActive)
-        ringWake();
-}
-
 std::uint64_t
 Accelerator::mmioRead(std::uint64_t offset)
 {
@@ -174,15 +109,7 @@ Accelerator::command(std::uint64_t bits)
     if (_wedged)
         return; // pipeline hung: only a VCU hard reset recovers
     if (bits & ctrl::kSoftReset) {
-        ++_epoch;
-        _dma.reset();
-        _status = Status::kIdle;
-        _result = 0;
-        _progress = 0;
-        _doneDuringSave = false;
-        _preemptAfterRestore = false;
-        _savedJobStatus = Status::kIdle;
-        onSoftReset();
+        clearJob();
         return;
     }
     if (bits & ctrl::kStart) {
@@ -206,27 +133,30 @@ Accelerator::command(std::uint64_t bits)
 }
 
 void
-Accelerator::hardReset()
+Accelerator::clearJob()
 {
     ++_epoch;
     _dma.reset();
     _status = Status::kIdle;
     _result = 0;
     _progress = 0;
-    _stateBuf = 0;
     _doneDuringSave = false;
     _preemptAfterRestore = false;
-    _savedJobStatus = Status::kIdle;
+    onSoftReset();
+}
+
+void
+Accelerator::hardReset()
+{
+    clearJob();
+    _stateBuf = 0;
     _wedged = false;
     _mmioWedged = false;
     _appRegs.fill(0);
     _ringArmed = false;
-    _ringBase = mem::Gva{};
-    _ringEntries = 0;
-    _ringState = ring::DeviceState{};
+    _ring = ring::DeviceConfig{};
     _ringFetchInFlight = false;
     _ringPollPending = false;
-    onSoftReset();
 }
 
 void
@@ -259,17 +189,25 @@ Accelerator::finish(std::uint64_t result)
         return;
     }
     _status = Status::kDone;
-    if (_ringArmed && _ringState.jobActive)
-        ringPostCompletion(Status::kDone);
-    else
-        raiseDoorbell();
+    completeJob();
 }
 
 void
 Accelerator::fail()
 {
+    // A plain doorbell even for a ring job: the hypervisor posts the
+    // ring's error completions.
     _status = Status::kError;
     raiseDoorbell();
+}
+
+void
+Accelerator::completeJob()
+{
+    if (_ringArmed && _ring.state.jobActive)
+        ringPostCompletion();
+    else
+        raiseDoorbell();
 }
 
 void
@@ -310,20 +248,15 @@ Accelerator::beginPreempt()
         Status to_save = at_preempt;
         if (_doneDuringSave || at_preempt == Status::kDone)
             to_save = Status::kDone;
-        _savedJobStatus = to_save;
 
+        // The blob: a header of status, result and progress, then
+        // the model's arch state, zero-padded to STATE_SIZE.
         std::vector<std::uint8_t> blob(stateSizeBytes(), 0);
-        std::uint64_t header[3] = {
-            static_cast<std::uint64_t>(to_save), _result, _progress};
-        std::memcpy(blob.data(), header, sizeof(header));
-        std::vector<std::uint8_t> arch = saveArchState();
-        OPTIMUS_ASSERT(arch.size() <= archStateCapacity(),
-                       "%s arch state exceeds declared capacity",
-                       _name.c_str());
-        // An empty vector's data() may be null, which memcpy forbids.
-        if (!arch.empty())
-            std::memcpy(blob.data() + sizeof(header), arch.data(),
-                        arch.size());
+        StateWriter w(blob.data(), blob.size());
+        w.u64(static_cast<std::uint64_t>(to_save));
+        w.u64(_result);
+        w.u64(_progress);
+        saveArchState(w);
 
         transferStateBlob(true, std::move(blob),
                           [this](std::vector<std::uint8_t>) {
@@ -344,17 +277,13 @@ Accelerator::beginResume()
     transferStateBlob(
         false, std::vector<std::uint8_t>(stateSizeBytes(), 0),
         [this](std::vector<std::uint8_t> blob) {
-            // The guest blob is a serialized Checkpoint minus the
-            // hypervisor-cached registers (see checkpoint()).
-            std::uint64_t header[3];
-            std::memcpy(header, blob.data(), sizeof(header));
-            _result = header[1];
-            _progress = header[2];
-            std::vector<std::uint8_t> arch(
-                blob.begin() + sizeof(header), blob.end());
-            restoreArchState(arch);
-
-            auto saved = static_cast<Status>(header[0]);
+            // The application registers are not in the blob: the
+            // hypervisor cached them and replayed them at schedule.
+            StateReader r(blob.data(), blob.size());
+            const auto saved = static_cast<Status>(r.u64());
+            _result = r.u64();
+            _progress = r.u64();
+            restoreArchState(r);
             _status = saved;
             if (_preemptAfterRestore) {
                 // The job stays parked; the next RESUME restores the
@@ -367,16 +296,13 @@ Accelerator::beginResume()
                 onResumed();
             } else if (saved == Status::kDone ||
                        saved == Status::kError) {
-                // Same rule as restore(): a ring job that drained to
-                // completion under the preempt posts through the ring
-                // it came from. The scheduler arms the ring when the
-                // RESUME write is acknowledged, one PCIe hop after it
-                // lands, so the ring is armed before this blob (a
-                // host round trip per line) is back.
-                if (_ringArmed && _ringState.jobActive)
-                    ringPostCompletion(saved);
-                else
-                    raiseDoorbell();
+                // A ring job that drained to completion under the
+                // preempt posts through the ring it came from. The
+                // scheduler arms the ring when the RESUME write is
+                // acknowledged, one PCIe hop after it lands, so the
+                // ring is armed before this blob (a host round trip
+                // per line) is back.
+                completeJob();
             }
         });
 }
@@ -453,12 +379,10 @@ Accelerator::armRing(const ring::DeviceConfig &cfg)
     OPTIMUS_ASSERT(cfg.entries > 0, "%s: armRing with empty ring",
                    _name.c_str());
     _ringArmed = true;
-    _ringBase = cfg.base;
-    _ringEntries = cfg.entries;
-    _ringState = cfg.state;
+    _ring = cfg;
     _ringFetchInFlight = false;
     _ringPollPending = false;
-    if (!_ringState.jobActive)
+    if (!_ring.state.jobActive)
         ringWake();
 }
 
@@ -475,9 +399,9 @@ Accelerator::ringNotify(std::uint64_t prod_seq)
 {
     if (!_ringArmed)
         return;
-    if (prod_seq > _ringState.prodSeq)
-        _ringState.prodSeq = prod_seq;
-    if (!_ringState.jobActive)
+    if (prod_seq > _ring.state.prodSeq)
+        _ring.state.prodSeq = prod_seq;
+    if (!_ring.state.jobActive)
         ringWake();
 }
 
@@ -499,17 +423,17 @@ Accelerator::ringTryFetch()
 {
     if (!_ringArmed || _wedged || _ringFetchInFlight)
         return;
-    if (_ringState.jobActive ||
-        _ringState.nextSeq >= _ringState.prodSeq)
+    if (_ring.state.jobActive ||
+        _ring.state.nextSeq >= _ring.state.prodSeq)
         return;
     if (_status != Status::kIdle && _status != Status::kDone &&
         _status != Status::kError)
         return;
 
     _ringFetchInFlight = true;
-    std::uint64_t seq = _ringState.nextSeq;
-    mem::Gva slot(_ringBase.value() +
-                  ring::submitSlotOff(_ringEntries, seq));
+    std::uint64_t seq = _ring.state.nextSeq;
+    mem::Gva slot(_ring.base.value() +
+                  ring::submitSlotOff(_ring.entries, seq));
     std::uint64_t epoch = _epoch;
     _dma.read(slot, sizeof(ring::SubmitEntry),
               [this, epoch, seq](ccip::DmaTxn &t) {
@@ -520,8 +444,8 @@ Accelerator::ringTryFetch()
                   // without consuming; the re-armed poller fetches
                   // this entry again.
                   if (!_ringArmed || _wedged ||
-                      _ringState.jobActive ||
-                      seq != _ringState.nextSeq)
+                      _ring.state.jobActive ||
+                      seq != _ring.state.nextSeq)
                       return;
                   if (_status != Status::kIdle &&
                       _status != Status::kDone &&
@@ -546,11 +470,11 @@ Accelerator::ringTryFetch()
                   // the device-owned submit.cons line (fire and
                   // forget), and run the job exactly as a START
                   // doorbell would have.
-                  _ringState.nextSeq = seq + 1;
-                  _ringState.jobActive = true;
-                  _ringState.jobSeq = seq;
-                  std::uint64_t ack = _ringState.nextSeq;
-                  _dma.write(mem::Gva(_ringBase.value() +
+                  _ring.state.nextSeq = seq + 1;
+                  _ring.state.jobActive = true;
+                  _ring.state.jobSeq = seq;
+                  std::uint64_t ack = _ring.state.nextSeq;
+                  _dma.write(mem::Gva(_ring.base.value() +
                                       ring::headerOff(
                                           ring::kSubmitConsLine)),
                              &ack, sizeof(ack), {});
@@ -563,14 +487,14 @@ Accelerator::ringTryFetch()
 }
 
 void
-Accelerator::ringPostCompletion(Status st)
+Accelerator::ringPostCompletion()
 {
-    OPTIMUS_ASSERT(_ringArmed && _ringState.jobActive,
+    OPTIMUS_ASSERT(_ringArmed && _ring.state.jobActive,
                    "%s: ring post without an in-flight ring job",
                    _name.c_str());
     ring::CompleteEntry ce;
-    ce.seq = _ringState.jobSeq;
-    ce.status = static_cast<std::uint64_t>(st);
+    ce.seq = _ring.state.jobSeq;
+    ce.status = static_cast<std::uint64_t>(_status);
     ce.result = _result;
     ce.progress = _progress;
     ce.err = 0; // hypervisor-maintained; its error posts stamp this
@@ -581,23 +505,23 @@ Accelerator::ringPostCompletion(Status st)
     // completion keeps the port non-idle, so a concurrent preempt's
     // drain cannot fire between the two stores.
     std::uint64_t epoch = _epoch;
-    mem::Gva slot(_ringBase.value() +
-                  ring::completeSlotOff(_ringEntries, ce.seq));
+    mem::Gva slot(_ring.base.value() +
+                  ring::completeSlotOff(_ring.entries, ce.seq));
     _dma.write(slot, &ce, sizeof(ce), [this, epoch](ccip::DmaTxn &) {
         if (epoch != _epoch)
             return;
-        std::uint64_t prod = _ringState.jobSeq + 1;
-        _ringState.compSeq = prod;
-        _dma.write(mem::Gva(_ringBase.value() +
+        std::uint64_t prod = _ring.state.jobSeq + 1;
+        _ring.state.compSeq = prod;
+        _dma.write(mem::Gva(_ring.base.value() +
                             ring::headerOff(ring::kCompleteProdLine)),
                    &prod, sizeof(prod),
                    [this, epoch](ccip::DmaTxn &) {
                        if (epoch != _epoch)
                            return;
-                       _ringState.jobActive = false;
+                       _ring.state.jobActive = false;
                        ++_ringPosts;
                        if (_ringArmed &&
-                           _ringState.nextSeq < _ringState.prodSeq) {
+                           _ring.state.nextSeq < _ring.state.prodSeq) {
                            ringWake();
                        } else if (_status == Status::kDone ||
                                   _status == Status::kError) {

@@ -23,6 +23,7 @@
 
 #include "accel/dma_port.hh"
 #include "accel/regs.hh"
+#include "accel/state_blob.hh"
 #include "fpga/accel_port.hh"
 #include "ring/ring.hh"
 #include "sim/clocked.hh"
@@ -71,52 +72,6 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
 
     /** Total bytes the preemption state buffer must hold. */
     std::uint64_t stateSizeBytes() const;
-
-    /**
-     * A device-level checkpoint: the full explicit state a job needs
-     * to continue on another accelerator instance of the same app —
-     * job status, result/progress registers, application registers,
-     * the guest state-buffer pointer, and the app-defined
-     * architectural blob (saveArchState()). This is the same state
-     * the preemption path serializes to the guest buffer; checkpoint()
-     * just exposes it host-side so a migration layer can move a job
-     * between accelerator instances (e.g. across cluster nodes)
-     * without the destination re-reading the source's guest memory.
-     */
-    struct Checkpoint
-    {
-        Status status = Status::kIdle;
-        std::uint64_t result = 0;
-        std::uint64_t progress = 0;
-        std::uint64_t stateBuf = 0;
-        std::array<std::uint64_t, reg::kNumAppRegs> appRegs{};
-        std::vector<std::uint8_t> arch;
-        /** Ring-poller attachment (host-side bookkeeping only; the
-         *  ring contents themselves live in guest memory and travel
-         *  with the window image, not the checkpoint). */
-        bool ringArmed = false;
-        ring::DeviceConfig ringCfg{};
-    };
-
-    /**
-     * Capture a Checkpoint. Legal only while the pipeline is
-     * quiescent — kIdle, kDone, kError, or kSaved (i.e. after the
-     * preemption path drained in-flight DMA). At kSaved the
-     * checkpoint reports the *suspended job's* status (latched when
-     * the preempt drained), not the transient SAVED value, so
-     * restoring it resumes the job directly.
-     */
-    Checkpoint checkpoint() const;
-
-    /**
-     * Inverse of checkpoint(): load the saved job state into this
-     * (quiescent) accelerator instance and continue it. A kRunning
-     * checkpoint resumes execution via onResumed(); kDone/kError
-     * raise the completion doorbell. Application registers are
-     * restored without onAppRegWrite() callbacks (they carry values,
-     * not commands).
-     */
-    void restore(const Checkpoint &ck);
 
     // ----- fpga::AccelDevice interface -----
     void dmaResponse(ccip::DmaTxnPtr txn) override;
@@ -169,7 +124,7 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     void ringNotify(std::uint64_t prod_seq);
 
     bool ringArmed() const { return _ringArmed; }
-    const ring::DeviceState &ringState() const { return _ringState; }
+    const ring::DeviceState &ringState() const { return _ring.state; }
 
     std::uint64_t ringPolls() const { return _ringPolls.value(); }
     std::uint64_t ringFetches() const { return _ringFetches.value(); }
@@ -191,20 +146,21 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     }
 
     /**
-     * Serialize the minimal architectural state needed to resume the
-     * job (the linked-list walker saves little more than the next
-     * node pointer, per the paper's design discussion).
+     * Write the minimal architectural state needed to resume the job
+     * into the preempt blob, after the framework's header (the
+     * linked-list walker saves little more than the next node
+     * pointer, per the paper's design discussion).
      */
-    virtual std::vector<std::uint8_t> saveArchState() const = 0;
+    virtual void saveArchState(StateWriter &w) const = 0;
 
-    /** Inverse of saveArchState(). */
-    virtual void restoreArchState(
-        const std::vector<std::uint8_t> &blob) = 0;
+    /** Inverse of saveArchState(). The blob is guest memory: every
+     *  count or fill read back is range-checked by @p r. */
+    virtual void restoreArchState(StateReader &r) = 0;
 
     /** Continue execution after a restore that left us RUNNING. */
     virtual void onResumed() = 0;
 
-    /** Upper bound on saveArchState() size, for STATE_SIZE. */
+    /** Upper bound on saveArchState() bytes, for STATE_SIZE. */
     virtual std::uint64_t archStateCapacity() const { return 256; }
 
     // ----- helpers for derived classes -----
@@ -246,6 +202,12 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     std::uint64_t epoch() const { return _epoch; }
 
   private:
+    /** Drop the job (soft and hard reset): kill guarded callbacks,
+     *  reset the port and return to kIdle. */
+    void clearJob();
+    /** Report a finished job (kDone/kError already in _status): post
+     *  it through the ring it came from, else raise the doorbell. */
+    void completeJob();
     void command(std::uint64_t bits);
     void beginPreempt();
     void beginResume();
@@ -261,7 +223,7 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     /** Post the in-flight job's completion into the ring (entry
      *  line, then the complete.prod line), then resume polling or —
      *  with the ring drained — raise the completion doorbell. */
-    void ringPostCompletion(Status st);
+    void ringPostCompletion();
 
     std::string _name;
     DmaPort _dma;
@@ -272,9 +234,6 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     std::uint64_t _progress = 0;
     std::uint64_t _stateBuf = 0;
     std::array<std::uint64_t, reg::kNumAppRegs> _appRegs{};
-    /** Job status latched by the last preempt drain (what a resume
-     *  or checkpoint of the kSaved context should report). */
-    Status _savedJobStatus = Status::kIdle;
     bool _doneDuringSave = false;
     /** A PREEMPT that landed while a RESUME was still restoring; it
      *  runs the moment the restore completes. */
@@ -288,9 +247,7 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     std::uint32_t _ringPollCycles;
 
     bool _ringArmed = false;
-    mem::Gva _ringBase{};
-    std::uint32_t _ringEntries = 0;
-    ring::DeviceState _ringState{};
+    ring::DeviceConfig _ring{};
     bool _ringFetchInFlight = false;
     bool _ringPollPending = false;
 

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "sim/logging.hh"
-
 namespace optimus::accel {
 
 // ------------------------------------------------------------------ AES
@@ -180,26 +178,21 @@ BtcAccel::mineBatch()
     scheduleGuarded(kBatch, [this]() { mineBatch(); });
 }
 
-std::vector<std::uint8_t>
-BtcAccel::saveArchState() const
+void
+BtcAccel::saveArchState(StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(88);
-    std::memcpy(blob.data(), _header.data(), 80);
-    std::memcpy(blob.data() + 80, &_nonce, 4);
-    std::uint32_t loaded = _headerLoaded ? 1 : 0;
-    std::memcpy(blob.data() + 84, &loaded, 4);
-    return blob;
+    w.bytes(_header.data(), _header.size());
+    w.u32(_nonce);
+    w.u32(_headerLoaded ? 1 : 0);
 }
 
 void
-BtcAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+BtcAccel::restoreArchState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 88, "short BTC arch state");
-    std::memcpy(_header.data(), blob.data(), 80);
-    std::memcpy(&_nonce, blob.data() + 80, 4);
-    std::uint32_t loaded = 0;
-    std::memcpy(&loaded, blob.data() + 84, 4);
-    _headerLoaded = loaded != 0;
+    r.label("BTC");
+    r.bytes(_header.data(), _header.size());
+    _nonce = r.u32();
+    _headerLoaded = r.u32() != 0;
     _headerLinesLoaded = _headerLoaded ? 2 : 0;
 }
 

@@ -35,10 +35,9 @@ class AesAccel : public StreamingAccelerator
     void streamBegin() override;
     void consumeLine(std::uint64_t offset, const std::uint8_t *data,
                      std::uint32_t bytes) override;
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override
+    void restoreTransformState(StateReader &r) override
     {
-        (void)blob;
+        (void)r;
         // The expanded key is derived state: rebuild it from the
         // (already restored) key registers on resume.
         streamBegin();
@@ -69,14 +68,13 @@ class Md5Accel : public StreamingAccelerator
                      std::uint32_t bytes) override;
     void streamEnd() override;
     std::uint64_t resultValue() const override { return _result8; }
-    std::vector<std::uint8_t> saveTransformState() const override
+    void saveTransformState(StateWriter &w) const override
     {
-        return _md5.serialize();
+        w.bytes(_md5.serialize());
     }
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override
+    void restoreTransformState(StateReader &r) override
     {
-        _md5.deserialize(blob);
+        _md5.deserialize(r.rest());
     }
     std::uint64_t transformStateCapacity() const override
     {
@@ -101,14 +99,13 @@ class ShaAccel : public StreamingAccelerator
                      std::uint32_t bytes) override;
     void streamEnd() override;
     std::uint64_t resultValue() const override { return _result8; }
-    std::vector<std::uint8_t> saveTransformState() const override
+    void saveTransformState(StateWriter &w) const override
     {
-        return _sha.serialize();
+        w.bytes(_sha.serialize());
     }
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override
+    void restoreTransformState(StateReader &r) override
     {
-        _sha.deserialize(blob);
+        _sha.deserialize(r.rest());
     }
     std::uint64_t transformStateCapacity() const override
     {
@@ -143,9 +140,8 @@ class BtcAccel : public Accelerator
   protected:
     void onStart() override;
     void onSoftReset() override;
-    std::vector<std::uint8_t> saveArchState() const override;
-    void restoreArchState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveArchState(StateWriter &w) const override;
+    void restoreArchState(StateReader &r) override;
     void onResumed() override;
     std::uint64_t archStateCapacity() const override { return 128; }
 

@@ -53,46 +53,41 @@ GrsAccel::streamEnd()
         flushOutLine();
 }
 
-std::vector<std::uint8_t>
-GrsAccel::saveTransformState() const
+void
+GrsAccel::saveTransformState(StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(sim::kCacheLineBytes + 16);
-    std::memcpy(blob.data(), _outLine.data(), sim::kCacheLineBytes);
-    std::memcpy(blob.data() + sim::kCacheLineBytes, &_outFill, 8);
-    std::memcpy(blob.data() + sim::kCacheLineBytes + 8, &_outOffset,
-                8);
-    return blob;
+    w.bytes(_outLine.data(), sim::kCacheLineBytes);
+    w.u64(_outFill);
+    w.u64(_outOffset);
 }
 
 void
-GrsAccel::restoreTransformState(const std::vector<std::uint8_t> &blob)
+GrsAccel::restoreTransformState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= sim::kCacheLineBytes + 16,
-                   "short GRS state");
-    std::memcpy(_outLine.data(), blob.data(), sim::kCacheLineBytes);
-    std::memcpy(&_outFill, blob.data() + sim::kCacheLineBytes, 8);
-    std::memcpy(&_outOffset, blob.data() + sim::kCacheLineBytes + 8,
-                8);
+    r.label("GRS");
+    r.bytes(_outLine.data(), sim::kCacheLineBytes);
+    // A full line is flushed as it fills: the fill is always short.
+    _outFill = r.below(sim::kCacheLineBytes, "output-line fill");
+    _outOffset = r.u64();
 }
 
 // ---------------------------------------------------------- row filters
 
 RowFilterAccel::RowFilterAccel(sim::EventQueue &eq,
                                const sim::PlatformParams &params,
-                               std::string name,
+                               std::string name, const char *app,
                                std::uint32_t read_gap_cycles,
                                sim::Scope scope)
     : StreamingAccelerator(eq, params, std::move(name), 200,
-                           Tuning{64, read_gap_cycles}, scope)
+                           Tuning{64, read_gap_cycles}, scope),
+      _app(app)
 {
 }
 
 void
 RowFilterAccel::streamBegin()
 {
-    OPTIMUS_ASSERT(width() > 0 &&
-                       width() % sim::kCacheLineBytes == 0 &&
-                       width() <= kMaxWidth,
+    OPTIMUS_ASSERT(widthValid(),
                    "row filter width must be a nonzero multiple of "
                    "the line size");
     OPTIMUS_ASSERT(streamLen() % width() == 0,
@@ -169,59 +164,51 @@ RowFilterAccel::emitFilteredRow(const std::vector<std::uint8_t> &above,
     }
 }
 
-std::vector<std::uint8_t>
-RowFilterAccel::saveTransformState() const
+void
+RowFilterAccel::saveTransformState(StateWriter &w) const
 {
-    // Layout: [rowsCompleted][curFill][prev row][prev2 row][cur row].
-    std::uint64_t cur_fill = _rowCur.size();
-    std::vector<std::uint8_t> blob(16 + 3 * kMaxWidth, 0);
-    std::memcpy(blob.data(), &_rowsCompleted, 8);
-    std::memcpy(blob.data() + 8, &cur_fill, 8);
-    if (!_rowPrev.empty())
-        std::memcpy(blob.data() + 16, _rowPrev.data(),
-                    _rowPrev.size());
-    if (!_rowPrev2.empty())
-        std::memcpy(blob.data() + 16 + kMaxWidth, _rowPrev2.data(),
-                    _rowPrev2.size());
-    if (!_rowCur.empty())
-        std::memcpy(blob.data() + 16 + 2 * kMaxWidth, _rowCur.data(),
-                    _rowCur.size());
-    return blob;
+    // Layout: [rowsCompleted][curFill][prev row][prev2 row][cur row],
+    // each row in a kMaxWidth slot.
+    w.u64(_rowsCompleted);
+    w.u64(_rowCur.size());
+    w.bytes(_rowPrev.data(), _rowPrev.size(), kMaxWidth);
+    w.bytes(_rowPrev2.data(), _rowPrev2.size(), kMaxWidth);
+    w.bytes(_rowCur.data(), _rowCur.size(), kMaxWidth);
 }
 
 void
-RowFilterAccel::restoreTransformState(
-    const std::vector<std::uint8_t> &blob)
+RowFilterAccel::restoreTransformState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 16 + 3 * kMaxWidth,
-                   "short row-filter state");
-    std::uint64_t cur_fill = 0;
-    std::memcpy(&_rowsCompleted, blob.data(), 8);
-    std::memcpy(&cur_fill, blob.data() + 8, 8);
-
+    r.label(_app);
+    // WIDTH is the register as replayed at resume, which the guest
+    // may have rewritten while descheduled.
     const std::uint64_t w = width();
-    _rowPrev.assign(blob.data() + 16, blob.data() + 16 + w);
-    _rowPrev2.assign(blob.data() + 16 + kMaxWidth,
-                     blob.data() + 16 + kMaxWidth + w);
-    _rowCur.assign(blob.data() + 16 + 2 * kMaxWidth,
-                   blob.data() + 16 + 2 * kMaxWidth + cur_fill);
-    if (_rowsCompleted == 0)
-        _rowPrev.clear();
-    if (_rowsCompleted < 2)
-        _rowPrev2.clear();
+    r.check(widthValid(), "width", w);
+    _rowsCompleted = r.u64();
+    // consumeLine() completes a row as it fills: the fill is short.
+    const std::uint64_t cur_fill = r.below(w, "current-row fill");
+
+    // Rows not yet filled come back as the slots' zeros, so every
+    // window row streamEnd() reads holds WIDTH bytes.
+    _rowPrev.resize(w);
+    r.bytes(_rowPrev.data(), w, kMaxWidth);
+    _rowPrev2.resize(w);
+    r.bytes(_rowPrev2.data(), w, kMaxWidth);
+    _rowCur.resize(cur_fill);
+    r.bytes(_rowCur.data(), cur_fill, kMaxWidth);
 }
 
 GauAccel::GauAccel(sim::EventQueue &eq,
                    const sim::PlatformParams &params, std::string name,
                    sim::Scope scope)
-    : RowFilterAccel(eq, params, std::move(name), 6, scope)
+    : RowFilterAccel(eq, params, std::move(name), "GAU", 6, scope)
 {
 }
 
 SblAccel::SblAccel(sim::EventQueue &eq,
                    const sim::PlatformParams &params, std::string name,
                    sim::Scope scope)
-    : RowFilterAccel(eq, params, std::move(name), 6, scope)
+    : RowFilterAccel(eq, params, std::move(name), "SBL", 6, scope)
 {
 }
 

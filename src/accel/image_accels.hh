@@ -33,9 +33,8 @@ class GrsAccel : public StreamingAccelerator
     void consumeLine(std::uint64_t offset, const std::uint8_t *data,
                      std::uint32_t bytes) override;
     void streamEnd() override;
-    std::vector<std::uint8_t> saveTransformState() const override;
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveTransformState(StateWriter &w) const override;
+    void restoreTransformState(StateReader &r) override;
     std::uint64_t transformStateCapacity() const override
     {
         return sim::kCacheLineBytes + 16;
@@ -63,9 +62,10 @@ class RowFilterAccel : public StreamingAccelerator
     /** Largest supported row, bounding the line-buffer BRAM. */
     static constexpr std::uint64_t kMaxWidth = 8192;
 
+    /** @p app names the filter ("GAU", "SBL") in state errors. */
     RowFilterAccel(sim::EventQueue &eq,
                    const sim::PlatformParams &params, std::string name,
-                   std::uint32_t read_gap_cycles,
+                   const char *app, std::uint32_t read_gap_cycles,
                    sim::Scope scope = {});
 
   protected:
@@ -77,9 +77,8 @@ class RowFilterAccel : public StreamingAccelerator
     void consumeLine(std::uint64_t offset, const std::uint8_t *data,
                      std::uint32_t bytes) override;
     void streamEnd() override;
-    std::vector<std::uint8_t> saveTransformState() const override;
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveTransformState(StateWriter &w) const override;
+    void restoreTransformState(StateReader &r) override;
     std::uint64_t transformStateCapacity() const override
     {
         return 3 * kMaxWidth + 64;
@@ -87,6 +86,13 @@ class RowFilterAccel : public StreamingAccelerator
 
   private:
     std::uint64_t width() const { return appReg(kRegWidth); }
+    /** WIDTH is a nonzero multiple of the line size, at most
+     *  kMaxWidth: the line buffers' shape. */
+    bool widthValid() const
+    {
+        return width() > 0 && width() % sim::kCacheLineBytes == 0 &&
+               width() <= kMaxWidth;
+    }
     std::uint64_t height() const
     {
         return width() ? streamLen() / width() : 0;
@@ -101,6 +107,7 @@ class RowFilterAccel : public StreamingAccelerator
     std::vector<std::uint8_t> _rowPrev2; ///< row r-2
     std::vector<std::uint8_t> _rowCur;   ///< row r, filling
     std::uint64_t _rowsCompleted = 0;
+    const char *_app;
 };
 
 /** 3x3 Gaussian blur. */

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "sim/logging.hh"
-
 namespace optimus::accel {
 
 LinkedlistAccel::LinkedlistAccel(sim::EventQueue &eq,
@@ -67,25 +65,23 @@ LinkedlistAccel::step()
                });
 }
 
-std::vector<std::uint8_t>
-LinkedlistAccel::saveArchState() const
+void
+LinkedlistAccel::saveArchState(StateWriter &w) const
 {
     // The paper's canonical minimal state: the address of the next
     // node (plus the running counters).
-    std::vector<std::uint8_t> blob(24);
-    std::memcpy(blob.data(), &_current, 8);
-    std::memcpy(blob.data() + 8, &_walked, 8);
-    std::memcpy(blob.data() + 16, &_checksum, 8);
-    return blob;
+    w.u64(_current);
+    w.u64(_walked);
+    w.u64(_checksum);
 }
 
 void
-LinkedlistAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+LinkedlistAccel::restoreArchState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 24, "short LinkedList state");
-    std::memcpy(&_current, blob.data(), 8);
-    std::memcpy(&_walked, blob.data() + 8, 8);
-    std::memcpy(&_checksum, blob.data() + 16, 8);
+    r.label("LinkedList");
+    _current = r.u64();
+    _walked = r.u64();
+    _checksum = r.u64();
 }
 
 void

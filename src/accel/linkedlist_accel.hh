@@ -47,9 +47,8 @@ class LinkedlistAccel : public Accelerator
   protected:
     void onStart() override;
     void onSoftReset() override;
-    std::vector<std::uint8_t> saveArchState() const override;
-    void restoreArchState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveArchState(StateWriter &w) const override;
+    void restoreArchState(StateReader &r) override;
     void onResumed() override;
     std::uint64_t archStateCapacity() const override { return 32; }
 

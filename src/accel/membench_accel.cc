@@ -112,27 +112,26 @@ MembenchAccel::pump()
     }
 }
 
-std::vector<std::uint8_t>
-MembenchAccel::saveArchState() const
+void
+MembenchAccel::saveArchState(StateWriter &w) const
 {
     // The minimal state: the RNG and the operation counters.
-    auto rng_state = _rng.state();
-    std::vector<std::uint8_t> blob(sizeof(rng_state) + 16);
-    std::memcpy(blob.data(), rng_state.data(), sizeof(rng_state));
-    std::memcpy(blob.data() + sizeof(rng_state), &_issued, 8);
-    std::memcpy(blob.data() + sizeof(rng_state) + 8, &_completed, 8);
-    return blob;
+    for (std::uint64_t word : _rng.state())
+        w.u64(word);
+    w.u64(_issued);
+    w.u64(_completed);
 }
 
 void
-MembenchAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+MembenchAccel::restoreArchState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 48, "short MemBench state");
-    std::array<std::uint64_t, 4> rng_state;
-    std::memcpy(rng_state.data(), blob.data(), sizeof(rng_state));
+    r.label("MemBench");
+    std::array<std::uint64_t, 4> rng_state{};
+    for (std::uint64_t &word : rng_state)
+        word = r.u64();
     _rng.setState(rng_state);
-    std::memcpy(&_issued, blob.data() + sizeof(rng_state), 8);
-    std::memcpy(&_completed, blob.data() + sizeof(rng_state) + 8, 8);
+    r.u64(); // issued
+    _completed = r.u64();
     // In-flight requests were drained before the save; account for
     // them as completed work.
     _issued = _completed;

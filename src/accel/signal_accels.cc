@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/logging.hh"
-
 namespace optimus::accel {
 
 // ------------------------------------------------------------------ FIR
@@ -42,20 +40,17 @@ FirAccel::consumeLine(std::uint64_t offset, const std::uint8_t *data,
     emit(dst() + offset, out, samples * 4);
 }
 
-std::vector<std::uint8_t>
-FirAccel::saveTransformState() const
+void
+FirAccel::saveTransformState(StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(sizeof(_history));
-    std::memcpy(blob.data(), _history.data(), sizeof(_history));
-    return blob;
+    w.bytes(_history.data(), sizeof(_history));
 }
 
 void
-FirAccel::restoreTransformState(const std::vector<std::uint8_t> &blob)
+FirAccel::restoreTransformState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= sizeof(_history),
-                   "short FIR state");
-    std::memcpy(_history.data(), blob.data(), sizeof(_history));
+    r.label("FIR");
+    r.bytes(_history.data(), sizeof(_history));
 }
 
 // ------------------------------------------------------------------ GRN
@@ -133,26 +128,28 @@ GrnAccel::pump()
     scheduleGuarded(kLineGapCycles, [this]() { pump(); });
 }
 
-std::vector<std::uint8_t>
-GrnAccel::saveArchState() const
+void
+GrnAccel::saveArchState(StateWriter &w) const
 {
-    algo::GaussianSource::State s = _source.state();
-    std::vector<std::uint8_t> blob(sizeof(s) + 8);
-    std::memcpy(blob.data(), &s, sizeof(s));
-    std::memcpy(blob.data() + sizeof(s), &_generated, 8);
-    return blob;
+    const algo::GaussianSource::State s = _source.state();
+    for (std::uint64_t word : s.rng)
+        w.u64(word);
+    w.u64(s.hasSpare ? 1 : 0);
+    w.f64(s.spare);
+    w.u64(_generated);
 }
 
 void
-GrnAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+GrnAccel::restoreArchState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= sizeof(algo::GaussianSource::State) +
-                                      8,
-                   "short GRN state");
-    algo::GaussianSource::State s;
-    std::memcpy(&s, blob.data(), sizeof(s));
+    r.label("GRN");
+    algo::GaussianSource::State s{};
+    for (std::uint64_t &word : s.rng)
+        word = r.u64();
+    s.hasSpare = r.below(2, "spare-sample flag") != 0;
+    s.spare = r.f64();
     _source.setState(s);
-    std::memcpy(&_generated, blob.data() + sizeof(s), 8);
+    _generated = r.u64();
     _pendingWrites = 0;
 }
 
@@ -210,28 +207,29 @@ RsdAccel::consumeLine(std::uint64_t offset, const std::uint8_t *data,
     _slotFill = 0;
 }
 
-std::vector<std::uint8_t>
-RsdAccel::saveTransformState() const
+void
+RsdAccel::saveTransformState(StateWriter &w) const
 {
-    std::vector<std::uint8_t> blob(kSlotBytes + 32);
-    std::memcpy(blob.data(), _slot.data(), kSlotBytes);
-    std::uint64_t meta[4] = {_slotFill, _slotIndex, _corrected,
-                             _failures};
-    std::memcpy(blob.data() + kSlotBytes, meta, sizeof(meta));
-    return blob;
+    w.bytes(_slot.data(), kSlotBytes);
+    w.u64(_slotFill);
+    w.u64(_slotIndex);
+    w.u64(_corrected);
+    w.u64(_failures);
 }
 
 void
-RsdAccel::restoreTransformState(const std::vector<std::uint8_t> &blob)
+RsdAccel::restoreTransformState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= kSlotBytes + 32, "short RSD state");
-    std::memcpy(_slot.data(), blob.data(), kSlotBytes);
-    std::uint64_t meta[4];
-    std::memcpy(meta, blob.data() + kSlotBytes, sizeof(meta));
-    _slotFill = meta[0];
-    _slotIndex = meta[1];
-    _corrected = meta[2];
-    _failures = meta[3];
+    r.label("RSD");
+    r.bytes(_slot.data(), kSlotBytes);
+    // consumeLine() appends whole lines: the fill is below the slot
+    // and line-aligned, so the next line fits.
+    _slotFill = r.below(kSlotBytes, "slot fill");
+    r.check(_slotFill % sim::kCacheLineBytes == 0, "slot fill",
+            _slotFill);
+    _slotIndex = r.u64();
+    _corrected = r.u64();
+    _failures = r.u64();
 }
 
 // ------------------------------------------------------------------- SW

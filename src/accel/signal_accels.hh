@@ -33,9 +33,8 @@ class FirAccel : public StreamingAccelerator
     void streamBegin() override;
     void consumeLine(std::uint64_t offset, const std::uint8_t *data,
                      std::uint32_t bytes) override;
-    std::vector<std::uint8_t> saveTransformState() const override;
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveTransformState(StateWriter &w) const override;
+    void restoreTransformState(StateReader &r) override;
     std::uint64_t transformStateCapacity() const override
     {
         return sizeof(_history);
@@ -66,9 +65,8 @@ class GrnAccel : public Accelerator
   protected:
     void onStart() override;
     void onSoftReset() override;
-    std::vector<std::uint8_t> saveArchState() const override;
-    void restoreArchState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveArchState(StateWriter &w) const override;
+    void restoreArchState(StateReader &r) override;
     void onResumed() override;
     std::uint64_t archStateCapacity() const override { return 128; }
 
@@ -114,9 +112,8 @@ class RsdAccel : public StreamingAccelerator
     void consumeLine(std::uint64_t offset, const std::uint8_t *data,
                      std::uint32_t bytes) override;
     std::uint64_t resultValue() const override { return _corrected; }
-    std::vector<std::uint8_t> saveTransformState() const override;
-    void restoreTransformState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveTransformState(StateWriter &w) const override;
+    void restoreTransformState(StateReader &r) override;
     std::uint64_t transformStateCapacity() const override
     {
         return kSlotBytes + 32;
@@ -155,15 +152,8 @@ class SwAccel : public Accelerator
   protected:
     void onStart() override;
     void onSoftReset() override;
-    std::vector<std::uint8_t> saveArchState() const override
-    {
-        return {};
-    }
-    void restoreArchState(
-        const std::vector<std::uint8_t> &blob) override
-    {
-        (void)blob;
-    }
+    void saveArchState(StateWriter &w) const override { (void)w; }
+    void restoreArchState(StateReader &r) override { (void)r; }
     void onResumed() override { onStart(); }
     std::uint64_t archStateCapacity() const override { return 8; }
 

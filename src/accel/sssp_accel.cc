@@ -178,6 +178,14 @@ SsspAccel::fetchEdges(std::uint32_t v, std::uint32_t dv,
                     std::uint32_t w;
                     std::memcpy(&dest, t.data.data() + (a - lg), 4);
                     std::memcpy(&w, t.data.data() + (a - lg) + 4, 4);
+                    if (dest >= _nvert) {
+                        // An edge out of the graph is malformed guest
+                        // data: a device error, reported once however
+                        // many such edges are still in flight.
+                        if (status() != Status::kError)
+                            fail();
+                        return;
+                    }
                     relax(dest, dv + w);
                 }
                 if (--*remaining == 0) {
@@ -297,42 +305,37 @@ SsspAccel::maybeEndRound()
     dispatch();
 }
 
-std::vector<std::uint8_t>
-SsspAccel::saveArchState() const
+void
+SsspAccel::saveArchState(StateWriter &w) const
 {
     // At save time the pipeline has drained: no active vertices and
     // no line RMWs in flight. State is the remaining frontier, the
     // next-round set, and the counters.
-    std::uint64_t rem = _frontier.size() - _frontierPos;
-    std::vector<std::uint8_t> blob(32 + 4 * (rem + _next.size()));
-    std::uint64_t hdr[4] = {rem, _next.size(), _relaxations, _rounds};
-    std::memcpy(blob.data(), hdr, sizeof(hdr));
-    std::memcpy(blob.data() + 32, _frontier.data() + _frontierPos,
-                4 * rem);
-    std::memcpy(blob.data() + 32 + 4 * rem, _next.data(),
-                4 * _next.size());
-    return blob;
+    const std::uint64_t rem = _frontier.size() - _frontierPos;
+    w.u64(rem);
+    w.u64(_next.size());
+    w.u64(_relaxations);
+    w.u64(_rounds);
+    w.bytes(_frontier.data() + _frontierPos, 4 * rem);
+    w.bytes(_next.data(), 4 * _next.size());
 }
 
 void
-SsspAccel::restoreArchState(const std::vector<std::uint8_t> &blob)
+SsspAccel::restoreArchState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 32, "short SSSP state");
-    std::uint64_t hdr[4];
-    std::memcpy(hdr, blob.data(), sizeof(hdr));
-
+    r.label("SSSP");
     _rowptr = appReg(kRegRowptr);
     _edges = appReg(kRegEdges);
     _dist = appReg(kRegDist);
     _nvert = static_cast<std::uint32_t>(appReg(kRegNvert));
 
-    _frontier.assign(hdr[0], 0);
-    _next.assign(hdr[1], 0);
-    std::memcpy(_frontier.data(), blob.data() + 32, 4 * hdr[0]);
-    std::memcpy(_next.data(), blob.data() + 32 + 4 * hdr[0],
-                4 * hdr[1]);
-    _relaxations = hdr[2];
-    _rounds = hdr[3];
+    const std::uint64_t rem = r.u64();
+    const std::uint64_t next = r.u64();
+    _relaxations = r.u64();
+    _rounds = r.u64();
+    // markNext() indexes _inNext by vertex: every id is below NVERT.
+    r.u32s(_frontier, rem, _nvert, "frontier vertex");
+    r.u32s(_next, next, _nvert, "next vertex");
     _frontierPos = 0;
     _activeVertices = 0;
     _lineOps.clear();

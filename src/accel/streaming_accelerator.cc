@@ -1,7 +1,6 @@
 #include "accel/streaming_accelerator.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -157,36 +156,20 @@ StreamingAccelerator::onResumed()
     maybeFinish();
 }
 
-std::vector<std::uint8_t>
-StreamingAccelerator::saveArchState() const
+void
+StreamingAccelerator::saveArchState(StateWriter &w) const
 {
     // At save time the port has drained: everything issued has been
     // consumed, so the stream position is exactly _consumedOff.
-    std::vector<std::uint8_t> transform = saveTransformState();
-    std::vector<std::uint8_t> blob(16 + transform.size());
-    std::uint64_t pos = _consumedOff;
-    std::uint64_t tlen = transform.size();
-    std::memcpy(blob.data(), &pos, 8);
-    std::memcpy(blob.data() + 8, &tlen, 8);
-    // An empty vector's data() may be null, which memcpy forbids.
-    if (!transform.empty())
-        std::memcpy(blob.data() + 16, transform.data(),
-                    transform.size());
-    return blob;
+    w.u64(_consumedOff);
+    w.framed([this](StateWriter &t) { saveTransformState(t); });
 }
 
 void
-StreamingAccelerator::restoreArchState(
-    const std::vector<std::uint8_t> &blob)
+StreamingAccelerator::restoreArchState(StateReader &r)
 {
-    OPTIMUS_ASSERT(blob.size() >= 16, "short stream arch state");
-    std::uint64_t pos = 0;
-    std::uint64_t tlen = 0;
-    std::memcpy(&pos, blob.data(), 8);
-    std::memcpy(&tlen, blob.data() + 8, 8);
-    // tlen comes from guest memory: compare it without an addition
-    // that could wrap.
-    OPTIMUS_ASSERT(tlen <= blob.size() - 16, "truncated arch state");
+    const std::uint64_t pos = r.u64();
+    StateReader transform = r.framed();
 
     _consumedOff = pos;
     _nextReadOff = pos;
@@ -194,8 +177,7 @@ StreamingAccelerator::restoreArchState(
     _inputDone = pos >= streamLen();
     _endCalled = false;
     _reorder.clear();
-    restoreTransformState(std::vector<std::uint8_t>(
-        blob.begin() + 16, blob.begin() + 16 + tlen));
+    restoreTransformState(transform);
 }
 
 std::uint64_t

@@ -74,16 +74,10 @@ class StreamingAccelerator : public Accelerator
     /** Value latched into the RESULT register at completion. */
     virtual std::uint64_t resultValue() const { return progress(); }
 
-    /** Serialize transform state appended to the stream position. */
-    virtual std::vector<std::uint8_t> saveTransformState() const
-    {
-        return {};
-    }
-    virtual void
-    restoreTransformState(const std::vector<std::uint8_t> &blob)
-    {
-        (void)blob;
-    }
+    /** Write transform state, framed after the stream position. */
+    virtual void saveTransformState(StateWriter &w) const { (void)w; }
+    /** Inverse of saveTransformState(); @p r covers just its frame. */
+    virtual void restoreTransformState(StateReader &r) { (void)r; }
 
     // ----- services for the derived class -----
     /** Emit an output write; completion is tracked by the engine. */
@@ -100,9 +94,8 @@ class StreamingAccelerator : public Accelerator
     void onStart() override;
     void onSoftReset() override;
     void onResumed() override;
-    std::vector<std::uint8_t> saveArchState() const override;
-    void restoreArchState(
-        const std::vector<std::uint8_t> &blob) override;
+    void saveArchState(StateWriter &w) const override;
+    void restoreArchState(StateReader &r) override;
     std::uint64_t archStateCapacity() const override;
 
     /** Extra capacity derived transforms need (default 4 KiB). */

@@ -19,37 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "sim/fnv.hh"
+
 namespace optimus::exp {
 
 /** FNV-1a accumulator over simulated results. */
-class Fingerprint
-{
-  public:
-    Fingerprint &
-    add(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            _h ^= (v >> (8 * i)) & 0xff;
-            _h *= 0x100000001b3ULL;
-        }
-        return *this;
-    }
-
-    Fingerprint &
-    add(const std::string &s)
-    {
-        for (unsigned char c : s) {
-            _h ^= c;
-            _h *= 0x100000001b3ULL;
-        }
-        return *this;
-    }
-
-    std::uint64_t value() const { return _h; }
-
-  private:
-    std::uint64_t _h = 0xcbf29ce484222325ULL;
-};
+using Fingerprint = sim::Fnv1a;
 
 /** One table cell. */
 struct Metric

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 
 namespace optimus::fleet {
@@ -717,23 +718,17 @@ Cluster::fleetDropped() const
 std::uint64_t
 Cluster::fingerprint() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
+    sim::Fnv1a h;
     for (const auto &p : _planes)
-        mix(p->fingerprint());
-    mix(_migrationsStarted);
-    mix(_migrationsCompleted);
-    mix(_migrationBytes);
-    mix(_blackoutNs.count());
-    mix(_blackoutNs.sum());
-    mix(_blackoutNs.min());
-    mix(_blackoutNs.max());
-    return h;
+        h.add(p->fingerprint());
+    h.add(_migrationsStarted);
+    h.add(_migrationsCompleted);
+    h.add(_migrationBytes);
+    h.add(_blackoutNs.count());
+    h.add(_blackoutNs.sum());
+    h.add(_blackoutNs.min());
+    h.add(_blackoutNs.max());
+    return h.value();
 }
 
 } // namespace optimus::fleet

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
 
@@ -10,34 +11,8 @@ namespace optimus::svc {
 
 namespace {
 
-/** Local FNV-1a so svc does not depend on the exp layer. */
-class Fnv
-{
-  public:
-    void
-    add(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            _h ^= (v >> (8 * i)) & 0xff;
-            _h *= 0x100000001b3ULL;
-        }
-    }
-    void
-    add(const std::string &s)
-    {
-        for (unsigned char c : s) {
-            _h ^= c;
-            _h *= 0x100000001b3ULL;
-        }
-    }
-    std::uint64_t value() const { return _h; }
-
-  private:
-    std::uint64_t _h = 0xcbf29ce484222325ULL;
-};
-
 void
-foldHistogram(Fnv &f, const sim::Histogram &h)
+foldHistogram(sim::Fnv1a &f, const sim::Histogram &h)
 {
     f.add(h.count());
     f.add(h.sum());
@@ -536,7 +511,7 @@ ServicePlane::idle() const
 std::uint64_t
 ServicePlane::fingerprint() const
 {
-    Fnv f;
+    sim::Fnv1a f;
     for (const auto &tp : _tenants) {
         const Tenant &t = *tp;
         f.add(t.name());

@@ -3,8 +3,9 @@
  * Behavioural tests of individual accelerator models beyond the
  * uniform end-to-end sweep: count-limited linked-list walks, MemBench
  * target/mixed modes, Reed-Solomon failure accounting, Bitcoin
- * difficulty handling, GRN reproducibility, and SSSP round/relaxation
- * accounting against the software reference.
+ * difficulty handling, GRN reproducibility, SSSP round/relaxation
+ * accounting against the software reference, and SSSP's rejection of
+ * an edge that leaves the graph.
  */
 
 #include <gtest/gtest.h>
@@ -223,6 +224,27 @@ TEST(SsspModelTest, WindowRegisterChangesRuntimeNotResult)
     }
     EXPECT_EQ(results[0], results[1]);
     EXPECT_GT(runtimes[0], runtimes[1]); // narrow window is slower
+}
+
+TEST(SsspModelTest, EdgeOutOfTheGraphIsADeviceError)
+{
+    // Edge records are guest memory. Point every edge past NVERT, at
+    // a dist word that reads as unreached, so a relaxation would
+    // succeed there: the job must fail rather than index past the
+    // next-round set.
+    System sys(makeOptimusConfig("SSSP", 1));
+    AccelHandle &h = sys.attach(0, 1ULL << 30);
+    auto g = algo::makeRandomGraph(64, 256, 63, 23);
+    const std::uint32_t outside = g.numVertices() + 16;
+    for (std::uint32_t &d : g.dest)
+        d = outside;
+    auto layout = workload::placeGraph(h, g, 0);
+    h.process().writeValue<std::uint32_t>(layout.dist + 4ULL * outside,
+                                          algo::kDistInf);
+    workload::programSssp(h, layout);
+    h.start();
+    EXPECT_EQ(h.wait(), accel::Status::kError);
+    EXPECT_NE(h.errorStatus() & accel::errst::kDeviceError, 0u);
 }
 
 } // namespace

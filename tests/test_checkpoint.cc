@@ -1,14 +1,14 @@
 /**
  * @file
- * Device-level checkpoint/restore round-trip for every benchmark
- * accelerator family: a job is preempted mid-flight directly at the
- * device (kPreempt, drain, kSaved), captured with
- * Accelerator::checkpoint(), and re-planted with restore() into a
- * fresh accelerator instance on a second System whose guest memory
- * was overwritten with the source's DMA window image. The resumed
- * job's result, progress, and verified output must be identical to
- * an uninterrupted reference run — this is exactly the contract the
- * fleet migration layer depends on.
+ * Device-level save/resume round-trip for every benchmark accelerator
+ * family: a job is preempted mid-flight directly at the device
+ * (kPreempt, drain, kSaved), which saves its blob into the state
+ * buffer in guest memory. The source's DMA window image, blob
+ * included, is written over the window of a second System, whose
+ * fresh accelerator instance then takes kResume and loads the blob.
+ * The resumed job's result, progress, and verified output must be
+ * identical to an uninterrupted reference run — this is exactly the
+ * contract the fleet migration layer depends on.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +45,42 @@ struct Prepared
     }
 
     accel::Accelerator &dev() { return sys.platform.accel(0); }
+
+    /** PREEMPT at the device and pump until its blob is saved. */
+    void
+    preempt()
+    {
+        dev().mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
+        handle->pumpUntil(
+            [&]() { return dev().status() == accel::Status::kSaved; });
+    }
+
+    /** A scheduled slot with a quiescent pipeline: start a placeholder
+     *  job (so the offset table is programmed), then preempt it. */
+    void
+    park()
+    {
+        handle->pumpUntil([&]() {
+            return dev().status() == accel::Status::kRunning;
+        });
+        preempt();
+    }
+
+    /** Write @p src's DMA window image, saved blob included, over
+     *  this System's window, then RESUME from it. */
+    void
+    resumeFrom(Prepared &src)
+    {
+        const std::uint64_t base =
+            src.handle->vaccel().windowBase().value();
+        ASSERT_EQ(base, handle->vaccel().windowBase().value());
+        const std::uint64_t size = src.handle->heap().registeredBytes();
+        ASSERT_EQ(size, handle->heap().registeredBytes());
+        std::vector<std::uint8_t> image(size);
+        src.handle->memRead(mem::Gva(base), image.data(), size);
+        handle->memWrite(mem::Gva(base), image.data(), size);
+        dev().mmioWrite(accel::reg::kCtrl, accel::ctrl::kResume);
+    }
 };
 
 class CheckpointTest : public ::testing::TestWithParam<std::string>
@@ -71,37 +107,13 @@ TEST_P(CheckpointTest, RestoredJobMatchesUninterruptedRun)
     // Most apps are genuinely mid-flight here; a few (e.g. SW) post
     // their first PROGRESS bump coarsely, so partial progress is not
     // asserted — the round-trip contract is identical either way.
-    src.dev().mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
-    src.handle->pumpUntil([&]() {
-        return src.dev().status() == accel::Status::kSaved;
-    });
-    accel::Accelerator::Checkpoint ck = src.dev().checkpoint();
+    src.preempt();
 
-    // Destination: same platform and workload layout. Start then
-    // immediately preempt the scratch job so the slot is scheduled
-    // (offset table programmed) but the pipeline is quiescent, then
-    // overwrite the window with the source image and adopt the
-    // checkpoint.
+    // Destination: same platform and workload layout, its placeholder job
+    // parked, then resumed from the source's window image.
     Prepared dst(app);
-    dst.handle->pumpUntil([&]() {
-        return dst.dev().status() == accel::Status::kRunning;
-    });
-    dst.dev().mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
-    dst.handle->pumpUntil([&]() {
-        return dst.dev().status() == accel::Status::kSaved;
-    });
-
-    const std::uint64_t base = src.handle->vaccel()
-                                   .windowBase()
-                                   .value();
-    ASSERT_EQ(base, dst.handle->vaccel().windowBase().value());
-    const std::uint64_t size = src.handle->heap().registeredBytes();
-    ASSERT_EQ(size, dst.handle->heap().registeredBytes()) << app;
-    std::vector<std::uint8_t> image(size);
-    src.handle->memRead(mem::Gva(base), image.data(), size);
-    dst.handle->memWrite(mem::Gva(base), image.data(), size);
-
-    dst.dev().restore(ck);
+    dst.park();
+    dst.resumeFrom(src);
     EXPECT_EQ(dst.handle->wait(), accel::Status::kDone) << app;
     EXPECT_EQ(dst.handle->result(), ref_result) << app;
     EXPECT_EQ(dst.handle->progress(), ref_progress) << app;
@@ -121,30 +133,20 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param;
     });
 
-/** A checkpoint taken after completion restores straight to DONE. */
+/** A blob saved after completion resumes straight to DONE. */
 TEST(CheckpointTest, CompletedJobRestoresToDone)
 {
     Prepared ref("SHA");
     ASSERT_EQ(ref.handle->wait(), accel::Status::kDone);
-    accel::Accelerator::Checkpoint ck = ref.dev().checkpoint();
-    EXPECT_EQ(ck.status, accel::Status::kDone);
+    // PREEMPT the finished device: it saves a DONE blob.
+    ref.preempt();
+    const mem::Gva buf(ref.handle->mmioRead(accel::reg::kStateBuf));
+    EXPECT_EQ(ref.handle->process().readValue<std::uint64_t>(buf),
+              static_cast<std::uint64_t>(accel::Status::kDone));
 
     Prepared dst("SHA");
-    dst.handle->pumpUntil([&]() {
-        return dst.dev().status() == accel::Status::kRunning;
-    });
-    dst.dev().mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
-    dst.handle->pumpUntil([&]() {
-        return dst.dev().status() == accel::Status::kSaved;
-    });
-    const std::uint64_t base =
-        ref.handle->vaccel().windowBase().value();
-    const std::uint64_t size = ref.handle->heap().registeredBytes();
-    std::vector<std::uint8_t> image(size);
-    ref.handle->memRead(mem::Gva(base), image.data(), size);
-    dst.handle->memWrite(mem::Gva(base), image.data(), size);
-
-    dst.dev().restore(ck);
+    dst.park();
+    dst.resumeFrom(ref);
     EXPECT_EQ(dst.handle->wait(), accel::Status::kDone);
     EXPECT_EQ(dst.handle->result(), ref.handle->result());
 }

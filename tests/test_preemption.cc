@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "accel/linkedlist_accel.hh"
@@ -109,48 +110,104 @@ TEST(PreemptionTest, StateBufferReceivesTheContext)
     EXPECT_EQ(h1.result(), layout.checksum);
 }
 
-TEST(PreemptionTest, CorruptStateBufferFailsTheResume)
+/**
+ * Tenant h1 time-shares slot 0 with h2 at a 100 us slice. Once h2
+ * holds the slot, h1's mid-job save has fully landed in its state
+ * buffer, its own memory: @p corrupt rewrites a field there, and h1's
+ * RESUME must then stop on @p message instead of letting the field
+ * corrupt the device model. The death runs in a child; the parent's
+ * simulation is intact.
+ */
+void
+expectResumeDies(
+    const char *app, std::uint64_t job_bytes,
+    const std::function<void(guest::Process &, mem::Gva)> &corrupt,
+    const char *message)
 {
-    // The state buffer is the tenant's own memory. A saved SHA-512
-    // buffer fill rewritten past the block size must stop the
-    // restore, not let the next update() write past the hash state.
+    SCOPED_TRACE(message);
     sim::PlatformParams p = sim::PlatformParams::harpDefaults();
     p.timeSlice = 100 * sim::kTickUs;
-    System sys(makeOptimusConfig("SHA", 1, p));
+    System sys(makeOptimusConfig(app, 1, p));
     AccelHandle &h1 = sys.attach(0, 1ULL << 30);
     AccelHandle &h2 = sys.attachShared(0);
 
-    auto wl1 = workload::Workload::create("SHA", h1, 512 * 1024, 17);
+    auto wl1 = workload::Workload::create(app, h1, job_bytes, 17);
     wl1->program();
     h1.setupStateBuffer();
     const mem::Gva buf(h1.mmioRead(accel::reg::kStateBuf));
-    auto wl2 = workload::Workload::create("SHA", h2, 512 * 1024, 18);
+    auto wl2 = workload::Workload::create(app, h2, job_bytes, 18);
     wl2->program();
     h2.setupStateBuffer();
 
     h1.start();
     h2.start();
-    // Once h2 holds the slot, h1's mid-job save has fully landed.
     h1.pumpUntil([&]() {
         return sys.hv.isScheduled(h2.vaccel()) &&
                h1.process().readValue<std::uint64_t>(buf) ==
                    static_cast<std::uint64_t>(accel::Status::kRunning);
     });
+    corrupt(h1.process(), buf);
+    EXPECT_DEATH(h1.wait(), message);
+}
 
-    // The blob: a 24-byte header (status, result, progress), the
-    // stream position and transform length, then the SHA-512 state,
-    // whose buffer fill follows its eight hash words and total length.
-    // Each death runs in a child; the parent's simulation is intact.
-    const mem::Gva tlen = buf + 32;
-    const mem::Gva fill = buf + 112;
-    const auto saved_fill = h1.process().readValue<std::uint64_t>(fill);
-    h1.process().writeValue<std::uint64_t>(fill, 200);
-    EXPECT_DEATH(h1.wait(), "SHA-512 state buffer fill 200 out of range");
-    h1.process().writeValue(fill, saved_fill);
+TEST(PreemptionTest, CorruptStateBufferFailsTheResume)
+{
+    // The blob: a 24-byte header (status, result, progress), for a
+    // streaming app the stream position and transform length, then
+    // the model's state. Each row rewrites one u64 field.
+    struct Row
+    {
+        const char *app;
+        std::uint64_t jobBytes;
+        std::uint64_t offset;
+        std::uint64_t value;
+        const char *message;
+    };
+    const Row rows[] = {
+        // SHA-512's buffer fill follows its eight hash words and
+        // total length.
+        {"SHA", 512 * 1024, 112, 200,
+         "SHA-512 state buffer fill 200 out of range"},
+        // A transform length near 2^64 must not wrap the bounds check.
+        {"SHA", 512 * 1024, 32, ~0ULL - 7, "truncated arch state"},
+        // RSD: the fill follows the 256-byte codeword slot.
+        {"RSD", 512 * 1024, 296, 1ULL << 20,
+         "RSD state slot fill 1048576 out of range"},
+        // GRS: the fill follows the 64-byte output line.
+        {"GRS", 8ULL << 20, 104, 1ULL << 20,
+         "GRS state output-line fill 1048576 out of range"},
+        // Row filters: rows completed, then the current row's fill.
+        {"GAU", 512 * 1024, 48, 1ULL << 20,
+         "GAU state current-row fill 1048576 out of range"},
+        // SSSP: frontier count, next count, relaxations, rounds.
+        {"SSSP", 512 * 1024, 24, 1ULL << 20,
+         "SSSP state frontier vertex count 1048576 out of range"},
+        // GRN: the spare-sample flag follows the four RNG words.
+        {"GRN", 8ULL << 20, 56, 7,
+         "GRN state spare-sample flag 7 out of range"},
+    };
+    for (const Row &row : rows) {
+        expectResumeDies(
+            row.app, row.jobBytes,
+            [&row](guest::Process &proc, mem::Gva buf) {
+                proc.writeValue<std::uint64_t>(buf + row.offset,
+                                               row.value);
+            },
+            row.message);
+    }
 
-    // A transform length near 2^64 must not wrap the bounds check.
-    h1.process().writeValue<std::uint64_t>(tlen, ~0ULL - 7);
-    EXPECT_DEATH(h1.wait(), "truncated arch state");
+    // SSSP vertex ids index the next-round bitmap: one next vertex
+    // past NVERT. The next ids follow the saved frontier's.
+    expectResumeDies(
+        "SSSP", 512 * 1024,
+        [](guest::Process &proc, mem::Gva buf) {
+            proc.writeValue<std::uint64_t>(buf + 32, 1);
+            const auto frontier =
+                proc.readValue<std::uint64_t>(buf + 24);
+            proc.writeValue<std::uint32_t>(buf + 56 + 4 * frontier,
+                                           0x7ffffff0);
+        },
+        "SSSP state next vertex 2147483632 out of range");
 }
 
 TEST(PreemptionTest, AcceleratorWithoutStateBufferIsForciblyReset)
