@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,6 +91,30 @@ class TelemetryDumper : public hv::SystemObserver
         _sinks;
 };
 
+/** Parse @p v, the value of @p flag, as a decimal integer in
+ *  [@p lo, @p hi]. Digits only: strtoul would skip blanks, take a sign
+ *  (negating "-1" into a huge count) and stop at trailing junk
+ *  ("4x"). */
+bool
+parseCount(const std::string &flag, const char *v, unsigned lo,
+           unsigned hi, unsigned &out)
+{
+    bool ok = *v != '\0';
+    std::uint64_t n = 0;
+    for (const char *p = v; ok && *p != '\0'; ++p) {
+        ok = *p >= '0' && *p <= '9';
+        n = n * 10 + static_cast<std::uint64_t>(*p - '0');
+        ok = ok && n <= hi; // also keeps n far from overflowing
+    }
+    if (!ok || n < lo) {
+        std::fprintf(stderr, "%s wants an integer in [%u, %u], got '%s'\n",
+                     flag.c_str(), lo, hi, v);
+        return false;
+    }
+    out = static_cast<unsigned>(n);
+    return true;
+}
+
 } // namespace
 
 Runner &
@@ -149,7 +174,8 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
             "exceeds the\n"
             "                   host's hardware threads (results "
             "are identical\n"
-            "                   at any width)\n"
+            "                   at any width); N and --jobs are at "
+            "most %u\n"
             "  --nodes N        restrict fleet benches to N-node "
             "clusters\n"
             "                   (0/default sweeps the bench's node "
@@ -168,7 +194,7 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
             "                   runs each bench's full set; excluded "
             "rows\n"
             "                   render as 'skipped'\n",
-            argc > 0 ? argv[0] : "bench");
+            argc > 0 ? argv[0] : "bench", kMaxThreads);
     };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -182,18 +208,14 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
         };
         if (a == "--jobs" || a == "-j") {
             const char *v = val();
-            if (!v)
+            if (!v || !parseCount(a, v, 0, kMaxThreads, opts.jobs))
                 return false;
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
             if (opts.jobs == 0)
                 opts.jobs = 1;
         } else if (a == "--sim-threads") {
             const char *v = val();
-            if (!v)
+            if (!v || !parseCount(a, v, 0, kMaxThreads, opts.simThreads))
                 return false;
-            opts.simThreads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
             if (opts.simThreads == 0)
                 opts.simThreads = 1;
         } else if (a == "--filter" || a == "-f") {
@@ -220,9 +242,21 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
             const char *v = val();
             if (!v)
                 return false;
-            opts.timeScale = std::strtod(v, nullptr);
-            if (opts.timeScale <= 0)
-                opts.timeScale = 1.0;
+            char *end = nullptr;
+            const double scale = std::strtod(v, &end);
+            // Written so that NaN, for which every comparison is
+            // false, fails too; inf and overflow (1e400) exceed the
+            // ceiling. A scale reaches a double-to-Tick cast in
+            // RunContext::scaled, so nothing else may pass.
+            if (end == v || *end != '\0' ||
+                !(scale > 0.0 && scale <= kMaxTimeScale)) {
+                std::fprintf(stderr,
+                             "--time-scale wants a number in (0, %g], "
+                             "got '%s'\n",
+                             kMaxTimeScale, v);
+                return false;
+            }
+            opts.timeScale = scale;
         } else if (a == "--faults") {
             const char *v = val();
             if (!v)
@@ -230,18 +264,18 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
             opts.faults = v;
         } else if (a == "--repeat") {
             const char *v = val();
-            if (!v)
+            if (!v ||
+                !parseCount(a, v, 0, std::numeric_limits<unsigned>::max(),
+                            opts.repeat))
                 return false;
-            opts.repeat = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
             if (opts.repeat == 0)
                 opts.repeat = 1;
         } else if (a == "--nodes") {
             const char *v = val();
-            if (!v)
+            if (!v ||
+                !parseCount(a, v, 0, std::numeric_limits<unsigned>::max(),
+                            opts.nodes))
                 return false;
-            opts.nodes = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
         } else if (a == "--fleet-policy") {
             const char *v = val();
             if (!v)

@@ -115,9 +115,17 @@ class Runner
     /** Computed footer lines under the current table. */
     Runner &footer(TableFooter fn);
 
+    /** Ceiling on --jobs and on --sim-threads: each value is a
+     *  number of OS threads the run starts. */
+    static constexpr unsigned kMaxThreads = 256;
+    /** Ceiling on --time-scale. */
+    static constexpr double kMaxTimeScale = 100.0;
+
     /**
      * Parse the common CLI into @p opts. Returns false (after
-     * printing usage) on a bad flag; `--help` also returns false.
+     * printing usage or the reason) on a bad flag or a bad value —
+     * non-numeric, trailing junk, negative, non-finite or out of
+     * range; `--help` also returns false.
      */
     static bool parseArgs(int argc, char **argv, Options &opts);
 

@@ -1,6 +1,10 @@
 #include "fault/fault_plan.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/logging.hh"
@@ -63,24 +67,44 @@ parseKind(const std::string &name)
     bad("unknown directive kind", name);
 }
 
+/** Parse an unsigned integer no larger than @p max (decimal, 0x hex
+ *  or 0 octal). It must start with a digit: strtoull alone would take
+ *  a sign and negate "-5" into a huge value, and it saturates an
+ *  overflow silently. */
 std::uint64_t
-parseUint(const std::string &text)
+parseUint(const std::string &text,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0')
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
         bad("malformed integer", text);
+    char *end = nullptr;
+    errno = 0;
+    std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
+    if (*end != '\0')
+        bad("malformed integer", text);
+    if (errno == ERANGE || v > max)
+        bad("integer out of range", text);
     return v;
 }
 
+/** Parse a slot or VM filter, which the directive keeps as an int32
+ *  with -1 for "any". */
+std::int32_t
+parseIndex(const std::string &text)
+{
+    return static_cast<std::int32_t>(
+        parseUint(text, std::numeric_limits<std::int32_t>::max()));
+}
+
 /** Parse a time: a number with an optional ns/us/ms/s suffix (bare
- *  numbers are raw ticks). */
+ *  numbers are raw ticks). NaN, infinities, negatives and times past
+ *  the 64-bit tick range are rejected before the cast to Tick. */
 sim::Tick
 parseTime(const std::string &text)
 {
     char *end = nullptr;
     double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || v < 0)
+    if (end == text.c_str() || !(v >= 0) || !std::isfinite(v))
         bad("malformed time", text);
     std::string suffix(end);
     double scale = 1.0;
@@ -94,7 +118,10 @@ parseTime(const std::string &text)
         scale = static_cast<double>(sim::kTickSec);
     else if (!suffix.empty())
         bad("unknown time suffix", text);
-    return static_cast<sim::Tick>(v * scale);
+    const double ticks = v * scale;
+    if (!(ticks < 0x1p64))
+        bad("time out of range", text);
+    return static_cast<sim::Tick>(ticks);
 }
 
 double
@@ -102,7 +129,8 @@ parseRate(const std::string &text)
 {
     char *end = nullptr;
     double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || v < 0.0 || v > 1.0)
+    // Written so that NaN, for which every comparison is false, fails.
+    if (end == text.c_str() || *end != '\0' || !(v >= 0.0 && v <= 1.0))
         bad("rate must be a number in [0, 1]", text);
     return v;
 }
@@ -119,8 +147,7 @@ parseDirective(const std::string &text)
         args = text.substr(colon + 1);
     }
     if (auto at = head.find('@'); at != std::string::npos) {
-        d.slot = static_cast<std::int32_t>(
-            parseUint(head.substr(at + 1)));
+        d.slot = parseIndex(head.substr(at + 1));
         head = head.substr(0, at);
     }
     d.kind = parseKind(head);
@@ -151,11 +178,12 @@ parseDirective(const std::string &text)
         else if (key == "period")
             d.period = parseTime(val);
         else if (key == "set")
-            d.set = static_cast<std::uint32_t>(parseUint(val));
+            d.set = static_cast<std::uint32_t>(
+                parseUint(val, std::numeric_limits<std::uint32_t>::max()));
         else if (key == "deadline")
             d.deadline = parseTime(val);
         else if (key == "vm")
-            d.vm = static_cast<std::int32_t>(parseUint(val));
+            d.vm = parseIndex(val);
         else
             bad("unknown key", key);
     }

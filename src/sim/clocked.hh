@@ -13,6 +13,7 @@
 #define OPTIMUS_SIM_CLOCKED_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hh"
 #include "sim/fastdiv.hh"
@@ -66,12 +67,13 @@ class Clocked
         return rem == 0 ? t : t + (_period - rem);
     }
 
-    /** Schedule @p cb exactly @p cycles edges from the next edge. */
+    /** Schedule @p f exactly @p cycles edges from the next edge. */
+    template <typename F>
     void
-    scheduleCycles(std::uint64_t cycles, EventQueue::Callback cb) const
+    scheduleCycles(std::uint64_t cycles, F &&f) const
     {
         _eq.scheduleAt(nextEdge() + cyclesToTicks(cycles),
-                       std::move(cb));
+                       std::forward<F>(f));
     }
 
   private:

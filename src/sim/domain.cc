@@ -59,10 +59,13 @@ DomainSet::DomainSet(std::uint32_t domains)
 
 DomainSet::~DomainSet()
 {
-    // A pending event's capture may own pool-allocated blocks whose
-    // home arena belongs to a *different* shard (a DmaTxn crossing a
-    // boundary channel); destroy every capture while all arenas are
-    // still alive, before any queue (and its arena) is torn down.
+    // Release every pending closure — ring, far ring, overflow heap
+    // and outbox — while every shard still exists, before any queue
+    // (and its arena) is torn down. A cross-domain post's closure
+    // sits in its *source* shard's pool until the barrier, so it may
+    // hold state meant for another shard (a fleet migration parcel
+    // in flight between nodes); releasing it must not depend on
+    // queue destruction order.
     for (const auto &q : _queues)
         q->clearPending();
 }
@@ -122,21 +125,6 @@ ChannelBase::~ChannelBase()
     auto &v = _set._channels;
     v.erase(std::remove(v.begin(), v.end(), this), v.end());
     _set.refreshLookahead();
-}
-
-void
-ChannelBase::post(Tick extra_delay, EventQueue::Callback cb)
-{
-    EventQueue &sq = _set.queue(_src);
-    Tick when = sq.now() + _lat + extra_delay;
-    std::uint64_t seq = _sent++;
-    if (!deferred()) {
-        // Intra-domain immediate: an ordinary (deterministically
-        // tie-broken) scheduling; no barrier involvement.
-        sq.scheduleAt(when, std::move(cb));
-        return;
-    }
-    sq.postCross(_dst, when, _id, seq, std::move(cb));
 }
 
 EpochScheduler::EpochScheduler(DomainSet &set, unsigned threads)
@@ -264,12 +252,13 @@ EpochScheduler::deliverPosts()
                   return a.seq < b.seq;
               });
     for (const PostRef &r : order) {
-        EventQueue::CrossPost &p = _set.queue(r.src).outbox()[r.idx];
+        EventQueue &src = _set.queue(r.src);
+        const EventQueue::CrossPost &p = src.outbox()[r.idx];
         // Conservative guarantee: when >= send time + lookahead,
         // which is beyond the epoch the send happened in, so this
         // never schedules into the destination's past (the debug
         // assert in scheduleAt is the canary).
-        _set.queue(p.dst).scheduleAt(p.when, std::move(p.cb));
+        _set.queue(p.dst).deliverPost(src, p);
         ++_delivered;
     }
     for (DomainId d = 0; d < _set.size(); ++d)

@@ -218,16 +218,31 @@ class ChannelBase
 
   protected:
     /**
-     * Queue @p cb for execution in the destination domain at
+     * Queue @p f for execution in the destination domain at
      *
      *     when = srcQueue.now() + minLatency + extra_delay.
      *
      * Immediate same-domain channels schedule directly (ordinary
-     * determinism rules apply); deferred ones append to the source
-     * shard's outbox, from which the EpochScheduler delivers at the
-     * next barrier in (when, channel id, send seq) order.
+     * determinism rules apply); deferred ones build the closure in
+     * the source shard's callback pool and append its key to the
+     * outbox, from which the EpochScheduler delivers at the next
+     * barrier in (when, channel id, send seq) order.
      */
-    void post(Tick extra_delay, EventQueue::Callback cb);
+    template <typename F>
+    void
+    post(Tick extra_delay, F &&f)
+    {
+        EventQueue &sq = _set.queue(_src);
+        Tick when = sq.now() + _lat + extra_delay;
+        std::uint64_t seq = _sent++;
+        if (!deferred()) {
+            // Intra-domain immediate: an ordinary (deterministically
+            // tie-broken) scheduling; no barrier involvement.
+            sq.scheduleAt(when, std::forward<F>(f));
+            return;
+        }
+        sq.postCross(_dst, when, _id, seq, std::forward<F>(f));
+    }
 
   private:
     DomainSet &_set;

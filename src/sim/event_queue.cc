@@ -9,7 +9,24 @@
 namespace optimus::sim {
 
 void
-EventQueue::scheduleSlow(Tick when, Callback cb)
+EventQueue::CallbackPool::grow()
+{
+    _chunks.push_back(std::make_unique<Callback[]>(kChunkSlots));
+}
+
+void
+EventQueue::deliverPost(EventQueue &src, const CrossPost &p)
+{
+    std::uint32_t cb = p.cb;
+    if (&src != this) {
+        cb = _pool.emplace(std::move(src._pool.at(p.cb)));
+        src._pool.recycle(p.cb);
+    }
+    enqueue(p.when, cb);
+}
+
+void
+EventQueue::scheduleSlow(Tick when, std::uint32_t cb)
 {
     if (when >= _ringLimit && _size == 0) {
         // Queue idle: slide the (empty) window up before routing, so
@@ -18,49 +35,37 @@ EventQueue::scheduleSlow(Tick when, Callback cb)
         _farLimit = _ringLimit + kFarWindowTicks;
     }
 
-    std::uint64_t seq = _nextSeq++;
+    Key k{when, _nextSeq++, cb};
     if (when < _ringLimit) {
         std::uint32_t s = slotOf(when);
         if (s == _activeSlot) {
-            // The slot is mid-drain and ordered past the cursor; keep
+            // The slot is mid-drain and sorted past the cursor; keep
             // it that way so the cursor stays the (when, seq) min.
-            // The entry appends in place; only its 24-byte key is
-            // inserted at the ordered position.
-            std::vector<Event> &b = _buckets[s];
-            OrderKey key{when, seq,
-                         static_cast<std::uint32_t>(b.size())};
-            b.emplace_back(when, seq, std::move(cb));
-            auto pos = std::upper_bound(
-                _activeOrder.begin() + _activeHead, _activeOrder.end(),
-                key);
-            _activeOrder.insert(pos, key);
+            std::vector<Key> &b = _buckets[s];
+            b.insert(std::upper_bound(b.begin() + _activeHead, b.end(),
+                                      k),
+                     k);
         } else {
-            pushToSlot(s, when, seq, std::move(cb));
+            pushToSlot(s, k);
         }
     } else if (when < _farLimit) {
-        std::uint32_t f = farSlotOf(when);
-        std::vector<Event> &fb = _farBuckets[f];
-        if (fb.empty())
-            _farOccupied[f >> 6] |= 1ULL << (f & 63);
-        fb.emplace_back(when, seq, std::move(cb));
-        ++_farCount;
+        pushToFar(k);
     } else {
-        std::uint32_t idx;
-        if (!_overflowFree.empty()) {
-            idx = _overflowFree.back();
-            _overflowFree.pop_back();
-            Event &e = _overflowPool[idx];
-            e.when = when;
-            e.seq = seq;
-            e.cb = std::move(cb);
-        } else {
-            idx = static_cast<std::uint32_t>(_overflowPool.size());
-            _overflowPool.emplace_back(when, seq, std::move(cb));
-        }
-        _overflow.push_back(OrderKey{when, seq, idx});
+        _overflow.push_back(k);
         std::push_heap(_overflow.begin(), _overflow.end(), Later{});
     }
     ++_size;
+}
+
+void
+EventQueue::pushToFar(const Key &k)
+{
+    std::uint32_t f = farSlotOf(k.when);
+    std::vector<Key> &fb = _farBuckets[f];
+    if (fb.empty())
+        _farOccupied[f >> 6] |= 1ULL << (f & 63);
+    fb.push_back(k);
+    ++_farCount;
 }
 
 Tick
@@ -69,11 +74,11 @@ EventQueue::nextRingTick() const
     if (ringEmpty())
         return kTickForever;
     if (_activeSlot != kNoSlot)
-        return _activeOrder[_activeHead].when;
+        return _buckets[_activeSlot][_activeHead].when;
     std::uint32_t s = _occupied.findFrom(slotOf(_now));
     OPTIMUS_ASSERT(s != Occupancy::kNone,
                    "ring count/occupancy mismatch");
-    const std::vector<Event> &b = _buckets[s];
+    const std::vector<Key> &b = _buckets[s];
     Tick min = b.front().when;
     for (std::size_t i = 1; i < b.size(); ++i)
         min = std::min(min, b[i].when);
@@ -101,7 +106,7 @@ EventQueue::farMinTick() const
             bits &= ~from_start;
         if (bits == 0)
             continue;
-        const std::vector<Event> &fb =
+        const std::vector<Key> &fb =
             _farBuckets[(w << 6) + std::countr_zero(bits)];
         Tick min = fb.front().when;
         for (std::size_t i = 1; i < fb.size(); ++i)
@@ -126,10 +131,9 @@ EventQueue::advanceWindow()
             std::uint64_t bit = 1ULL << (f & 63);
             if (!(_farOccupied[f >> 6] & bit))
                 continue;
-            std::vector<Event> &fb = _farBuckets[f];
-            for (Event &ev : fb)
-                pushToSlot(slotOf(ev.when), ev.when, ev.seq,
-                           std::move(ev.cb));
+            std::vector<Key> &fb = _farBuckets[f];
+            for (const Key &k : fb)
+                pushToSlot(slotOf(k.when), k);
             _farCount -= fb.size();
             fb.clear();
             _farOccupied[f >> 6] &= ~bit;
@@ -141,34 +145,23 @@ EventQueue::advanceWindow()
     // jump the heap head may even land inside the near window.
     while (!_overflow.empty() && _overflow.front().when < _farLimit) {
         std::pop_heap(_overflow.begin(), _overflow.end(), Later{});
-        std::uint32_t idx = _overflow.back().idx;
+        Key k = _overflow.back();
         _overflow.pop_back();
-        Event &ev = _overflowPool[idx];
-        if (ev.when < _ringLimit) {
-            pushToSlot(slotOf(ev.when), ev.when, ev.seq,
-                       std::move(ev.cb));
-        } else {
-            std::uint32_t f = farSlotOf(ev.when);
-            std::vector<Event> &fb = _farBuckets[f];
-            if (fb.empty())
-                _farOccupied[f >> 6] |= 1ULL << (f & 63);
-            fb.push_back(std::move(ev));
-            ++_farCount;
-        }
-        _overflowFree.push_back(idx);
+        if (k.when < _ringLimit)
+            pushToSlot(slotOf(k.when), k);
+        else
+            pushToFar(k);
     }
 }
 
 void
 EventQueue::activateSlot(std::uint32_t s)
 {
-    std::vector<Event> &b = _buckets[s];
-    auto n = static_cast<std::uint32_t>(b.size());
-    _activeOrder.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        _activeOrder[i] = OrderKey{b[i].when, b[i].seq, i};
-    if (!_slotInOrder[s])
-        std::sort(_activeOrder.begin(), _activeOrder.end());
+    if (!_slotInOrder[s]) {
+        std::vector<Key> &b = _buckets[s];
+        std::sort(b.begin(), b.end());
+        _slotInOrder[s] = 1;
+    }
     _activeSlot = s;
     _activeHead = 0;
 }
@@ -176,23 +169,13 @@ EventQueue::activateSlot(std::uint32_t s)
 void
 EventQueue::deactivate()
 {
-    std::vector<Event> &b = _buckets[_activeSlot];
-    if (_activeHead != 0) {
-        // Partially drained: keep only the undispatched tail, packed
-        // in (when, seq) order so the bucket is a plain ordered slot
-        // again. Entries before the cursor hold moved-from callbacks
-        // and are dropped.
-        std::vector<Event> keep;
-        keep.reserve(_activeOrder.size() - _activeHead);
-        for (std::size_t i = _activeHead; i < _activeOrder.size(); ++i)
-            keep.push_back(std::move(b[_activeOrder[i].idx]));
-        b.swap(keep);
-        _slotInOrder[_activeSlot] = 1;
-    }
+    // The undispatched tail is already in (when, seq) order; the
+    // dispatched prefix names closures that have run and is dropped.
+    std::vector<Key> &b = _buckets[_activeSlot];
+    b.erase(b.begin(), b.begin() + _activeHead);
     OPTIMUS_ASSERT(!b.empty(), "deactivating a drained slot");
     _activeSlot = kNoSlot;
     _activeHead = 0;
-    _activeOrder.clear();
 }
 
 void
@@ -215,22 +198,25 @@ void
 EventQueue::dispatchActive(Tick t)
 {
     _now = t;
-    std::vector<Event> &b = _buckets[_activeSlot];
-    Callback cb = std::move(b[_activeOrder[_activeHead].idx].cb);
+    std::vector<Key> &b = _buckets[_activeSlot];
+    const std::uint32_t cb = b[_activeHead].cb;
     ++_activeHead;
     --_size;
     ++_executed;
-    if (_activeHead == _activeOrder.size()) {
+    if (_activeHead == b.size()) {
         // Drained: release the slot before running the callback so a
         // same-slot reschedule starts a fresh FIFO behind us.
         b.clear();
-        _activeOrder.clear();
         _occupied.clear(_activeSlot);
         _activeSlot = kNoSlot;
         _activeHead = 0;
     }
-    // Single indirect call: run and destroy the callback together.
-    cb.consume();
+    // Run and destroy the closure in its pool slot (one indirect
+    // call); the slot is reused only once the closure has returned,
+    // and chunks never move, so whatever it schedules cannot disturb
+    // it.
+    _pool.at(cb).consume();
+    _pool.recycle(cb);
 }
 
 bool
@@ -254,7 +240,7 @@ EventQueue::runUntil(Tick limit)
         // insert goes through the ordered active-slot path). Drain it
         // without re-deriving the next slot per event.
         while (_activeSlot != kNoSlot) {
-            Tick t = _activeOrder[_activeHead].when;
+            Tick t = _buckets[_activeSlot][_activeHead].when;
             if (t > limit) {
                 // Time stops at the limit, which may be below this
                 // slot's span, and the caller may then legally
@@ -306,20 +292,25 @@ EventQueue::clearPending()
 {
     if (_activeSlot != kNoSlot)
         deactivate();
+    auto drop = [this](std::vector<Key> &keys) {
+        for (const Key &k : keys)
+            _pool.release(k.cb);
+        keys.clear();
+    };
     for (std::uint32_t s = 0; s < kRingSlots; ++s) {
         if (!_buckets[s].empty()) {
-            _buckets[s].clear();
+            drop(_buckets[s]);
             _occupied.clear(s);
         }
         _slotInOrder[s] = 1;
     }
     for (std::uint32_t f = 0; f < kFarSlots; ++f)
-        _farBuckets[f].clear();
+        drop(_farBuckets[f]);
     _farOccupied.fill(0);
     _farCount = 0;
-    _overflow.clear();
-    _overflowPool.clear();
-    _overflowFree.clear();
+    drop(_overflow);
+    for (const CrossPost &p : _outbox)
+        _pool.release(p.cb);
     _outbox.clear();
     _size = 0;
 }

@@ -39,8 +39,12 @@
  * arrived out of order), so insertion and migration order are
  * irrelevant to execution order.
  *
- * Callbacks are small-buffer-optimized InlineFunctions: captures up
- * to kEventCaptureBytes (64 B) never touch the allocator.
+ * Every level stores 24-byte (tick, seq, index) keys. The callbacks
+ * themselves live in a chunked, address-stable pool: scheduleAt
+ * builds a closure straight into a pool slot, window moves and sorts
+ * shuffle only keys, and dispatch runs the closure in place. Callbacks
+ * are small-buffer-optimized InlineFunctions: captures up to
+ * kEventCaptureBytes (64 B) never touch the allocator.
  */
 
 #ifndef OPTIMUS_SIM_EVENT_QUEUE_HH
@@ -48,6 +52,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -131,7 +137,9 @@ class EventQueue
      * send seq) pair is the deterministic tie-break for same-tick
      * deliveries — a pure function of the component topology and the
      * message streams, never of which domain a channel endpoint
-     * happens to live in or which worker ran it.
+     * happens to live in or which worker ran it. The post's closure
+     * already sits in the source shard's callback pool; @c cb is its
+     * slot.
      */
     struct CrossPost
     {
@@ -139,24 +147,34 @@ class EventQueue
         DomainId dst;
         std::uint32_t chan;
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t cb;
     };
 
     /**
-     * Append a channel event to this (source) shard's outbox. Only
-     * the thread currently executing this domain touches the outbox;
-     * the scheduler drains it at the barrier.
+     * Build @p f in this (source) shard's callback pool and append
+     * the post to its outbox. Only the thread currently executing
+     * this domain touches the outbox; the scheduler drains it at the
+     * barrier.
      */
+    template <typename F>
     void
     postCross(DomainId dst, Tick when, std::uint32_t chan,
-              std::uint64_t seq, Callback cb)
+              std::uint64_t seq, F &&f)
     {
         _outbox.push_back(CrossPost{when, dst, chan, seq,
-                                    std::move(cb)});
+                                    _pool.emplace(std::forward<F>(f))});
     }
 
     /** The pending outbox (scheduler access). */
     std::vector<CrossPost> &outbox() { return _outbox; }
+
+    /**
+     * Barrier delivery of outbox post @p p of queue @p src into this
+     * queue: the post becomes an ordinary event here with a fresh
+     * seq. A post to its own queue keeps its pool slot; a
+     * cross-domain post moves its closure into this queue's pool.
+     */
+    void deliverPost(EventQueue &src, const CrossPost &p);
 
     /**
      * The simulation context's block-recycling arena. The queue is
@@ -169,7 +187,7 @@ class EventQueue
     PoolArena &arena() { return _arena; }
 
     /**
-     * Schedule @p cb at absolute tick @p when.
+     * Schedule @p f at absolute tick @p when.
      *
      * Contract: @p when must be >= now(); the simulation cannot
      * rewrite history. A violation panics in debug builds (NDEBUG
@@ -177,37 +195,25 @@ class EventQueue
      * long calibration runs alive if a component model drifts while
      * still executing the event as early as possible.
      *
-     * Inline so the dominant case — a near-window append into a slot
-     * that is not mid-drain — compiles to a handful of stores at the
-     * call site, with the callback constructed straight into the
-     * bucket. Everything else tail-calls the out-of-line slow path.
+     * The closure is constructed once, straight into a callback-pool
+     * slot, and never moves again; only its 24-byte key is placed.
+     * The dominant case — a near-window append into a slot that is
+     * not mid-drain — is inline; everything else tail-calls the
+     * out-of-line slow path.
      */
+    template <typename F>
     void
-    scheduleAt(Tick when, Callback cb)
+    scheduleAt(Tick when, F &&f)
     {
-#ifndef NDEBUG
-        OPTIMUS_ASSERT(when >= _now,
-                       "event scheduled in the past (%llu < %llu)",
-                       static_cast<unsigned long long>(when),
-                       static_cast<unsigned long long>(_now));
-#endif
-        if (when < _now)
-            when = _now;
-        if (when < _ringLimit) {
-            std::uint32_t s = slotOf(when);
-            if (s != _activeSlot) {
-                pushToSlot(s, when, _nextSeq++, std::move(cb));
-                ++_size;
-                return;
-            }
-        }
-        scheduleSlow(when, std::move(cb));
+        enqueue(when, _pool.emplace(std::forward<F>(f)));
     }
 
-    /** Schedule @p cb @p delay ticks from now. */
-    void scheduleIn(Tick delay, Callback cb)
+    /** Schedule @p f @p delay ticks from now. */
+    template <typename F>
+    void
+    scheduleIn(Tick delay, F &&f)
     {
-        scheduleAt(_now + delay, std::move(cb));
+        scheduleAt(_now + delay, std::forward<F>(f));
     }
 
     /** Whether any events remain. */
@@ -215,6 +221,14 @@ class EventQueue
 
     /** Number of pending events. */
     std::size_t pending() const { return _size; }
+
+    /**
+     * Callback-pool slots handed out over the queue's lifetime (its
+     * high-water mark of closures alive at once: pending events,
+     * outbox posts and the one running). Freed slots are reused
+     * first, so the pool grows only when that many are held.
+     */
+    std::uint32_t callbackSlots() const { return _pool.slots(); }
 
     /** Tick of the next pending event; kTickForever if none. */
     Tick
@@ -275,20 +289,92 @@ class EventQueue
 
     /**
      * Destroy every pending event (and outbox post) without running
-     * it. DomainSet teardown calls this on every shard before any
-     * queue is destroyed: a cross-domain event's capture may own
-     * pool-allocated blocks (DmaTxns) whose home arena is a *different*
-     * shard's, so all captures must be released while every arena is
-     * still alive.
+     * it, returning their pool slots. DomainSet teardown calls this
+     * on every shard before any queue is destroyed, so every capture
+     * is released while every shard still exists.
      */
     void clearPending();
 
   private:
-    /** First member on purpose: destroyed after the buckets below,
-     *  whose still-queued callbacks may release pool-allocated
+    /** First member on purpose: destroyed after the callback pool
+     *  below, whose still-pending closures may release pool-allocated
      *  shared blocks (DmaTxns) back into this arena during queue
      *  teardown. */
     PoolArena _arena;
+
+    /**
+     * Address-stable storage for every closure the queue holds —
+     * pending events and outbox posts. Slots live in fixed chunks
+     * that never move once allocated, so a closure is built once into
+     * its slot, runs there (even while it schedules enough to add a
+     * chunk) and is destroyed there; the calendar levels and the
+     * outbox refer to it by index. Freed slots are reused LIFO,
+     * keeping the working set to the closures actually alive.
+     */
+    class CallbackPool
+    {
+      public:
+        /** Construct @p f into a free slot; returns the slot. */
+        template <typename F>
+        std::uint32_t
+        emplace(F &&f)
+        {
+            std::uint32_t i = take();
+            at(i).emplace(std::forward<F>(f));
+            return i;
+        }
+
+        Callback &
+        at(std::uint32_t i)
+        {
+            return _chunks[i >> kChunkBits][i & (kChunkSlots - 1)];
+        }
+
+        /** Free slot @p i, whose closure was consumed or moved out. */
+        void recycle(std::uint32_t i) { _free.push_back(i); }
+
+        /** Destroy slot @p i's closure without running it; free it. */
+        void
+        release(std::uint32_t i)
+        {
+            at(i) = nullptr;
+            recycle(i);
+        }
+
+        /** Slots handed out so far (the high-water mark). */
+        std::uint32_t slots() const { return _used; }
+
+      private:
+        /** 64 slots (4.5 KB) per chunk. A chunk's Callbacks are all
+         *  constructed when it is added, so small chunks keep the
+         *  memory a queue touches close to the most closures it has
+         *  held at once. */
+        static constexpr std::uint32_t kChunkBits = 6;
+        static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
+
+        std::uint32_t
+        take()
+        {
+            if (!_free.empty()) {
+                std::uint32_t i = _free.back();
+                _free.pop_back();
+                return i;
+            }
+            if ((_used & (kChunkSlots - 1)) == 0)
+                grow();
+            return _used++;
+        }
+
+        /** Add a chunk (out of line: the schedule fast path inlines
+         *  take()). */
+        void grow();
+
+        /** Destroying a chunk destroys every closure still held in
+         *  it (pending or posted). */
+        std::vector<std::unique_ptr<Callback[]>> _chunks;
+        std::vector<std::uint32_t> _free;
+        std::uint32_t _used = 0;
+    };
 
     /**
      * Occupancy bitmap over the ring's slots: a summary word over 16
@@ -351,31 +437,20 @@ class EventQueue
         std::uint64_t _l1 = 0;
     };
 
-    struct Event
-    {
-        Event(Tick w, std::uint64_t s, Callback &&c)
-            : when(w), seq(s), cb(std::move(c))
-        {}
-
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-    };
-
     /**
-     * Sort key for one active-slot entry: the (when, seq) ordering
-     * pair plus the entry's bucket index. Activation sorts these
-     * 24-byte PODs instead of the 128-byte events, and the drain
-     * cursor peeks the next tick without touching the bucket.
+     * One pending event as every level stores it: the (when, seq)
+     * ordering pair plus the pool slot of its closure. Slots sort,
+     * scatter and heap-sift these 24-byte PODs; the closure stays
+     * put.
      */
-    struct OrderKey
+    struct Key
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t idx;
+        std::uint32_t cb;
 
         bool
-        operator<(const OrderKey &o) const
+        operator<(const Key &o) const
         {
             return when != o.when ? when < o.when : seq < o.seq;
         }
@@ -385,11 +460,9 @@ class EventQueue
     struct Later
     {
         bool
-        operator()(const OrderKey &a, const OrderKey &b) const
+        operator()(const Key &a, const Key &b) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
+            return b < a;
         }
     };
 
@@ -422,27 +495,53 @@ class EventQueue
         return _size == _farCount + _overflow.size();
     }
 
-    /** Append an event to (non-active) slot @p s in place,
-     *  maintaining occupancy and the slot's appended-in-order flag. */
+    /** Give the closure in pool slot @p cb a seq and place its key at
+     *  tick @p when (clamped to now; see scheduleAt). */
     void
-    pushToSlot(std::uint32_t s, Tick when, std::uint64_t seq,
-               Callback &&cb)
+    enqueue(Tick when, std::uint32_t cb)
     {
-        std::vector<Event> &b = _buckets[s];
+#ifndef NDEBUG
+        OPTIMUS_ASSERT(when >= _now,
+                       "event scheduled in the past (%llu < %llu)",
+                       static_cast<unsigned long long>(when),
+                       static_cast<unsigned long long>(_now));
+#endif
+        if (when < _now)
+            when = _now;
+        if (when < _ringLimit) {
+            std::uint32_t s = slotOf(when);
+            if (s != _activeSlot) {
+                pushToSlot(s, Key{when, _nextSeq++, cb});
+                ++_size;
+                return;
+            }
+        }
+        scheduleSlow(when, cb);
+    }
+
+    /** Append a key to (non-active) slot @p s, maintaining occupancy
+     *  and the slot's appended-in-order flag. */
+    void
+    pushToSlot(std::uint32_t s, const Key &k)
+    {
+        std::vector<Key> &b = _buckets[s];
         if (b.empty()) {
             _slotInOrder[s] = 1;
             _occupied.set(s);
-        } else if (when < b.back().when) {
+        } else if (k.when < b.back().when) {
             // seq grows monotonically, so an append breaks (when,
             // seq) order only when its tick goes backwards.
             _slotInOrder[s] = 0;
         }
-        b.emplace_back(when, seq, std::move(cb));
+        b.push_back(k);
     }
 
-    /** scheduleAt() continuation for the uncommon routes: idle window
+    /** enqueue() continuation for the uncommon routes: idle window
      *  slide, active-slot ordered insert, far ring, overflow heap. */
-    void scheduleSlow(Tick when, Callback cb);
+    void scheduleSlow(Tick when, std::uint32_t cb);
+
+    /** Append a key to its far-ring bucket. */
+    void pushToFar(const Key &k);
 
     /** Tick of the earliest ring event; kTickForever if ring empty. */
     Tick nextRingTick() const;
@@ -458,14 +557,14 @@ class EventQueue
     /** Order the slot draining is about to enter and set the cursor. */
     void activateSlot(std::uint32_t s);
 
-    /** Release the active slot without draining it: re-pack any
-     *  undispatched tail into the bucket (in order) and clear the
-     *  cursor. Required whenever control returns to the caller with
-     *  _now possibly below the active slot's span — e.g. a runUntil
-     *  limit landing before the slot's events — because every fast
-     *  path (scheduleAt, nextEventTick, the runUntil drain loop)
-     *  treats an active cursor as the queue-wide minimum, which is
-     *  only true while _now sits inside the active slot's span. */
+    /** Release the active slot without draining it: drop the
+     *  dispatched prefix so the bucket is a plain ordered slot again
+     *  and clear the cursor. Required whenever control returns to the
+     *  caller with _now possibly below the active slot's span — e.g.
+     *  a runUntil limit landing before the slot's events — because
+     *  every fast path (scheduleAt, nextEventTick, the runUntil drain
+     *  loop) treats an active cursor as the queue-wide minimum, which
+     *  is only true while _now sits inside the active slot's span. */
     void deactivate();
 
     /** Advance time to @p t and execute the front event there. */
@@ -474,6 +573,8 @@ class EventQueue
     /** dispatch() fast path: execute the active slot's cursor event,
      *  which the caller has established is the queue-wide minimum. */
     void dispatchActive(Tick t);
+
+    CallbackPool _pool;
 
     Tick _now = 0;
     /** Exclusive end of the near window: ring events all have ticks
@@ -486,13 +587,12 @@ class EventQueue
      *  as _ringLimit + kFarWindowTicks (no far-slot aliasing). */
     Tick _farLimit = kWindowTicks + kFarWindowTicks;
     /** Slot being drained (kNoSlot if none) and its drain cursor.
-     *  While a slot is active, _activeOrder holds one OrderKey per
-     *  bucket entry in (when, seq) order; _activeHead is the cursor
-     *  into _activeOrder. */
+     *  While a slot is active its bucket is sorted in (when, seq)
+     *  order; _activeHead indexes the next key to dispatch, and the
+     *  keys before it belong to events already run. */
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
     std::uint32_t _activeSlot = kNoSlot;
     std::uint32_t _activeHead = 0;
-    std::vector<OrderKey> _activeOrder;
 
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
@@ -500,7 +600,7 @@ class EventQueue
     DomainId _domain = 0;
     std::vector<CrossPost> _outbox;
 
-    std::vector<std::vector<Event>> _buckets;
+    std::vector<std::vector<Key>> _buckets;
     /** 1 while a slot's appends have arrived in (when, seq) order —
      *  the common case, since time only moves forward — letting
      *  activation skip the sort entirely. */
@@ -509,18 +609,12 @@ class EventQueue
     /** Far-ring buckets (unsorted; ordering happens on scatter into
      *  the near ring) plus a flat occupancy bitmap and a resident
      *  count. */
-    std::vector<std::vector<Event>> _farBuckets;
+    std::vector<std::vector<Key>> _farBuckets;
     std::array<std::uint64_t, kFarSlots / 64> _farOccupied{};
     std::size_t _farCount = 0;
-    /**
-     * Events beyond even the far window. The binary min-heap on
-     * (when, seq) holds 24-byte keys; the events themselves sit
-     * still in a free-listed pool so heap sifts and migration never
-     * move the 128-byte entries around.
-     */
-    std::vector<OrderKey> _overflow;
-    std::vector<Event> _overflowPool;
-    std::vector<std::uint32_t> _overflowFree;
+    /** Events beyond even the far window: a binary min-heap on
+     *  (when, seq). */
+    std::vector<Key> _overflow;
 };
 
 /**

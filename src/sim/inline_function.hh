@@ -50,9 +50,11 @@ namespace optimus::sim {
 
 /** Default inline-capture capacity (bytes) for event callbacks.
  *  Sized to the largest hot queue-bound capture (the IOMMU's IOTLB
- *  hit continuation: an 8 B frame plus a 56 B completion object);
- *  keeping it tight shrinks every queue entry, which the event kernel
- *  copies once on insert and once on dispatch. */
+ *  hit continuation: an 8 B frame plus a 56 B completion object).
+ *  It sets the size of an event-queue pool slot (72 B with the vtable
+ *  pointer), where the kernel builds each closure once and runs it;
+ *  a tight capacity keeps each live slot to a couple of cache
+ *  lines. */
 inline constexpr std::size_t kEventCaptureBytes = 64;
 
 /** Inline capacity for nested completion handlers. Chosen so that a
@@ -77,13 +79,7 @@ class InlineFunction<R(Args...), Capacity>
                   std::is_invocable_r_v<R, D &, Args...>>>
     InlineFunction(F &&f)
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void *>(_buf)) D(std::forward<F>(f));
-            _vt = &InlineOps<D>::kVt;
-        } else {
-            *reinterpret_cast<D **>(_buf) = new D(std::forward<F>(f));
-            _vt = &HeapOps<D>::kVt;
-        }
+        construct(std::forward<F>(f));
     }
 
     InlineFunction(InlineFunction &&other) noexcept
@@ -114,6 +110,30 @@ class InlineFunction<R(Args...), Capacity>
     InlineFunction &operator=(const InlineFunction &) = delete;
 
     ~InlineFunction() { reset(); }
+
+    /**
+     * Replace the target with @p f, constructed in place — no
+     * temporary InlineFunction and no relocation. The event kernel
+     * builds every scheduled closure straight into its pool slot this
+     * way. An InlineFunction argument (rvalue only) is moved in.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (std::is_same_v<D, InlineFunction>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "move an InlineFunction into emplace()");
+            *this = std::move(f);
+        } else {
+            static_assert(std::is_invocable_r_v<R, D &, Args...>,
+                          "emplace() needs a callable of this "
+                          "signature");
+            reset();
+            construct(std::forward<F>(f));
+        }
+    }
 
     explicit operator bool() const noexcept { return _vt != nullptr; }
 
@@ -241,6 +261,21 @@ class InlineFunction<R(Args...), Capacity>
         static constexpr VTable kVt{&invoke, &destroy, &consume,
                                     nullptr};
     };
+
+    /** Build the target from @p f into this (empty) object. */
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (fitsInline<D>()) {
+            ::new (static_cast<void *>(_buf)) D(std::forward<F>(f));
+            _vt = &InlineOps<D>::kVt;
+        } else {
+            *reinterpret_cast<D **>(_buf) = new D(std::forward<F>(f));
+            _vt = &HeapOps<D>::kVt;
+        }
+    }
 
     /** Move the target out of @p other (whose vtable this already
      *  holds) into our buffer and leave @p other empty. */

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -50,6 +51,63 @@ TEST(DomainSetTest, ShardsAreNumberedAndAggregated)
     EXPECT_EQ(sched.run(), 3u);
     EXPECT_EQ(set.executed(), 3u);
     EXPECT_EQ(set.nextEventTick(), kTickForever);
+}
+
+TEST(DomainSetTest, TeardownReleasesEveryPendingCapture)
+{
+    // Closures pending at every calendar level of both shards, plus
+    // a cross-domain post and a deferred same-domain post still in
+    // domain 0's outbox (sent outside any epoch, so no barrier has
+    // delivered them): ~DomainSet releases each capture, runs none.
+    auto block = std::make_shared<int>(1);
+    int ran = 0;
+    auto fill = [&](DomainSet &set, Channel<std::shared_ptr<int>> &cross,
+                    Channel<std::shared_ptr<int>> &local) {
+        for (DomainId d = 0; d < set.size(); ++d) {
+            EventQueue &q = set.queue(d);
+            for (Tick t : {Tick(3), Tick(1) << 22, Tick(1) << 31})
+                q.scheduleAt(t, [block, &ran]() { ++ran; });
+        }
+        cross.send(block);
+        local.send(block);
+        EXPECT_EQ(set.queue(0).outbox().size(), 2u);
+        EXPECT_EQ(block.use_count(), 9);
+    };
+    {
+        DomainSet set(2);
+        Channel<std::shared_ptr<int>> cross(set, 0, 1, 100, "0->1");
+        Channel<std::shared_ptr<int>> local(
+            set, 0, 0, 100, "0->0", ChannelBase::Delivery::kDeferred);
+        cross.onReceive([&](std::shared_ptr<int>) { ++ran; });
+        local.onReceive([&](std::shared_ptr<int>) { ++ran; });
+        fill(set, cross, local);
+    }
+    EXPECT_EQ(block.use_count(), 1);
+    EXPECT_EQ(ran, 0);
+
+    // Delivered the same way, every closure runs once and is gone:
+    // the cross-domain post's moved into domain 1's pool, the
+    // same-domain one ran from the slot it was posted into.
+    {
+        DomainSet set(2);
+        Channel<std::shared_ptr<int>> cross(set, 0, 1, 100, "0->1");
+        Channel<std::shared_ptr<int>> local(
+            set, 0, 0, 100, "0->0", ChannelBase::Delivery::kDeferred);
+        cross.onReceive([&](std::shared_ptr<int> b) {
+            ran += b == block ? 1 : 100;
+        });
+        local.onReceive([&](std::shared_ptr<int> b) {
+            ran += b == block ? 1 : 100;
+        });
+        fill(set, cross, local);
+        EpochScheduler sched(set);
+        sched.run();
+        EXPECT_EQ(ran, 8);
+        EXPECT_EQ(sched.delivered(), 2u);
+        EXPECT_EQ(block.use_count(), 1);
+        EXPECT_EQ(set.queue(0).callbackSlots(), 5u);
+        EXPECT_EQ(set.queue(1).callbackSlots(), 4u);
+    }
 }
 
 TEST(DomainSetTest, LookaheadIsMinCrossChannelLatency)

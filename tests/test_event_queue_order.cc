@@ -10,14 +10,20 @@
  * differential check against a reference heap, so any future change
  * to the wheel geometry or migration logic that perturbs ordering
  * fails loudly here rather than as a silently different simulation.
+ * They also pin what the callback pool behind the levels guarantees:
+ * a closure runs in place even while it grows the pool, every pending
+ * closure is released without running by clearPending() and by
+ * destruction, and steady traffic reuses slots instead of growing.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,6 +41,15 @@ namespace {
 constexpr Tick kSlotSpan = Tick(1) << 11;
 constexpr Tick kNearWindow = Tick(1) << 21;
 constexpr Tick kFarWindow = Tick(1) << 29;
+
+/** Follow-ups one randomized-differential event schedules: 0-2, or a
+ *  300-event burst one time in 256. */
+std::uint64_t
+followUps(Rng &rng)
+{
+    std::uint64_t n = rng.next() % 3;
+    return rng.next() % 256 == 0 ? n + 300 : n;
+}
 
 TEST(EventQueueOrder, SameTickFifoAcrossManyEvents)
 {
@@ -311,8 +326,15 @@ TEST(EventQueueOrder, IdleJumpOverManyWindows)
 /**
  * Randomized differential test: replay an identical schedule/execute
  * mix against a reference heap with explicit (tick, seq) keys. Each
- * executing event may schedule follow-ups at random offsets chosen to
- * exercise every level and every migration path of the calendar.
+ * executing event schedules its follow-ups from inside its callback,
+ * at random offsets chosen to exercise every level and every
+ * migration path of the calendar; now and then one schedules a burst
+ * large enough to add callback-pool chunks while it runs. Every
+ * closure carries a heap-backed payload naming its seq (so it moves
+ * by its relocate thunk, never by memcpy) and checks it when it runs.
+ * Each schedule is drained twice: by runAll(), and through runUntil
+ * windows of random length, so partially drained slots are released
+ * and re-entered.
  */
 TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
 {
@@ -344,7 +366,7 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                 ref_order.push_back(k);
                 ++executed;
                 // Deterministic follow-up decisions from the RNG.
-                std::uint64_t n = rng.next() % 3;
+                std::uint64_t n = followUps(rng);
                 for (std::uint64_t j = 0; j < n; ++j) {
                     Tick off = offsets[rng.next() % std::size(offsets)];
                     ref.emplace(k.first + off, seq++);
@@ -352,62 +374,254 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
             }
         }
 
-        // Subject: the calendar queue making the same decisions.
-        std::vector<Key> got_order;
-        {
-            Rng rng(static_cast<std::uint64_t>(seed));
-            EventQueue eq;
-            std::uint64_t seq = 0;
-            std::uint64_t budget = kMaxEvents;
-            // Self-referential scheduling helper.
-            struct Ctx
+        // Subject: the calendar queue making the same decisions,
+        // drained once by runAll() and once through runUntil windows
+        // of random length.
+        for (bool windowed : {false, true}) {
+            const char *drive = windowed ? "runUntil windows" : "runAll";
+            std::vector<Key> got_order;
+            std::uint64_t corrupt = 0;
             {
-                EventQueue &eq;
-                Rng &rng;
-                std::uint64_t &seq;
-                std::uint64_t &budget;
-                std::vector<Key> &order;
-                const Tick *offsets;
-                std::size_t noffsets;
-            } ctx{eq, rng, seq, budget, got_order,
-                  offsets, std::size(offsets)};
-
-            struct Fire
-            {
-                Ctx *c;
-                std::uint64_t myseq;
-                void
-                operator()()
+                Rng rng(static_cast<std::uint64_t>(seed));
+                EventQueue eq;
+                std::uint64_t seq = 0;
+                std::uint64_t budget = kMaxEvents;
+                // Self-referential scheduling helper.
+                struct Ctx
                 {
-                    if (c->budget == 0)
-                        return;
-                    --c->budget;
-                    c->order.emplace_back(c->eq.now(), myseq);
-                    std::uint64_t n = c->rng.next() % 3;
-                    for (std::uint64_t j = 0; j < n; ++j) {
-                        Tick off =
-                            c->offsets[c->rng.next() % c->noffsets];
-                        c->eq.scheduleIn(off, Fire{c, c->seq++});
+                    EventQueue &eq;
+                    Rng &rng;
+                    std::uint64_t &seq;
+                    std::uint64_t &budget;
+                    std::vector<Key> &order;
+                    std::uint64_t &corrupt;
+                    const Tick *offsets;
+                    std::size_t noffsets;
+                } ctx{eq,        rng,     seq,     budget,
+                      got_order, corrupt, offsets, std::size(offsets)};
+
+                struct Fire
+                {
+                    Ctx *c;
+                    std::uint64_t myseq;
+                    std::shared_ptr<const std::uint64_t> payload;
+                    void
+                    operator()()
+                    {
+                        if (*payload != myseq)
+                            ++c->corrupt;
+                        if (c->budget == 0)
+                            return;
+                        --c->budget;
+                        c->order.emplace_back(c->eq.now(), myseq);
+                        std::uint64_t n = followUps(c->rng);
+                        for (std::uint64_t j = 0; j < n; ++j) {
+                            Tick off =
+                                c->offsets[c->rng.next() % c->noffsets];
+                            std::uint64_t s = c->seq++;
+                            c->eq.scheduleIn(
+                                off,
+                                Fire{c, s,
+                                     std::make_shared<std::uint64_t>(s)});
+                        }
+                        // Still running in its pool slot after
+                        // scheduling the burst: the closure must be
+                        // intact.
+                        if (*payload != myseq)
+                            ++c->corrupt;
                     }
+                };
+                static_assert(
+                    EventQueue::Callback::fitsInline<Fire>() &&
+                    !std::is_trivially_copyable_v<Fire>);
+
+                for (int i = 0; i < 40; ++i) {
+                    Tick when = rng.next() % 3000;
+                    std::uint64_t s = seq++;
+                    eq.scheduleAt(
+                        when,
+                        Fire{&ctx, s, std::make_shared<std::uint64_t>(s)});
                 }
-            };
-
-            for (int i = 0; i < 40; ++i) {
-                Tick when = rng.next() % 3000;
-                eq.scheduleAt(when, Fire{&ctx, seq++});
+                if (windowed) {
+                    // Windows from their own generator, so the
+                    // follow-up decisions match the reference's
+                    // exactly. A window may end inside a slot, which
+                    // releases the partially drained slot and
+                    // re-enters it on the next run.
+                    Rng windows(static_cast<std::uint64_t>(seed) + 1000);
+                    const Tick spans[] = {1, 700, kSlotSpan, kNearWindow,
+                                          kFarWindow};
+                    while (!eq.empty())
+                        eq.runUntil(
+                            eq.now() +
+                            spans[windows.next() % std::size(spans)]);
+                } else {
+                    eq.runAll();
+                }
+                EXPECT_GT(eq.callbackSlots(), 512u)
+                    << "a burst should have added a pool chunk";
             }
-            eq.runAll();
-        }
 
-        ASSERT_EQ(got_order.size(), ref_order.size())
-            << "seed " << seed;
-        for (std::size_t i = 0; i < ref_order.size(); ++i) {
-            ASSERT_EQ(got_order[i].first, ref_order[i].first)
-                << "tick diverged at event " << i << ", seed " << seed;
-            ASSERT_EQ(got_order[i].second, ref_order[i].second)
-                << "seq diverged at event " << i << ", seed " << seed;
+            EXPECT_EQ(corrupt, 0u) << "seed " << seed << ", " << drive;
+            ASSERT_EQ(got_order.size(), ref_order.size())
+                << "seed " << seed << ", " << drive;
+            for (std::size_t i = 0; i < ref_order.size(); ++i) {
+                ASSERT_EQ(got_order[i].first, ref_order[i].first)
+                    << "tick diverged at event " << i << ", seed " << seed
+                    << ", " << drive;
+                ASSERT_EQ(got_order[i].second, ref_order[i].second)
+                    << "seq diverged at event " << i << ", seed " << seed
+                    << ", " << drive;
+            }
         }
     }
+}
+
+/** Tick of event @p i of CallbackGrowingThePoolRunsInPlaceInOrder:
+ *  its own tick, later in its slot, or in a later slot. */
+Tick
+growTick(int i)
+{
+    if (i % 3 == 0)
+        return 100;
+    if (i % 3 == 1)
+        return 100 + 7 * static_cast<Tick>(i % 5);
+    return 100 + kSlotSpan * static_cast<Tick>(i % 4);
+}
+
+TEST(EventQueueOrder, CallbackGrowingThePoolRunsInPlaceInOrder)
+{
+    // One closure, while it runs, schedules 600 more events — enough
+    // to add a pool chunk — a third of them into its own active slot
+    // at its own tick. Its slot must not be handed out again while it
+    // runs (any closure built there would overwrite it from byte 0,
+    // where it keeps two marker words), and everything runs in
+    // (tick, seq) order.
+    constexpr std::uint64_t kMark0 = 0x0123456789abcdefULL;
+    constexpr std::uint64_t kMark1 = 0xfedcba9876543210ULL;
+    struct Grow
+    {
+        std::uint64_t mark[2];
+        EventQueue *eq;
+        std::vector<std::pair<Tick, int>> *order;
+        bool *intact;
+        void
+        operator()() const
+        {
+            order->emplace_back(eq->now(), -1);
+            for (int i = 0; i < 600; ++i)
+                eq->scheduleAt(growTick(i), [o = order, q = eq, i]() {
+                    o->emplace_back(q->now(), i);
+                });
+            const volatile std::uint64_t *m = mark;
+            *intact = m[0] == kMark0 && m[1] == kMark1;
+        }
+    };
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> order;
+    bool intact = false;
+    eq.scheduleAt(100, Grow{{kMark0, kMark1}, &eq, &order, &intact});
+    eq.scheduleAt(100, [&]() { order.emplace_back(eq.now(), -2); });
+    eq.runAll();
+
+    EXPECT_TRUE(intact);
+    EXPECT_GT(eq.callbackSlots(), 512u);
+    // Tick first, then scheduling order: the first closure, the
+    // pre-queued tick-100 event, then the 600 as scheduled.
+    std::vector<std::pair<Tick, int>> want = {{100, -1}, {100, -2}};
+    std::vector<std::pair<Tick, int>> rest;
+    for (int i = 0; i < 600; ++i)
+        rest.emplace_back(growTick(i), i);
+    std::stable_sort(rest.begin(), rest.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    want.insert(want.end(), rest.begin(), rest.end());
+    EXPECT_EQ(order, want);
+}
+
+TEST(EventQueueOrder, PendingCapturesReleasedByClearAndDestruction)
+{
+    // One pending closure per level, and one outbox post: each holds
+    // a reference to the same block. Neither clearPending() nor the
+    // destructor may run them, and both must release every capture.
+    auto block = std::make_shared<int>(7);
+    int ran = 0;
+    auto fill = [&](EventQueue &eq) {
+        eq.scheduleAt(eq.now() + kSlotSpan + 3,
+                      [block, &ran]() { ++ran; }); // near ring
+        eq.scheduleAt(eq.now() + kNearWindow + 5,
+                      [block, &ran]() { ++ran; }); // far ring
+        eq.scheduleAt(eq.now() + 3 * kFarWindow,
+                      [block, &ran]() { ++ran; }); // overflow heap
+        eq.postCross(0, eq.now() + 9, 0, 0, [block, &ran]() { ++ran; });
+    };
+    {
+        EventQueue eq;
+        fill(eq);
+        EXPECT_EQ(block.use_count(), 5);
+        EXPECT_EQ(eq.pending(), 3u);
+        eq.clearPending();
+        EXPECT_EQ(block.use_count(), 1);
+        EXPECT_EQ(eq.pending(), 0u);
+        EXPECT_TRUE(eq.outbox().empty());
+        EXPECT_EQ(ran, 0);
+
+        // The freed slots are reused, and a cleared queue still runs.
+        fill(eq);
+        EXPECT_EQ(eq.callbackSlots(), 4u);
+        EXPECT_EQ(eq.runAll(), 3u);
+        EXPECT_EQ(ran, 3);
+        EXPECT_EQ(block.use_count(), 2); // the still-posted closure
+
+        ran = 0;
+        fill(eq); // pending again at every level, at destruction
+        EXPECT_EQ(block.use_count(), 6);
+    }
+    EXPECT_EQ(block.use_count(), 1);
+    EXPECT_EQ(ran, 0);
+}
+
+TEST(EventQueueOrder, SteadyTrafficReusesPoolSlots)
+{
+    // At most k events pending, scheduled from outside any callback:
+    // the pool never grows past k slots, however long it runs.
+    constexpr std::uint32_t k = 8;
+    EventQueue eq;
+    Rng rng(3);
+    std::uint64_t ran = 0;
+    auto fire = [&ran]() { ++ran; };
+    for (std::uint32_t i = 0; i < k; ++i)
+        eq.scheduleIn(rng.next() % kNearWindow, fire);
+    for (int i = 0; i < 20000; ++i) {
+        ASSERT_TRUE(eq.runOne());
+        // Offsets reach every level, so slots are reused across
+        // near-ring, far-ring and overflow events alike.
+        eq.scheduleIn(rng.next() % (3 * kFarWindow), fire);
+    }
+    EXPECT_EQ(ran, 20000u);
+    EXPECT_LE(eq.callbackSlots(), k);
+
+    // A closure holds its slot until it returns, so k chains that
+    // each reschedule themselves from inside need one slot more.
+    EventQueue chain;
+    std::uint64_t hops = 0;
+    struct Hop
+    {
+        EventQueue *eq;
+        std::uint64_t *hops;
+        void
+        operator()() const
+        {
+            if (++*hops < 20000)
+                eq->scheduleIn(1 + *hops % kNearWindow, Hop{eq, hops});
+        }
+    };
+    for (std::uint32_t i = 0; i < k; ++i)
+        chain.scheduleIn(i, Hop{&chain, &hops});
+    chain.runAll();
+    EXPECT_GE(hops, 20000u);
+    EXPECT_LE(chain.callbackSlots(), k + 1);
 }
 
 #ifdef NDEBUG

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/builders.hh"
@@ -338,6 +339,83 @@ TEST(ExpRunner, RemovedSplitFlagFailsParsingCleanly)
         << err;
     EXPECT_EQ(o.simThreads, 1u);
     EXPECT_EQ(o.jobs, 1u);
+}
+
+/** parseArgs over {"bench", args...}, with stderr captured into
+ *  @p err. */
+bool
+parseWith(std::vector<std::string> args, exp::Runner::Options &o,
+          std::string &err)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    testing::internal::CaptureStderr();
+    bool ok = exp::Runner::parseArgs(static_cast<int>(argv.size()),
+                                     argv.data(), o);
+    err = testing::internal::GetCapturedStderr();
+    return ok;
+}
+
+TEST(ExpRunner, MalformedNumericFlagsFailParsing)
+{
+    // Each bad value fails in parseArgs itself, with a message naming
+    // the flag and the value, and leaves the options untouched: no
+    // scenario or thread can start from it, and no non-finite or
+    // oversized scale reaches RunContext::scaled's cast.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"--time-scale", "nan"},    {"--time-scale", "inf"},
+        {"--time-scale", "-inf"},   {"--time-scale", "1e400"},
+        {"--time-scale", "0"},      {"--time-scale", "-0.5"},
+        {"--time-scale", "0.5x"},   {"--time-scale", "fast"},
+        {"--time-scale", ""},       {"--time-scale", "100.5"},
+        {"--jobs", "4x"},           {"--jobs", "-1"},
+        {"--jobs", "+4"},           {"--jobs", " 4"},
+        {"--jobs", "four"},         {"--jobs", ""},
+        {"--jobs", "257"},          {"-j", "99999999999999999999"},
+        {"--sim-threads", "2.5"},   {"--sim-threads", "-4"},
+        {"--sim-threads", "257"},   {"--sim-threads", "100000"},
+        {"--repeat", "-1"},         {"--repeat", "3x"},
+        {"--nodes", "-8"},          {"--nodes", "4294967296"},
+    };
+    for (const auto &[flag, value] : bad) {
+        exp::Runner::Options o;
+        std::string err;
+        EXPECT_FALSE(parseWith({flag, value}, o, err))
+            << flag << " '" << value << "'";
+        EXPECT_NE(err.find(flag + " wants"), std::string::npos) << err;
+        EXPECT_NE(err.find("'" + value + "'"), std::string::npos) << err;
+        EXPECT_EQ(o.jobs, 1u);
+        EXPECT_EQ(o.simThreads, 1u);
+        EXPECT_EQ(o.timeScale, 1.0);
+        EXPECT_EQ(o.repeat, 1u);
+        EXPECT_EQ(o.nodes, 0u);
+    }
+
+    // The ceilings themselves are accepted, and a zero thread or
+    // repeat count still means one.
+    exp::Runner::Options o;
+    std::string err;
+    EXPECT_TRUE(parseWith({"--jobs", "256", "--sim-threads", "256",
+                           "--time-scale", "100", "--repeat", "2",
+                           "--nodes", "8"},
+                          o, err))
+        << err;
+    EXPECT_EQ(o.jobs, exp::Runner::kMaxThreads);
+    EXPECT_EQ(o.simThreads, exp::Runner::kMaxThreads);
+    EXPECT_EQ(o.timeScale, exp::Runner::kMaxTimeScale);
+    EXPECT_EQ(o.repeat, 2u);
+    EXPECT_EQ(o.nodes, 8u);
+    exp::Runner::Options z;
+    EXPECT_TRUE(parseWith({"-j", "0", "--sim-threads", "0", "--repeat",
+                           "0", "--time-scale", "0.02"},
+                          z, err))
+        << err;
+    EXPECT_EQ(z.jobs, 1u);
+    EXPECT_EQ(z.simThreads, 1u);
+    EXPECT_EQ(z.repeat, 1u);
+    EXPECT_EQ(z.timeScale, 0.02);
 }
 
 } // namespace

@@ -92,6 +92,29 @@ TEST(FaultPlanTest, RejectsMalformed)
                  std::invalid_argument); // deadline= required
     EXPECT_THROW(fault::FaultPlan::parse("delay:rate=0.5"),
                  std::invalid_argument); // extra= required
+    // Numbers that are not finite, negative, or past their field's
+    // range never reach a cast: each is a clean parse error.
+    for (const char *plan :
+         {"hang@0:at=nan", "hang@0:at=inf", "hang@0:at=-inf",
+          "hang@0:at=1e30s", "hang@0:at=-1us", "hang@0:at=2e7s",
+          "watchdog:deadline=nan", "hang@0:period=inf",
+          "drop:rate=nan", "drop:rate=-nan", "drop:rate=-0.5",
+          "drop:vm=-5", "drop:vm=+5", "drop:vm= 5", "drop:vm=2147483648",
+          "hang@99999999999", "hang@-1", "hang@2147483648",
+          "drop:count=-3", "drop:seed=18446744073709551616",
+          "poison_iotlb:set=4294967296", "drop:count=0x"}) {
+        EXPECT_THROW(fault::FaultPlan::parse(plan), std::invalid_argument)
+            << plan;
+    }
+    // The largest in-range values still parse.
+    fault::FaultPlan edge = fault::FaultPlan::parse(
+        "hang@2147483647:at=1e7s;drop:vm=2147483647,"
+        "seed=18446744073709551615,rate=0");
+    ASSERT_EQ(edge.directives().size(), 2u);
+    EXPECT_EQ(edge.directives()[0].slot, 2147483647);
+    EXPECT_EQ(edge.directives()[0].at, 10000000 * sim::kTickSec);
+    EXPECT_EQ(edge.directives()[1].vm, 2147483647);
+    EXPECT_EQ(edge.directives()[1].seed, ~std::uint64_t(0));
 }
 
 // ------------------------------------------- DMA drop/delay + retry
