@@ -3,17 +3,19 @@
  * Read/write-isolated microbenchmarks of the simulation kernel's
  * three hottest data structures — the DmaTxn pool arena, the
  * three-level calendar rings, and the telemetry stat counters — plus
- * the conservative epoch scheduler's barrier machinery. Where
- * bench_sim_kernel measures the kernel end-to-end (full platform
- * traffic), this bench separates the *production* side of each
- * structure from its *consumption* side, so a regression in one
- * half cannot hide behind an improvement in the other.
+ * the conservative epoch scheduler's barrier machinery, at two and
+ * at eight (fleet-width) domains. Where bench_sim_kernel measures the
+ * kernel end-to-end (full platform traffic), this bench separates the
+ * *production* side of each structure from its *consumption* side,
+ * so a regression in one half cannot hide behind an improvement in
+ * the other.
  *
  * Every scenario reports deterministic checksums (fingerprinted,
  * identical at any --jobs/--sim-threads) alongside volatile
  * wall-clock rate cells excluded from the determinism contract.
  */
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -395,6 +397,76 @@ epochPingPong(const std::string &name, unsigned threads, int legs)
 }
 
 // ---------------------------------------------------------------
+// Epoch scheduler at fleet width: a token ring over 8 domains.
+// ---------------------------------------------------------------
+
+/**
+ * Eight domains in a ring of channels at the fleet's 0.4 us
+ * lookahead, with @p tokens tokens passed hop by hop, each for
+ * @p hops_per_token hops. One token keeps exactly one domain due per
+ * epoch; tokens started on evenly spaced domains keep that many due
+ * at once. Wherever a token lands, that domain re-arms a 100 us
+ * timer (a slice timer's stand-in), so the idle domains hold far-ring
+ * events as an idle fleet node does.
+ */
+exp::ResultRow
+epochRing(const std::string &name, unsigned threads, unsigned tokens,
+          std::uint64_t hops_per_token)
+{
+    constexpr sim::DomainId kDomains = 8;
+    const sim::Tick lat = 400 * sim::kTickNs;
+    sim::DomainSet set(kDomains);
+    std::vector<std::unique_ptr<sim::Channel<std::uint64_t>>> links;
+    std::vector<std::unique_ptr<sim::PeriodicEvent>> timers;
+    for (sim::DomainId d = 0; d < kDomains; ++d) {
+        links.push_back(std::make_unique<sim::Channel<std::uint64_t>>(
+            set, d, (d + 1) % kDomains, lat,
+            sim::strprintf("ring%u", d)));
+        timers.push_back(std::make_unique<sim::PeriodicEvent>());
+        timers.back()->bind(set.queue(d), []() {});
+    }
+    std::uint64_t hops = 0;
+    for (sim::DomainId d = 0; d < kDomains; ++d) {
+        const sim::DomainId at = (d + 1) % kDomains;
+        links[d]->onReceive([&, at](std::uint64_t left) {
+            ++hops;
+            timers[at]->scheduleIn(100 * sim::kTickUs);
+            if (left > 1)
+                links[at]->send(left - 1);
+        });
+    }
+    for (unsigned k = 0; k < tokens; ++k) {
+        const sim::DomainId from = k * kDomains / tokens;
+        set.queue(from).scheduleAt(0, [&, from]() {
+            links[from]->send(hops_per_token);
+        });
+    }
+
+    sim::EpochScheduler sched(set, threads);
+    exp::WallTimer t;
+    sched.run();
+    double wall_ms = t.ms();
+
+    sim::Tick end = 0;
+    for (sim::DomainId d = 0; d < kDomains; ++d)
+        end = std::max(end, set.queue(d).now());
+    exp::ResultRow row(name);
+    row.count("hops", hops);
+    row.count("epochs", sched.epochs());
+    row.count("delivered", sched.delivered());
+    row.count("end_tick", end);
+    row.wall("wall_ms", "%.2f", wall_ms);
+    row.wall("ns_per_epoch", "%.0f",
+             sched.epochs() > 0
+                 ? wall_ms * 1e6 / static_cast<double>(sched.epochs())
+                 : 0);
+    row.fp.add(hops).add(sched.epochs()).add(sched.delivered());
+    row.fp.add(end);
+    row.sealFingerprint();
+    return row;
+}
+
+// ---------------------------------------------------------------
 // Whole platform: one System on its one domain.
 // ---------------------------------------------------------------
 
@@ -562,6 +634,38 @@ main(int argc, char **argv)
         .note("boundary_posts = deferred boundary-channel posts "
               "delivered at epoch barriers; barrier_us = wall-clock "
               "per epoch.");
+
+    r.table("Epoch scheduler at fleet width (8-domain token ring)",
+            "DESIGN.md §12 (barrier cost)")
+        .add("ring8_1due_serial",
+             [](const exp::RunContext &ctx) {
+                 return epochRing("ring8_1due_serial", 1, 1,
+                                  ctx.scaledCount(20'000, 100));
+             })
+        .add("ring8_2due_serial",
+             [](const exp::RunContext &ctx) {
+                 return epochRing("ring8_2due_serial", 1, 2,
+                                  ctx.scaledCount(20'000, 100));
+             })
+        .add("ring8_2due_pool2",
+             [](const exp::RunContext &ctx) {
+                 return epochRing("ring8_2due_pool2", 2, 2,
+                                  ctx.scaledCount(20'000, 100));
+             })
+        .note("1due = one token, one due domain per epoch (runs "
+              "inline at any pool width); 2due = tokens on domains 0 "
+              "and 4, two due domains per epoch, so pool2 pays the "
+              "pool handoff at every barrier. ns_per_epoch is "
+              "wall-clock.")
+        .footer([](const std::vector<exp::ResultRow> &rows)
+                    -> std::vector<std::string> {
+            if (rows.size() < 3)
+                return {};
+            bool same =
+                rows[1].fingerprint() == rows[2].fingerprint();
+            return {std::string("2due serial vs pool2 fingerprints: ") +
+                    (same ? "IDENTICAL" : "DIVERGED")};
+        });
 
     return r.main(argc, argv);
 }

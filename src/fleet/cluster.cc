@@ -489,7 +489,8 @@ void
 Cluster::pumpPlanes()
 {
     for (auto &p : _planes)
-        p->pump();
+        if (p->anyReady())
+            p->pump();
 }
 
 void
@@ -529,6 +530,8 @@ Cluster::drainStrays()
 void
 Cluster::progressFreezes()
 {
+    if (_migrationsStarted == _migrationsCompleted)
+        return; // no tenant is freezing (or in flight)
     for (std::size_t ti = 0; ti < _tenants.size(); ++ti) {
         FleetTenant &ft = _tenants[ti];
         if (ft.state != MigState::kFreezing)

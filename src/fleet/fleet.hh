@@ -313,10 +313,14 @@ class Cluster
     };
 
     void barrierStep();
+    /** pump() every plane with a ready tenant; the others have
+     *  nothing a visit would act on. */
     void pumpPlanes();
     void drainInboxes();
     void importParcel(MigrationParcel &p);
     void drainStrays();
+    /** Re-issue exports and ship finished freezes; a no-op while no
+     *  migration is in flight. */
     void progressFreezes();
     void issueExports(std::size_t ti);
     void assembleAndSend(std::size_t ti);

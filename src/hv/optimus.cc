@@ -219,6 +219,7 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
                 v._ctx.visibleStatus = Status::kRunning;
                 v._ctx.cachedResult = 0;
                 v._ctx.cachedProgress = 0;
+                v._resultFromCtx = false;
                 v._ctx.savedContext = false;
                 // A fresh START acknowledges and clears any earlier
                 // fault; a quarantined vaccel becomes eligible again.
@@ -302,7 +303,8 @@ OptimusHv::mmioRead(VirtualAccel &v, std::uint64_t r,
             done(v._ctx.errStatus);
             return;
         }
-        if ((r == reg::kResult || r == reg::kProgress) && !sched) {
+        if ((r == reg::kResult || r == reg::kProgress) &&
+            (!sched || v._resultFromCtx)) {
             done(r == reg::kResult ? v._ctx.cachedResult
                                    : v._ctx.cachedProgress);
             return;
@@ -432,6 +434,7 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
             v._ctx.visibleStatus = Status::kRunning;
             v._ctx.errStatus = 0;
             v._ctx.quarantined = false;
+            v._resultFromCtx = false;
             if (isScheduled(v)) {
                 _platform.accel(v._slot).ringNotify(prod);
                 armWatchdog(v);
@@ -1073,6 +1076,9 @@ void
 OptimusHv::importContext(VirtualAccel &v, const VaccelContext &ctx)
 {
     v._ctx = ctx;
+    // A finished (or idle) job's RESULT and PROGRESS live only in the
+    // context; a running one is reprogrammed onto the device below.
+    v._resultFromCtx = ctx.visibleStatus != Status::kRunning;
     if (v.ringEnabled()) {
         // A kError context with submitted-but-uncompleted entries
         // came from a forced reset that raced the export — the

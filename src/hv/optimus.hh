@@ -180,6 +180,11 @@ class VirtualAccel
     /** Everything a migration moves; exportContext() hands out a
      *  copy and importContext() assigns one. */
     VaccelContext _ctx;
+    /** Set by importContext() of a context that is not running: a
+     *  device this vaccel holds never ran that job, so RESULT and
+     *  PROGRESS come from _ctx until the vaccel next starts a job
+     *  (START or a ring publish). */
+    bool _resultFromCtx = false;
     /** The forward-progress check (OptimusHv::setWatchdog) and the
      *  progress it last saw. */
     sim::PeriodicEvent _watchdog;

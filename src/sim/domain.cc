@@ -213,9 +213,11 @@ void
 EpochScheduler::executeEpoch()
 {
     unsigned busy = 0;
-    for (DomainId d = 0; d < _set.size() && busy < 2; ++d)
-        busy += due(d) ? 1 : 0;
-    if (_workers.empty() || t_onExecutor || busy < 2) {
+    if (!_workers.empty() && !t_onExecutor) {
+        for (DomainId d = 0; d < _set.size() && busy < 2; ++d)
+            busy += due(d) ? 1 : 0;
+    }
+    if (busy < 2) {
         for (DomainId d = 0; d < _set.size(); ++d)
             runDomain(d);
         return;
@@ -234,23 +236,28 @@ EpochScheduler::deliverPosts()
     // and the message streams — never of which domain an endpoint
     // lives in or which worker ran it.
     std::vector<PostRef> &order = _postOrder;
+    std::vector<DomainId> &drained = _drained;
     order.clear();
+    drained.clear();
     for (DomainId d = 0; d < _set.size(); ++d) {
         auto &ob = _set.queue(d).outbox();
+        if (ob.empty())
+            continue;
+        drained.push_back(d);
         for (std::uint32_t i = 0; i < ob.size(); ++i)
             order.push_back(
                 PostRef{ob[i].when, ob[i].chan, ob[i].seq, d, i});
     }
-    if (order.empty())
-        return;
-    std::sort(order.begin(), order.end(),
-              [](const PostRef &a, const PostRef &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.chan != b.chan)
-                      return a.chan < b.chan;
-                  return a.seq < b.seq;
-              });
+    if (order.size() > 1) {
+        std::sort(order.begin(), order.end(),
+                  [](const PostRef &a, const PostRef &b) {
+                      if (a.when != b.when)
+                          return a.when < b.when;
+                      if (a.chan != b.chan)
+                          return a.chan < b.chan;
+                      return a.seq < b.seq;
+                  });
+    }
     for (const PostRef &r : order) {
         EventQueue &src = _set.queue(r.src);
         const EventQueue::CrossPost &p = src.outbox()[r.idx];
@@ -261,7 +268,7 @@ EpochScheduler::deliverPosts()
         _set.queue(p.dst).deliverPost(src, p);
         ++_delivered;
     }
-    for (DomainId d = 0; d < _set.size(); ++d)
+    for (DomainId d : drained)
         _set.queue(d).outbox().clear();
 }
 

@@ -294,9 +294,10 @@ class Channel : public ChannelBase
  * (domain-id order, on the calling thread) otherwise.
  *
  * A barrier costs only its pending work: each epoch reads every
- * domain's next event tick once, takes the window from their minimum,
- * and coasts a domain with nothing due in the window straight to its
- * end (EventQueue::coastTo). An epoch with fewer than two due domains
+ * domain's cached next event tick (O(1), EventQueue::nextEventTick),
+ * takes the window from their minimum, and coasts a domain with
+ * nothing due in the window straight to its end
+ * (EventQueue::coastTo). An epoch with fewer than two due domains
  * runs inline on the calling thread even when a pool exists: one busy
  * domain has no parallelism to offer, only a pool handoff to pay for.
  *
@@ -413,8 +414,10 @@ class EpochScheduler
     bool _drainAll = false;
     /** Each domain's next event tick, read once per epoch. */
     std::vector<Tick> _next;
-    /** deliverPosts()' sort buffer, kept across barriers. */
+    /** deliverPosts()' sort buffer and the domains whose outboxes
+     *  it drained, kept across barriers. */
     std::vector<PostRef> _postOrder;
+    std::vector<DomainId> _drained;
 
     // Pool state (threads > 1 only). All shard handoff is ordered by
     // _m: the coordinator publishes a generation under the lock and

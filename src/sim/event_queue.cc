@@ -222,10 +222,11 @@ EventQueue::dispatchActive(Tick t)
 bool
 EventQueue::runOne()
 {
-    Tick t = nextEventTick();
+    const Tick t = _nextTick;
     if (t == kTickForever)
         return false;
     dispatch(t);
+    _nextTick = scanNextTick();
     return true;
 }
 
@@ -250,6 +251,7 @@ EventQueue::runUntil(Tick limit)
                 deactivate();
                 if (_now < limit)
                     _now = limit;
+                _nextTick = t;
                 return n;
             }
             dispatchActive(t);
@@ -267,8 +269,10 @@ EventQueue::runUntil(Tick limit)
                      ? farMinTick()
                      : (_overflow.empty() ? kTickForever
                                           : _overflow.front().when);
-        if (t == kTickForever || t > limit)
+        if (t == kTickForever || t > limit) {
+            _nextTick = t;
             break;
+        }
         _now = t;
         advanceWindow();
         activateSlot(_occupied.findFrom(slotOf(t)));
@@ -313,6 +317,7 @@ EventQueue::clearPending()
         _pool.release(p.cb);
     _outbox.clear();
     _size = 0;
+    _nextTick = kTickForever;
 }
 
 } // namespace optimus::sim

@@ -230,17 +230,25 @@ class EventQueue
      */
     std::uint32_t callbackSlots() const { return _pool.slots(); }
 
-    /** Tick of the next pending event; kTickForever if none. */
+    /**
+     * Tick of the next pending event; kTickForever if none. O(1): the
+     * queue caches it. Every enqueue lowers the cache, runUntil sets
+     * it where it stops, runOne rescans it after its event and
+     * clearPending resets it. While an event runs it may lag the
+     * queue, so only the epoch coordinator (at a barrier) and tests
+     * read it. Debug builds check the cache against a full scan on
+     * every read.
+     */
     Tick
     nextEventTick() const
     {
-        Tick t = nextRingTick();
-        if (t != kTickForever)
-            return t;
-        if (_farCount != 0)
-            return farMinTick();
-        return _overflow.empty() ? kTickForever
-                                 : _overflow.front().when;
+#ifndef NDEBUG
+        OPTIMUS_ASSERT(_nextTick == scanNextTick(),
+                       "stale next-event tick (%llu, queue holds %llu)",
+                       static_cast<unsigned long long>(_nextTick),
+                       static_cast<unsigned long long>(scanNextTick()));
+#endif
+        return _nextTick;
     }
 
     /**
@@ -508,6 +516,8 @@ class EventQueue
 #endif
         if (when < _now)
             when = _now;
+        if (when < _nextTick)
+            _nextTick = when;
         if (when < _ringLimit) {
             std::uint32_t s = slotOf(when);
             if (s != _activeSlot) {
@@ -543,6 +553,20 @@ class EventQueue
     /** Append a key to its far-ring bucket. */
     void pushToFar(const Key &k);
 
+    /** Tick of the earliest pending event, found by scanning the
+     *  levels (what the _nextTick cache stands for). */
+    Tick
+    scanNextTick() const
+    {
+        Tick t = nextRingTick();
+        if (t != kTickForever)
+            return t;
+        if (_farCount != 0)
+            return farMinTick();
+        return _overflow.empty() ? kTickForever
+                                 : _overflow.front().when;
+    }
+
     /** Tick of the earliest ring event; kTickForever if ring empty. */
     Tick nextRingTick() const;
 
@@ -577,6 +601,9 @@ class EventQueue
     CallbackPool _pool;
 
     Tick _now = 0;
+    /** The earliest pending tick (see nextEventTick): exact whenever
+     *  no event of this queue is running. */
+    Tick _nextTick = kTickForever;
     /** Exclusive end of the near window: ring events all have ticks
      *  in [_now, _ringLimit). Always a whole-window boundary, and
      *  always the first boundary above _now, so _ringLimit - _now

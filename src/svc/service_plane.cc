@@ -60,12 +60,13 @@ Tenant::Tenant(ServicePlane &plane, std::size_t index,
 bool
 Tenant::pending() const
 {
-    if (!_queue.empty())
-        return true;
-    for (const auto &w : _workers)
+    bool idle_worker = false;
+    for (const auto &w : _workers) {
         if ((w->done && w->busy) || !w->inflight.empty())
             return true;
-    return false;
+        idle_worker |= !w->busy;
+    }
+    return idle_worker && !_queue.empty() && _mode == Mode::kActive;
 }
 
 ServicePlane::ServicePlane(hv::System &sys)
@@ -310,8 +311,7 @@ ServicePlane::pump()
     // The ready-set invariant: no tenant outside the set has work a
     // visit would act on.
     for (std::size_t i = 0; i < _tenants.size(); ++i) {
-        const bool ready = (_ready[i >> 6] >> (i & 63)) & 1;
-        OPTIMUS_ASSERT(ready || !_tenants[i]->pending(),
+        OPTIMUS_ASSERT(isReady(i) || !_tenants[i]->pending(),
                        "svc: tenant '%s' has pending work outside the "
                        "ready set",
                        _tenants[i]->name().c_str());

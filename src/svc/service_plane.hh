@@ -199,8 +199,11 @@ class Tenant
     Tenant(ServicePlane &plane, std::size_t index,
            const TenantConfig &cfg, sim::TelemetryNode *node);
 
-    /** Work a pump() visit would act on: a queued request, a
-     *  consumable done mailbox, or an in-flight ring entry. */
+    /** Work a pump() visit would act on: a consumable done mailbox
+     *  on a busy worker, an in-flight ring entry, or a queued request
+     *  with an idle worker on an active binding. A tenant whose
+     *  workers are all busy on MMIO jobs has none until a completion
+     *  doorbell fills a mailbox. */
     bool pending() const;
 
     ServicePlane &_plane;
@@ -272,6 +275,23 @@ class ServicePlane
     /** No queued requests and no busy workers (the drain test). */
     bool idle() const;
 
+    /** Whether any tenant is in the ready set: pump() has nothing to
+     *  visit otherwise. */
+    bool
+    anyReady() const
+    {
+        for (std::uint64_t w : _ready)
+            if (w != 0)
+                return true;
+        return false;
+    }
+    /** Whether tenant @p i is in the ready set. */
+    bool
+    isReady(std::size_t i) const
+    {
+        return (_ready[i >> 6] >> (i & 63)) & 1;
+    }
+
     /** Tick at which the current arrival window closes. */
     sim::Tick horizon() const { return _horizon; }
 
@@ -328,9 +348,11 @@ class ServicePlane
 
     /**
      * Put @p t in the ready set. Every path that gives a tenant
-     * pending work calls this: admit(), the MMIO completion handler,
-     * and fleet::Cluster::importParcel. Only this plane's hv-domain
-     * events and the barrier write the set, so it needs no lock.
+     * pending work calls this: admit(), the MMIO completion handler
+     * (which also frees a busy worker for the queue behind it), and
+     * fleet::Cluster::importParcel (the only path back to kActive).
+     * Only this plane's hv-domain events and the barrier write the
+     * set, so it needs no lock.
      */
     void
     markReady(const Tenant &t)
@@ -344,7 +366,8 @@ class ServicePlane
     sim::TelemetryNode *_node; ///< "sys.svc"
     std::vector<std::unique_ptr<Tenant>> _tenants;
     /** Ready set, one bit per tenant index. A bit is cleared only by
-     *  a pump() visit that leaves its tenant without pending work. */
+     *  a pump() visit that leaves its tenant without pending work
+     *  (Tenant::pending). */
     std::vector<std::uint64_t> _ready;
     std::vector<std::unique_ptr<hv::AccelHandle>> _handles;
     std::function<void(Tenant &, int)> _straySink;

@@ -131,6 +131,44 @@ TEST(DomainSetTest, LookaheadIsMinCrossChannelLatency)
     EXPECT_EQ(set.minCrossLatency(), 900 * kTickNs);
 }
 
+TEST(DomainSetTest, BarrierScheduleBelowCachedTickStartsNextWindow)
+{
+    // Domain 1 holds one far event and coasts through every window
+    // while domain 0 works. At a barrier, an event below domain 1's
+    // cached next tick is scheduled into it: the next window must
+    // start at that event, not at domain 0's next one or at the
+    // stale far event.
+    DomainSet set(2);
+    Channel<int> link(set, 0, 1, 100, "link"); // lookahead only
+    for (Tick t : {0, 1000, 2000, 3000})
+        set.queue(0).scheduleAt(t, []() {});
+    set.queue(1).scheduleAt(50000, []() {});
+
+    EpochScheduler sched(set);
+    std::vector<Tick> barriers;
+    Tick ran_at = 0;
+    bool inserted = false;
+    const bool stopped = sched.pumpUntil(
+        []() { return false; },
+        [&]() {
+            barriers.push_back(set.queue(0).now());
+            if (inserted || set.queue(0).now() != 1099)
+                return;
+            EXPECT_EQ(set.queue(1).nextEventTick(), 50000u);
+            set.queue(1).scheduleAt(
+                1500, [&]() { ran_at = set.queue(1).now(); });
+            EXPECT_EQ(set.queue(1).nextEventTick(), 1500u);
+            inserted = true;
+        });
+    EXPECT_FALSE(stopped); // the set drained
+    EXPECT_EQ(ran_at, 1500u);
+    // The up-front check, then each window's end: its first event
+    // plus the lookahead, minus one.
+    const std::vector<Tick> want = {0,    99,   1099, 1599,
+                                    2099, 3099, 50099};
+    EXPECT_EQ(barriers, want);
+}
+
 TEST(ChannelTest, SameDomainSendSchedulesDirectly)
 {
     DomainSet set(1);

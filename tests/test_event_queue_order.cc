@@ -10,6 +10,8 @@
  * differential check against a reference heap, so any future change
  * to the wheel geometry or migration logic that perturbs ordering
  * fails loudly here rather than as a silently different simulation.
+ * The same differential check pins the cached nextEventTick() the
+ * epoch scheduler reads at every barrier.
  * They also pin what the callback pool behind the levels guarantees:
  * a closure runs in place even while it grows the pool, every pending
  * closure is released without running by clearPending() and by
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -376,7 +379,10 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
 
         // Subject: the calendar queue making the same decisions,
         // drained once by runAll() and once through runUntil windows
-        // of random length.
+        // of random length (coasting the windows with nothing due, as
+        // the epoch scheduler does). The cached nextEventTick() must
+        // equal the pending reference minimum after every outside
+        // schedule, window, coast and clearPending.
         for (bool windowed : {false, true}) {
             const char *drive = windowed ? "runUntil windows" : "runAll";
             std::vector<Key> got_order;
@@ -386,6 +392,13 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                 EventQueue eq;
                 std::uint64_t seq = 0;
                 std::uint64_t budget = kMaxEvents;
+                // The subject's pending events, as the reference sees
+                // them.
+                std::multiset<Key> live;
+                auto ref_min = [&live]() {
+                    return live.empty() ? kTickForever
+                                        : live.begin()->first;
+                };
                 // Self-referential scheduling helper.
                 struct Ctx
                 {
@@ -395,10 +408,11 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                     std::uint64_t &budget;
                     std::vector<Key> &order;
                     std::uint64_t &corrupt;
+                    std::multiset<Key> &live;
                     const Tick *offsets;
                     std::size_t noffsets;
-                } ctx{eq,        rng,     seq,     budget,
-                      got_order, corrupt, offsets, std::size(offsets)};
+                } ctx{eq,      rng,  seq,     budget, got_order,
+                      corrupt, live, offsets, std::size(offsets)};
 
                 struct Fire
                 {
@@ -410,6 +424,8 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                     {
                         if (*payload != myseq)
                             ++c->corrupt;
+                        c->live.erase(
+                            c->live.find(Key{c->eq.now(), myseq}));
                         if (c->budget == 0)
                             return;
                         --c->budget;
@@ -419,6 +435,7 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                             Tick off =
                                 c->offsets[c->rng.next() % c->noffsets];
                             std::uint64_t s = c->seq++;
+                            c->live.emplace(c->eq.now() + off, s);
                             c->eq.scheduleIn(
                                 off,
                                 Fire{c, s,
@@ -438,9 +455,13 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                 for (int i = 0; i < 40; ++i) {
                     Tick when = rng.next() % 3000;
                     std::uint64_t s = seq++;
+                    live.emplace(when, s);
                     eq.scheduleAt(
                         when,
                         Fire{&ctx, s, std::make_shared<std::uint64_t>(s)});
+                    ASSERT_EQ(eq.nextEventTick(), ref_min())
+                        << "after outside schedule " << i << ", seed "
+                        << seed << ", " << drive;
                 }
                 if (windowed) {
                     // Windows from their own generator, so the
@@ -451,15 +472,38 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                     Rng windows(static_cast<std::uint64_t>(seed) + 1000);
                     const Tick spans[] = {1, 700, kSlotSpan, kNearWindow,
                                           kFarWindow};
-                    while (!eq.empty())
-                        eq.runUntil(
+                    std::uint64_t coasts = 0;
+                    while (!eq.empty()) {
+                        const Tick limit =
                             eq.now() +
-                            spans[windows.next() % std::size(spans)]);
+                            spans[windows.next() % std::size(spans)];
+                        if (eq.nextEventTick() > limit) {
+                            eq.coastTo(limit);
+                            ++coasts;
+                        } else {
+                            eq.runUntil(limit);
+                        }
+                        ASSERT_EQ(eq.nextEventTick(), ref_min())
+                            << "after the window to " << limit
+                            << ", seed " << seed;
+                    }
+                    EXPECT_GT(coasts, 0u);
                 } else {
                     eq.runAll();
+                    ASSERT_EQ(eq.nextEventTick(), ref_min())
+                        << "after runAll, seed " << seed;
                 }
                 EXPECT_GT(eq.callbackSlots(), 512u)
                     << "a burst should have added a pool chunk";
+
+                // Outside schedules into the drained queue, latest
+                // first, then clearPending.
+                for (Tick off : {kFarWindow + 7, kNearWindow + 3, Tick(5)}) {
+                    eq.scheduleIn(off, []() {});
+                    ASSERT_EQ(eq.nextEventTick(), eq.now() + off);
+                }
+                eq.clearPending();
+                ASSERT_EQ(eq.nextEventTick(), kTickForever);
             }
 
             EXPECT_EQ(corrupt, 0u) << "seed " << seed << ", " << drive;

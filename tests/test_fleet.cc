@@ -4,7 +4,8 @@
  * worker pool widths, conservation of work across forced live
  * migrations (nothing lost in flight, blackout measured per move),
  * an export whose preempt times out on a wedged source, a rebalancer
- * export that lands while the device is restoring, placement policy
+ * export that lands while the device is restoring, the guest-visible
+ * RESULT/PROGRESS of a finished job after a move, placement policy
  * behavior, and automatic rebalancing of a hot node.
  */
 
@@ -199,6 +200,48 @@ TEST(FleetTest, RebalancerExportDuringRestoreCedesCleanly)
     EXPECT_EQ(resets, 0u);
     EXPECT_EQ(cl.fleetArrivals(), 344u);
     EXPECT_EQ(cl.fleetCompleted(), cl.fleetArrivals());
+}
+
+TEST(FleetTest, FinishedJobKeepsResultAndProgressAcrossMove)
+{
+    // A tenant whose last job finished moves between runs. Its
+    // destination vaccel holds the slot as an idle placeholder, so
+    // that device never ran the job: RESULT and PROGRESS must read
+    // what the source device finished with until a new job starts.
+    fleet::ClusterConfig cfg = twoNodeConfig();
+    cfg.rebalanceInterval = 0;
+    fleet::Cluster cl(cfg);
+    std::size_t t = cl.addTenant(shaTenant("t0", 61, 20000.0));
+    const unsigned src = cl.tenantNode(t);
+    const unsigned dst = 1 - src;
+    cl.run(200 * sim::kTickUs);
+    const hv::VirtualAccel &sv = cl.binding(t, src).vaccel(0);
+    ASSERT_EQ(sv.visibleStatus(), accel::Status::kDone);
+    const std::uint64_t result = sv.cachedResult();
+    const std::uint64_t progress = sv.cachedProgress();
+    ASSERT_NE(progress, 0u);
+
+    ASSERT_TRUE(cl.migrateTenant(t, dst));
+    cl.run(0); // no arrivals: only the move
+    ASSERT_EQ(cl.tenantNode(t), dst);
+    hv::VirtualAccel &dv = cl.binding(t, dst).vaccel(0);
+    hv::OptimusHv &hv = cl.node(dst).hv;
+    EXPECT_TRUE(hv.isScheduled(dv));
+    EXPECT_EQ(dv.visibleStatus(), accel::Status::kDone);
+    EXPECT_NE(cl.node(dst).platform.accel(0).progress(), progress);
+
+    auto read = [&](std::uint64_t reg) {
+        bool done = false;
+        std::uint64_t out = 0;
+        hv.mmioRead(dv, reg, [&](std::uint64_t v) {
+            out = v;
+            done = true;
+        });
+        cl.node(dst).sched.pumpUntil([&]() { return done; });
+        return out;
+    };
+    EXPECT_EQ(read(accel::reg::kResult), result);
+    EXPECT_EQ(read(accel::reg::kProgress), progress);
 }
 
 TEST(FleetTest, MigrateTenantRejectsBadTargets)

@@ -120,6 +120,95 @@ runOnce(const TenantConfig &cfg, sim::Tick window)
     return plane.fingerprint();
 }
 
+/** What a barrier-by-barrier drive of one single-tenant plane saw
+ *  of its tenant's ready bit. */
+struct ReadyTrace
+{
+    std::uint64_t fingerprint = 0;
+    /** Barriers after which the tenant had queued requests but sat
+     *  outside the ready set. */
+    unsigned leftWithQueue = 0;
+    /** Completions accounted after such a barrier: the tenant was
+     *  visited again. */
+    unsigned revisited = 0;
+    std::uint64_t admitted = 0;
+    std::uint64_t completed = 0;
+};
+
+/** ServicePlane::run(1 ms) with its barrier work spelled out, reading
+ *  the ready set after every pump(). */
+ReadyTrace
+traceReadySet(const TenantConfig &cfg)
+{
+    hv::System sys(hv::makeOptimusConfig("SHA", 1));
+    ServicePlane plane(sys);
+    Tenant &t = plane.addTenant(cfg);
+    plane.beginWindow(sim::kTickMs);
+    ReadyTrace r;
+    bool out = false;
+    std::uint64_t done_when_out = 0;
+    sys.sched.pumpUntil(
+        [&]() {
+            return sys.eq.now() >= plane.horizon() && plane.idle();
+        },
+        [&]() {
+            plane.pump();
+            if (out && t.completed() > done_when_out) {
+                ++r.revisited;
+                out = false;
+            }
+            if (!plane.isReady(0) && t.queueLength() > 0) {
+                ++r.leftWithQueue;
+                if (!out) {
+                    out = true;
+                    done_when_out = t.completed();
+                }
+            }
+        });
+    r.fingerprint = plane.fingerprint();
+    r.admitted = t.admitted();
+    r.completed = t.completed();
+    return r;
+}
+
+TEST(ServicePlaneTest, BusyTenantLeavesReadySetUntilItsCompletion)
+{
+    // One worker and arrivals faster than it serves, so requests
+    // queue behind the busy worker. An MMIO tenant then has nothing a
+    // visit would act on until its completion doorbell: it leaves the
+    // ready set and is visited again once the doorbell lands, with
+    // batchMin > 1 as well. A ring tenant's in-flight entries are
+    // polled, not doorbelled, so it stays ready while they are out.
+    // Skipping visits moves no result: each fingerprint equals the
+    // one a plane that visited every queued tenant at every barrier
+    // produced.
+    TenantConfig mmio = shaTenant("t0", 0, 5);
+    mmio.arrivals.ratePerSec = 150000.0;
+    TenantConfig ringed = mmio;
+    ringed.cmdPath = ring::CmdPath::kRing;
+    TenantConfig batched = mmio;
+    batched.batchMin = 4;
+    batched.batchMax = 4;
+
+    const ReadyTrace m = traceReadySet(mmio);
+    EXPECT_GT(m.leftWithQueue, 0u);
+    EXPECT_GT(m.revisited, 0u);
+    EXPECT_EQ(m.fingerprint, 0xa1f53ea562a2f229ULL);
+
+    const ReadyTrace r = traceReadySet(ringed);
+    EXPECT_EQ(r.leftWithQueue, 0u);
+    EXPECT_EQ(r.fingerprint, 0x7eb407f936b4064dULL);
+
+    const ReadyTrace b = traceReadySet(batched);
+    EXPECT_GT(b.leftWithQueue, 0u);
+    EXPECT_GT(b.revisited, 0u);
+    EXPECT_EQ(b.fingerprint, 0x6f6fd2e420aa70b2ULL);
+
+    EXPECT_EQ(m.completed, m.admitted); // drained, none lost
+    EXPECT_EQ(r.completed, r.admitted);
+    EXPECT_GT(b.completed, 100u);
+}
+
 TEST(ServicePlaneTest, OpenLoopDeterminism)
 {
     TenantConfig cfg = shaTenant("t0", 0, 5);
