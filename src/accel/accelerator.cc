@@ -520,6 +520,8 @@ Accelerator::ringPostCompletion()
                            return;
                        _ring.state.jobActive = false;
                        ++_ringPosts;
+                       if (_ringPosted)
+                           _ringPosted(*this);
                        if (_ringArmed &&
                            _ring.state.nextSeq < _ring.state.prodSeq) {
                            ringWake();

@@ -61,6 +61,15 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     void setDoorbell(Doorbell d) { _doorbell = std::move(d); }
 
     /**
+     * Hook run when a ring job's completion entry and the complete.prod
+     * word it publishes have both landed in guest memory. Not an
+     * interrupt: the hypervisor uses it to model the tenant's daemon
+     * busy-polling its completion line, so it fires even with the
+     * MMIO plane wedged.
+     */
+    void setRingPostHook(Doorbell h) { _ringPosted = std::move(h); }
+
+    /**
      * Pad the saved-state blob to @p n bytes; used by the temporal
      * multiplexing worst-case estimate (Section 6.6), which assumes
      * all resources an accelerator occupies must be saved.
@@ -228,6 +237,7 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     std::string _name;
     DmaPort _dma;
     Doorbell _doorbell;
+    Doorbell _ringPosted;
 
     Status _status = Status::kIdle;
     std::uint64_t _result = 0;

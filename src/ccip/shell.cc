@@ -27,10 +27,8 @@ Shell::Shell(sim::DomainSet &domains, sim::DomainId domain,
       _mmioLinkLatency(params.pcieLatency),
       _dmaMaxRetries(params.dmaMaxRetries),
       _dmaRetryBackoff(params.dmaRetryBackoff),
-      _toHost(domains, domain, domain, _chanLatency, "shell.to_host",
-              sim::ChannelBase::Delivery::kDeferred),
-      _toFpga(domains, domain, domain, _chanLatency, "shell.to_fpga",
-              sim::ChannelBase::Delivery::kDeferred),
+      _toHost(domains, domain, domain, _chanLatency, "shell.to_host"),
+      _toFpga(domains, domain, domain, _chanLatency, "shell.to_fpga"),
       _bridge(memory, memctl, iommu, _toFpga, scope.sub("bridge")),
       _trace(scope.bus),
       _comp(sim::traceComponent(scope, "shell")),

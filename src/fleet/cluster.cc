@@ -2,11 +2,12 @@
  * @file
  * fleet::Cluster / fleet::GlobalScheduler implementation. The
  * mechanics live here; see fleet.hh for the architecture and the
- * determinism contract. The one rule everything below obeys: event
- * callbacks (channel receives, stray sinks, export completions) only
- * record into per-node or per-tenant state; all decisions and every
- * synchronous guest-API call happen in barrierStep(), which the
- * EpochScheduler runs at epoch barriers when no domain executes.
+ * determinism contract. The one rule everything below obeys: work
+ * that spans nodes happens in barrierStep(), which the
+ * EpochScheduler runs at epoch barriers when no domain executes;
+ * event callbacks that feed it (channel receives, stray sinks, export
+ * completions) only record into per-node or per-tenant state. Each
+ * node's service plane dispatches in its own event handlers.
  */
 
 #include "fleet/fleet.hh"
@@ -231,8 +232,7 @@ Cluster::Cluster(ClusterConfig cfg, unsigned sim_threads)
                                       : _cfg.interRackLinkLatency;
             auto ch = std::make_unique<sim::Channel<ParcelPtr>>(
                 _domains, s, d, lat,
-                sim::strprintf("fleet.link%u_%u", s, d),
-                sim::ChannelBase::Delivery::kDeferred);
+                sim::strprintf("fleet.link%u_%u", s, d));
             const unsigned dst_idx = d;
             ch->onReceive([this, dst_idx](ParcelPtr p) {
                 // Destination node's event context: inbox only.
@@ -372,7 +372,6 @@ Cluster::assembleAndSend(std::size_t ti)
         // any) travels inside pw and completes on the destination.
         // Ring contents themselves ride the window image above.
         sw.busy = false;
-        sw.done = false;
         sw.batchLeft = 0;
         sw.inflight.clear();
     }
@@ -435,29 +434,13 @@ Cluster::importParcel(MigrationParcel &p)
         dw.cur = pw.cur;
         dw.issued = pw.issued;
         dw.batchLeft = pw.batchLeft;
-        dw.done = false;
         dw.inflight = std::move(pw.inflight);
-        sys.hv.importContext(h.vaccel(), pw.ctx);
-
-        if (h.ringEnabled()) {
-            // Ring completions never use the mailbox: finished (or
-            // error-posted) entries are already in the imported ring
-            // memory — or are posted into it by importContext's error
-            // delivery — and the next pump() polls them out against
-            // the restored inflight queue.
+        // Ring completions still to come land in the imported ring —
+        // importContext's error delivery among them — and run the
+        // worker's handler there.
+        if (h.ringEnabled())
             dw.busy = !dw.inflight.empty();
-        } else if (dw.busy &&
-                   (pw.ctx.visibleStatus == accel::Status::kDone ||
-                    pw.ctx.visibleStatus == accel::Status::kError)) {
-            // The job already finished (or was force-reset by the
-            // export timeout) before the parcel shipped; synthesize
-            // the completion mailbox the doorbell would have written
-            // so the next pump() accounts it here. An error rides
-            // the service plane's normal retry path.
-            dw.done = true;
-            dw.doneStatus = pw.ctx.visibleStatus;
-            dw.doneTick = now();
-        }
+        sys.hv.importContext(h.vaccel(), pw.ctx);
     }
 
     OPTIMUS_ASSERT(dst._queue.empty(),
@@ -466,9 +449,18 @@ Cluster::importParcel(MigrationParcel &p)
     dst._gen = std::move(p.gen);
     dst._nextId = std::max(dst._nextId, p.nextId);
     dst._mode = svc::Tenant::Mode::kActive;
-    // The imported queue, mailboxes and ring entries are pending work
-    // the destination plane's pump must visit.
-    _planes[p.dstNode]->markReady(dst);
+
+    svc::ServicePlane &plane = *_planes[p.dstNode];
+    for (std::size_t w = 0; w < p.workers.size(); ++w) {
+        // An MMIO job that finished (or was force-reset by the export
+        // timeout) before the parcel shipped has no doorbell to come:
+        // settle it here. An error rides the normal retry path.
+        const accel::Status st = p.workers[w].ctx.visibleStatus;
+        if (!dst._workers[w]->handle->ringEnabled() &&
+            (st == accel::Status::kDone || st == accel::Status::kError))
+            plane.complete(dst, *dst._workers[w], st);
+    }
+    plane.dispatch(dst);
 
     ft.node = p.dstNode;
     ft.state = MigState::kSettled;
@@ -483,14 +475,6 @@ Cluster::importParcel(MigrationParcel &p)
     for (int user : ft.pendingStrays)
         _planes[ft.node]->injectArrival(dst, user);
     ft.pendingStrays.clear();
-}
-
-void
-Cluster::pumpPlanes()
-{
-    for (auto &p : _planes)
-        if (p->anyReady())
-            p->pump();
 }
 
 void
@@ -549,9 +533,7 @@ Cluster::progressFreezes()
 void
 Cluster::barrierStep()
 {
-    // Account completions and consume mailboxes first so parcel
-    // assembly below never races a finished-but-unaccounted job.
-    pumpPlanes();
+    // Imports and re-injected arrivals dispatch as they happen.
     drainInboxes();
     drainStrays();
     progressFreezes();
@@ -570,10 +552,6 @@ Cluster::barrierStep()
     // assemble them now — with the fleet otherwise idle there may be
     // no later event, hence no later barrier, to do it.
     progressFreezes();
-
-    // Final pump: dispatch anything the steps above injected or
-    // imported, so the epoch set never drains with work queued.
-    pumpPlanes();
 }
 
 bool

@@ -29,7 +29,8 @@
  * export retries, parcel assembly and import — runs at epoch
  * barriers (where no domain executes) or inside single-domain event
  * callbacks that only append to per-node inboxes; every scan runs in
- * index order with deterministic tie-breaks. Fleet results are
+ * index order with deterministic tie-breaks. Each node's service
+ * plane dispatches inside its own node's events. Fleet results are
  * byte-identical across --sim-threads and --jobs.
  */
 
@@ -312,10 +313,9 @@ class Cluster
         int user;
     };
 
+    /** The cross-node work of one epoch barrier: import parcels,
+     *  route strays, advance freezes, rebalance, run the probe. */
     void barrierStep();
-    /** pump() every plane with a ready tenant; the others have
-     *  nothing a visit would act on. */
-    void pumpPlanes();
     void drainInboxes();
     void importParcel(MigrationParcel &p);
     void drainStrays();

@@ -8,7 +8,9 @@
  * The methods are synchronous from the caller's point of view: each
  * pumps the shared event queue until its own (timed) operation
  * completes, so guest "software time" is naturally charged to the
- * simulation clock while other agents keep running.
+ * simulation clock while other agents keep running. A pumping call
+ * made from inside an event is fatal (EpochScheduler::pumpUntil);
+ * only the peeks and the direct memory accessors are safe there.
  */
 
 #ifndef OPTIMUS_HV_GUEST_API_HH
@@ -85,6 +87,12 @@ class AccelHandle
     {
         return mmioRead(accel::reg::kProgress);
     }
+
+    /** What result() / progress() would return, read without the trap
+     *  and without advancing simulated time (OptimusHv::peekResult).
+     *  Verification uses these, so it may run inside an event. */
+    std::uint64_t peekResult() const { return _hv.peekResult(_v); }
+    std::uint64_t peekProgress() const { return _hv.peekProgress(_v); }
 
     /** Read the guest-visible ERR_STATUS register (accel::errst
      *  bits); how a VM observes its own faults after wait() returns

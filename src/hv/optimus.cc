@@ -46,6 +46,8 @@ OptimusHv::OptimusHv(Platform &platform)
     for (std::uint32_t i = 0; i < platform.numAccels(); ++i) {
         platform.accel(i).setDoorbell(
             [this, i](accel::Accelerator &a) { onDoorbell(i, a); });
+        platform.accel(i).setRingPostHook(
+            [this, i](accel::Accelerator &a) { onRingPost(i, a); });
         _slots[i].sliceTimer.bind(eventq(),
                                   [this, i]() { sliceExpired(i); });
         _slots[i].preemptTimer.bind(
@@ -304,7 +306,7 @@ OptimusHv::mmioRead(VirtualAccel &v, std::uint64_t r,
             return;
         }
         if ((r == reg::kResult || r == reg::kProgress) &&
-            (!sched || v._resultFromCtx)) {
+            resultFromContext(v)) {
             done(r == reg::kResult ? v._ctx.cachedResult
                                    : v._ctx.cachedProgress);
             return;
@@ -525,11 +527,13 @@ OptimusHv::postRingErrors(VirtualAccel &v)
     const std::uint64_t base = v._ctx.ring.base.value();
     const std::uint32_t entries = v._ctx.ring.entries;
     const sim::Tick at = eventq().now();
+    VirtualAccel *vp = &v;
     guest::Process *proc = v._proc;
     // The entry slots and cursor words live in guest memory (host
     // domain): write the entries first, then publish the cursors,
-    // exactly as the device poller would have.
-    _platform.runOnHost([proc, base, entries, from, to, err, at]() {
+    // exactly as the device poller would have, and tell the tenant
+    // once they have landed.
+    _platform.runOnHost([vp, proc, base, entries, from, to, err, at]() {
         for (std::uint64_t seq = from; seq < to; ++seq) {
             ring::CompleteEntry ce{};
             ce.seq = seq;
@@ -547,6 +551,8 @@ OptimusHv::postRingErrors(VirtualAccel &v)
         proc->writeValue(
             mem::Gva(base + ring::headerOff(ring::kSubmitConsLine)),
             to);
+        if (vp->_completion)
+            vp->_completion(Status::kError);
     });
 }
 
@@ -937,14 +943,14 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
             syncRingFromDevice(*v, a);
             v->_ctx.cachedResult = a.result();
             v->_ctx.cachedProgress = a.progress();
+            // A ring tenant's handler runs where its entries land
+            // (onRingPost, postRingErrors), not at these doorbells.
             if (st == Status::kError) {
                 // Per-job results ride the ring; the doorbell only
                 // announces the fault. Everything submitted but not
                 // completed gets an error completion.
                 v->_ctx.visibleStatus = Status::kError;
                 postRingErrors(*v);
-                if (v->_completion)
-                    v->_completion(st);
                 return;
             }
             // Drained doorbell: every entry the device knew of is
@@ -956,8 +962,6 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
                 return;
             }
             v->_ctx.visibleStatus = Status::kDone;
-            if (v->_completion)
-                v->_completion(st);
             return;
         }
         v->_ctx.visibleStatus = st;
@@ -966,6 +970,16 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
         if (v->_completion)
             v->_completion(st);
     }
+}
+
+void
+OptimusHv::onRingPost(std::uint32_t slot_idx, accel::Accelerator &a)
+{
+    // The device posts only into the ring it was armed with, which is
+    // the holder's until its cede has drained the poller.
+    VirtualAccel *v = _slots[slot_idx].scheduled;
+    if (v != nullptr && v->_completion)
+        v->_completion(a.status());
 }
 
 bool
@@ -1181,7 +1195,7 @@ OptimusHv::quarantine(VirtualAccel &v)
     // the kWatchdog bit.
     postRingErrors(v);
     emitTrace(sim::TraceKind::kWatchdogFire, &v, v._id, v._slot);
-    if (v._completion)
+    if (!v.ringEnabled() && v._completion)
         v._completion(Status::kError);
     resetSlot(v._slot);
 }
@@ -1265,14 +1279,19 @@ OptimusHv::isScheduled(const VirtualAccel &v) const
 }
 
 std::uint64_t
+OptimusHv::peekResult(const VirtualAccel &v) const
+{
+    if (resultFromContext(v))
+        return v._ctx.cachedResult;
+    return const_cast<Platform &>(_platform).accel(v._slot).result();
+}
+
+std::uint64_t
 OptimusHv::peekProgress(const VirtualAccel &v) const
 {
-    if (isScheduled(v)) {
-        return const_cast<Platform &>(_platform)
-            .accel(v._slot)
-            .progress();
-    }
-    return v._ctx.cachedProgress;
+    if (resultFromContext(v))
+        return v._ctx.cachedProgress;
+    return const_cast<Platform &>(_platform).accel(v._slot).progress();
 }
 
 sim::Tick

@@ -113,10 +113,18 @@ class VirtualAccel
     /** Whether the watchdog quarantined this vaccel. */
     bool quarantined() const { return _ctx.quarantined; }
 
-    /** Invoked (like an interrupt) on job DONE / ERROR. */
+    /** Invoked (like an interrupt) on job DONE / ERROR. A ring
+     *  vaccel's handler instead runs where its completion entries
+     *  land: at each device post and when the hypervisor's error
+     *  completions land. */
     void setCompletionHandler(CompletionHandler h)
     {
         _completion = std::move(h);
+    }
+    /** The installed handler, so an observer can chain onto it. */
+    const CompletionHandler &completionHandler() const
+    {
+        return _completion;
     }
 
     /** Whether this vaccel drives its jobs through a shared-memory
@@ -183,7 +191,7 @@ class VirtualAccel
     /** Set by importContext() of a context that is not running: a
      *  device this vaccel holds never ran that job, so RESULT and
      *  PROGRESS come from _ctx until the vaccel next starts a job
-     *  (START or a ring publish). */
+     *  (START or a ring publish). See OptimusHv::resultFromContext. */
     bool _resultFromCtx = false;
     /** The forward-progress check (OptimusHv::setWatchdog) and the
      *  progress it last saw. */
@@ -354,7 +362,10 @@ class OptimusHv
     }
 
     // ------------------------------------------------- instrumentation
-    /** Untimed progress peek for measurement harnesses. */
+    /** Untimed RESULT and PROGRESS peeks, for verification and
+     *  measurement harnesses: what a trapped read issued now would
+     *  return (the same source rule), without its trap or its time. */
+    std::uint64_t peekResult(const VirtualAccel &v) const;
     std::uint64_t peekProgress(const VirtualAccel &v) const;
     accel::Status peekStatus(const VirtualAccel &v) const
     {
@@ -506,6 +517,17 @@ class OptimusHv
     bool release(VirtualAccel &v, bool ring_errors,
                  std::function<void(bool)> then);
     void onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a);
+    /** A ring job's completion landed in the holder's ring: forward it
+     *  to the holder's completion handler. */
+    void onRingPost(std::uint32_t slot_idx, accel::Accelerator &a);
+    /** Whether @p v's RESULT and PROGRESS come from its context rather
+     *  than the device: v does not hold the device, or holds it for an
+     *  imported job that device never ran. The trapped read and both
+     *  peeks follow this one rule. */
+    bool resultFromContext(const VirtualAccel &v) const
+    {
+        return !isScheduled(v) || v._resultFromCtx;
+    }
     sim::Tick sliceFor(const Slot &slot, const VirtualAccel &v) const;
     std::uint64_t sliceStride() const;
     /** Refresh @p v's ring mirrors from the device poller's cursors
@@ -514,7 +536,8 @@ class OptimusHv
                             const accel::Accelerator &a);
     /** Deliver error completions for every submitted-but-uncompleted
      *  ring entry of @p v (quarantine, forced reset, migration
-     *  timeout), carrying its ERR_STATUS bits. */
+     *  timeout), carrying its ERR_STATUS bits; v's completion handler
+     *  runs once they have landed in guest memory. */
     void postRingErrors(VirtualAccel &v);
     /** Account @p v's ring completions [@p from, @p to): counters
      *  and one kRingComplete trace record per entry. */

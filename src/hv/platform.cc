@@ -19,9 +19,9 @@ Platform::Platform(sim::DomainSet &domains, sim::DomainId domain,
       _shell(domains, domain, _config.params, _memory, _memctl,
              _iommu, {&telemetry.node("shell"), &trace}),
       _hvToHost(domains, domain, domain, _config.params.upiLatency,
-                "hv.to_host", sim::ChannelBase::Delivery::kDeferred),
+                "hv.to_host"),
       _hostToHv(domains, domain, domain, _config.params.upiLatency,
-                "hv.to_hv", sim::ChannelBase::Delivery::kDeferred)
+                "hv.to_hv")
 {
     _hvToHost.onReceive([](std::function<void()> fn) { fn(); });
     _hostToHv.onReceive([](std::function<void()> fn) { fn(); });

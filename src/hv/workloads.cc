@@ -136,7 +136,7 @@ class Md5Workload : public StreamWorkloadBase
         _h.memRead(_dst, got.data(), got.size());
         std::uint64_t result8 = 0;
         std::memcpy(&result8, expect.data(), 8);
-        return got == expect && _h.result() == result8;
+        return got == expect && _h.peekResult() == result8;
     }
 };
 
@@ -319,7 +319,7 @@ class RsdWorkload : public Workload
                 return false;
             }
         }
-        return _h.result() == _corrupted;
+        return _h.peekResult() == _corrupted;
     }
 
     std::uint64_t inputBytes() const override
@@ -380,7 +380,7 @@ class SwWorkload : public Workload
                            _b.size());
         auto expect = static_cast<std::uint64_t>(
             algo::smithWatermanScore(a, b));
-        return _h.result() == expect;
+        return _h.peekResult() == expect;
     }
 
     std::uint64_t inputBytes() const override { return 2 * _len; }
@@ -545,7 +545,7 @@ class BtcWorkload : public Workload
     bool
     verify() override
     {
-        auto nonce = static_cast<std::uint32_t>(_h.result());
+        auto nonce = static_cast<std::uint32_t>(_h.peekResult());
         std::vector<std::uint8_t> hdr = _header;
         std::memcpy(hdr.data() + 76, &nonce, 4);
         auto d = algo::Sha256::doubleHash(hdr.data(), 80);
@@ -597,7 +597,7 @@ class MbWorkload : public Workload
     bool
     verify() override
     {
-        return _h.result() == _target && _h.progress() == _target;
+        return _h.peekResult() == _target && _h.peekProgress() == _target;
     }
 
     std::uint64_t inputBytes() const override { return _wset; }
@@ -636,8 +636,8 @@ class LlWorkload : public Workload
     bool
     verify() override
     {
-        return _h.result() == _layout.checksum &&
-               _h.progress() == _layout.nodes;
+        return _h.peekResult() == _layout.checksum &&
+               _h.peekProgress() == _layout.nodes;
     }
 
     std::uint64_t inputBytes() const override { return _nodes * 64; }

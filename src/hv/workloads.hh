@@ -28,7 +28,9 @@ class Workload
     /** Allocate buffers, write input data, program app registers. */
     virtual void program() = 0;
 
-    /** After the job completes: check outputs against software. */
+    /** After the job completes: check outputs against software.
+     *  Untimed (guest memory and the hypervisor's RESULT/PROGRESS
+     *  peeks), so it may run inside a completion handler. */
     virtual bool verify() = 0;
 
     /** Approximate input bytes the job streams (for reporting). */

@@ -10,9 +10,6 @@ namespace {
 
 thread_local const ExecContext *t_exec = nullptr;
 thread_local unsigned t_defaultSimThreads = 1;
-/** Set while the calling thread is a pool worker, so a nested run()
- *  executes inline instead of deadlocking on its own pool. */
-thread_local bool t_onExecutor = false;
 
 } // namespace
 
@@ -73,14 +70,12 @@ DomainSet::~DomainSet()
 void
 DomainSet::refreshLookahead()
 {
-    // Deferred channels constrain the window even when same-domain:
-    // their sends sit in the outbox until a barrier, so the window
-    // must not outrun the earliest possible delivery.
+    // Every channel constrains the window, same-domain ones too: their
+    // sends sit in the outbox until a barrier, so the window must not
+    // outrun the earliest possible delivery.
     _lookahead = kTickForever;
-    for (const ChannelBase *c : _channels) {
-        if (c->deferred())
-            _lookahead = std::min(_lookahead, c->minLatency());
-    }
+    for (const ChannelBase *c : _channels)
+        _lookahead = std::min(_lookahead, c->minLatency());
 }
 
 std::uint64_t
@@ -102,19 +97,16 @@ DomainSet::nextEventTick() const
 }
 
 ChannelBase::ChannelBase(DomainSet &set, DomainId src, DomainId dst,
-                         Tick min_latency, std::string name,
-                         Delivery delivery)
+                         Tick min_latency, std::string name)
     : _set(set), _src(src), _dst(dst), _lat(min_latency),
-      _name(std::move(name)), _delivery(delivery),
-      _id(set._nextChannelId++)
+      _name(std::move(name)), _id(set._nextChannelId++)
 {
     OPTIMUS_ASSERT(src < set.size() && dst < set.size(),
                    "channel %s: endpoint domain out of range",
                    _name.c_str());
-    OPTIMUS_ASSERT(!deferred() || min_latency > 0,
-                   "channel %s: a deferred (or cross-domain) channel "
-                   "needs a positive minimum latency (it is the "
-                   "lookahead)",
+    OPTIMUS_ASSERT(min_latency > 0,
+                   "channel %s needs a positive minimum latency (it is "
+                   "the lookahead)",
                    _name.c_str());
     set._channels.push_back(this);
     set.refreshLookahead();
@@ -169,7 +161,6 @@ EpochScheduler::runDomain(DomainId d)
 void
 EpochScheduler::workerLoop(unsigned index)
 {
-    t_onExecutor = true;
     std::uint64_t seen = 0;
     for (;;) {
         Task task;
@@ -213,7 +204,7 @@ void
 EpochScheduler::executeEpoch()
 {
     unsigned busy = 0;
-    if (!_workers.empty() && !t_onExecutor) {
+    if (!_workers.empty()) {
         for (DomainId d = 0; d < _set.size() && busy < 2; ++d)
             busy += due(d) ? 1 : 0;
     }
@@ -301,9 +292,27 @@ EpochScheduler::step(Tick limit)
     return true;
 }
 
+void
+EpochScheduler::enterTopLevel(const char *what)
+{
+    if (currentExecContext() != nullptr) {
+        OPTIMUS_FATAL("EpochScheduler::%s called from inside an event; "
+                      "only top-level code and barrier work may advance "
+                      "the simulation",
+                      what);
+    }
+    if (_inTopLevel) {
+        OPTIMUS_FATAL("EpochScheduler::%s re-entered from a barrier "
+                      "callback of the same scheduler",
+                      what);
+    }
+    _inTopLevel = true;
+}
+
 std::uint64_t
 EpochScheduler::run(Tick limit)
 {
+    enterTopLevel("run");
     std::uint64_t before = _set.executed();
     while (step(limit)) {
     }
@@ -318,6 +327,7 @@ EpochScheduler::run(Tick limit)
     }
     if (_barrierHook)
         _barrierHook();
+    _inTopLevel = false;
     return _set.executed() - before;
 }
 
@@ -325,6 +335,7 @@ bool
 EpochScheduler::pumpUntil(const std::function<bool()> &stop,
                           const std::function<void()> &between)
 {
+    enterTopLevel("pumpUntil");
     auto check = [&]() {
         if (between)
             between();
@@ -333,6 +344,7 @@ EpochScheduler::pumpUntil(const std::function<bool()> &stop,
     auto finish = [&](bool hit) {
         if (_barrierHook)
             _barrierHook();
+        _inTopLevel = false;
         return hit;
     };
     if (check())
@@ -341,10 +353,7 @@ EpochScheduler::pumpUntil(const std::function<bool()> &stop,
         // One run() step per predicate evaluation: same window
         // derivation, same executeEpoch (pool or serial), same
         // barrier — so a pump's event schedule is exactly a prefix
-        // of what run() would execute, at any pool width. check() may
-        // nest another pump (the service plane verifies results
-        // through the guest API); the next step simply re-derives
-        // its window from wherever that left the set.
+        // of what run() would execute, at any pool width.
         if (!step(kTickForever))
             return finish(false);
         if (check())

@@ -18,10 +18,11 @@
  * The EpochScheduler exploits that: it advances all domains in
  * lockstep epochs of length
  *
- *     lookahead = min over cross-domain channels of minLatency
+ *     lookahead = min over channels of minLatency
  *
- * (the platform's inter-component link latencies — UPI ~0.4 us — are
- * natural values for it). Messages sent during an epoch are buffered
+ * (a System's four package channels give 160 ns, PlatformParams'
+ * upiLatency; a fleet's node links are 2 us or more). Messages sent
+ * during an epoch are buffered
  * in the sending domain's outbox and delivered at the barrier in
  * deterministic (tick, source domain, post order) order, which also
  * fixes the destination queue's FIFO tie-break seq. Execution order
@@ -58,12 +59,12 @@ namespace optimus::sim {
 
 /**
  * The worker-thread execution context: which domain's events are
- * currently running on this thread. Set by the EpochScheduler (and by
- * DomainSet::runScope for serial drivers) around every slice of
- * domain execution; TraceBus uses it to route buffered emissions to
- * the emitting domain and to stamp them with that domain's clock.
- * Null while no domain is executing (setup / teardown / harness
- * code).
+ * currently running on this thread. Set by the EpochScheduler around
+ * every slice of domain execution; TraceBus uses it to route buffered
+ * emissions to the emitting domain and to stamp them with that
+ * domain's clock, and the scheduler's top-level loops refuse to start
+ * inside it. Null while no domain is executing (setup / teardown /
+ * harness code, epoch barriers).
  */
 struct ExecContext
 {
@@ -132,18 +133,18 @@ class DomainSet
 
     /**
      * The conservative lookahead: the minimum latency over all
-     * registered channels that either cross a domain boundary or use
-     * deferred (barrier) delivery. kTickForever when no such channel
-     * exists (the domains are independent and an epoch may run each
-     * to completion). Deferred same-domain channels constrain the
-     * window on purpose: the platform's boundary channels defer even
-     * though both ends share the node's domain, which fixes the
-     * epoch schedule every recorded fingerprint depends on. Cached:
-     * recomputed only when a channel is registered or destroyed.
+     * registered channels, kTickForever when there is none (the
+     * domains are independent and an epoch may run each to
+     * completion). Every channel defers to the barrier, so a
+     * same-domain one constrains the window too: the platform's
+     * boundary channels defer even though both ends share the node's
+     * domain, which fixes the epoch schedule every recorded
+     * fingerprint depends on. Cached: recomputed only when a channel
+     * is registered or destroyed.
      */
     Tick minCrossLatency() const { return _lookahead; }
 
-    /** Number of registered channels (same-domain ones included). */
+    /** Number of registered channels. */
     std::size_t numChannels() const { return _channels.size(); }
 
     /** Total events executed across every shard. */
@@ -173,30 +174,18 @@ class DomainSet
  * the modeled link (e.g. PlatformParams::upiLatency), declared once
  * at wiring time; every send pays at least that much simulated time,
  * which is what makes the epoch window safe.
+ *
+ * Every send buffers in the source outbox and is delivered by the
+ * EpochScheduler at the next barrier, *even when both endpoints
+ * share a domain*: the platform's boundary channels' barrier-delivery
+ * order — (tick, channel id, send seq) — and the epoch windows they
+ * impose are part of the stock engine's timing.
  */
 class ChannelBase
 {
   public:
-    /**
-     * Delivery policy. kImmediate same-domain channels schedule
-     * directly into the shared queue (ordinary determinism rules);
-     * kDeferred channels always buffer in the source outbox and are
-     * delivered by the EpochScheduler at the barrier, *even when both
-     * endpoints share a domain*. The platform's boundary channels are
-     * kDeferred: their barrier-delivery order — (tick, channel id,
-     * send seq) — and the epoch windows they impose are part of the
-     * stock engine's timing. Cross-domain channels are deferred
-     * regardless.
-     */
-    enum class Delivery
-    {
-        kImmediate,
-        kDeferred,
-    };
-
     ChannelBase(DomainSet &set, DomainId src, DomainId dst,
-                Tick min_latency, std::string name,
-                Delivery delivery = Delivery::kImmediate);
+                Tick min_latency, std::string name);
     virtual ~ChannelBase();
     ChannelBase(const ChannelBase &) = delete;
     ChannelBase &operator=(const ChannelBase &) = delete;
@@ -205,13 +194,6 @@ class ChannelBase
     DomainId dstDomain() const { return _dst; }
     Tick minLatency() const { return _lat; }
     const std::string &name() const { return _name; }
-    bool crossesDomains() const { return _src != _dst; }
-    /** Whether sends buffer until the next epoch barrier. */
-    bool
-    deferred() const
-    {
-        return _delivery == Delivery::kDeferred || _src != _dst;
-    }
     std::uint64_t sent() const { return _sent; }
     /** Registration-order id within the DomainSet. */
     std::uint32_t id() const { return _id; }
@@ -222,11 +204,10 @@ class ChannelBase
      *
      *     when = srcQueue.now() + minLatency + extra_delay.
      *
-     * Immediate same-domain channels schedule directly (ordinary
-     * determinism rules apply); deferred ones build the closure in
-     * the source shard's callback pool and append its key to the
-     * outbox, from which the EpochScheduler delivers at the next
-     * barrier in (when, channel id, send seq) order.
+     * Builds the closure in the source shard's callback pool and
+     * appends its key to the outbox, from which the EpochScheduler
+     * delivers at the next barrier in (when, channel id, send seq)
+     * order.
      */
     template <typename F>
     void
@@ -234,14 +215,7 @@ class ChannelBase
     {
         EventQueue &sq = _set.queue(_src);
         Tick when = sq.now() + _lat + extra_delay;
-        std::uint64_t seq = _sent++;
-        if (!deferred()) {
-            // Intra-domain immediate: an ordinary (deterministically
-            // tie-broken) scheduling; no barrier involvement.
-            sq.scheduleAt(when, std::forward<F>(f));
-            return;
-        }
-        sq.postCross(_dst, when, _id, seq, std::forward<F>(f));
+        sq.postCross(_dst, when, _id, _sent++, std::forward<F>(f));
     }
 
   private:
@@ -250,7 +224,6 @@ class ChannelBase
     DomainId _dst;
     Tick _lat;
     std::string _name;
-    Delivery _delivery;
     std::uint32_t _id;
     std::uint64_t _sent = 0;
 };
@@ -321,16 +294,21 @@ class EpochScheduler
      * clock ends at @p limit exactly, like EventQueue::runUntil), or
      * to global quiescence when @p limit is kTickForever.
      * @return events executed across all domains.
+     *
+     * run() and pumpUntil() are top-level loops: calling either
+     * from inside an event, or from a pumpUntil() @p stop/@p between
+     * callback of the same scheduler, is fatal.
      */
     std::uint64_t run(Tick limit = kTickForever);
 
     /**
      * Advance the whole set, epoch by epoch, until @p stop() returns
-     * true. This is the multi-domain generalization of the old
-     * "runOne() until predicate" pump loops (guest API, service
-     * plane): @p between() (optional) and then @p stop() are
-     * evaluated once up front and then at every epoch barrier, on
-     * the calling thread, outside any domain's ExecScope.
+     * true. The guest API (AccelHandle) and the service plane's and
+     * fleet's run() advance the set through it; the fleet's barrier
+     * step is the only @p between() work. @p between() (optional) and
+     * then @p stop() are evaluated once up front and then at every
+     * epoch barrier, on the calling thread, outside any domain's
+     * ExecScope. Neither may enter the scheduler again.
      *
      * Barrier granularity is what keeps determinism pool-invariant:
      * every epoch executes to its window end, so the predicate always
@@ -382,6 +360,10 @@ class EpochScheduler
         std::uint32_t idx;
     };
 
+    /** Fatal unless the calling thread may advance the set: not
+     *  inside an event and not already inside run()/pumpUntil(). */
+    void enterTopLevel(const char *what);
+
     /**
      * One epoch: deliver posts, read every domain's next tick, and
      * unless nothing is due at or before @p limit, stage the window,
@@ -406,6 +388,8 @@ class EpochScheduler
     DomainSet &_set;
     unsigned _threads;
     std::function<void()> _barrierHook;
+    /** Set while run() or pumpUntil() advances the set. */
+    bool _inTopLevel = false;
     std::uint64_t _epochs = 0;
     std::uint64_t _delivered = 0;
 

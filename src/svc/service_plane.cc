@@ -1,7 +1,6 @@
 #include "svc/service_plane.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/fnv.hh"
 #include "sim/logging.hh"
@@ -29,11 +28,8 @@ foldHistogram(sim::Fnv1a &f, const sim::Histogram &h)
 
 } // namespace
 
-Tenant::Tenant(ServicePlane &plane, std::size_t index,
-               const TenantConfig &cfg, sim::TelemetryNode *node)
-    : _plane(plane),
-      _index(index),
-      _cfg(cfg),
+Tenant::Tenant(const TenantConfig &cfg, sim::TelemetryNode *node)
+    : _cfg(cfg),
       _arrivals(node, "arrivals", "requests generated"),
       _admitted(node, "admitted", "requests accepted into the queue"),
       _rejected(node, "rejected",
@@ -57,18 +53,6 @@ Tenant::Tenant(ServicePlane &plane, std::size_t index,
         _gen = std::make_unique<ArrivalGen>(_cfg.arrivals, _cfg.seed);
 }
 
-bool
-Tenant::pending() const
-{
-    bool idle_worker = false;
-    for (const auto &w : _workers) {
-        if ((w->done && w->busy) || !w->inflight.empty())
-            return true;
-        idle_worker |= !w->busy;
-    }
-    return idle_worker && !_queue.empty() && _mode == Mode::kActive;
-}
-
 ServicePlane::ServicePlane(hv::System &sys)
     : _sys(sys), _node(&sys.telemetry.node("svc"))
 {
@@ -85,8 +69,7 @@ ServicePlane::addTenant(const TenantConfig &cfg)
                    cfg.name.c_str());
 
     auto t = std::unique_ptr<Tenant>(
-        new Tenant(*this, _tenants.size(), cfg,
-                   &_sys.telemetry.node("svc." + cfg.name)));
+        new Tenant(cfg, &_sys.telemetry.node("svc." + cfg.name)));
 
     // One VM per tenant; each worker is a process of that VM with
     // its own virtual accelerator on the tenant's slot (temporal
@@ -110,31 +93,24 @@ ServicePlane::addTenant(const TenantConfig &cfg)
         h.setupStateBuffer();
 
         if (cfg.cmdPath == ring::CmdPath::kRing) {
-            // Ring path: completions ride the ring (polled by
-            // drainCompletions), so no doorbell handler is installed
-            // — per-job traps disappear from the hot path entirely.
+            // Ring path: completions ride the ring, and the handler
+            // runs as each one lands (the daemon polls its completion
+            // line) — per-job traps disappear from the hot path.
             std::uint32_t entries =
                 cfg.ringEntries != 0
                     ? cfg.ringEntries
                     : ring::defaultEntries(cfg.batchMax);
             h.setupRing(entries);
-        } else {
-            Tenant::Worker *wp = w.get();
-            const Tenant *tp = t.get();
-            vaccel.setCompletionHandler([this, tp,
-                                         wp](accel::Status st) {
-                // Event-callback context: record only, never pump.
-                wp->done = true;
-                wp->doneStatus = st;
-                wp->doneTick = _sys.eq.now();
-                markReady(*tp);
-            });
         }
+        Tenant::Worker *wp = w.get();
+        Tenant *tp = t.get();
+        vaccel.setCompletionHandler([this, tp, wp](accel::Status st) {
+            onCompletion(*tp, *wp, st);
+        });
         t->_workers.push_back(std::move(w));
     }
 
     _tenants.push_back(std::move(t));
-    _ready.resize((_tenants.size() + 63) / 64);
     return *_tenants.back();
 }
 
@@ -153,7 +129,7 @@ ServicePlane::admit(Tenant &t, int user)
     r.arrival = _sys.eq.now();
     r.user = user;
     t._queue.push_back(r);
-    markReady(t);
+    dispatch(t);
     return true;
 }
 
@@ -211,6 +187,12 @@ void
 ServicePlane::beginWindow(sim::Tick window)
 {
     _horizon = _sys.eq.now() + window;
+    // batchMin stops gating at the horizon: serve the partial batches
+    // no later arrival will complete.
+    _sys.eq.scheduleAt(_horizon, [this]() {
+        for (auto &t : _tenants)
+            dispatch(*t);
+    });
     for (auto &tp : _tenants) {
         Tenant &t = *tp;
         t._epoch = _sys.eq.now();
@@ -257,66 +239,16 @@ void
 ServicePlane::run(sim::Tick window)
 {
     beginWindow(window);
-
-    // Top-level driver: pump the whole domain set in conservative
-    // epochs, interleaving the dispatch/drain fixpoint at each epoch
-    // barrier (where no shard is executing, so touching the node's
-    // state and issuing guest-API calls is race-free at any pool
-    // width).
-    // After the horizon the generators are quiet and the pump keeps
-    // going until every queue is empty and every worker idle (the
-    // drain); a false return means the set drained first — the same
-    // end condition the horizon-plus-idle check expresses.
-    (void)_sys.sched.pumpUntil(
-        [this]() { return _sys.eq.now() >= _horizon && idle(); },
-        [this]() { pump(); });
-}
-
-std::size_t
-ServicePlane::nextReady(std::size_t i) const
-{
-    std::size_t w = i >> 6;
-    if (w >= _ready.size())
-        return _tenants.size();
-    std::uint64_t bits = _ready[w] & (~0ULL << (i & 63));
-    while (bits == 0) {
-        if (++w == _ready.size())
-            return _tenants.size();
-        bits = _ready[w];
+    // The handlers do all the work; the pump only advances time until
+    // the window has closed and every queue and worker has drained.
+    // The horizon event keeps the set alive until the window closes,
+    // so a drain with work left is a request no event will serve.
+    const bool stopped = _sys.sched.pumpUntil(
+        [this]() { return _sys.eq.now() >= _horizon && idle(); });
+    if (!stopped && !idle()) {
+        OPTIMUS_FATAL("svc: simulation drained with requests queued or "
+                      "in flight");
     }
-    return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-}
-
-void
-ServicePlane::pump()
-{
-    // The set is re-read after every visit: a verify() inside a visit
-    // may pump the scheduler, whose events can ready any tenant. A
-    // tenant readied ahead of the cursor is visited in this pass, one
-    // behind it in the next — exactly when a sweep over every tenant
-    // would have reached it.
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (std::size_t i = nextReady(0); i < _tenants.size();
-             i = nextReady(i + 1)) {
-            Tenant &t = *_tenants[i];
-            progress |= drainCompletions(t);
-            progress |= dispatch(t);
-            if (!t.pending())
-                _ready[i >> 6] &= ~(1ULL << (i & 63));
-        }
-    }
-#ifndef NDEBUG
-    // The ready-set invariant: no tenant outside the set has work a
-    // visit would act on.
-    for (std::size_t i = 0; i < _tenants.size(); ++i) {
-        OPTIMUS_ASSERT(isReady(i) || !_tenants[i]->pending(),
-                       "svc: tenant '%s' has pending work outside the "
-                       "ready set",
-                       _tenants[i]->name().c_str());
-    }
-#endif
 }
 
 void
@@ -328,7 +260,7 @@ ServicePlane::settle(Tenant &t, Tenant::Worker &w,
         std::uint64_t service = (done_tick - issued) / sim::kTickNs;
         std::uint64_t e2e =
             (done_tick - req.arrival) / sim::kTickNs;
-        // Synchronous guest-API call; safe here (top level).
+        // Untimed: reads guest memory and the hypervisor's peeks.
         if (!w.wl->verify())
             ++t._verifyFailures;
         ++t._completed;
@@ -375,48 +307,48 @@ ServicePlane::settle(Tenant &t, Tenant::Worker &w,
     }
 }
 
-bool
-ServicePlane::drainCompletions(Tenant &t)
+void
+ServicePlane::onCompletion(Tenant &t, Tenant::Worker &w,
+                           accel::Status st)
 {
-    bool progress = false;
-    for (auto &wp : t._workers) {
-        Tenant::Worker &w = *wp;
-        if (w.handle->ringEnabled()) {
-            // Ring path: consume posted completions in order and
-            // match them against the inflight queue.
-            ring::CompleteEntry e;
-            while (w.handle->ringPoll(e)) {
-                progress = true;
-                OPTIMUS_ASSERT(!w.inflight.empty(),
-                               "ring completion without an "
-                               "inflight request");
-                Inflight inf = w.inflight.front();
-                w.inflight.pop_front();
-                OPTIMUS_ASSERT(e.seq == inf.seq,
-                               "ring completion out of order");
-                settle(t, w, inf.req,
-                       static_cast<accel::Status>(e.status),
-                       inf.issued, static_cast<sim::Tick>(e.tick));
-            }
-            w.busy = !w.inflight.empty();
-            continue;
+    if (t._mode == Tenant::Mode::kDetached)
+        return; // its work left with the migration parcel
+    if (!w.handle->ringEnabled()) {
+        complete(t, w, st);
+    } else {
+        // Ring path: consume every posted completion in order and
+        // match it against the inflight queue.
+        ring::CompleteEntry e;
+        while (w.handle->ringPoll(e)) {
+            OPTIMUS_ASSERT(!w.inflight.empty(),
+                           "ring completion without an inflight "
+                           "request");
+            Inflight inf = w.inflight.front();
+            w.inflight.pop_front();
+            OPTIMUS_ASSERT(e.seq == inf.seq,
+                           "ring completion out of order");
+            settle(t, w, inf.req, static_cast<accel::Status>(e.status),
+                   inf.issued, static_cast<sim::Tick>(e.tick));
         }
-        if (!w.done || !w.busy)
-            continue;
-        w.done = false;
-        w.busy = false;
-        progress = true;
-        settle(t, w, w.cur, w.doneStatus, w.issued, w.doneTick);
+        w.busy = !w.inflight.empty();
     }
-    return progress;
+    dispatch(t);
 }
 
-bool
+void
+ServicePlane::complete(Tenant &t, Tenant::Worker &w, accel::Status st)
+{
+    if (!w.busy)
+        return; // no request of this worker is in flight
+    w.busy = false;
+    settle(t, w, w.cur, st, w.issued, _sys.eq.now());
+}
+
+void
 ServicePlane::dispatch(Tenant &t)
 {
-    bool progress = false;
     if (t._mode != Tenant::Mode::kActive)
-        return false; // frozen/detached: queued work travels instead
+        return; // frozen/detached: queued work travels instead
     for (auto &wp : t._workers) {
         Tenant::Worker &w = *wp;
         if (w.handle->ringEnabled()) {
@@ -456,7 +388,6 @@ ServicePlane::dispatch(Tenant &t)
             _sys.hv.ringPublish(w.handle->vaccel(), sq.produced(),
                                 nullptr);
             w.busy = true;
-            progress = true;
             continue;
         }
         if (w.busy || t._queue.empty())
@@ -478,21 +409,16 @@ ServicePlane::dispatch(Tenant &t)
         --w.batchLeft;
         ++w.cur.attempts;
         w.busy = true;
-        w.done = false;
         w.issued = _sys.eq.now();
         t._queueNs.sample((w.issued - w.cur.arrival) / sim::kTickNs);
-        // Asynchronous START: schedule the trap and move on without
-        // pumping. Each tenant's daemon would issue from its own
-        // core, so dispatches must overlap in simulated time — a
-        // synchronous start() here would serialize every tenant's
-        // 2.2us trap through this one loop and cap aggregate
-        // dispatch at ~450k req/s. Nothing waits on the write: the
-        // worker stays busy until its completion doorbell.
+        // Asynchronous START: schedule the trap and move on. Each
+        // tenant's daemon issues from its own core, so dispatches
+        // overlap in simulated time, and a handler may not pump
+        // anyway. Nothing waits on the write: the worker stays busy
+        // until its completion doorbell.
         _sys.hv.mmioWrite(w.handle->vaccel(), accel::reg::kCtrl,
                           accel::ctrl::kStart, nullptr);
-        progress = true;
     }
-    return progress;
 }
 
 bool

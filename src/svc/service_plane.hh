@@ -19,11 +19,14 @@
  * stack, so p99-vs-load curves measure OPTIMUS itself, not a model
  * of it.
  *
- * Re-entrancy contract: completion handlers (which run inside event
- * callbacks) only record facts; every synchronous guest-API call
- * (START, verify) happens in the top-level pump() loop, matching the
- * guest API's requirement that the event queue is never pumped from
- * within an event.
+ * Event-time dispatch: the plane acts inside the handler of the event
+ * that makes the work possible — an arrival dispatches when it is
+ * admitted, an MMIO completion doorbell or a ring completion post
+ * settles its requests and refills the worker, and one event at the
+ * horizon serves the partial batches left queued. So a dispatch waits
+ * only for the modelled daemon, never for the simulator's epoch
+ * barrier. Handlers never pump: START and ring publish are
+ * asynchronous, and verify() is untimed.
  */
 
 #ifndef OPTIMUS_SVC_SERVICE_PLANE_HH
@@ -65,7 +68,8 @@ struct TenantConfig
 
     std::size_t queueDepth = 64; ///< admission-control bound
     /** Hold dispatch until this many requests are queued (only while
-     *  new arrivals can still come; drains are never gated). */
+     *  new arrivals can still come; the horizon event and the drain
+     *  serve whatever is left). */
     unsigned batchMin = 1;
     /** Consecutive requests a worker serves per batch; keeping the
      *  vaccel busy back-to-back amortizes the 38us context switch. */
@@ -185,29 +189,14 @@ class Tenant
         Request cur;
         sim::Tick issued = 0;
         unsigned batchLeft = 0; ///< remaining requests in this batch
-        // Completion-handler mailbox: the handler (an event
-        // callback) only records; pump() consumes at top level.
-        bool done = false;
-        accel::Status doneStatus = accel::Status::kIdle;
-        sim::Tick doneTick = 0;
 
         /** Ring path: issued-but-uncompleted requests, oldest
          *  first (completions post in order). */
         std::deque<Inflight> inflight;
     };
 
-    Tenant(ServicePlane &plane, std::size_t index,
-           const TenantConfig &cfg, sim::TelemetryNode *node);
+    Tenant(const TenantConfig &cfg, sim::TelemetryNode *node);
 
-    /** Work a pump() visit would act on: a consumable done mailbox
-     *  on a busy worker, an in-flight ring entry, or a queued request
-     *  with an idle worker on an active binding. A tenant whose
-     *  workers are all busy on MMIO jobs has none until a completion
-     *  doorbell fills a mailbox. */
-    bool pending() const;
-
-    ServicePlane &_plane;
-    std::size_t _index; ///< position in the plane (its ready bit)
     TenantConfig _cfg;
     Mode _mode = Mode::kActive;
     std::unique_ptr<ArrivalGen> _gen; ///< open-loop only
@@ -251,46 +240,24 @@ class ServicePlane
     /**
      * Generate and serve traffic for @p window ticks, then drain.
      * Callable repeatedly; each call opens a fresh arrival window.
+     * Fatal if the event set drains with requests still queued or in
+     * flight: no event is left to serve them.
      */
     void run(sim::Tick window);
 
     /**
      * External-drive form of run(): open the arrival window (seed
-     * generators and closed-loop populations) without pumping. An
-     * embedder sharing one scheduler across several planes
-     * (fleet::Cluster) calls beginWindow() on every plane, then
-     * drives the shared scheduler itself, calling pump() on each
-     * plane at every epoch barrier.
+     * generators and closed-loop populations, and schedule the
+     * horizon event that serves leftover partial batches) without
+     * pumping. An embedder sharing one scheduler across several
+     * planes (fleet::Cluster) calls beginWindow() on every plane,
+     * then runs the shared scheduler itself; the planes dispatch
+     * in their own event handlers.
      */
     void beginWindow(sim::Tick window);
 
-    /** Fixpoint over the ready tenants (those with pending work, see
-     *  markReady()), in index order: consume completion mailboxes
-     *  and issue queued requests until nothing changes. A tenant
-     *  outside the ready set has nothing a visit would act on, so
-     *  skipping it changes no result. Must only be called at top
-     *  level / an epoch barrier, never from an event callback. */
-    void pump();
-
     /** No queued requests and no busy workers (the drain test). */
     bool idle() const;
-
-    /** Whether any tenant is in the ready set: pump() has nothing to
-     *  visit otherwise. */
-    bool
-    anyReady() const
-    {
-        for (std::uint64_t w : _ready)
-            if (w != 0)
-                return true;
-        return false;
-    }
-    /** Whether tenant @p i is in the ready set. */
-    bool
-    isReady(std::size_t i) const
-    {
-        return (_ready[i >> 6] >> (i & 63)) & 1;
-    }
 
     /** Tick at which the current arrival window closes. */
     sim::Tick horizon() const { return _horizon; }
@@ -308,9 +275,9 @@ class ServicePlane
         _straySink = std::move(sink);
     }
 
-    /** Re-admit a forwarded arrival into @p t on this plane: a
-     *  closed-loop user (with backoff/retirement semantics) or, for
-     *  user == -1, one open-loop request. */
+    /** Re-admit a forwarded arrival into @p t on this plane and
+     *  dispatch it: a closed-loop user (with backoff/retirement
+     *  semantics) or, for user == -1, one open-loop request. */
     void injectArrival(Tenant &t, int user);
 
     /** Restart @p t's open-loop arrival chain after a migration
@@ -337,38 +304,25 @@ class ServicePlane
     void scheduleOpenArrival(Tenant &t);
     void onOpenArrival(Tenant &t);
     void onClosedArrival(Tenant &t, int user);
+    /** Admit one arrival into @p t's queue and dispatch it. */
     bool admit(Tenant &t, int user);
 
-    bool drainCompletions(Tenant &t);
-    bool dispatch(Tenant &t);
+    /** Worker @p w's completion handler: settle what finished (the
+     *  MMIO job, or every entry posted to the ring), then refill. */
+    void onCompletion(Tenant &t, Tenant::Worker &w, accel::Status st);
+    /** Settle @p w's in-flight MMIO request as finished with @p st. */
+    void complete(Tenant &t, Tenant::Worker &w, accel::Status st);
+    /** Issue @p t's queued requests onto its idle workers (and ring
+     *  slots), honouring batchMin while the window is open. */
+    void dispatch(Tenant &t);
     /** Shared completion accounting for both command paths. */
     void settle(Tenant &t, Tenant::Worker &w, const Request &req,
                 accel::Status st, sim::Tick issued,
                 sim::Tick done_tick);
 
-    /**
-     * Put @p t in the ready set. Every path that gives a tenant
-     * pending work calls this: admit(), the MMIO completion handler
-     * (which also frees a busy worker for the queue behind it), and
-     * fleet::Cluster::importParcel (the only path back to kActive).
-     * Only this plane's hv-domain events and the barrier write the
-     * set, so it needs no lock.
-     */
-    void
-    markReady(const Tenant &t)
-    {
-        _ready[t._index >> 6] |= 1ULL << (t._index & 63);
-    }
-    /** First ready tenant at or after @p i; numTenants() if none. */
-    std::size_t nextReady(std::size_t i) const;
-
     hv::System &_sys;
     sim::TelemetryNode *_node; ///< "sys.svc"
     std::vector<std::unique_ptr<Tenant>> _tenants;
-    /** Ready set, one bit per tenant index. A bit is cleared only by
-     *  a pump() visit that leaves its tenant without pending work
-     *  (Tenant::pending). */
-    std::vector<std::uint64_t> _ready;
     std::vector<std::unique_ptr<hv::AccelHandle>> _handles;
     std::function<void(Tenant &, int)> _straySink;
     sim::Tick _horizon = 0; ///< arrivals stop at this tick

@@ -76,8 +76,7 @@ TEST(DomainSetTest, TeardownReleasesEveryPendingCapture)
     {
         DomainSet set(2);
         Channel<std::shared_ptr<int>> cross(set, 0, 1, 100, "0->1");
-        Channel<std::shared_ptr<int>> local(
-            set, 0, 0, 100, "0->0", ChannelBase::Delivery::kDeferred);
+        Channel<std::shared_ptr<int>> local(set, 0, 0, 100, "0->0");
         cross.onReceive([&](std::shared_ptr<int>) { ++ran; });
         local.onReceive([&](std::shared_ptr<int>) { ++ran; });
         fill(set, cross, local);
@@ -91,8 +90,7 @@ TEST(DomainSetTest, TeardownReleasesEveryPendingCapture)
     {
         DomainSet set(2);
         Channel<std::shared_ptr<int>> cross(set, 0, 1, 100, "0->1");
-        Channel<std::shared_ptr<int>> local(
-            set, 0, 0, 100, "0->0", ChannelBase::Delivery::kDeferred);
+        Channel<std::shared_ptr<int>> local(set, 0, 0, 100, "0->0");
         cross.onReceive([&](std::shared_ptr<int> b) {
             ran += b == block ? 1 : 100;
         });
@@ -116,16 +114,12 @@ TEST(DomainSetTest, LookaheadIsMinCrossChannelLatency)
     // No channels: independent domains, infinite lookahead.
     EXPECT_EQ(set.minCrossLatency(), kTickForever);
 
-    Channel<int> same(set, 1, 1, 0, "loop");
-    // Same-domain channels never constrain the lookahead.
-    EXPECT_EQ(set.minCrossLatency(), kTickForever);
-
     Channel<int> slow(set, 0, 1, 900 * kTickNs, "pcie-ish");
     EXPECT_EQ(set.minCrossLatency(), 900 * kTickNs);
     {
         Channel<int> fast(set, 1, 2, 400 * kTickNs, "upi-ish");
         EXPECT_EQ(set.minCrossLatency(), 400 * kTickNs);
-        EXPECT_EQ(set.numChannels(), 3u);
+        EXPECT_EQ(set.numChannels(), 2u);
     }
     // Destroying a channel releases its constraint.
     EXPECT_EQ(set.minCrossLatency(), 900 * kTickNs);
@@ -167,22 +161,6 @@ TEST(DomainSetTest, BarrierScheduleBelowCachedTickStartsNextWindow)
     const std::vector<Tick> want = {0,    99,   1099, 1599,
                                     2099, 3099, 50099};
     EXPECT_EQ(barriers, want);
-}
-
-TEST(ChannelTest, SameDomainSendSchedulesDirectly)
-{
-    DomainSet set(1);
-    Channel<int> ch(set, 0, 0, 0, "local");
-    std::vector<int> got;
-    ch.onReceive([&](int v) { got.push_back(v); });
-
-    EpochScheduler sched(set);
-    set.queue(0).scheduleAt(5, [&]() { ch.send(42, 7); });
-    sched.run();
-    EXPECT_EQ(got, (std::vector<int>{42}));
-    EXPECT_EQ(set.queue(0).now(), 12u);
-    EXPECT_EQ(ch.sent(), 1u);
-    EXPECT_EQ(sched.delivered(), 0u); // no barrier involvement
 }
 
 TEST(ChannelTest, CrossDomainSendArrivesAfterMinLatency)
@@ -489,7 +467,7 @@ TEST(SerialVsThreadedTest, FaultCampaignResultsMatch)
     EXPECT_EQ(faultCampaign(4), serial);
 }
 
-/** And over the service plane's barrier pump (sched.pumpUntil). */
+/** And over the service plane, which dispatches in its handlers. */
 std::uint64_t
 servicePlaneFingerprint(unsigned threads)
 {

@@ -242,6 +242,9 @@ TEST(FleetTest, FinishedJobKeepsResultAndProgressAcrossMove)
     };
     EXPECT_EQ(read(accel::reg::kResult), result);
     EXPECT_EQ(read(accel::reg::kProgress), progress);
+    // The untimed peeks pick their source by the same rule.
+    EXPECT_EQ(hv.peekResult(dv), result);
+    EXPECT_EQ(hv.peekProgress(dv), progress);
 }
 
 TEST(FleetTest, MigrateTenantRejectsBadTargets)

@@ -147,4 +147,27 @@ TEST(SharedMemoryViewTest, CpuSeesAcceleratorWritesAndViceVersa)
     EXPECT_FALSE(all_zero);
 }
 
+TEST(GuestApiDeathTest, PumpingFromAnEventIsFatal)
+{
+    // A synchronous guest-API call pumps the scheduler; from inside an
+    // event it would run the queue under its own running event.
+    hv::System sys(hv::makeOptimusConfig("MB", 1));
+    hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
+    sys.eq.scheduleIn(sim::kTickUs, [&]() { (void)h.result(); });
+    EXPECT_DEATH(sys.runAll(), "called from inside an event");
+}
+
+TEST(GuestApiDeathTest, PumpingFromABarrierCallbackIsFatal)
+{
+    // pumpUntil's predicate runs at barriers; entering the same
+    // scheduler again from there is refused as well.
+    hv::System sys(hv::makeOptimusConfig("MB", 1));
+    hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
+    EXPECT_DEATH(sys.sched.pumpUntil([&]() {
+        (void)h.result();
+        return true;
+    }),
+                 "re-entered");
+}
+
 } // namespace

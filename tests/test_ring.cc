@@ -206,6 +206,33 @@ TEST(RingTest, BatchedSubmitsCompleteInOrder)
               static_cast<std::uint64_t>(kJobs));
 }
 
+TEST(RingTest, EachCompletionRunsTheHandlerWhereItLands)
+{
+    // The device's post runs the vaccel's completion handler through
+    // the hypervisor, so a daemon sees each entry the moment it lands
+    // instead of at the ring's drain doorbell: every handler call that
+    // finds work finds exactly one new entry.
+    RingJob rj;
+    rj.handle->setupRing(8);
+    std::vector<std::uint64_t> seqs;
+    std::vector<std::size_t> per_call;
+    rj.handle->vaccel().setCompletionHandler([&](accel::Status) {
+        std::size_t n = 0;
+        ring::CompleteEntry e;
+        while (rj.handle->ringPoll(e)) {
+            seqs.push_back(e.seq);
+            ++n;
+        }
+        if (n != 0)
+            per_call.push_back(n);
+    });
+    for (int i = 0; i < 4; ++i)
+        rj.handle->ringSubmit();
+    rj.handle->pumpUntil([&]() { return seqs.size() == 4; });
+    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+    EXPECT_EQ(per_call, (std::vector<std::size_t>{1, 1, 1, 1}));
+}
+
 // ---------------------------------------------------------------
 // Determinism: a ring-path plane is byte-identical across pool
 // widths (the bench's --jobs axis is covered by exp::Runner's slot

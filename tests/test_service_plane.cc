@@ -120,93 +120,159 @@ runOnce(const TenantConfig &cfg, sim::Tick window)
     return plane.fingerprint();
 }
 
-/** What a barrier-by-barrier drive of one single-tenant plane saw
- *  of its tenant's ready bit. */
-struct ReadyTrace
+/** Dispatches of one single-tenant plane, each counted inside the
+ *  event that made it possible. */
+struct DispatchAudit
 {
-    std::uint64_t fingerprint = 0;
-    /** Barriers after which the tenant had queued requests but sat
-     *  outside the ready set. */
-    unsigned leftWithQueue = 0;
-    /** Completions accounted after such a barrier: the tenant was
-     *  visited again. */
-    unsigned revisited = 0;
+    std::uint64_t dispatched = 0; ///< every issue samples queue wait
+    std::uint64_t onArrival = 0;
+    std::uint64_t onCompletion = 0;
+    std::uint64_t atHorizon = 0;
     std::uint64_t admitted = 0;
     std::uint64_t completed = 0;
 };
 
-/** ServicePlane::run(1 ms) with its barrier work spelled out, reading
- *  the ready set after every pump(). */
-ReadyTrace
-traceReadySet(const TenantConfig &cfg)
+/**
+ * Serve @p cfg's arrival stream for 1 ms and count the dispatches made
+ * inside each kind of event: an arrival, a worker's completion
+ * handler (an MMIO doorbell or a ring completion landing) and the
+ * horizon. The test injects the arrivals itself, at the ticks the
+ * tenant's own generator would draw, so that it can watch each one.
+ */
+DispatchAudit
+auditDispatch(TenantConfig cfg)
 {
     hv::System sys(hv::makeOptimusConfig("SHA", 1));
     ServicePlane plane(sys);
+    const ArrivalSpec spec = cfg.arrivals;
+    cfg.arrivals.kind = ArrivalKind::kFixed;
+    cfg.arrivals.ratePerSec = 1.0; // its own first arrival is at 1 s
     Tenant &t = plane.addTenant(cfg);
-    plane.beginWindow(sim::kTickMs);
-    ReadyTrace r;
-    bool out = false;
-    std::uint64_t done_when_out = 0;
-    sys.sched.pumpUntil(
-        [&]() {
-            return sys.eq.now() >= plane.horizon() && plane.idle();
-        },
-        [&]() {
-            plane.pump();
-            if (out && t.completed() > done_when_out) {
-                ++r.revisited;
-                out = false;
-            }
-            if (!plane.isReady(0) && t.queueLength() > 0) {
-                ++r.leftWithQueue;
-                if (!out) {
-                    out = true;
-                    done_when_out = t.completed();
-                }
-            }
+
+    DispatchAudit a;
+    auto counted = [&t](std::uint64_t &n, const auto &fn) {
+        const std::uint64_t before = t.queueHist().count();
+        fn();
+        n += t.queueHist().count() - before;
+    };
+    for (std::size_t w = 0; w < t.numWorkers(); ++w) {
+        hv::VirtualAccel &v = t.vaccel(w);
+        hv::VirtualAccel::CompletionHandler inner = v.completionHandler();
+        v.setCompletionHandler([&, inner](accel::Status st) {
+            counted(a.onCompletion, [&]() { inner(st); });
         });
-    r.fingerprint = plane.fingerprint();
-    r.admitted = t.admitted();
-    r.completed = t.completed();
-    return r;
+    }
+    const sim::Tick window = sim::kTickMs;
+    const sim::Tick t0 = sys.now();
+    const sim::Tick horizon = t0 + window;
+    // Bracket the plane's horizon event with two of the test's.
+    std::uint64_t before_horizon = 0;
+    sys.eq.scheduleAt(horizon, [&]() {
+        before_horizon = t.queueHist().count();
+    });
+    plane.beginWindow(window);
+    sys.eq.scheduleAt(horizon, [&]() {
+        a.atHorizon = t.queueHist().count() - before_horizon;
+    });
+    svc::ArrivalGen gen(spec, cfg.seed);
+    for (sim::Tick at = t0 + gen.nextOffset(); at < horizon;
+         at = t0 + gen.nextOffset()) {
+        sys.eq.scheduleAt(at, [&]() {
+            counted(a.onArrival, [&]() { plane.injectArrival(t, -1); });
+        });
+    }
+    EXPECT_TRUE(sys.sched.pumpUntil(
+        [&]() { return sys.now() >= horizon && plane.idle(); }));
+    a.dispatched = t.queueHist().count();
+    a.admitted = t.admitted();
+    a.completed = t.completed();
+    return a;
 }
 
-TEST(ServicePlaneTest, BusyTenantLeavesReadySetUntilItsCompletion)
+/** The three busy tenants of the dispatch tests: one worker and
+ *  arrivals faster than it serves, so requests queue behind it. */
+TenantConfig
+busyTenant(ring::CmdPath path, unsigned batch)
 {
-    // One worker and arrivals faster than it serves, so requests
-    // queue behind the busy worker. An MMIO tenant then has nothing a
-    // visit would act on until its completion doorbell: it leaves the
-    // ready set and is visited again once the doorbell lands, with
-    // batchMin > 1 as well. A ring tenant's in-flight entries are
-    // polled, not doorbelled, so it stays ready while they are out.
-    // Skipping visits moves no result: each fingerprint equals the
-    // one a plane that visited every queued tenant at every barrier
-    // produced.
-    TenantConfig mmio = shaTenant("t0", 0, 5);
-    mmio.arrivals.ratePerSec = 150000.0;
-    TenantConfig ringed = mmio;
-    ringed.cmdPath = ring::CmdPath::kRing;
-    TenantConfig batched = mmio;
-    batched.batchMin = 4;
-    batched.batchMax = 4;
+    TenantConfig cfg = shaTenant("t0", 0, 5);
+    cfg.arrivals.ratePerSec = 150000.0;
+    cfg.cmdPath = path;
+    cfg.batchMin = batch;
+    cfg.batchMax = batch;
+    return cfg;
+}
 
-    const ReadyTrace m = traceReadySet(mmio);
-    EXPECT_GT(m.leftWithQueue, 0u);
-    EXPECT_GT(m.revisited, 0u);
-    EXPECT_EQ(m.fingerprint, 0xa1f53ea562a2f229ULL);
+TEST(ServicePlaneTest, EveryDispatchHappensInTheEventThatEnablesIt)
+{
+    // No dispatch waits for anything but its own cause: an arrival,
+    // the completion that frees the worker (an MMIO doorbell, or a
+    // ring completion landing), or the horizon for a partial batch.
+    for (const TenantConfig &cfg :
+         {busyTenant(ring::CmdPath::kMmio, 1),
+          busyTenant(ring::CmdPath::kRing, 1),
+          busyTenant(ring::CmdPath::kMmio, 4)}) {
+        const bool ringed = cfg.cmdPath == ring::CmdPath::kRing;
+        SCOPED_TRACE(ringed ? "ring" : cfg.batchMin > 1 ? "batched"
+                                                        : "mmio");
+        const DispatchAudit a = auditDispatch(cfg);
+        EXPECT_GT(a.dispatched, 100u);
+        EXPECT_EQ(a.dispatched,
+                  a.onArrival + a.onCompletion + a.atHorizon);
+        EXPECT_GT(a.onArrival, 0u);
+        EXPECT_GT(a.onCompletion, 0u);
+        EXPECT_EQ(a.completed, a.admitted); // drained, none lost
+        if (cfg.batchMin > 1) {
+            EXPECT_GT(a.atHorizon, 0u); // the leftover partial batch
+        }
+    }
+}
 
-    const ReadyTrace r = traceReadySet(ringed);
-    EXPECT_EQ(r.leftWithQueue, 0u);
-    EXPECT_EQ(r.fingerprint, 0x7eb407f936b4064dULL);
-
-    const ReadyTrace b = traceReadySet(batched);
-    EXPECT_GT(b.leftWithQueue, 0u);
-    EXPECT_GT(b.revisited, 0u);
-    EXPECT_EQ(b.fingerprint, 0x6f6fd2e420aa70b2ULL);
-
-    EXPECT_EQ(m.completed, m.admitted); // drained, none lost
+TEST(ServicePlaneTest, BusyTenantsServeEveryAdmittedRequest)
+{
+    // The same three tenants on their own generators. The batched one
+    // ends its window with two requests short of a batch: the horizon
+    // event serves them, so all 154 admitted requests complete.
+    struct Run
+    {
+        std::uint64_t fingerprint, admitted, completed;
+    };
+    auto run = [](const TenantConfig &cfg) {
+        hv::System sys(hv::makeOptimusConfig("SHA", 1));
+        ServicePlane plane(sys);
+        Tenant &t = plane.addTenant(cfg);
+        plane.run(sim::kTickMs);
+        return Run{plane.fingerprint(), t.admitted(), t.completed()};
+    };
+    const Run m = run(busyTenant(ring::CmdPath::kMmio, 1));
+    const Run r = run(busyTenant(ring::CmdPath::kRing, 1));
+    const Run b = run(busyTenant(ring::CmdPath::kMmio, 4));
+    EXPECT_EQ(m.completed, m.admitted);
     EXPECT_EQ(r.completed, r.admitted);
-    EXPECT_GT(b.completed, 100u);
+    EXPECT_EQ(b.admitted, 154u);
+    EXPECT_EQ(b.completed, 154u);
+    EXPECT_EQ(m.fingerprint, 0xc271b6fad4e50893ULL);
+    EXPECT_EQ(r.fingerprint, 0x02b2645eed6650ccULL);
+    EXPECT_EQ(b.fingerprint, 0xdf294357adae4282ULL);
+}
+
+TEST(ServicePlaneTest, IdleWorkerDispatchesOnArrival)
+{
+    // One SHA tenant, 512 B requests every 200 us: the worker is idle
+    // at every arrival, so no request waits in the queue at all, on
+    // either command path.
+    for (ring::CmdPath path : {ring::CmdPath::kMmio, ring::CmdPath::kRing}) {
+        hv::System sys(hv::makeOptimusConfig("SHA", 1));
+        ServicePlane plane(sys);
+        TenantConfig cfg = shaTenant("t0", 0, 5);
+        cfg.arrivals.kind = ArrivalKind::kFixed;
+        cfg.arrivals.ratePerSec = 5000.0;
+        cfg.cmdPath = path;
+        Tenant &t = plane.addTenant(cfg);
+        plane.run(4 * sim::kTickMs);
+        EXPECT_GT(t.completed(), 10u);
+        EXPECT_EQ(t.queueHist().count(), t.completed());
+        EXPECT_EQ(t.queueHist().max(), 0u);
+    }
 }
 
 TEST(ServicePlaneTest, OpenLoopDeterminism)

@@ -83,6 +83,27 @@ TEST_P(OddSizeTest, NonLineMultipleLengthsWork)
     EXPECT_TRUE(wl->verify());
 }
 
+TEST(WorkloadVerifyTest, VerifyNeverAdvancesSimulatedTime)
+{
+    // verify() reads RESULT and PROGRESS through the hypervisor's
+    // peeks, not trapped MMIO reads, so a completion handler may call
+    // it: no trap is taken and the clock does not move.
+    System sys(makeOptimusConfig("MB", 1));
+    AccelHandle &h = sys.attach(0, 1ULL << 30);
+    auto wl = workload::Workload::create("MB", h, 64 * 1024, 3);
+    wl->program();
+    h.start();
+    ASSERT_EQ(h.wait(), accel::Status::kDone);
+    const sim::Tick now = sys.now();
+    const std::uint64_t traps = sys.hv.traps();
+    EXPECT_TRUE(wl->verify());
+    EXPECT_EQ(sys.now(), now);
+    EXPECT_EQ(sys.hv.traps(), traps);
+    // The peeks read what the trapped reads return.
+    EXPECT_EQ(h.peekResult(), h.result());
+    EXPECT_EQ(h.peekProgress(), h.progress());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sizes, OddSizeTest,
     ::testing::Combine(::testing::Values("MD5", "SHA", "GRN", "MB",
