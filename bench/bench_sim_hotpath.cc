@@ -25,8 +25,6 @@
 #include "exp/runner.hh"
 #include "guest/process.hh"
 #include "guest/vm.hh"
-#include "hv/system.hh"
-#include "hv/workloads.hh"
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
 #include "ring/ring.hh"
@@ -466,59 +464,6 @@ epochRing(const std::string &name, unsigned threads, unsigned tokens,
     return row;
 }
 
-// ---------------------------------------------------------------
-// Whole platform: one System on its one domain.
-// ---------------------------------------------------------------
-
-/**
- * A whole OPTIMUS System (two MB tenants run to completion), pricing
- * the epoch barriers its deferred boundary channels impose: every
- * DMA crosses `shell.to_host`/`to_fpga` and is delivered at a
- * barrier. The pool width is pinned, not inherited from
- * --sim-threads, so the JSON is byte-identical under any CLI.
- */
-exp::ResultRow
-platformRow(const exp::RunContext &ctx)
-{
-    hv::System sys(hv::makeOptimusConfig("MB", 2), 1);
-
-    std::uint64_t bytes = ctx.scaledBytes(1ULL << 21);
-    hv::AccelHandle &a = sys.attach(0);
-    hv::AccelHandle &b = sys.attach(1);
-    auto wa = hv::workload::Workload::create("MB", a, bytes, 7);
-    auto wb = hv::workload::Workload::create("MB", b, bytes, 11);
-    wa->program();
-    wb->program();
-    exp::WallTimer t;
-    a.start();
-    b.start();
-    a.wait();
-    b.wait();
-    double wall_ms = t.ms();
-    if (!wa->verify() || !wb->verify())
-        OPTIMUS_FATAL("platform MB workload corrupted");
-
-    exp::ResultRow row("platform_single_serial");
-    row.count("domains", sys.domains.size());
-    row.count("epochs", sys.sched.epochs());
-    // Posts carried through the boundary channels and delivered at
-    // barriers.
-    row.count("boundary_posts", sys.sched.delivered());
-    row.count("events", sys.domains.executed());
-    row.count("end_us", sys.eq.now() / sim::kTickUs);
-    row.wall("wall_ms", "%.2f", wall_ms);
-    row.wall("barrier_us", "%.3f",
-             sys.sched.epochs() > 0
-                 ? wall_ms * 1e3 /
-                       static_cast<double>(sys.sched.epochs())
-                 : 0);
-    row.fp.add(sys.sched.epochs()).add(sys.sched.delivered());
-    row.fp.add(sys.domains.executed()).add(sys.eq.now());
-    row.fp.add(a.result()).add(b.result());
-    row.sealFingerprint();
-    return row;
-}
-
 } // namespace
 
 int
@@ -627,13 +572,6 @@ main(int argc, char **argv)
             return {std::string("serial vs pool2 fingerprints: ") +
                     (same ? "IDENTICAL" : "DIVERGED")};
         });
-
-    r.table("Whole platform: one System on one domain",
-            "DESIGN.md §12 (one domain per node)")
-        .add("platform_single_serial", platformRow)
-        .note("boundary_posts = deferred boundary-channel posts "
-              "delivered at epoch barriers; barrier_us = wall-clock "
-              "per epoch.");
 
     r.table("Epoch scheduler at fleet width (8-domain token ring)",
             "DESIGN.md §12 (barrier cost)")

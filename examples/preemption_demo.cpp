@@ -45,38 +45,35 @@ main()
     alice.start();
     bob.start();
 
-    // Narrate the first few context switches. The platform boundary
-    // is channel-mediated, so the demo pumps epoch barriers (where
-    // deferred UPI/PCIe posts are delivered) rather than single
-    // events off the raw queue.
+    // Narrate the first few context switches: advance the simulation
+    // in 10 us steps and report each switch once it has landed (while
+    // the incoming tenant is being attached, neither holds the slot).
     std::uint64_t last_switches = 0;
-    sys.sched.pumpUntil(
-        [&]() {
-            return sys.hv.peekStatus(alice.vaccel()) ==
-                       accel::Status::kDone &&
-                   sys.hv.peekStatus(bob.vaccel()) ==
-                       accel::Status::kDone;
-        },
-        [&]() {
-            std::uint64_t s = sys.hv.contextSwitches();
-            if (s != last_switches && s <= 6) {
-                last_switches = s;
-                const char *owner =
-                    sys.hv.isScheduled(alice.vaccel()) ? "alice"
-                                                       : "bob";
-                std::printf("t=%8.3f ms  context switch #%llu -> %s "
-                            "scheduled (alice %llu nodes, bob %llu "
-                            "nodes)\n",
-                            static_cast<double>(sys.now()) /
-                                static_cast<double>(sim::kTickMs),
-                            static_cast<unsigned long long>(s),
-                            owner,
-                            static_cast<unsigned long long>(
-                                sys.hv.peekProgress(alice.vaccel())),
-                            static_cast<unsigned long long>(
-                                sys.hv.peekProgress(bob.vaccel())));
-            }
-        });
+    auto finished = [&]() {
+        return sys.hv.peekStatus(alice.vaccel()) ==
+                   accel::Status::kDone &&
+               sys.hv.peekStatus(bob.vaccel()) == accel::Status::kDone;
+    };
+    while (!finished()) {
+        sys.run(sys.now() + 10 * sim::kTickUs);
+        std::uint64_t s = sys.hv.contextSwitches();
+        const bool alice_on = sys.hv.isScheduled(alice.vaccel());
+        if (s != last_switches && s <= 6 &&
+            (alice_on || sys.hv.isScheduled(bob.vaccel()))) {
+            last_switches = s;
+            const char *owner = alice_on ? "alice" : "bob";
+            std::printf("t=%8.3f ms  context switch #%llu -> %s "
+                        "scheduled (alice %llu nodes, bob %llu "
+                        "nodes)\n",
+                        static_cast<double>(sys.now()) /
+                            static_cast<double>(sim::kTickMs),
+                        static_cast<unsigned long long>(s), owner,
+                        static_cast<unsigned long long>(
+                            sys.hv.peekProgress(alice.vaccel())),
+                        static_cast<unsigned long long>(
+                            sys.hv.peekProgress(bob.vaccel())));
+        }
+    }
 
     bool ok = alice.result() == la.checksum &&
               bob.result() == lb.checksum &&

@@ -303,6 +303,10 @@ Accelerator::beginResume()
                 // ring is armed before this blob (a host round trip
                 // per line) is back.
                 completeJob();
+            } else {
+                // Saved between jobs: the armed ring's poll found
+                // the device restoring, so poll again.
+                ringWake();
             }
         });
 }
@@ -467,9 +471,8 @@ Accelerator::ringTryFetch()
                                  static_cast<unsigned long long>(seq));
 
                   // Consume: advance the cursor, acknowledge through
-                  // the device-owned submit.cons line (fire and
-                  // forget), and run the job exactly as a START
-                  // doorbell would have.
+                  // the device-owned submit.cons line, and run the job
+                  // exactly as a START doorbell would have.
                   _ring.state.nextSeq = seq + 1;
                   _ring.state.jobActive = true;
                   _ring.state.jobSeq = seq;
@@ -477,7 +480,11 @@ Accelerator::ringTryFetch()
                   _dma.write(mem::Gva(_ring.base.value() +
                                       ring::headerOff(
                                           ring::kSubmitConsLine)),
-                             &ack, sizeof(ack), {});
+                             &ack, sizeof(ack),
+                             [this](ccip::DmaTxn &) {
+                                 if (_ringAcked)
+                                     _ringAcked(*this);
+                             });
                   ++_ringFetches;
                   _status = Status::kRunning;
                   _result = 0;

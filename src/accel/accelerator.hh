@@ -69,6 +69,11 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
      */
     void setRingPostHook(Doorbell h) { _ringPosted = std::move(h); }
 
+    /** Hook run when the device's acknowledgement of a fetched submit
+     *  entry (its submit.cons store) has landed: a guest blocked on a
+     *  full ring may now publish again. */
+    void setRingAckHook(Doorbell h) { _ringAcked = std::move(h); }
+
     /**
      * Pad the saved-state blob to @p n bytes; used by the temporal
      * multiplexing worst-case estimate (Section 6.6), which assumes
@@ -238,6 +243,7 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     DmaPort _dma;
     Doorbell _doorbell;
     Doorbell _ringPosted;
+    Doorbell _ringAcked;
 
     Status _status = Status::kIdle;
     std::uint64_t _result = 0;

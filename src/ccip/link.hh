@@ -57,11 +57,11 @@ class Link
      * max(ready, channel free), runs for the serialization time, and
      * the departure tick is returned. The last byte then arrives at
      * the far side at depart + latency(); the caller owns modeling
-     * that arrival (the Shell routes it through the domain-crossing
-     * channel). @p ready may be in this queue's past — the channel
-     * may have been occupied beyond it anyway — which is how the
-     * response leg reserves from the moment the host bridge actually
-     * finished, one crossing before the reservation executes here.
+     * that arrival (the Shell schedules it on the node's queue).
+     * @p ready may be in this queue's past — the channel may have
+     * been occupied beyond it anyway — which is how the response leg
+     * reserves from the moment the host side actually finished, one
+     * crossing before the reservation executes here.
      */
     sim::Tick reserveDepartAt(sim::Tick ready, LinkDir dir,
                               std::uint64_t bytes);

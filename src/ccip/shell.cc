@@ -7,11 +7,12 @@
 
 namespace optimus::ccip {
 
-Shell::Shell(sim::DomainSet &domains, sim::DomainId domain,
-             const sim::PlatformParams &params,
+Shell::Shell(sim::EventQueue &eq, const sim::PlatformParams &params,
              mem::HostMemory &memory, mem::MemoryController &memctl,
              iommu::Iommu &iommu, sim::Scope scope)
-    : _eq(domains.queue(domain)),
+    : _eq(eq),
+      _memory(memory),
+      _memctl(memctl),
       _iommu(iommu),
       _upi(_eq, "upi", params.upiLatency, params.upiReadGbps,
            params.upiReadGbps * params.writeBwFactor,
@@ -23,13 +24,10 @@ Shell::Shell(sim::DomainSet &domains, sim::DomainId domain,
              params.pcieReadGbps * params.writeBwFactor,
              scope.sub("pcie1")),
       _selector(_upi, _pcie0, _pcie1, scope.sub("selector")),
-      _chanLatency(std::min(params.upiLatency, params.pcieLatency)),
+      _returnLatency(std::min(params.upiLatency, params.pcieLatency)),
       _mmioLinkLatency(params.pcieLatency),
       _dmaMaxRetries(params.dmaMaxRetries),
       _dmaRetryBackoff(params.dmaRetryBackoff),
-      _toHost(domains, domain, domain, _chanLatency, "shell.to_host"),
-      _toFpga(domains, domain, domain, _chanLatency, "shell.to_fpga"),
-      _bridge(memory, memctl, iommu, _toFpga, scope.sub("bridge")),
       _trace(scope.bus),
       _comp(sim::traceComponent(scope, "shell")),
       _dmaReads(scope.node, "dma_reads", "DMA reads processed"),
@@ -39,13 +37,12 @@ Shell::Shell(sim::DomainSet &domains, sim::DomainId domain,
       _dmaRetries(scope.node, "dma_retries",
                   "dropped responses re-issued"),
       _dmaDropped(scope.node, "dma_dropped",
-                  "responses dropped by fault injection")
+                  "responses dropped by fault injection"),
+      _hostRequests(scope.sub("bridge").node, "requests",
+                    "DMAs serviced host-side"),
+      _hostFaults(scope.sub("bridge").node, "faults",
+                  "DMAs bounced by an IOMMU translation fault")
 {
-    _toHost.onReceive(
-        [this](DmaTxnPtr txn) { _bridge.onRequest(std::move(txn)); });
-    _toFpga.onReceive([this](DmaTxnPtr txn) {
-        onHostResponse(std::move(txn));
-    });
 }
 
 void
@@ -59,8 +56,8 @@ void
 Shell::issue(DmaTxnPtr txn)
 {
     // The txn travels by move through the whole per-DMA closure chain
-    // (front, channel, host bridge, channel, front) so one DMA costs
-    // one shared_ptr reference, not one per hop.
+    // (front, host side, front) so one DMA costs one shared_ptr
+    // reference, not one per hop.
     Link &link = _selector.select(*txn);
     txn->link = &link == &_upi ? 0 : (&link == &_pcie0 ? 1 : 2);
 
@@ -71,15 +68,58 @@ Shell::issue(DmaTxnPtr txn)
     if (!txn->isWrite)
         link.notePending(LinkDir::kToFpga, txn->bytes);
 
-    // The request occupies the link's to-host channel starting now
-    // and crosses the package one propagation latency after it
-    // departs. The domain channel's static latency is the *minimum*
-    // link latency; the serialization wait plus a slower link's
-    // surplus ride in the extra delay.
+    // The request occupies the link's to-host wire starting now and
+    // crosses the package one propagation latency after it departs.
     sim::Tick depart = link.reserveDepart(LinkDir::kToHost, wire);
-    sim::Tick extra =
-        (depart - _eq.now()) + (link.latency() - _chanLatency);
-    _toHost.send(std::move(txn), extra);
+    _eq.scheduleAt(depart + link.latency(),
+                   [this, txn = std::move(txn)]() mutable {
+                       onHostRequest(std::move(txn));
+                   });
+}
+
+void
+Shell::onHostRequest(DmaTxnPtr txn)
+{
+    ++_hostRequests;
+    mem::Iova iova = txn->iova;
+    bool is_write = txn->isWrite;
+    std::uint16_t vm = txn->vm;
+    std::uint16_t proc = txn->proc;
+    _iommu.translate(
+        iova, is_write,
+        [this,
+         txn = std::move(txn)](iommu::TranslationResult tr) mutable {
+            if (tr.fault) {
+                ++_hostFaults;
+                txn->error = true;
+                txn->transFault = true;
+                returnToFpga(std::move(txn));
+                return;
+            }
+            mem::Hpa hpa = tr.hpa;
+            std::uint32_t bytes = txn->bytes;
+            bool w = txn->isWrite;
+            _memctl.access(
+                bytes, w, [this, txn = std::move(txn), hpa]() mutable {
+                    if (txn->isWrite)
+                        _memory.write(hpa, txn->data.data(),
+                                      txn->bytes);
+                    else
+                        _memory.read(hpa, txn->data.data(),
+                                     txn->bytes);
+                    returnToFpga(std::move(txn));
+                });
+        },
+        vm, proc);
+}
+
+void
+Shell::returnToFpga(DmaTxnPtr txn)
+{
+    _eq.scheduleIn(_returnLatency,
+                   [this, txn = std::move(txn)]() mutable {
+                       onHostResponse(std::move(txn));
+                   });
 }
 
 void
@@ -93,7 +133,7 @@ Shell::onHostResponse(DmaTxnPtr txn)
 
     if (txn->error) {
         // Translation faulted host-side; the bounce already paid the
-        // return crossing (the channel's static latency).
+        // return crossing.
         if (txn->transFault) {
             ++_dmaFaults;
             if (_xlatFaultSink)
@@ -103,11 +143,11 @@ Shell::onHostResponse(DmaTxnPtr txn)
         return;
     }
 
-    // Reserve the return leg from the moment the host bridge finished
+    // Reserve the return leg from the moment the host side finished
     // — one crossing before this event — so back-to-back completions
     // serialize exactly as they would have at the host-side pin.
     std::uint64_t wire = txn->isWrite ? kCtrlBytes : txn->bytes;
-    sim::Tick ready = _eq.now() - _chanLatency;
+    sim::Tick ready = _eq.now() - _returnLatency;
     sim::Tick depart =
         link.reserveDepartAt(ready, LinkDir::kToFpga, wire);
     _eq.scheduleAt(depart + link.latency(),

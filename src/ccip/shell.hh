@@ -8,16 +8,14 @@
  * pass-through accelerator or the OPTIMUS hardware monitor with its
  * accelerators behind it.
  *
- * The shell is split across the package boundary the way the real
- * hardware is: the **front** (link selection, serialization, retry
- * and fault hooks, MMIO, response delivery) lives on the FPGA side,
- * while translation and the memory access live in a HostBridge on the
- * host side. The two halves talk only through a pair of typed
- * sim::Channels whose static latency is the link propagation
- * latency. Both halves share the node's one simulation domain; the
- * channels still use deferred (barrier) delivery, which fixes the
- * epoch schedule every recorded fingerprint depends on (DESIGN.md
- * §12).
+ * A DMA makes two legs across the package, each one link crossing
+ * scheduled straight on the node's event queue. The request leg
+ * reserves the chosen link's to-host wire and lands one propagation
+ * latency after it departs; the host side (IOMMU translation, then
+ * the memory controller and DRAM) services it, and the completion
+ * leg reserves the to-FPGA wire and delivers the response to the AFU.
+ * A crossing is a link latency inside one shared-memory package, not
+ * a synchronization point (DESIGN.md §12).
  */
 
 #ifndef OPTIMUS_CCIP_SHELL_HH
@@ -27,13 +25,11 @@
 #include <functional>
 
 #include "ccip/channel_selector.hh"
-#include "ccip/host_bridge.hh"
 #include "ccip/link.hh"
 #include "ccip/packet.hh"
 #include "iommu/iommu.hh"
 #include "mem/host_memory.hh"
 #include "mem/memory_controller.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/platform_params.hh"
 #include "sim/stats.hh"
@@ -47,7 +43,7 @@ class Shell
     using DmaSink = std::function<void(DmaTxnPtr)>;
     using MmioSink = std::function<void(MmioOp)>;
     /** Invoked on the AFU side when a response that faulted in
-     *  translation arrives back from the host bridge. */
+     *  translation arrives back from the host side. */
     using XlatFaultSink = std::function<void(const DmaTxn &)>;
 
     /**
@@ -70,13 +66,12 @@ class Shell
     void setFaultHook(DmaFaultHook *hook) { _faultHook = hook; }
 
     /**
-     * @param domain The node's simulation domain; @p memctl and
-     *        @p iommu must be wired onto that domain's queue.
+     * @param eq The node's event queue; @p memctl and @p iommu must
+     *        be wired onto it.
      */
-    Shell(sim::DomainSet &domains, sim::DomainId domain,
-          const sim::PlatformParams &params, mem::HostMemory &memory,
-          mem::MemoryController &memctl, iommu::Iommu &iommu,
-          sim::Scope scope = {});
+    Shell(sim::EventQueue &eq, const sim::PlatformParams &params,
+          mem::HostMemory &memory, mem::MemoryController &memctl,
+          iommu::Iommu &iommu, sim::Scope scope = {});
 
     /**
      * Submit a DMA from the AFU side. The transaction's iova and tag
@@ -106,11 +101,6 @@ class Shell
     Link &upi() { return _upi; }
     Link &pcie0() { return _pcie0; }
     Link &pcie1() { return _pcie1; }
-    HostBridge &bridge() { return _bridge; }
-
-    /** The package-crossing channels (boundary traffic gauges). */
-    const sim::ChannelBase &toHostChannel() const { return _toHost; }
-    const sim::ChannelBase &toFpgaChannel() const { return _toFpga; }
 
     std::uint64_t dmaReads() const { return _dmaReads.value(); }
     std::uint64_t dmaWrites() const { return _dmaWrites.value(); }
@@ -120,6 +110,10 @@ class Shell
 
   private:
     void issue(DmaTxnPtr txn);
+    /** Host side: translate, access memory, start the return leg. */
+    void onHostRequest(DmaTxnPtr txn);
+    /** The return leg: one crossing after the host side finished. */
+    void returnToFpga(DmaTxnPtr txn);
     void onHostResponse(DmaTxnPtr txn);
     void respond(DmaTxnPtr txn);
     void deliver(DmaTxnPtr txn);
@@ -133,25 +127,22 @@ class Shell
     /** Small header/ack size accompanying each transfer. */
     static constexpr std::uint64_t kCtrlBytes = 16;
 
-    sim::EventQueue &_eq; ///< the node domain's queue
+    sim::EventQueue &_eq; ///< the node's queue
+    mem::HostMemory &_memory;
+    mem::MemoryController &_memctl;
     iommu::Iommu &_iommu;
 
     Link _upi;
     Link _pcie0;
     Link _pcie1;
     ChannelSelector _selector;
-    /** Static channel latency = min link propagation latency; a
-     *  slower link's surplus rides in the send's extra delay. */
-    sim::Tick _chanLatency;
+    /** The fastest link's propagation latency: how long a completion
+     *  takes to reach the front, which then reserves its link's
+     *  return wire from the moment the host side finished. */
+    sim::Tick _returnLatency;
     sim::Tick _mmioLinkLatency;
     std::uint32_t _dmaMaxRetries;
     sim::Tick _dmaRetryBackoff;
-
-    /** AFU -> host requests and host -> AFU completions. Deferred
-     *  delivery (see file comment). */
-    sim::Channel<DmaTxnPtr> _toHost;
-    sim::Channel<DmaTxnPtr> _toFpga;
-    HostBridge _bridge;
 
     DmaSink _responseSink;
     MmioSink _mmioSink;
@@ -166,6 +157,10 @@ class Shell
     sim::Counter _dmaFaults;
     sim::Counter _dmaRetries;
     sim::Counter _dmaDropped;
+    /** Telemetry shell.bridge.*: DMAs serviced host-side, and those
+     *  bounced there by an IOMMU translation fault. */
+    sim::Counter _hostRequests;
+    sim::Counter _hostFaults;
 };
 
 } // namespace optimus::ccip

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "sim/domain.hh"
 #include "sim/logging.hh"
 
 namespace optimus::hv {
@@ -14,12 +15,8 @@ AccelHandle::AccelHandle(OptimusHv &hv, VirtualAccel &v)
 void
 AccelHandle::pumpUntil(const std::function<bool()> &pred)
 {
-    // Pump through the epoch scheduler, not the hv queue directly:
-    // the platform's boundary channels use deferred (barrier)
-    // delivery, so a raw runOne() loop would starve every DMA and
-    // hypercall crossing the package. The scheduler evaluates @p pred
-    // at each epoch barrier — a plan- and pool-size-invariant
-    // schedule.
+    // @p pred is evaluated at each stop request and barrier, so every
+    // call below names the event that requests its stop.
     sim::EpochScheduler *sched = _hv.platform().scheduler();
     OPTIMUS_ASSERT(sched != nullptr,
                    "guest API needs the platform's epoch scheduler "
@@ -30,14 +27,33 @@ AccelHandle::pumpUntil(const std::function<bool()> &pred)
     }
 }
 
+void
+AccelHandle::waitOnDevice(const std::function<bool()> &pred)
+{
+    // Stop source: the hypervisor's wake of a guest blocked on this
+    // vaccel (VirtualAccel::setGuestWaiting).
+    _v.setGuestWaiting(true);
+    pumpUntil(pred);
+    _v.setGuestWaiting(false);
+}
+
+void
+AccelHandle::finish(bool &done)
+{
+    done = true;
+    _hv.eventq().requestStop();
+}
+
 mem::Gva
 AccelHandle::dmaAlloc(std::uint64_t bytes, std::uint64_t align)
 {
+    // Stop source: the allocation's completion, after the last page
+    // registration hypercall it needed.
     bool done = false;
     mem::Gva out(0);
     _heap.alloc(bytes, align, [&](mem::Gva g) {
         out = g;
-        done = true;
+        finish(done);
     });
     pumpUntil([&]() { return done; });
     OPTIMUS_ASSERT(out.value() != 0, "DMA allocation failed");
@@ -47,19 +63,21 @@ AccelHandle::dmaAlloc(std::uint64_t bytes, std::uint64_t align)
 void
 AccelHandle::mmioWrite(std::uint64_t reg, std::uint64_t value)
 {
+    // Stop source: the trapped write's completion.
     bool done = false;
-    _hv.mmioWrite(_v, reg, value, [&]() { done = true; });
+    _hv.mmioWrite(_v, reg, value, [&]() { finish(done); });
     pumpUntil([&]() { return done; });
 }
 
 std::uint64_t
 AccelHandle::mmioRead(std::uint64_t reg)
 {
+    // Stop source: the trapped read's completion.
     bool done = false;
     std::uint64_t out = 0;
     _hv.mmioRead(_v, reg, [&](std::uint64_t v) {
         out = v;
-        done = true;
+        finish(done);
     });
     pumpUntil([&]() { return done; });
     return out;
@@ -80,8 +98,9 @@ AccelHandle::setupRing(std::uint32_t entries)
     mem::Gva base = dmaAlloc(bytes, ring::kLineBytes);
     std::vector<std::uint8_t> zero(bytes, 0);
     memWrite(base, zero.data(), bytes);
+    // Stop source: the setup hypercall's completion.
     bool done = false;
-    _hv.setupRing(_v, base, entries, [&]() { done = true; });
+    _hv.setupRing(_v, base, entries, [&]() { finish(done); });
     pumpUntil([&]() { return done; });
     _submitQ = ring::SubmitQueue(process(), base, entries);
     _completeQ = ring::CompleteQueue(process(), base, entries);
@@ -91,11 +110,14 @@ std::uint64_t
 AccelHandle::ringSubmit()
 {
     OPTIMUS_ASSERT(_submitQ.valid(), "ringSubmit before setupRing");
-    pumpUntil([&]() { return !_submitQ.full(); });
+    // A full ring frees a slot when the device acknowledges its next
+    // fetch (the ring-ack wake).
+    waitOnDevice([&]() { return !_submitQ.full(); });
     std::uint64_t seq = _submitQ.push(ring::op::kStart);
     _submitQ.publish();
+    // Stop source: the publish's completion.
     bool done = false;
-    _hv.ringPublish(_v, _submitQ.produced(), [&]() { done = true; });
+    _hv.ringPublish(_v, _submitQ.produced(), [&]() { finish(done); });
     pumpUntil([&]() { return done; });
     return seq;
 }
@@ -110,9 +132,11 @@ AccelHandle::ringPoll(ring::CompleteEntry &out)
 ring::CompleteEntry
 AccelHandle::ringWait(std::uint64_t seq)
 {
+    // Stop source: a completion landing in this ring (the ring-post
+    // wake, or the hypervisor's error completions).
     ring::CompleteEntry e{};
     bool got = false;
-    pumpUntil([&]() {
+    waitOnDevice([&]() {
         while (_completeQ.poll(e)) {
             if (e.seq == seq) {
                 got = true;
@@ -135,7 +159,9 @@ AccelHandle::ringResync()
 accel::Status
 AccelHandle::wait()
 {
-    pumpUntil([&]() {
+    // Stop source: the job's end (its DONE or ERROR doorbell, a
+    // quarantine or a forced reset).
+    waitOnDevice([&]() {
         accel::Status st = _hv.peekStatus(_v);
         return st == accel::Status::kDone ||
                st == accel::Status::kError;

@@ -6,11 +6,13 @@
  * completion.
  *
  * The methods are synchronous from the caller's point of view: each
- * pumps the shared event queue until its own (timed) operation
+ * pumps the node's event queue until its own (timed) operation
  * completes, so guest "software time" is naturally charged to the
- * simulation clock while other agents keep running. A pumping call
- * made from inside an event is fatal (EpochScheduler::pumpUntil);
- * only the peeks and the direct memory accessors are safe there.
+ * simulation clock while other agents keep running. Each call names
+ * the event that completes it, which requests the pump's stop, so the
+ * call returns with now() at that event's tick. A pumping call made
+ * from inside an event is fatal (EpochScheduler::pumpUntil); only the
+ * peeks and the direct memory accessors are safe there.
  */
 
 #ifndef OPTIMUS_HV_GUEST_API_HH
@@ -136,10 +138,21 @@ class AccelHandle
      *  image overwrote the ring area. */
     void ringResync();
 
-    /** Run the event loop until @p pred holds (library internal). */
+    /** Run the event loop until @p pred holds. @p pred is evaluated
+     *  up front, at each stop request (EventQueue::requestStop) and at
+     *  each epoch barrier: on a lone System, only once the queue
+     *  drains unless the event that satisfies it requests a stop. */
     void pumpUntil(const std::function<bool()> &pred);
 
   private:
+    /** pumpUntil() with this vaccel marked as waited on, so the
+     *  hypervisor stops the pump at each device event that can
+     *  satisfy @p pred (VirtualAccel::setGuestWaiting). */
+    void waitOnDevice(const std::function<bool()> &pred);
+    /** A synchronous call's completion: set @p done and stop the
+     *  running pump right after this event. */
+    void finish(bool &done);
+
     OptimusHv &_hv;
     VirtualAccel &_v;
     DmaHeap _heap;

@@ -48,15 +48,20 @@ OptimusHv::OptimusHv(Platform &platform)
             [this, i](accel::Accelerator &a) { onDoorbell(i, a); });
         platform.accel(i).setRingPostHook(
             [this, i](accel::Accelerator &a) { onRingPost(i, a); });
+        platform.accel(i).setRingAckHook([this, i](accel::Accelerator &) {
+            if (VirtualAccel *v = _slots[i].scheduled)
+                wakeGuest(*v);
+        });
         _slots[i].sliceTimer.bind(eventq(),
                                   [this, i]() { sliceExpired(i); });
         _slots[i].preemptTimer.bind(
             eventq(), [this, i]() { settleCede(i, false); });
     }
     // Translation faults are detected host-side (the IOMMU walk runs
-    // behind the shell's package channels) but must be attributed to
-    // a tenant — hypervisor state. The shell's fault sink fires on
-    // the FPGA side after the faulted transaction crosses back.
+    // across the package from the shell's front) but must be
+    // attributed to a tenant — hypervisor state. The shell's fault
+    // sink fires on the FPGA side after the faulted transaction
+    // crosses back.
     _platform.shell().setTranslationFaultSink(
         [this](const ccip::DmaTxn &txn) {
             OPTIMUS_WARN("IO page fault at IOVA 0x%llx (%s)",
@@ -363,8 +368,9 @@ OptimusHv::registerDmaPage(VirtualAccel &v, mem::Gva page_base,
         // host-side state, so the work crosses the package (one
         // interconnect latency each way) and the acknowledgement
         // returns on the hypervisor side.
-        _platform.runOnHost([this, hpa, iova,
-                             done = std::move(done)]() mutable {
+        const sim::Tick upi = _platform.params().upiLatency;
+        eventq().scheduleIn(upi, [this, hpa, iova, upi,
+                                  done = std::move(done)]() mutable {
             _platform.frames().pin(hpa);
             iommu::Iommu &iommu = _platform.iommu();
             if (iommu.pageBytes() == mem::kPage2M) {
@@ -376,7 +382,7 @@ OptimusHv::registerDmaPage(VirtualAccel &v, mem::Gva page_base,
                     iommu.pageTable().map(iova + o, hpa + o);
                 }
             }
-            _platform.runOnHv([done = std::move(done)]() mutable {
+            eventq().scheduleIn(upi, [done = std::move(done)]() mutable {
                 done(true);
             });
         });
@@ -529,11 +535,13 @@ OptimusHv::postRingErrors(VirtualAccel &v)
     const sim::Tick at = eventq().now();
     VirtualAccel *vp = &v;
     guest::Process *proc = v._proc;
-    // The entry slots and cursor words live in guest memory (host
-    // domain): write the entries first, then publish the cursors,
+    // The entry slots and cursor words live in guest memory, across
+    // the package: write the entries first, then publish the cursors,
     // exactly as the device poller would have, and tell the tenant
     // once they have landed.
-    _platform.runOnHost([vp, proc, base, entries, from, to, err, at]() {
+    const sim::Tick upi = _platform.params().upiLatency;
+    eventq().scheduleIn(upi, [this, vp, proc, base, entries, from, to,
+                              err, at]() {
         for (std::uint64_t seq = from; seq < to; ++seq) {
             ring::CompleteEntry ce{};
             ce.seq = seq;
@@ -551,6 +559,7 @@ OptimusHv::postRingErrors(VirtualAccel &v)
         proc->writeValue(
             mem::Gva(base + ring::headerOff(ring::kSubmitConsLine)),
             to);
+        wakeGuest(*vp);
         if (vp->_completion)
             vp->_completion(Status::kError);
     });
@@ -875,6 +884,7 @@ OptimusHv::cede(std::uint32_t slot_idx, VirtualAccel &v,
         noteError(v, accel::errst::kForcedReset);
         c.visibleStatus = Status::kError;
         c.savedContext = false;
+        wakeGuest(v);
         if (ring_errors)
             postRingErrors(v);
         vcuReset(slot_idx, [then]() { then(false); });
@@ -926,6 +936,7 @@ OptimusHv::onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a)
         return;
 
     ++v->_sched->doorbells;
+    wakeGuest(*v);
 
     Status st = a.status();
     if (st == Status::kSaved) {
@@ -978,7 +989,10 @@ OptimusHv::onRingPost(std::uint32_t slot_idx, accel::Accelerator &a)
     // The device posts only into the ring it was armed with, which is
     // the holder's until its cede has drained the poller.
     VirtualAccel *v = _slots[slot_idx].scheduled;
-    if (v != nullptr && v->_completion)
+    if (v == nullptr)
+        return;
+    wakeGuest(*v);
+    if (v->_completion)
         v->_completion(a.status());
 }
 
@@ -1188,6 +1202,7 @@ OptimusHv::quarantine(VirtualAccel &v)
     noteError(v, accel::errst::kWatchdog);
     v._ctx.visibleStatus = Status::kError;
     v._ctx.quarantined = true;
+    wakeGuest(v);
     v._ctx.pendingStart = false;
     v._ctx.savedContext = false;
     // Ring tenants learn of the quarantine through their completion

@@ -127,6 +127,12 @@ class VirtualAccel
         return _completion;
     }
 
+    /** Set while a guest call blocks on this vaccel: the hypervisor
+     *  then stops the running pump at each event that can end the
+     *  wait (a doorbell, quarantine or forced reset, a ring post or
+     *  error completion landing, the device's ring acknowledgement). */
+    void setGuestWaiting(bool waiting) { _guestWaiting = waiting; }
+
     /** Whether this vaccel drives its jobs through a shared-memory
      *  command ring (OptimusHv::setupRing) instead of MMIO START. */
     bool ringEnabled() const { return _ctx.ring.entries != 0; }
@@ -202,6 +208,7 @@ class VirtualAccel
     std::int32_t _priority = 0;
 
     CompletionHandler _completion;
+    bool _guestWaiting = false;
 };
 
 /** The hypervisor. */
@@ -543,6 +550,13 @@ class OptimusHv
      *  and one kRingComplete trace record per entry. */
     void noteRingCompletes(VirtualAccel &v, std::uint64_t from,
                            std::uint64_t to);
+    /** Stop the pump of a guest call blocked on @p v, if any. */
+    void
+    wakeGuest(const VirtualAccel &v)
+    {
+        if (v._guestWaiting)
+            eventq().requestStop();
+    }
     /** Emit one hypervisor trace record, attributed to @p v's VM and
      *  process when @p v is set; a no-op unless a sink wants @p kind. */
     void emitTrace(sim::TraceKind kind, const VirtualAccel *v,

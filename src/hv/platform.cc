@@ -5,10 +5,9 @@
 
 namespace optimus::hv {
 
-Platform::Platform(sim::DomainSet &domains, sim::DomainId domain,
-                   PlatformConfig config, sim::Telemetry &telemetry,
-                   sim::TraceBus &trace)
-    : _eq(domains.queue(domain)),
+Platform::Platform(sim::EventQueue &eq, PlatformConfig config,
+                   sim::Telemetry &telemetry, sim::TraceBus &trace)
+    : _eq(eq),
       _config(std::move(config)),
       _telemetry(telemetry),
       _trace(trace),
@@ -16,16 +15,9 @@ Platform::Platform(sim::DomainSet &domains, sim::DomainId domain,
       _frames(mem::Hpa(mem::kPage2M), mem::Hpa(188ULL << 30)),
       _memctl(_eq, _config.params, {&telemetry.node("mem"), &trace}),
       _iommu(_eq, _config.params, {&telemetry.node("iommu"), &trace}),
-      _shell(domains, domain, _config.params, _memory, _memctl,
-             _iommu, {&telemetry.node("shell"), &trace}),
-      _hvToHost(domains, domain, domain, _config.params.upiLatency,
-                "hv.to_host"),
-      _hostToHv(domains, domain, domain, _config.params.upiLatency,
-                "hv.to_hv")
+      _shell(_eq, _config.params, _memory, _memctl, _iommu,
+             {&telemetry.node("shell"), &trace})
 {
-    _hvToHost.onReceive([](std::function<void()> fn) { fn(); });
-    _hostToHv.onReceive([](std::function<void()> fn) { fn(); });
-
     OPTIMUS_ASSERT(!_config.apps.empty(),
                    "platform needs at least one accelerator");
     if (_config.mode == FabricMode::kPassthrough) {

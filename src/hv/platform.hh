@@ -3,7 +3,9 @@
  * Platform assembly: host memory, the package interconnect, the soft
  * IOMMU, the shell, and either the OPTIMUS hardware monitor with up
  * to eight physical accelerators or a single pass-through
- * accelerator (the paper's baseline).
+ * accelerator (the paper's baseline). The whole platform runs on one
+ * event queue, its node's; a crossing of the package interconnect is
+ * a link latency scheduled on that queue (DESIGN.md §12).
  */
 
 #ifndef OPTIMUS_HV_PLATFORM_HH
@@ -22,12 +24,15 @@
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
 #include "mem/memory_controller.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/platform_params.hh"
 #include "sim/stats.hh"
 #include "sim/telemetry.hh"
 #include "sim/trace_bus.hh"
+
+namespace optimus::sim {
+class EpochScheduler;
+} // namespace optimus::sim
 
 namespace optimus::hv {
 
@@ -58,11 +63,10 @@ class Platform
      * construction: @p telemetry supplies the stat tree nodes
      * (mem/iommu/shell/fabric/accelN.APP) and @p trace the shared
      * trace bus, so no component's stats can be silently dropped.
-     * The whole platform lives on shard @p domain of @p domains.
+     * The whole platform runs on @p eq, its node's event queue.
      */
-    Platform(sim::DomainSet &domains, sim::DomainId domain,
-             PlatformConfig config, sim::Telemetry &telemetry,
-             sim::TraceBus &trace);
+    Platform(sim::EventQueue &eq, PlatformConfig config,
+             sim::Telemetry &telemetry, sim::TraceBus &trace);
 
     sim::EventQueue &eventq() { return _eq; }
     const PlatformConfig &config() const { return _config; }
@@ -91,29 +95,9 @@ class Platform
     sim::Telemetry &telemetry() { return _telemetry; }
     sim::TraceBus &trace() { return _trace; }
 
-    /**
-     * Execute @p fn on the host side of the package (it may freely
-     * touch the IOMMU page tables and frame state). Crosses the
-     * package via a deferred channel, one interconnect latency away,
-     * like the shell's DMA traffic.
-     */
-    void
-    runOnHost(std::function<void()> fn)
-    {
-        _hvToHost.send(std::move(fn));
-    }
-
-    /** Execute @p fn back on the hypervisor side (completion legs
-     *  of runOnHost work). */
-    void
-    runOnHv(std::function<void()> fn)
-    {
-        _hostToHv.send(std::move(fn));
-    }
-
-    /** The scheduler driving this platform's DomainSet (set by the
+    /** The scheduler advancing this platform's node (set by the
      *  owning System; null for bare harnesses). The guest API pumps
-     *  through it so deferred channel posts keep flowing. */
+     *  through it, so a fleet node's pump also runs its peers. */
     void setScheduler(sim::EpochScheduler *sched) { _sched = sched; }
     sim::EpochScheduler *scheduler() { return _sched; }
 
@@ -157,10 +141,6 @@ class Platform
     mem::MemoryController _memctl;
     iommu::Iommu _iommu;
     ccip::Shell _shell;
-    /** Hypercall work crossing to the host side and back (page
-     *  mapping, pinning); deferred channels like the shell's. */
-    sim::Channel<std::function<void()>> _hvToHost;
-    sim::Channel<std::function<void()>> _hostToHv;
     sim::EpochScheduler *_sched = nullptr;
 
     std::unique_ptr<fpga::HardwareMonitor> _monitor;

@@ -29,16 +29,13 @@ System::System(PlatformConfig config, unsigned sim_threads)
       domains(*_ownedDomains),
       eq(domains.queue(0)),
       sched(*_ownedSched),
-      platform(domains, 0, std::move(config), telemetry, trace),
+      platform(eq, std::move(config), telemetry, trace),
       hv(platform),
       _observer(SystemObserver::current())
 {
-    // Always arm the trace lanes and barrier hook, even for one
-    // domain: the platform's boundary channels use deferred (barrier)
-    // delivery, so barriers — and the merged-lane trace path — are
-    // part of the stock engine, not a multi-domain special case.
-    trace.armDomains(domains.size());
-    sched.setBarrierHook([this]() { trace.flushMerged(); });
+    // One domain and no channel: the scheduler runs each run() as one
+    // epoch, and trace records dispatch inside the emitting event, so
+    // neither trace lanes nor a barrier hook are needed.
     platform.setScheduler(&sched);
     if (_observer)
         _observer->systemCreated(*this);
@@ -50,7 +47,7 @@ System::System(sim::DomainSet &ext_domains,
     : domains(ext_domains),
       eq(domains.queue(domain)),
       sched(ext_sched),
-      platform(domains, domain, std::move(config), telemetry, trace),
+      platform(eq, std::move(config), telemetry, trace),
       hv(platform),
       _observer(SystemObserver::current())
 {
@@ -67,9 +64,8 @@ System::System(sim::DomainSet &ext_domains,
 
 System::~System()
 {
-    // Deferred posts may still sit in outboxes; anything they would
-    // have traced is already flushed, but a final merge publishes any
-    // records emitted since the last barrier.
+    // A cluster node publishes any records its lane buffered since
+    // the last barrier (a lone System's bus has no lanes).
     trace.flushMerged();
     if (_observer)
         _observer->systemDestroyed(*this);

@@ -16,6 +16,7 @@
 #include "hv/guest_api.hh"
 #include "hv/optimus.hh"
 #include "hv/platform.hh"
+#include "sim/domain.hh"
 
 namespace optimus::hv {
 
@@ -62,11 +63,13 @@ class System
   public:
     /**
      * Solo form: the System owns a one-domain DomainSet and its
-     * EpochScheduler. @p sim_threads sizes the scheduler's worker
-     * pool; 0 (the default) picks up sim::defaultSimThreads() — which
-     * the experiment runner sets per worker from `--sim-threads`. The
-     * thread count never affects results, and with one domain every
-     * epoch runs inline on the calling thread (see sim/domain.hh).
+     * EpochScheduler. The domain has no channel, so the lookahead is
+     * unbounded: run(limit) is one EventQueue::runUntil and a guest
+     * call returns at the event that completes it. @p sim_threads
+     * requests a worker pool (0, the default, picks up
+     * sim::defaultSimThreads(), which the experiment runner sets per
+     * worker from `--sim-threads`); one domain caps the pool at one
+     * thread, so every epoch runs on the calling thread.
      */
     explicit System(PlatformConfig config, unsigned sim_threads = 0);
 
@@ -132,19 +135,18 @@ class System
     std::size_t numHandles() const { return _handles.size(); }
 
     /**
-     * Advance the whole simulation — every domain, in conservative
-     * lookahead epochs — up to and including @p limit. The epoch
-     * schedule (windows of one interconnect latency, deferred channel
-     * posts delivered at the barriers) is identical for every pool
-     * size. @return events executed.
+     * Advance the whole simulation up to and including @p limit: one
+     * epoch for a lone System; for a cluster node, every node in
+     * rack-link lookahead epochs, identical for every pool size.
+     * @return events executed.
      */
     std::uint64_t run(sim::Tick limit) { return sched.run(limit); }
 
     /** Run every domain to quiescence. */
     std::uint64_t runAll() { return sched.run(); }
 
-    /** Current simulated time (domain 0's clock; at barriers all
-     *  domains agree). */
+    /** Current simulated time: this node's clock (in a cluster, the
+     *  nodes' clocks agree at barriers, not after a guest call). */
     sim::Tick now() const { return eq.now(); }
 
   private:

@@ -37,9 +37,6 @@ class Clocked
 
     EventQueue &eventq() const { return _eq; }
     Tick now() const { return _eq.now(); }
-    /** The logical domain this component executes in (the shard it
-     *  was wired onto at construction). */
-    DomainId domain() const { return _eq.domain(); }
     std::uint64_t freqMhz() const { return _freqMhz; }
     Tick clockPeriod() const { return _period; }
 

@@ -120,7 +120,7 @@ ChannelBase::~ChannelBase()
 }
 
 EpochScheduler::EpochScheduler(DomainSet &set, unsigned threads)
-    : _set(set), _threads(threads == 0 ? 1 : threads),
+    : _set(set), _threads(std::clamp(threads, 1u, set.size())),
       _next(set.size(), kTickForever)
 {
     if (_threads <= 1)
@@ -352,8 +352,8 @@ EpochScheduler::pumpUntil(const std::function<bool()> &stop,
     for (;;) {
         // One run() step per predicate evaluation: same window
         // derivation, same executeEpoch (pool or serial), same
-        // barrier — so a pump's event schedule is exactly a prefix
-        // of what run() would execute, at any pool width.
+        // barrier. A stop request only ends its own domain's window
+        // early, at the same event at every pool width.
         if (!step(kTickForever))
             return finish(false);
         if (check())

@@ -20,9 +20,9 @@
  *
  *     lookahead = min over channels of minLatency
  *
- * (a System's four package channels give 160 ns, PlatformParams'
- * upiLatency; a fleet's node links are 2 us or more). Messages sent
- * during an epoch are buffered
+ * (a fleet's node links: 2 us or more). A lone System is one domain
+ * with no channel, so its lookahead is unbounded and each run is one
+ * epoch. Messages sent during an epoch are buffered
  * in the sending domain's outbox and delivered at the barrier in
  * deterministic (tick, source domain, post order) order, which also
  * fixes the destination queue's FIFO tie-break seq. Execution order
@@ -136,11 +136,8 @@ class DomainSet
      * registered channels, kTickForever when there is none (the
      * domains are independent and an epoch may run each to
      * completion). Every channel defers to the barrier, so a
-     * same-domain one constrains the window too: the platform's
-     * boundary channels defer even though both ends share the node's
-     * domain, which fixes the epoch schedule every recorded
-     * fingerprint depends on. Cached: recomputed only when a channel
-     * is registered or destroyed.
+     * same-domain one would constrain the window too. Cached:
+     * recomputed only when a channel is registered or destroyed.
      */
     Tick minCrossLatency() const { return _lookahead; }
 
@@ -176,10 +173,9 @@ class DomainSet
  * which is what makes the epoch window safe.
  *
  * Every send buffers in the source outbox and is delivered by the
- * EpochScheduler at the next barrier, *even when both endpoints
- * share a domain*: the platform's boundary channels' barrier-delivery
- * order — (tick, channel id, send seq) — and the epoch windows they
- * impose are part of the stock engine's timing.
+ * EpochScheduler at the next barrier in (tick, channel id, send seq)
+ * order, even when both endpoints share a domain. Work inside one
+ * domain never needs a channel: it schedules on the domain's queue.
  */
 class ChannelBase
 {
@@ -190,13 +186,7 @@ class ChannelBase
     ChannelBase(const ChannelBase &) = delete;
     ChannelBase &operator=(const ChannelBase &) = delete;
 
-    DomainId srcDomain() const { return _src; }
-    DomainId dstDomain() const { return _dst; }
     Tick minLatency() const { return _lat; }
-    const std::string &name() const { return _name; }
-    std::uint64_t sent() const { return _sent; }
-    /** Registration-order id within the DomainSet. */
-    std::uint32_t id() const { return _id; }
 
   protected:
     /**
@@ -287,6 +277,8 @@ class EpochScheduler
     EpochScheduler(const EpochScheduler &) = delete;
     EpochScheduler &operator=(const EpochScheduler &) = delete;
 
+    /** Pool width: the requested threads, capped at the domain
+     *  count. 1 means strictly serial. */
     unsigned threads() const { return _threads; }
 
     /**
@@ -306,19 +298,17 @@ class EpochScheduler
      * true. The guest API (AccelHandle) and the service plane's and
      * fleet's run() advance the set through it; the fleet's barrier
      * step is the only @p between() work. @p between() (optional) and
-     * then @p stop() are evaluated once up front and then at every
-     * epoch barrier, on the calling thread, outside any domain's
-     * ExecScope. Neither may enter the scheduler again.
+     * then @p stop() are evaluated once up front, then at every stop
+     * request and at every epoch barrier, on the calling thread,
+     * outside any domain's ExecScope. Neither may enter the scheduler
+     * again.
      *
-     * Barrier granularity is what keeps determinism pool-invariant:
-     * every epoch executes to its window end, so the predicate always
-     * observes a state that is identical across pool sizes — a
-     * mid-window stop would leave a schedule-dependent residue of
-     * unexecuted events in the other domains behind. The price
-     * is that a pump returns up to one lookahead window after the
-     * condition became true, with that window's pending work already
-     * executed; callers built on completion flags (all of ours) are
-     * insensitive to that.
+     * A stop request (EventQueue::requestStop, from the event that
+     * may satisfy the pump) ends only the stopping domain's window,
+     * right after that event; every other domain finishes its window,
+     * so the same events have run at every pool size (DESIGN.md §12).
+     * A lone System has no barrier, so a predicate whose waiter never
+     * requests a stop is evaluated only once the set drains.
      *
      * @retval true @p stop() became true; false the whole set drained
      * first (a deadlock from the pumping caller's point of view).

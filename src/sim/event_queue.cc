@@ -231,8 +231,9 @@ EventQueue::runOne()
 }
 
 std::uint64_t
-EventQueue::runUntil(Tick limit)
+EventQueue::drain(Tick limit)
 {
+    _stopRequested = false;
     std::uint64_t n = 0;
     for (;;) {
         // Fast path: while a slot is mid-drain its cursor is the
@@ -249,13 +250,19 @@ EventQueue::runUntil(Tick limit)
                 // slots. Release the activation so those inserts are
                 // found first on the next run.
                 deactivate();
-                if (_now < limit)
-                    _now = limit;
                 _nextTick = t;
                 return n;
             }
             dispatchActive(t);
             ++n;
+            if (_stopRequested) {
+                // Time stays at the stopping event, inside the active
+                // slot's span (if any), as after runOne(). The flag
+                // stays set until the next run starts, telling
+                // runUntil() not to advance the clock.
+                _nextTick = scanNextTick();
+                return n;
+            }
         }
         // Slot transition: find and order the next slot directly
         // (activation is harmless if its events turn out to be past
@@ -271,23 +278,20 @@ EventQueue::runUntil(Tick limit)
                                           : _overflow.front().when);
         if (t == kTickForever || t > limit) {
             _nextTick = t;
-            break;
+            return n;
         }
         _now = t;
         advanceWindow();
         activateSlot(_occupied.findFrom(slotOf(t)));
     }
-    if (_now < limit)
-        _now = limit;
-    return n;
 }
 
 std::uint64_t
-EventQueue::runAll(std::uint64_t max_events)
+EventQueue::runUntil(Tick limit)
 {
-    std::uint64_t n = 0;
-    while (n < max_events && runOne())
-        ++n;
+    std::uint64_t n = drain(limit);
+    if (!_stopRequested && _now < limit)
+        _now = limit;
     return n;
 }
 

@@ -259,10 +259,19 @@ class EventQueue
 
     /**
      * Run all events with tick <= @p limit, then advance time to
-     * @p limit. Events scheduled during execution are honored.
+     * @p limit. Events scheduled during execution are honored. A stop
+     * request (requestStop) returns right after the event that made
+     * it, with time left at that event's tick.
      * @return number of events executed.
      */
     std::uint64_t runUntil(Tick limit);
+
+    /**
+     * Ask the runUntil() or runAll() in progress to return right
+     * after the running event: a pump's waiter calls it from the
+     * event that may satisfy the pump. Each run starts without one.
+     */
+    void requestStop() { _stopRequested = true; }
 
     /**
      * runUntil(@p limit) for a queue with no event at or before
@@ -287,10 +296,11 @@ class EventQueue
     }
 
     /**
-     * Run until the queue drains or @p max_events have executed.
+     * Run until the queue drains or a stop is requested; time stays
+     * at the last event's tick.
      * @return number of events executed.
      */
-    std::uint64_t runAll(std::uint64_t max_events = ~std::uint64_t(0));
+    std::uint64_t runAll() { return drain(kTickForever); }
 
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return _executed; }
@@ -591,6 +601,9 @@ class EventQueue
      *  is only true while _now sits inside the active slot's span. */
     void deactivate();
 
+    /** runUntil() without the final clock advance. */
+    std::uint64_t drain(Tick limit);
+
     /** Advance time to @p t and execute the front event there. */
     void dispatch(Tick t);
 
@@ -624,6 +637,8 @@ class EventQueue
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
     std::size_t _size = 0;
+    /** Set by requestStop(); cleared when the next run starts. */
+    bool _stopRequested = false;
     DomainId _domain = 0;
     std::vector<CrossPost> _outbox;
 

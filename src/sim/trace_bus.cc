@@ -121,9 +121,11 @@ TraceBus::flushMerged()
     // race between them.)
     if (_lanes.empty() || _mask == 0)
         return;
-    // Successive flushes cover disjoint, increasing tick ranges (an
-    // epoch's emissions all precede the next epoch's), so a sorted
-    // merge per flush yields a globally ordered stream. The key is
+    // Successive flushes cover increasing tick ranges (an epoch's
+    // emissions precede the next epoch's, except that a domain whose
+    // window a guest call's stop request ended early resumes below
+    // its peers' window end), so a sorted merge per flush yields an
+    // ordered stream that is the same at every pool size. The key is
     // (tick, component, domain, lane seq): each registered component
     // lives in exactly one domain, so ordering by component first
     // makes the merged stream independent of which domain a

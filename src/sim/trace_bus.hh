@@ -152,19 +152,21 @@ class TraceBus
     /**
      * Stamp r.at with the current tick and dispatch to sinks.
      *
-     * Single-domain contexts (the default) dispatch synchronously.
-     * When the bus is domain-armed (armDomains) and the calling
-     * thread is executing a domain (sim::currentExecContext), the
-     * record is instead stamped with the *emitting domain's* clock
-     * and buffered in that domain's lane; flushMerged() — called at
-     * every epoch barrier — then dispatches all lanes merged in
-     * (tick, domain, emission seq) order. Sink byte streams are
-     * therefore identical for every worker-pool size.
+     * An unarmed bus (a lone System's) dispatches synchronously,
+     * inside the emitting event. When the bus is domain-armed
+     * (armDomains: the nodes of a fleet) and the calling thread is
+     * executing a domain (sim::currentExecContext), the record is
+     * instead stamped with the *emitting domain's* clock and buffered
+     * in that domain's lane; flushMerged() — called at every epoch
+     * barrier — then dispatches all lanes merged in (tick, component,
+     * domain, emission seq) order. Sink byte streams are therefore
+     * identical for every worker-pool size.
      */
     void emit(TraceRecord r);
 
     /**
-     * Arm per-domain emission lanes for a multi-domain context.
+     * Arm per-domain emission lanes for a multi-domain context (each
+     * node of a fleet::Cluster).
      * Buffering only engages for emissions made from inside a
      * domain's execution; harness-side emissions keep dispatching
      * synchronously.

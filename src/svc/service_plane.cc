@@ -192,6 +192,7 @@ ServicePlane::beginWindow(sim::Tick window)
     _sys.eq.scheduleAt(_horizon, [this]() {
         for (auto &t : _tenants)
             dispatch(*t);
+        stopIfDrained();
     });
     for (auto &tp : _tenants) {
         Tenant &t = *tp;
@@ -243,8 +244,12 @@ ServicePlane::run(sim::Tick window)
     // the window has closed and every queue and worker has drained.
     // The horizon event keeps the set alive until the window closes,
     // so a drain with work left is a request no event will serve.
+    // Stop source: the horizon event or the completion that leaves
+    // the plane idle (stopIfDrained).
+    _draining = true;
     const bool stopped = _sys.sched.pumpUntil(
         [this]() { return _sys.eq.now() >= _horizon && idle(); });
+    _draining = false;
     if (!stopped && !idle()) {
         OPTIMUS_FATAL("svc: simulation drained with requests queued or "
                       "in flight");
@@ -333,6 +338,14 @@ ServicePlane::onCompletion(Tenant &t, Tenant::Worker &w,
         w.busy = !w.inflight.empty();
     }
     dispatch(t);
+    stopIfDrained();
+}
+
+void
+ServicePlane::stopIfDrained()
+{
+    if (_draining && _sys.eq.now() >= _horizon && idle())
+        _sys.eq.requestStop();
 }
 
 void

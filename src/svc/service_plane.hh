@@ -319,6 +319,9 @@ class ServicePlane
     void settle(Tenant &t, Tenant::Worker &w, const Request &req,
                 accel::Status st, sim::Tick issued,
                 sim::Tick done_tick);
+    /** Inside run()'s drain, stop its pump once the window has closed
+     *  and the plane is idle (the horizon event, each completion). */
+    void stopIfDrained();
 
     hv::System &_sys;
     sim::TelemetryNode *_node; ///< "sys.svc"
@@ -326,6 +329,7 @@ class ServicePlane
     std::vector<std::unique_ptr<hv::AccelHandle>> _handles;
     std::function<void(Tenant &, int)> _straySink;
     sim::Tick _horizon = 0; ///< arrivals stop at this tick
+    bool _draining = false; ///< run() is pumping its drain
 };
 
 } // namespace optimus::svc

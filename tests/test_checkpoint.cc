@@ -19,6 +19,7 @@
 
 #include "hv/system.hh"
 #include "hv/workloads.hh"
+#include "step_until.hh"
 
 using namespace optimus;
 
@@ -51,8 +52,9 @@ struct Prepared
     preempt()
     {
         dev().mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
-        handle->pumpUntil(
-            [&]() { return dev().status() == accel::Status::kSaved; });
+        ASSERT_TRUE(test::stepUntil(sys, [&]() {
+            return dev().status() == accel::Status::kSaved;
+        }));
     }
 
     /** A scheduled slot with a quiescent pipeline: start a placeholder
@@ -60,9 +62,9 @@ struct Prepared
     void
     park()
     {
-        handle->pumpUntil([&]() {
+        ASSERT_TRUE(test::stepUntil(sys, [&]() {
             return dev().status() == accel::Status::kRunning;
-        });
+        }));
         preempt();
     }
 
@@ -102,8 +104,8 @@ TEST_P(CheckpointTest, RestoredJobMatchesUninterruptedRun)
     // Source: identical job, preempted at the device as soon as it
     // shows forward progress.
     Prepared src(app);
-    src.handle->pumpUntil(
-        [&]() { return src.dev().progress() > 0; });
+    ASSERT_TRUE(test::stepUntil(
+        src.sys, [&]() { return src.dev().progress() > 0; }));
     // Most apps are genuinely mid-flight here; a few (e.g. SW) post
     // their first PROGRESS bump coarsely, so partial progress is not
     // asserted — the round-trip contract is identical either way.

@@ -21,6 +21,7 @@
 #include "accel/membench_accel.hh"
 #include "exp/builders.hh"
 #include "exp/runner.hh"
+#include "fleet/fleet.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
 #include "sim/domain.hh"
@@ -431,7 +432,8 @@ faultCampaign(unsigned threads)
     cfg.mode = hv::FabricMode::kOptimus;
     cfg.apps = {"MB", "SHA"};
     hv::System sys(cfg, threads);
-    EXPECT_EQ(sys.sched.threads(), threads);
+    // One domain caps the pool at one thread whatever was requested.
+    EXPECT_EQ(sys.sched.threads(), 1u);
     auto inj = exp::installFaults(
         sys, "hang@0:at=50us;watchdog:deadline=200us");
 
@@ -496,14 +498,103 @@ TEST(SerialVsThreadedTest, ServicePlaneFingerprintsMatch)
     EXPECT_EQ(servicePlaneFingerprint(4), servicePlaneFingerprint(1));
 }
 
-/** The System picks its pool width off the thread-local default —
- *  the runner's --sim-threads plumbing — without changing results. */
-TEST(SerialVsThreadedTest, DefaultSimThreadsPlumbsThroughSystem)
+/** A cluster picks its pool width off the thread-local default —
+ *  the runner's --sim-threads plumbing — capped at its node count. */
+TEST(SerialVsThreadedTest, DefaultSimThreadsPlumbsThroughCluster)
 {
     unsigned prev = setDefaultSimThreads(3);
-    hv::System sys(hv::makeOptimusConfig("MB", 1));
-    EXPECT_EQ(sys.sched.threads(), 3u);
+    fleet::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.node = hv::makeOptimusConfig("MB", 1);
+    fleet::Cluster cl(cfg);
+    EXPECT_EQ(cl.node(0).sched.threads(), 2u);
     setDefaultSimThreads(prev);
+}
+
+// ---------------------------------------------------------------
+// Stop requests: a pump returns at the event that satisfies it.
+// ---------------------------------------------------------------
+
+TEST(EventQueueStopTest, RunReturnsRightAfterTheRequestingEvent)
+{
+    EventQueue q;
+    std::vector<Tick> ran;
+    for (Tick t : {100, 200, 300}) {
+        q.scheduleAt(t, [&q, &ran, t]() {
+            ran.push_back(t);
+            if (t == 200)
+                q.requestStop();
+        });
+    }
+    EXPECT_EQ(q.runUntil(1000), 2u);
+    EXPECT_EQ(q.now(), 200u); // the clock stays at the stopping event
+    EXPECT_EQ(q.nextEventTick(), 300u);
+    // The next run starts without a stop and reaches its limit.
+    EXPECT_EQ(q.runUntil(1000), 1u);
+    EXPECT_EQ(q.now(), 1000u);
+    // A request made outside any run is dropped.
+    q.requestStop();
+    q.scheduleAt(1100, []() {});
+    q.scheduleAt(1200, []() {});
+    EXPECT_EQ(q.runAll(), 2u);
+    EXPECT_EQ(q.now(), 1200u);
+    EXPECT_EQ(ran, (std::vector<Tick>{100, 200, 300}));
+}
+
+TEST(EpochSchedulerTest, StopEndsOnlyTheStoppingDomainsWindow)
+{
+    // Domain 0 requests a stop at tick 10, the first event of the
+    // window [10, 109]: its window ends there, and domain 1 still
+    // finishes the window, at every pool width.
+    for (unsigned threads : {1u, 2u}) {
+        DomainSet set(2);
+        Channel<int> link(set, 0, 1, 100, "link"); // lookahead only
+        bool hit = false;
+        set.queue(0).scheduleAt(10, [&]() {
+            hit = true;
+            set.queue(0).requestStop();
+        });
+        set.queue(0).scheduleAt(20, []() {});
+        set.queue(1).scheduleAt(50, []() {});
+        set.queue(1).scheduleAt(90, []() {});
+        EpochScheduler sched(set, threads);
+        EXPECT_TRUE(sched.pumpUntil([&]() { return hit; }));
+        EXPECT_EQ(sched.epochs(), 1u) << threads;
+        EXPECT_EQ(set.queue(0).now(), 10u) << threads;
+        EXPECT_EQ(set.queue(0).nextEventTick(), 20u) << threads;
+        EXPECT_EQ(set.queue(1).now(), 109u) << threads;
+        EXPECT_EQ(set.queue(1).executed(), 2u) << threads;
+    }
+}
+
+// ---------------------------------------------------------------
+// One queue per node: no channel inside a System.
+// ---------------------------------------------------------------
+
+TEST(NodeQueueTest, LoneSystemRunsOneEpochAndDeliversNoPost)
+{
+    hv::System sys(hv::makeOptimusConfig("MB", 1));
+    EXPECT_EQ(sys.domains.numChannels(), 0u);
+    EXPECT_EQ(sys.sched.lookahead(), kTickForever);
+    hv::AccelHandle &h = sys.attach(0, 2ULL << 30);
+    exp::setupMembench(h, 1ULL << 20, accel::MembenchAccel::kRead, 3,
+                       256);
+    h.start();
+    const std::uint64_t epochs = sys.sched.epochs();
+    const std::uint64_t events = sys.domains.executed();
+    sys.run(sys.now() + 100 * kTickUs);
+    EXPECT_EQ(sys.sched.epochs(), epochs + 1);
+    EXPECT_GT(sys.domains.executed(), events + 1000);
+    EXPECT_EQ(sys.sched.delivered(), 0u);
+}
+
+TEST(NodeQueueTest, ClusterLookaheadIsTheRackLink)
+{
+    fleet::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.node = hv::makeOptimusConfig("MB", 1);
+    fleet::Cluster cl(cfg);
+    EXPECT_EQ(cl.node(0).sched.lookahead(), cfg.rackLinkLatency);
 }
 
 } // namespace

@@ -236,6 +236,7 @@ TEST(FleetTest, FinishedJobKeepsResultAndProgressAcrossMove)
         hv.mmioRead(dv, reg, [&](std::uint64_t v) {
             out = v;
             done = true;
+            cl.node(dst).eq.requestStop();
         });
         cl.node(dst).sched.pumpUntil([&]() { return done; });
         return out;

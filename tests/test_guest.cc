@@ -13,7 +13,9 @@
 #include "guest/process.hh"
 #include "guest/vm.hh"
 #include "accel/streaming_accelerator.hh"
+#include "fleet/fleet.hh"
 #include "hv/system.hh"
+#include "hv/workloads.hh"
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
 
@@ -145,6 +147,93 @@ TEST(SharedMemoryViewTest, CpuSeesAcceleratorWritesAndViceVersa)
     for (auto b : cipher)
         all_zero = all_zero && b == 0;
     EXPECT_FALSE(all_zero);
+}
+
+// ---------------------------------------------------------------
+// A guest call returns at the event that completes it: now() is that
+// event's tick, not a later barrier.
+// ---------------------------------------------------------------
+
+TEST(GuestCallReturnTest, SoloCallsReturnAtTheirCompletingEvent)
+{
+    // Each call runs on System a; an identical System b issues the
+    // same operation asynchronously and records the tick its
+    // completion ran at. Both run the same events, so the ticks must
+    // agree.
+    const hv::PlatformConfig cfg = hv::makeOptimusConfig("SHA", 1);
+    {
+        hv::System a(cfg), b(cfg);
+        hv::AccelHandle &ha = a.attach(0, 1ULL << 30);
+        hv::AccelHandle &hb = b.attach(0, 1ULL << 30);
+        (void)ha.mmioRead(accel::reg::kStateSize);
+        sim::Tick done = 0;
+        b.hv.mmioRead(hb.vaccel(), accel::reg::kStateSize,
+                      [&](std::uint64_t) { done = b.now(); });
+        b.runAll();
+        EXPECT_GT(done, 0u);
+        EXPECT_EQ(a.now(), done);
+    }
+    {
+        hv::System a(cfg), b(cfg);
+        hv::AccelHandle &ha = a.attach(0, 1ULL << 30);
+        hv::AccelHandle &hb = b.attach(0, 1ULL << 30);
+        (void)ha.dmaAlloc(6ULL << 20); // three page hypercalls
+        sim::Tick done = 0;
+        hb.heap().alloc(6ULL << 20, 64,
+                        [&](mem::Gva) { done = b.now(); });
+        b.runAll();
+        EXPECT_GT(done, 0u);
+        EXPECT_EQ(a.now(), done);
+    }
+    {
+        // wait(): the DONE doorbell runs the completion handler.
+        hv::System sys(cfg);
+        hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
+        auto wl = hv::workload::Workload::create("SHA", h, 4096, 5);
+        wl->program();
+        sim::Tick doorbell = 0;
+        h.vaccel().setCompletionHandler(
+            [&](accel::Status) { doorbell = sys.now(); });
+        h.start();
+        ASSERT_EQ(h.wait(), accel::Status::kDone);
+        EXPECT_GT(doorbell, 0u);
+        EXPECT_EQ(sys.now(), doorbell);
+    }
+}
+
+/** The ticks a fleet node's guest calls return at. */
+std::vector<sim::Tick>
+fleetNodeCallTicks(unsigned threads)
+{
+    fleet::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.node = hv::makeOptimusConfig("SHA", 1);
+    fleet::Cluster cl(cfg, threads);
+    hv::System &node = cl.node(1);
+    hv::AccelHandle &h = node.attach(0, 1ULL << 30);
+    std::vector<sim::Tick> ticks;
+    (void)h.mmioRead(accel::reg::kStateSize);
+    ticks.push_back(node.now());
+    (void)h.dmaAlloc(4ULL << 20);
+    ticks.push_back(node.now());
+    auto wl = hv::workload::Workload::create("SHA", h, 4096, 5);
+    wl->program();
+    ticks.push_back(node.now());
+    sim::Tick doorbell = 0;
+    h.vaccel().setCompletionHandler(
+        [&](accel::Status) { doorbell = node.now(); });
+    h.start();
+    EXPECT_EQ(h.wait(), accel::Status::kDone);
+    EXPECT_EQ(node.now(), doorbell);
+    ticks.push_back(node.now());
+    EXPECT_TRUE(wl->verify());
+    return ticks;
+}
+
+TEST(GuestCallReturnTest, FleetNodeCallsReturnAtTheSameTickAtAnyWidth)
+{
+    const std::vector<sim::Tick> serial = fleetNodeCallTicks(1);
+    EXPECT_EQ(fleetNodeCallTicks(4), serial);
 }
 
 TEST(GuestApiDeathTest, PumpingFromAnEventIsFatal)

@@ -15,6 +15,7 @@
 #include "accel/membench_accel.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
+#include "step_until.hh"
 
 using namespace optimus;
 using namespace optimus::hv;
@@ -37,12 +38,12 @@ TEST(SlicingTest, SlicesAreDisjointAndGapped)
     // hardware view disambiguates: each auditor's committed offset
     // entry maps the same GVA window to a disjoint IOVA slice.
     std::uint64_t stride = p.sliceBytes + p.sliceGapBytes;
-    sys.handle(0).pumpUntil([&]() {
+    ASSERT_TRUE(test::stepUntil(sys, [&]() {
         return sys.platform.monitor()
             ->auditor(7)
             .offsetEntry()
             .valid;
-    });
+    }));
     std::vector<std::uint64_t> slice_bases;
     for (std::uint32_t i = 0; i < 8; ++i) {
         const auto &e = sys.platform.monitor()->auditor(i)
@@ -121,8 +122,10 @@ TEST(ShadowPagingTest, RejectsPagesOutsideTheWindow)
     mem::Gva foreign = b.vaccel().windowBase();
     b.process().backPage(foreign);
     bool result = true;
-    sys.hv.registerDmaPage(a.vaccel(), foreign,
-                           [&](bool ok) { result = ok; });
+    sys.hv.registerDmaPage(a.vaccel(), foreign, [&](bool ok) {
+        result = ok;
+        sys.eq.requestStop();
+    });
     a.pumpUntil([&]() { return !result; });
     EXPECT_FALSE(result);
 }
@@ -139,6 +142,7 @@ TEST(ShadowPagingTest, RejectsUnalignedAndUnbackedPages)
                            [&](bool ok) {
                                ok_unaligned = ok;
                                ++done;
+                               sys.eq.requestStop();
                            });
     bool ok_unbacked = true;
     sys.hv.registerDmaPage(h.vaccel(),
@@ -147,6 +151,7 @@ TEST(ShadowPagingTest, RejectsUnalignedAndUnbackedPages)
                            [&](bool ok) {
                                ok_unbacked = ok;
                                ++done;
+                               sys.eq.requestStop();
                            });
     h.pumpUntil([&]() { return done == 2; });
     EXPECT_FALSE(ok_unaligned);

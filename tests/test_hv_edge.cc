@@ -15,6 +15,7 @@
 #include "accel/streaming_accelerator.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
+#include "step_until.hh"
 
 using namespace optimus;
 using namespace optimus::hv;
@@ -31,7 +32,7 @@ TEST(VcuSerializationTest, ConcurrentSchedulingCommitsBothEntries)
     std::vector<AccelHandle *> handles;
     for (std::uint32_t i = 0; i < 8; ++i)
         handles.push_back(&sys.attach(i, 1ULL << 30));
-    handles[0]->pumpUntil([&]() {
+    ASSERT_TRUE(test::stepUntil(sys, [&]() {
         for (std::uint32_t i = 0; i < 8; ++i) {
             if (!sys.platform.monitor()
                      ->auditor(i)
@@ -41,7 +42,7 @@ TEST(VcuSerializationTest, ConcurrentSchedulingCommitsBothEntries)
             }
         }
         return true;
-    });
+    }));
 
     std::set<std::uint64_t> slice_bases;
     for (std::uint32_t i = 0; i < 8; ++i) {

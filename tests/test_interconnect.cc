@@ -16,7 +16,6 @@
 #include "iommu/iommu.hh"
 #include "mem/host_memory.hh"
 #include "mem/memory_controller.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/platform_params.hh"
 #include "sim/telemetry.hh"
@@ -146,19 +145,16 @@ class ShellFixture : public ::testing::Test
         return t;
     }
 
-    /** Run to quiescence through the scheduler: the shell's package
-     *  channels use deferred (barrier) delivery even with one domain,
-     *  so a bare eq.runAll() would strand crossing posts. */
-    void runAll() { sched.run(); }
+    /** Run to quiescence: both package legs are events on the one
+     *  queue, so no scheduler is needed. */
+    void runAll() { eq.runAll(); }
 
-    sim::DomainSet domains{1};
-    sim::EventQueue &eq = domains.queue(0);
+    sim::EventQueue eq;
     sim::PlatformParams params;
     mem::HostMemory memory{4ULL << 30};
     mem::MemoryController memctl{eq, params};
     iommu::Iommu iommu{eq, params};
-    Shell shell{domains, 0, params, memory, memctl, iommu};
-    sim::EpochScheduler sched{domains, 1};
+    Shell shell{eq, params, memory, memctl, iommu};
     std::vector<DmaTxnPtr> responses;
 };
 
@@ -261,19 +257,17 @@ class TracedShellFixture : public ::testing::Test
         return t;
     }
 
-    void runAll() { sched.run(); }
+    void runAll() { eq.runAll(); }
 
-    sim::DomainSet domains{1};
-    sim::EventQueue &eq = domains.queue(0);
+    sim::EventQueue eq;
     sim::PlatformParams params;
     sim::Telemetry telemetry{"sys"};
     sim::TraceBus bus{eq};
     mem::HostMemory memory{4ULL << 30};
     mem::MemoryController memctl{eq, params};
     iommu::Iommu iommu{eq, params};
-    Shell shell{domains, 0,      params,
-                memory,  memctl, iommu, {&telemetry.node("shell"), &bus}};
-    sim::EpochScheduler sched{domains, 1};
+    Shell shell{eq,     params, memory,
+                memctl, iommu,  {&telemetry.node("shell"), &bus}};
     std::vector<DmaTxnPtr> responses;
 };
 

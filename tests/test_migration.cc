@@ -39,7 +39,10 @@ TEST(MigrationTest, RunningJobMigratesAndCompletesCorrectly)
     ASSERT_LT(progress_before, 60000u);
 
     bool migrated = false;
-    sys.hv.migrate(h.vaccel(), 1, [&](bool ok) { migrated = ok; });
+    sys.hv.migrate(h.vaccel(), 1, [&](bool ok) {
+        migrated = ok;
+        sys.eq.requestStop();
+    });
     h.pumpUntil([&]() { return migrated; });
     EXPECT_EQ(h.vaccel().slot(), 1u);
     EXPECT_TRUE(sys.hv.isScheduled(h.vaccel()));
@@ -125,8 +128,10 @@ TEST(MigrationTest, DescheduledTenantMigratesWithPendingStart)
     // Move the waiting tenant to the idle slot 1: it should get the
     // hardware immediately and run to completion there.
     bool migrated = false;
-    sys.hv.migrate(second.vaccel(), 1,
-                   [&](bool ok) { migrated = ok; });
+    sys.hv.migrate(second.vaccel(), 1, [&](bool ok) {
+        migrated = ok;
+        sys.eq.requestStop();
+    });
     second.pumpUntil([&]() { return migrated; });
     EXPECT_EQ(second.vaccel().slot(), 1u);
     EXPECT_EQ(second.wait(), accel::Status::kDone);
@@ -154,7 +159,10 @@ TEST(MigrationTest, FinishedHolderMigratesWithoutSecondCompletion)
     ASSERT_EQ(completions, 1);
 
     bool migrated = false;
-    sys.hv.migrate(h.vaccel(), 1, [&](bool ok) { migrated = ok; });
+    sys.hv.migrate(h.vaccel(), 1, [&](bool ok) {
+        migrated = ok;
+        sys.eq.requestStop();
+    });
     h.pumpUntil([&]() { return migrated; });
     sys.run(sys.eq.now() + 5 * sim::kTickMs);
 
@@ -194,10 +202,12 @@ TEST(MigrationTest, LoadBalancingAcrossSlots)
     int moved = 0;
     sys.hv.migrate(handles[1]->vaccel(), 1, [&](bool ok) {
         moved += ok ? 1 : 0;
+        sys.eq.requestStop();
     });
     handles[1]->pumpUntil([&]() { return moved == 1; });
     sys.hv.migrate(handles[2]->vaccel(), 2, [&](bool ok) {
         moved += ok ? 1 : 0;
+        sys.eq.requestStop();
     });
     handles[2]->pumpUntil([&]() { return moved == 2; });
 

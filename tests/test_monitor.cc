@@ -20,7 +20,6 @@
 #include "iommu/iommu.hh"
 #include "mem/host_memory.hh"
 #include "mem/memory_controller.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/platform_params.hh"
 
@@ -289,7 +288,7 @@ class MonitorFixture : public ::testing::Test
         op.offset = kVcuMmioBase + reg;
         op.onComplete = [&](std::uint64_t v) { out = v; };
         shell.mmioFromHost(std::move(op));
-        sched.run();
+        eq.runAll();
         return out;
     }
 
@@ -301,18 +300,16 @@ class MonitorFixture : public ::testing::Test
         op.offset = kVcuMmioBase + reg;
         op.value = value;
         shell.mmioFromHost(std::move(op));
-        sched.run();
+        eq.runAll();
     }
 
-    sim::DomainSet domains{1};
-    sim::EventQueue &eq = domains.queue(0);
+    sim::EventQueue eq;
     sim::PlatformParams params;
     mem::HostMemory memory{4ULL << 30};
     mem::MemoryController memctl{eq, params};
     iommu::Iommu iommu{eq, params};
-    ccip::Shell shell{domains, 0, params, memory, memctl, iommu};
+    ccip::Shell shell{eq, params, memory, memctl, iommu};
     HardwareMonitor monitor{eq, params, shell, 4, 2};
-    sim::EpochScheduler sched{domains, 1};
 };
 
 TEST_F(MonitorFixture, VcuIdentification)
@@ -388,7 +385,7 @@ TEST_F(MonitorFixture, AccelMmioRoutedByPageAndIsolated)
     op.offset = accelMmioBase(1) + 0x40;
     op.value = 77;
     shell.mmioFromHost(std::move(op));
-    sched.run();
+    eq.runAll();
     EXPECT_EQ(devs[1].last_reg, 0x40u);
     EXPECT_EQ(devs[1].last_val, 77u);
     EXPECT_EQ(devs[0].last_reg, ~0ULL);
@@ -403,7 +400,7 @@ TEST_F(MonitorFixture, OutOfRangeMmioReadsAsAllOnes)
     op.offset = accelMmioBase(3) + kAccelMmioBytes + 8; // past slots
     op.onComplete = [&](std::uint64_t v) { got = v; };
     shell.mmioFromHost(std::move(op));
-    sched.run();
+    eq.runAll();
     EXPECT_EQ(got, ~0ULL);
     EXPECT_EQ(monitor.droppedMmios(), 1u);
 }

@@ -18,6 +18,7 @@
 #include "accel/membench_accel.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
+#include "step_until.hh"
 
 using namespace optimus;
 using namespace optimus::hv;
@@ -98,8 +99,8 @@ TEST(PreemptionTest, StateBufferReceivesTheContext)
     h2.start();
     h1.start();
     // Run until at least one context switch has happened.
-    h1.pumpUntil(
-        [&]() { return sys.hv.contextSwitches() >= 1; });
+    ASSERT_TRUE(test::stepUntil(
+        sys, [&]() { return sys.hv.contextSwitches() >= 1; }));
 
     // The saved blob's header is in guest memory: status RUNNING.
     std::uint64_t saved_status =
@@ -141,11 +142,11 @@ expectResumeDies(
 
     h1.start();
     h2.start();
-    h1.pumpUntil([&]() {
+    ASSERT_TRUE(test::stepUntil(sys, [&]() {
         return sys.hv.isScheduled(h2.vaccel()) &&
                h1.process().readValue<std::uint64_t>(buf) ==
                    static_cast<std::uint64_t>(accel::Status::kRunning);
-    });
+    }));
     corrupt(h1.process(), buf);
     EXPECT_DEATH(h1.wait(), message);
 }
@@ -272,17 +273,18 @@ TEST(PreemptionTest, PreemptDuringRestoreStillSaves)
     h.setupStateBuffer();
     h.start();
     accel::Accelerator &dev = sys.platform.accel(0);
-    h.pumpUntil([&]() { return dev.progress() > 0; });
+    ASSERT_TRUE(test::stepUntil(sys, [&]() { return dev.progress() > 0; }));
 
     dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
-    h.pumpUntil([&]() { return dev.status() == accel::Status::kSaved; });
+    ASSERT_TRUE(test::stepUntil(
+        sys, [&]() { return dev.status() == accel::Status::kSaved; }));
     dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kResume);
     ASSERT_EQ(dev.status(), accel::Status::kRestoring);
     dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kPreempt);
-    h.pumpUntil([&]() {
+    ASSERT_TRUE(test::stepUntil(sys, [&]() {
         return dev.status() == accel::Status::kSaved ||
                dev.status() == accel::Status::kDone;
-    });
+    }));
     EXPECT_EQ(dev.status(), accel::Status::kSaved);
 
     dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kResume);

@@ -26,6 +26,7 @@
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
 #include "ring/ring.hh"
+#include "step_until.hh"
 #include "svc/service_plane.hh"
 
 using namespace optimus;
@@ -170,8 +171,8 @@ TEST(RingTest, SubmitCompletesLikeMmio)
     EXPECT_EQ(rj.sys.hv.ringSubmits(), 1u);
     // The guest sees the completion the instant the device posts it;
     // the hypervisor's mirror catches up at the drain doorbell.
-    rj.handle->pumpUntil(
-        [&]() { return rj.sys.hv.ringCompletes() >= 1; });
+    ASSERT_TRUE(test::stepUntil(
+        rj.sys, [&]() { return rj.sys.hv.ringCompletes() >= 1; }));
     EXPECT_EQ(rj.sys.hv.ringCompletes(), 1u);
 }
 
@@ -198,10 +199,10 @@ TEST(RingTest, BatchedSubmitsCompleteInOrder)
         prev_result = e.result;
     }
     EXPECT_TRUE(rj.wl->verify());
-    rj.handle->pumpUntil([&]() {
+    ASSERT_TRUE(test::stepUntil(rj.sys, [&]() {
         return rj.sys.hv.ringCompletes() >=
                static_cast<std::uint64_t>(kJobs);
-    });
+    }));
     EXPECT_EQ(rj.sys.hv.ringCompletes(),
               static_cast<std::uint64_t>(kJobs));
 }
@@ -225,6 +226,8 @@ TEST(RingTest, EachCompletionRunsTheHandlerWhereItLands)
         }
         if (n != 0)
             per_call.push_back(n);
+        if (seqs.size() == 4)
+            rj.sys.eq.requestStop();
     });
     for (int i = 0; i < 4; ++i)
         rj.handle->ringSubmit();
@@ -378,8 +381,10 @@ TEST(RingTest, MigrateWithNonEmptyRing)
               static_cast<std::uint64_t>(kJobs));
 
     bool migrated = false;
-    rj.sys.hv.migrate(rj.handle->vaccel(), 1,
-                      [&](bool ok) { migrated = ok; });
+    rj.sys.hv.migrate(rj.handle->vaccel(), 1, [&](bool ok) {
+        migrated = ok;
+        rj.sys.eq.requestStop();
+    });
     rj.handle->pumpUntil([&]() { return migrated; });
     EXPECT_EQ(rj.handle->vaccel().slot(), 1u);
 

@@ -251,7 +251,7 @@ TEST(ServicePlaneTest, BusyTenantsServeEveryAdmittedRequest)
     EXPECT_EQ(b.admitted, 154u);
     EXPECT_EQ(b.completed, 154u);
     EXPECT_EQ(m.fingerprint, 0xc271b6fad4e50893ULL);
-    EXPECT_EQ(r.fingerprint, 0x02b2645eed6650ccULL);
+    EXPECT_EQ(r.fingerprint, 0x1dec5f73da0419cdULL);
     EXPECT_EQ(b.fingerprint, 0xdf294357adae4282ULL);
 }
 
