@@ -169,7 +169,7 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
             " [--cmd-path mmio|ring]\n"
             "          [--list] [--quiet]\n"
             "  --sim-threads N  epoch-scheduler pool width inside "
-            "each System;\n"
+            "each fleet cluster;\n"
             "                   capped so jobs x sim-threads never "
             "exceeds the\n"
             "                   host's hardware threads (results "
@@ -462,7 +462,7 @@ Runner::run(const Options &opts)
         return out;
     };
     // Every worker installs the capped pool width as the thread-local
-    // default, so each System a scenario builds picks it up without
+    // default, so each cluster a scenario builds picks it up without
     // the scenario body naming it (and restores the previous value —
     // the inline nthreads<=1 path runs on the caller's thread).
     auto worker = [&]() {

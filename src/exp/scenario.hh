@@ -34,7 +34,7 @@ struct RunContext
     std::string faults;
 
     /**
-     * Effective per-System worker-pool width (from --sim-threads,
+     * Effective per-cluster worker-pool width (from --sim-threads,
      * capped against --jobs so jobs × sim-threads never oversubscribes
      * the host). The runner installs it as sim::defaultSimThreads()
      * on every worker, so scenarios pick it up without plumbing;

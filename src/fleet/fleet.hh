@@ -175,8 +175,9 @@ class GlobalScheduler
 class Cluster
 {
   public:
-    /** @p sim_threads as for hv::System: 0 picks up
-     *  sim::defaultSimThreads(). Never affects results. */
+    /** @p sim_threads sizes the epoch scheduler's worker pool, at
+     *  most one thread per node; 0 picks up sim::defaultSimThreads().
+     *  Never affects results. */
     explicit Cluster(ClusterConfig cfg, unsigned sim_threads = 0);
     ~Cluster();
     Cluster(const Cluster &) = delete;

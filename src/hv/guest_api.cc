@@ -2,13 +2,13 @@
 
 #include <vector>
 
-#include "sim/domain.hh"
 #include "sim/logging.hh"
 
 namespace optimus::hv {
 
-AccelHandle::AccelHandle(OptimusHv &hv, VirtualAccel &v)
-    : _hv(hv), _v(v), _heap(hv, v)
+AccelHandle::AccelHandle(OptimusHv &hv, VirtualAccel &v,
+                         sim::EpochScheduler &sched)
+    : _hv(hv), _v(v), _sched(sched), _heap(hv, v)
 {
 }
 
@@ -17,11 +17,7 @@ AccelHandle::pumpUntil(const std::function<bool()> &pred)
 {
     // @p pred is evaluated at each stop request and barrier, so every
     // call below names the event that requests its stop.
-    sim::EpochScheduler *sched = _hv.platform().scheduler();
-    OPTIMUS_ASSERT(sched != nullptr,
-                   "guest API needs the platform's epoch scheduler "
-                   "(constructed by hv::System)");
-    if (!sched->pumpUntil(pred)) {
+    if (!_sched.pumpUntil(pred)) {
         OPTIMUS_FATAL("guest library deadlock: event queues drained "
                       "while waiting");
     }

@@ -24,6 +24,7 @@
 #include "hv/dma_heap.hh"
 #include "hv/optimus.hh"
 #include "ring/ring.hh"
+#include "sim/domain.hh"
 
 namespace optimus::hv {
 
@@ -31,8 +32,11 @@ namespace optimus::hv {
 class AccelHandle
 {
   public:
-    /** "Connect" to a virtual accelerator. */
-    AccelHandle(OptimusHv &hv, VirtualAccel &v);
+    /** "Connect" to a virtual accelerator. Synchronous calls pump
+     *  @p sched, the scheduler advancing @p hv's node, so a fleet
+     *  node's pump also runs its peers. */
+    AccelHandle(OptimusHv &hv, VirtualAccel &v,
+                sim::EpochScheduler &sched);
 
     VirtualAccel &vaccel() { return _v; }
     guest::Process &process() { return _v.process(); }
@@ -138,13 +142,12 @@ class AccelHandle
      *  image overwrote the ring area. */
     void ringResync();
 
-    /** Run the event loop until @p pred holds. @p pred is evaluated
-     *  up front, at each stop request (EventQueue::requestStop) and at
-     *  each epoch barrier: on a lone System, only once the queue
-     *  drains unless the event that satisfies it requests a stop. */
-    void pumpUntil(const std::function<bool()> &pred);
-
   private:
+    /** Run the event loop until @p pred holds; fatal if the queues
+     *  drain first. @p pred is evaluated up front, at each stop
+     *  request (EventQueue::requestStop) and at each epoch barrier, so
+     *  every caller names the event that requests its stop. */
+    void pumpUntil(const std::function<bool()> &pred);
     /** pumpUntil() with this vaccel marked as waited on, so the
      *  hypervisor stops the pump at each device event that can
      *  satisfy @p pred (VirtualAccel::setGuestWaiting). */
@@ -155,6 +158,7 @@ class AccelHandle
 
     OptimusHv &_hv;
     VirtualAccel &_v;
+    sim::EpochScheduler &_sched;
     DmaHeap _heap;
     ring::SubmitQueue _submitQ;
     ring::CompleteQueue _completeQ;

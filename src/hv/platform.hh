@@ -30,10 +30,6 @@
 #include "sim/telemetry.hh"
 #include "sim/trace_bus.hh"
 
-namespace optimus::sim {
-class EpochScheduler;
-} // namespace optimus::sim
-
 namespace optimus::hv {
 
 /** How the FPGA fabric is configured. */
@@ -95,12 +91,6 @@ class Platform
     sim::Telemetry &telemetry() { return _telemetry; }
     sim::TraceBus &trace() { return _trace; }
 
-    /** The scheduler advancing this platform's node (set by the
-     *  owning System; null for bare harnesses). The guest API pumps
-     *  through it, so a fleet node's pump also runs its peers. */
-    void setScheduler(sim::EpochScheduler *sched) { _sched = sched; }
-    sim::EpochScheduler *scheduler() { return _sched; }
-
   private:
     /** Direct shell attachment used by the pass-through baseline. */
     class PassthroughFabric : public fpga::FabricPort
@@ -141,7 +131,6 @@ class Platform
     mem::MemoryController _memctl;
     iommu::Iommu _iommu;
     ccip::Shell _shell;
-    sim::EpochScheduler *_sched = nullptr;
 
     std::unique_ptr<fpga::HardwareMonitor> _monitor;
     std::unique_ptr<PassthroughFabric> _ptFabric;

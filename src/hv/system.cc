@@ -20,12 +20,9 @@ SystemObserver::current()
     return t_observer;
 }
 
-System::System(PlatformConfig config, unsigned sim_threads)
+System::System(PlatformConfig config)
     : _ownedDomains(std::make_unique<sim::DomainSet>()),
-      _ownedSched(std::make_unique<sim::EpochScheduler>(
-          *_ownedDomains, sim_threads == 0
-                              ? sim::defaultSimThreads()
-                              : sim_threads)),
+      _ownedSched(std::make_unique<sim::EpochScheduler>(*_ownedDomains)),
       domains(*_ownedDomains),
       eq(domains.queue(0)),
       sched(*_ownedSched),
@@ -36,7 +33,6 @@ System::System(PlatformConfig config, unsigned sim_threads)
     // One domain and no channel: the scheduler runs each run() as one
     // epoch, and trace records dispatch inside the emitting event, so
     // neither trace lanes nor a barrier hook are needed.
-    platform.setScheduler(&sched);
     if (_observer)
         _observer->systemCreated(*this);
 }
@@ -57,7 +53,6 @@ System::System(sim::DomainSet &ext_domains,
     // hook that flushes every node's bus in node order — per-node
     // hooks would overwrite each other on the shared scheduler.
     trace.armDomains(domains.size());
-    platform.setScheduler(&sched);
     if (_observer)
         _observer->systemCreated(*this);
 }

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hv/guest_api.hh"
@@ -62,16 +63,20 @@ class System
 {
   public:
     /**
-     * Solo form: the System owns a one-domain DomainSet and its
+     * Solo form: the System owns a one-domain DomainSet and a serial
      * EpochScheduler. The domain has no channel, so the lookahead is
      * unbounded: run(limit) is one EventQueue::runUntil and a guest
-     * call returns at the event that completes it. @p sim_threads
-     * requests a worker pool (0, the default, picks up
-     * sim::defaultSimThreads(), which the experiment runner sets per
-     * worker from `--sim-threads`); one domain caps the pool at one
-     * thread, so every epoch runs on the calling thread.
+     * call returns at the event that completes it.
      */
-    explicit System(PlatformConfig config, unsigned sim_threads = 0);
+    explicit System(PlatformConfig config);
+
+    /** The solo form as perfbench/perfbench_sim.cc calls it, with its
+     *  sim-thread count: one domain has no pool to size, so the count
+     *  is ignored. Goes when the benchmark drops the argument. */
+    System(PlatformConfig config, unsigned /*sim_threads*/)
+        : System(std::move(config))
+    {
+    }
 
     /**
      * Embedded (cluster-node) form: the caller owns the DomainSet and
@@ -100,7 +105,7 @@ class System
         auto &proc = vm.createProcess("app");
         auto &vaccel = hv.createVirtualAccel(proc, slot);
         _handles.push_back(
-            std::make_unique<AccelHandle>(hv, vaccel));
+            std::make_unique<AccelHandle>(hv, vaccel, sched));
         return *_handles.back();
     }
 
@@ -125,7 +130,7 @@ class System
                 "app%zu", vm.processes().size()));
             auto &vaccel = hv.createVirtualAccel(proc, slot);
             _handles.push_back(
-                std::make_unique<AccelHandle>(hv, vaccel));
+                std::make_unique<AccelHandle>(hv, vaccel, sched));
             return *_handles.back();
         }
         return attach(slot);

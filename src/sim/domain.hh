@@ -90,8 +90,8 @@ class ExecScope
 };
 
 /**
- * Worker-pool width a System picks up at construction when the
- * embedding harness doesn't size it explicitly. Thread-local (like
+ * Worker-pool width a fleet::Cluster picks up at construction when
+ * the embedding harness doesn't size it explicitly. Thread-local (like
  * hv::SystemObserver) so parallel experiment workers can each carry
  * their own setting without sharing process state. Defaults to 1 =
  * strictly serial.

@@ -80,7 +80,8 @@ ServicePlane::addTenant(const TenantConfig &cfg)
             vm.createProcess(sim::strprintf("worker%u", i));
         auto &vaccel = _sys.hv.createVirtualAccel(proc, cfg.slot);
         _handles.push_back(
-            std::make_unique<hv::AccelHandle>(_sys.hv, vaccel));
+            std::make_unique<hv::AccelHandle>(_sys.hv, vaccel,
+                                              _sys.sched));
         hv::AccelHandle &h = *_handles.back();
 
         auto w = std::make_unique<Tenant::Worker>();

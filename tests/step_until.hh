@@ -13,22 +13,24 @@
 
 namespace optimus::test {
 
+/** stepUntil's window: one UPI crossing at the HARP defaults. */
+constexpr sim::Tick kStepWindow = 160 * sim::kTickNs;
+
 /**
- * Run @p sys in windows of @p step until @p pred holds. For state that
- * no completion announces (a progress count, a context switch, a
+ * Run @p sys in windows of kStepWindow until @p pred holds. For state
+ * that no completion announces (a progress count, a context switch, a
  * device status set without a guest waiting): a pump evaluates such a
  * predicate only at stop requests and, on a lone System, once the
- * queue drains. The call returns at most one @p step after the state
+ * queue drains. The call returns at most one window after the state
  * appears. @retval false the queue drained first.
  */
 inline bool
-stepUntil(hv::System &sys, const std::function<bool()> &pred,
-          sim::Tick step = 160 * sim::kTickNs)
+stepUntil(hv::System &sys, const std::function<bool()> &pred)
 {
     while (!pred()) {
         if (sys.eq.empty())
             return false;
-        sys.run(sys.now() + step);
+        sys.run(sys.now() + kStepWindow);
     }
     return true;
 }

@@ -4,8 +4,8 @@
  * channels, lookahead derivation, the epoch scheduler's deterministic
  * (tick, domain, seq) delivery order, the domain-armed TraceBus
  * merge, and — the load-bearing property — serial-vs-threaded result
- * equality over full hv::System scenarios (fault campaign, service
- * plane).
+ * equality over two-node fleet::Cluster scenarios (fault campaign,
+ * service plane).
  */
 
 #include <gtest/gtest.h>
@@ -408,15 +408,18 @@ TEST(RunnerCapTest, JobsComposeWithSimThreads)
 }
 
 /**
- * End-to-end: a faulted two-tenant System must produce identical
- * results at sim-threads 1 and 4. A System is one domain, so the
- * threaded run executes the same schedule, and every observable —
- * job digest, progress counters, recovery actions, final clock —
- * must match bit-for-bit.
+ * End-to-end: a faulted two-node cluster must produce identical
+ * results at sim-threads 1 and 4. Node 0 runs a hung MemBench tenant
+ * under a watchdog next to a SHA job; node 1 runs its own SHA job in
+ * the same epochs, so the pooled run executes both domains
+ * concurrently. Every observable — job digests, progress counters,
+ * recovery actions, event count, final clock — must match
+ * bit-for-bit.
  */
 struct CampaignResult
 {
     std::uint64_t digest = 0;
+    std::uint64_t remoteDigest = 0;
     std::uint64_t progressA = 0;
     std::uint64_t wdFires = 0;
     std::uint64_t slotResets = 0;
@@ -428,31 +431,39 @@ struct CampaignResult
 CampaignResult
 faultCampaign(unsigned threads)
 {
-    hv::PlatformConfig cfg;
-    cfg.mode = hv::FabricMode::kOptimus;
-    cfg.apps = {"MB", "SHA"};
-    hv::System sys(cfg, threads);
-    // One domain caps the pool at one thread whatever was requested.
-    EXPECT_EQ(sys.sched.threads(), 1u);
+    fleet::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.node.mode = hv::FabricMode::kOptimus;
+    cfg.node.apps = {"MB", "SHA"};
+    fleet::Cluster cl(cfg, threads);
+    EXPECT_EQ(cl.node(0).sched.threads(), std::min(threads, 2u));
+    hv::System &sys = cl.node(0);
+    hv::System &remote = cl.node(1);
     auto inj = exp::installFaults(
         sys, "hang@0:at=50us;watchdog:deadline=200us");
 
     hv::AccelHandle &a = sys.attach(0, 2ULL << 30);
     hv::AccelHandle &b = sys.attach(1, 2ULL << 30);
+    hv::AccelHandle &c = remote.attach(1, 2ULL << 30);
     exp::setupMembench(a, 1ULL << 20, accel::MembenchAccel::kRead, 3,
                        256);
     a.setupStateBuffer();
     auto wl = hv::workload::Workload::create("SHA", b, 1ULL << 20, 5);
     wl->program();
     b.setupStateBuffer();
+    auto rwl = hv::workload::Workload::create("SHA", c, 1ULL << 20, 7);
+    rwl->program();
 
     a.start();
     b.start();
+    c.start();
     accel::Status bs = b.wait();
+    accel::Status cs = c.wait();
     sys.run(sys.now() + 2 * kTickMs);
 
     CampaignResult out;
     out.digest = bs == accel::Status::kDone ? b.result() : 0;
+    out.remoteDigest = cs == accel::Status::kDone ? c.result() : 0;
     out.progressA = sys.hv.peekProgress(a.vaccel());
     out.wdFires = sys.hv.watchdogFires();
     out.slotResets = sys.hv.slotResets();
@@ -465,32 +476,38 @@ TEST(SerialVsThreadedTest, FaultCampaignResultsMatch)
 {
     CampaignResult serial = faultCampaign(1);
     EXPECT_GT(serial.digest, 0u);
+    EXPECT_GT(serial.remoteDigest, 0u);
     EXPECT_GE(serial.wdFires, 1u);
     EXPECT_EQ(faultCampaign(4), serial);
 }
 
-/** And over the service plane, which dispatches in its handlers. */
+/** And over the fleet's service planes, which dispatch in their
+ *  handlers: two closed-loop tenants, one per node. */
 std::uint64_t
 servicePlaneFingerprint(unsigned threads)
 {
-    hv::System sys(hv::makeOptimusConfig("SHA", 2), threads);
-    svc::ServicePlane plane(sys);
-    svc::TenantConfig t0;
-    t0.name = "t0";
-    t0.app = "SHA";
-    t0.bytes = 4096;
-    t0.seed = 11;
-    t0.slot = 0;
-    t0.users = 2;
-    svc::TenantConfig t1 = t0;
-    t1.name = "t1";
-    t1.seed = 23;
-    t1.slot = 1;
-    plane.addTenant(t0);
-    plane.addTenant(t1);
-    plane.run(300 * kTickUs);
-    EXPECT_GT(plane.tenant(0).completed(), 0u);
-    return plane.fingerprint();
+    fleet::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.node = hv::makeOptimusConfig("SHA", 2);
+    fleet::Cluster cl(cfg, threads);
+    fleet::FleetTenantSpec t0;
+    t0.svc.name = "t0";
+    t0.svc.app = "SHA";
+    t0.svc.bytes = 4096;
+    t0.svc.seed = 11;
+    t0.svc.slot = 0;
+    t0.svc.users = 2;
+    fleet::FleetTenantSpec t1 = t0;
+    t1.svc.name = "t1";
+    t1.svc.seed = 23;
+    t1.svc.slot = 1;
+    cl.addTenant(t0);
+    cl.addTenant(t1);
+    EXPECT_NE(cl.tenantNode(0), cl.tenantNode(1));
+    cl.run(300 * kTickUs);
+    EXPECT_GT(cl.activeBinding(0).completed(), 0u);
+    EXPECT_GT(cl.activeBinding(1).completed(), 0u);
+    return cl.fingerprint();
 }
 
 TEST(SerialVsThreadedTest, ServicePlaneFingerprintsMatch)

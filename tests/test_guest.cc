@@ -2,17 +2,24 @@
  * @file
  * Guest-stack tests: VM construction and EPT, guest-physical
  * allocation, process address spaces (reservation, demand backing,
- * CPU read/write through two levels of translation), and the
- * consistency of the CPU and accelerator views of shared memory.
+ * CPU read/write through two levels of translation), the
+ * consistency of the CPU and accelerator views of shared memory, and
+ * the tick each pumping guest call returns at: that of the event
+ * that completes or wakes it.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "guest/process.hh"
 #include "guest/vm.hh"
+#include "accel/membench_accel.hh"
 #include "accel/streaming_accelerator.hh"
+#include "exp/builders.hh"
+#include "fault/fault_injector.hh"
 #include "fleet/fleet.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
@@ -199,6 +206,152 @@ TEST(GuestCallReturnTest, SoloCallsReturnAtTheirCompletingEvent)
         EXPECT_GT(doorbell, 0u);
         EXPECT_EQ(sys.now(), doorbell);
     }
+}
+
+/** Records the tick of every trace record it is attached for. */
+struct TickSink : sim::TraceSink
+{
+    std::vector<sim::Tick> ticks;
+    void
+    record(const sim::TraceBus &, const sim::TraceRecord &r) override
+    {
+        ticks.push_back(r.at);
+    }
+};
+
+/** Program a SHA job of @p bytes on @p h and install its state
+ *  buffer. */
+std::unique_ptr<hv::workload::Workload>
+shaJob(hv::AccelHandle &h, std::uint64_t bytes)
+{
+    auto wl = hv::workload::Workload::create("SHA", h, bytes, 9);
+    wl->program();
+    h.setupStateBuffer();
+    return wl;
+}
+
+TEST(GuestCallReturnTest, RingWaitReturnsAtTheRingPost)
+{
+    // Stop source: the ring-post wake. The completion handler runs in
+    // the same event. A second job keeps the device busy, so no drain
+    // doorbell follows the first post.
+    hv::System sys(hv::makeOptimusConfig("SHA", 1));
+    hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
+    auto wl = shaJob(h, 64 * 1024);
+    h.setupRing(8);
+    std::vector<sim::Tick> posted;
+    h.vaccel().setCompletionHandler(
+        [&](accel::Status) { posted.push_back(sys.now()); });
+    const std::uint64_t seq = h.ringSubmit();
+    (void)h.ringSubmit();
+    const ring::CompleteEntry e = h.ringWait(seq);
+    EXPECT_EQ(static_cast<accel::Status>(e.status),
+              accel::Status::kDone);
+    ASSERT_EQ(posted.size(), 1u);
+    EXPECT_EQ(sys.now(), posted[0]);
+}
+
+TEST(GuestCallReturnTest, FullRingSubmitReturnsOnePublishAfterTheAck)
+{
+    // Stop source: the ring-ack wake. System a blocks in ringSubmit on
+    // a full 8-entry ring; its twin b stops at the same acknowledgement
+    // through its own ring-ack hook, then submits on the freed slot.
+    const hv::PlatformConfig cfg = hv::makeOptimusConfig("SHA", 1);
+    hv::System a(cfg), b(cfg);
+    hv::AccelHandle &ha = a.attach(0, 1ULL << 30);
+    hv::AccelHandle &hb = b.attach(0, 1ULL << 30);
+    auto wla = shaJob(ha, 64 * 1024);
+    auto wlb = shaJob(hb, 64 * 1024);
+    ha.setupRing(8);
+    hb.setupRing(8);
+    for (int i = 0; i < 16 && !ha.submitQueue().full(); ++i) {
+        (void)ha.ringSubmit();
+        (void)hb.ringSubmit();
+    }
+    ASSERT_TRUE(ha.submitQueue().full());
+    ASSERT_TRUE(hb.submitQueue().full());
+    ASSERT_EQ(a.now(), b.now());
+
+    bool acked = false;
+    b.platform.accel(0).setRingAckHook([&](accel::Accelerator &) {
+        if (!acked)
+            b.eq.requestStop();
+        acked = true;
+    });
+    ASSERT_TRUE(b.sched.pumpUntil([&]() { return acked; }));
+    ASSERT_FALSE(hb.submitQueue().full());
+    const sim::Tick ack = b.now();
+    (void)hb.ringSubmit();
+    EXPECT_EQ(b.now(), ack + cfg.params.ringPublishCost);
+
+    (void)ha.ringSubmit();
+    EXPECT_EQ(a.now(), b.now());
+}
+
+TEST(GuestCallReturnTest, WaitEndedByQuarantineReturnsAtTheWatchdog)
+{
+    // Stop source: the quarantine wake, in the watchdog's event.
+    TickSink fired; // outlives the System it is attached to
+    hv::System sys(hv::makeOptimusConfig("MB", 1));
+    auto inj = exp::installFaults(
+        sys, "hang@0:at=20us;watchdog:deadline=50us");
+    sys.trace.attach(&fired,
+                     sim::traceMask(sim::TraceKind::kWatchdogFire));
+    hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
+    exp::setupMembench(h, 1ULL << 20, accel::MembenchAccel::kRead, 3,
+                       64);
+    h.setupStateBuffer();
+    h.start();
+    EXPECT_EQ(h.wait(), accel::Status::kError);
+    ASSERT_EQ(fired.ticks.size(), 1u);
+    EXPECT_EQ(sys.now(), fired.ticks[0]);
+}
+
+TEST(GuestCallReturnTest, WaitEndedByForcedResetReturnsAtTheCede)
+{
+    // Stop source: the forced-reset wake. h1 has no state buffer, so
+    // the slice expiry that preempts it resets it in the same event.
+    sim::PlatformParams p = sim::PlatformParams::harpDefaults();
+    p.timeSlice = 100 * sim::kTickUs;
+    TickSink preempted; // outlives the System it is attached to
+    hv::System sys(hv::makeOptimusConfig("MB", 1, p));
+    hv::AccelHandle &h1 = sys.attach(0, 1ULL << 30);
+    hv::AccelHandle &h2 = sys.attachShared(0);
+    auto wl1 = hv::workload::Workload::create("MB", h1, 8ULL << 20, 1);
+    wl1->program();
+    auto wl2 = hv::workload::Workload::create("MB", h2, 1ULL << 20, 2);
+    wl2->program();
+    h2.setupStateBuffer();
+    sys.trace.attach(&preempted,
+                     sim::traceMask(sim::TraceKind::kSchedPreempt));
+    h1.start();
+    h2.start();
+    EXPECT_EQ(h1.wait(), accel::Status::kError);
+    EXPECT_EQ(sys.hv.forcedResets(), 1u);
+    ASSERT_FALSE(preempted.ticks.empty());
+    EXPECT_EQ(sys.now(), preempted.ticks.back());
+}
+
+TEST(GuestCallReturnTest, RingWaitEndedByQuarantineReturnsAtTheErrors)
+{
+    // Stop source: the wake where the hypervisor's error completions
+    // land in the ring, one UPI crossing after the quarantine. The
+    // completion handler runs in that event.
+    hv::System sys(hv::makeOptimusConfig("SHA", 1));
+    auto inj = exp::installFaults(
+        sys, "hang@0:at=200us;watchdog:deadline=100us");
+    hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
+    auto wl = shaJob(h, 1ULL << 20);
+    h.setupRing(8);
+    sim::Tick landed = 0;
+    h.vaccel().setCompletionHandler(
+        [&](accel::Status) { landed = sys.now(); });
+    const std::uint64_t seq = h.ringSubmit();
+    const ring::CompleteEntry e = h.ringWait(seq);
+    EXPECT_EQ(static_cast<accel::Status>(e.status),
+              accel::Status::kError);
+    EXPECT_GT(landed, 0u);
+    EXPECT_EQ(sys.now(), landed);
 }
 
 /** The ticks a fleet node's guest calls return at. */

@@ -3,7 +3,7 @@
  * Doorbell-free command/completion ring tests (DESIGN.md §14):
  * guest-side queue mechanics against real process memory; the full
  * submit -> poll -> complete path matching the MMIO baseline's
- * results; byte-determinism of a ring-path service plane across
+ * results; byte-determinism of a ring-path fleet across
  * worker pool widths; preemption with a non-empty
  * ring; slot-to-slot migration (device checkpoint/restore) with
  * outstanding entries; fleet live-migration of a ring tenant; and
@@ -231,26 +231,32 @@ TEST(RingTest, EachCompletionRunsTheHandlerWhereItLands)
     });
     for (int i = 0; i < 4; ++i)
         rj.handle->ringSubmit();
-    rj.handle->pumpUntil([&]() { return seqs.size() == 4; });
+    ASSERT_TRUE(
+        rj.sys.sched.pumpUntil([&]() { return seqs.size() == 4; }));
     EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2, 3}));
     EXPECT_EQ(per_call, (std::vector<std::size_t>{1, 1, 1, 1}));
 }
 
 // ---------------------------------------------------------------
-// Determinism: a ring-path plane is byte-identical across pool
+// Determinism: a ring-path fleet is byte-identical across pool
 // widths (the bench's --jobs axis is covered by exp::Runner's slot
-// discipline + the CI diff loops).
+// discipline + the CI diff loops). Two ring tenants time-share slot
+// 0 of each of two nodes.
 // ---------------------------------------------------------------
 
 std::uint64_t
-ringPlaneFingerprint(unsigned threads)
+ringFleetFingerprint(unsigned threads)
 {
-    hv::System sys(hv::makeOptimusConfig("SHA", 1), threads);
-    sys.hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
-                     100 * sim::kTickUs);
-    svc::ServicePlane plane(sys);
-    for (int i = 0; i < 2; ++i) {
-        svc::TenantConfig cfg;
+    fleet::ClusterConfig ccfg;
+    ccfg.nodes = 2;
+    ccfg.node = hv::makeOptimusConfig("SHA", 1);
+    fleet::Cluster cl(ccfg, threads);
+    for (unsigned n = 0; n < cl.numNodes(); ++n)
+        cl.node(n).hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
+                                100 * sim::kTickUs);
+    for (int i = 0; i < 4; ++i) {
+        fleet::FleetTenantSpec spec;
+        svc::TenantConfig &cfg = spec.svc;
         cfg.name = "t" + std::to_string(i);
         cfg.app = "SHA";
         cfg.bytes = 512;
@@ -260,19 +266,23 @@ ringPlaneFingerprint(unsigned threads)
         cfg.arrivals.ratePerSec = 60000.0;
         cfg.cmdPath = ring::CmdPath::kRing;
         cfg.batchMax = 4;
-        plane.addTenant(cfg);
+        cl.addTenant(spec);
     }
-    plane.run(sim::kTickMs);
+    cl.run(sim::kTickMs);
+    EXPECT_GT(cl.fleetCompleted(), 0u);
     exp::Fingerprint f;
-    f.add(plane.fingerprint());
-    f.add(sys.hv.ringSubmits()).add(sys.hv.ringCompletes());
-    f.add(sys.hv.traps()).add(sys.eq.now());
+    f.add(cl.fingerprint());
+    for (unsigned n = 0; n < cl.numNodes(); ++n) {
+        hv::OptimusHv &hv = cl.node(n).hv;
+        f.add(hv.ringSubmits()).add(hv.ringCompletes()).add(hv.traps());
+    }
+    f.add(cl.now());
     return f.value();
 }
 
 TEST(RingTest, DeterministicAcrossSimThreads)
 {
-    EXPECT_EQ(ringPlaneFingerprint(4), ringPlaneFingerprint(1));
+    EXPECT_EQ(ringFleetFingerprint(4), ringFleetFingerprint(1));
 }
 
 // ---------------------------------------------------------------
@@ -385,7 +395,7 @@ TEST(RingTest, MigrateWithNonEmptyRing)
         migrated = ok;
         rj.sys.eq.requestStop();
     });
-    rj.handle->pumpUntil([&]() { return migrated; });
+    ASSERT_TRUE(rj.sys.sched.pumpUntil([&]() { return migrated; }));
     EXPECT_EQ(rj.handle->vaccel().slot(), 1u);
 
     std::uint64_t result = 0;
