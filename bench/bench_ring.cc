@@ -86,12 +86,12 @@ pathScenario(ring::CmdPath path, double rate, unsigned batch,
     // Trap/event deltas start after setup: per-request cost is the
     // claim, not the one-time register programming.
     const std::uint64_t traps0 = sys.hv.traps();
-    const std::uint64_t ev0 = sys.domains.executed();
+    const std::uint64_t ev0 = sys.eq.executed();
     exp::WallTimer t;
     plane.run(ctx.scaled(8 * sim::kTickMs));
     const double wall_ms = t.ms();
     const std::uint64_t traps = sys.hv.traps() - traps0;
-    const std::uint64_t events = sys.domains.executed() - ev0;
+    const std::uint64_t events = sys.eq.executed() - ev0;
 
     const svc::Tenant &ten = plane.tenant(0);
     exp::ResultRow row(label);

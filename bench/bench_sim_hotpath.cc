@@ -1,18 +1,16 @@
 /**
  * @file
  * Read/write-isolated microbenchmarks of the simulation kernel's
- * three hottest data structures — the DmaTxn pool arena, the
- * three-level calendar rings, and the telemetry stat counters — plus
- * the conservative epoch scheduler's barrier machinery, at two and
- * at eight (fleet-width) domains. Where bench_sim_kernel measures the
- * kernel end-to-end (full platform traffic), this bench separates the
- * *production* side of each structure from its *consumption* side,
- * so a regression in one half cannot hide behind an improvement in
- * the other.
+ * hottest data structures — the DmaTxn pool arena, the three-level
+ * calendar rings, the telemetry stat counters and the guest command
+ * ring. Where bench_sim_kernel measures the kernel end-to-end (full
+ * platform traffic), this bench separates the *production* side of
+ * each structure from its *consumption* side, so a regression in one
+ * half cannot hide behind an improvement in the other.
  *
  * Every scenario reports deterministic checksums (fingerprinted,
- * identical at any --jobs/--sim-threads) alongside volatile
- * wall-clock rate cells excluded from the determinism contract.
+ * identical at any --jobs) alongside volatile wall-clock rate cells
+ * excluded from the determinism contract.
  */
 
 #include <algorithm>
@@ -28,7 +26,6 @@
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
 #include "ring/ring.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/pool_alloc.hh"
@@ -345,125 +342,6 @@ cmdRingScenario(const std::string &name, std::uint64_t msgs,
     return row;
 }
 
-// ---------------------------------------------------------------
-// Epoch scheduler: cross-domain ping-pong, serial vs pooled.
-// ---------------------------------------------------------------
-
-/** Barrier-heavy worst case: every epoch carries exactly one
- *  cross-domain message, so this prices the scheduler's
- *  epoch/delivery machinery rather than useful event work. */
-exp::ResultRow
-epochPingPong(const std::string &name, unsigned threads, int legs)
-{
-    sim::DomainSet set(2);
-    const sim::Tick lat = 400; // ~UPI propagation, in ticks
-    sim::Channel<int> ping(set, 0, 1, lat, "ping");
-    sim::Channel<int> pong(set, 1, 0, lat, "pong");
-    std::uint64_t hops = 0;
-    ping.onReceive([&](int v) {
-        ++hops;
-        if (v < legs)
-            pong.send(v + 1);
-    });
-    pong.onReceive([&](int v) {
-        ++hops;
-        if (v < legs)
-            ping.send(v + 1);
-    });
-
-    sim::EpochScheduler sched(set, threads);
-    set.queue(0).scheduleAt(0, [&]() { ping.send(1); });
-    exp::WallTimer t;
-    sched.run();
-    double wall_ms = t.ms();
-
-    exp::ResultRow row(name);
-    row.count("hops", hops);
-    row.count("epochs", sched.epochs());
-    row.count("delivered", sched.delivered());
-    row.count("end_tick",
-              std::max(set.queue(0).now(), set.queue(1).now()));
-    row.wall("wall_ms", "%.2f", wall_ms);
-    row.wall("epochs_per_sec", "%.0f",
-             wall_ms > 0 ? static_cast<double>(sched.epochs()) /
-                               (wall_ms / 1e3)
-                         : 0);
-    row.fp.add(hops).add(sched.delivered());
-    row.fp.add(set.queue(0).now()).add(set.queue(1).now());
-    row.sealFingerprint();
-    return row;
-}
-
-// ---------------------------------------------------------------
-// Epoch scheduler at fleet width: a token ring over 8 domains.
-// ---------------------------------------------------------------
-
-/**
- * Eight domains in a ring of channels at the fleet's 0.4 us
- * lookahead, with @p tokens tokens passed hop by hop, each for
- * @p hops_per_token hops. One token keeps exactly one domain due per
- * epoch; tokens started on evenly spaced domains keep that many due
- * at once. Wherever a token lands, that domain re-arms a 100 us
- * timer (a slice timer's stand-in), so the idle domains hold far-ring
- * events as an idle fleet node does.
- */
-exp::ResultRow
-epochRing(const std::string &name, unsigned threads, unsigned tokens,
-          std::uint64_t hops_per_token)
-{
-    constexpr sim::DomainId kDomains = 8;
-    const sim::Tick lat = 400 * sim::kTickNs;
-    sim::DomainSet set(kDomains);
-    std::vector<std::unique_ptr<sim::Channel<std::uint64_t>>> links;
-    std::vector<std::unique_ptr<sim::PeriodicEvent>> timers;
-    for (sim::DomainId d = 0; d < kDomains; ++d) {
-        links.push_back(std::make_unique<sim::Channel<std::uint64_t>>(
-            set, d, (d + 1) % kDomains, lat,
-            sim::strprintf("ring%u", d)));
-        timers.push_back(std::make_unique<sim::PeriodicEvent>());
-        timers.back()->bind(set.queue(d), []() {});
-    }
-    std::uint64_t hops = 0;
-    for (sim::DomainId d = 0; d < kDomains; ++d) {
-        const sim::DomainId at = (d + 1) % kDomains;
-        links[d]->onReceive([&, at](std::uint64_t left) {
-            ++hops;
-            timers[at]->scheduleIn(100 * sim::kTickUs);
-            if (left > 1)
-                links[at]->send(left - 1);
-        });
-    }
-    for (unsigned k = 0; k < tokens; ++k) {
-        const sim::DomainId from = k * kDomains / tokens;
-        set.queue(from).scheduleAt(0, [&, from]() {
-            links[from]->send(hops_per_token);
-        });
-    }
-
-    sim::EpochScheduler sched(set, threads);
-    exp::WallTimer t;
-    sched.run();
-    double wall_ms = t.ms();
-
-    sim::Tick end = 0;
-    for (sim::DomainId d = 0; d < kDomains; ++d)
-        end = std::max(end, set.queue(d).now());
-    exp::ResultRow row(name);
-    row.count("hops", hops);
-    row.count("epochs", sched.epochs());
-    row.count("delivered", sched.delivered());
-    row.count("end_tick", end);
-    row.wall("wall_ms", "%.2f", wall_ms);
-    row.wall("ns_per_epoch", "%.0f",
-             sched.epochs() > 0
-                 ? wall_ms * 1e6 / static_cast<double>(sched.epochs())
-                 : 0);
-    row.fp.add(hops).add(sched.epochs()).add(sched.delivered());
-    row.fp.add(end);
-    row.sealFingerprint();
-    return row;
-}
-
 } // namespace
 
 int
@@ -546,64 +424,6 @@ main(int argc, char **argv)
               "device between them is emulated with raw stores "
               "(instant ack), so its simulated DMA cost never "
               "leaks into either cell.");
-
-    r.table("Epoch scheduler barrier cost (2-domain ping-pong)",
-            "DESIGN.md §12 (parallel core)")
-        .add("pingpong_serial",
-             [](const exp::RunContext &ctx) {
-                 return epochPingPong(
-                     "pingpong_serial", 1,
-                     static_cast<int>(
-                         ctx.scaledCount(50'000, 200)));
-             })
-        .add("pingpong_pool2",
-             [](const exp::RunContext &ctx) {
-                 return epochPingPong(
-                     "pingpong_pool2", 2,
-                     static_cast<int>(
-                         ctx.scaledCount(50'000, 200)));
-             })
-        .footer([](const std::vector<exp::ResultRow> &rows)
-                    -> std::vector<std::string> {
-            if (rows.size() < 2)
-                return {};
-            bool same =
-                rows[0].fingerprint() == rows[1].fingerprint();
-            return {std::string("serial vs pool2 fingerprints: ") +
-                    (same ? "IDENTICAL" : "DIVERGED")};
-        });
-
-    r.table("Epoch scheduler at fleet width (8-domain token ring)",
-            "DESIGN.md §12 (barrier cost)")
-        .add("ring8_1due_serial",
-             [](const exp::RunContext &ctx) {
-                 return epochRing("ring8_1due_serial", 1, 1,
-                                  ctx.scaledCount(20'000, 100));
-             })
-        .add("ring8_2due_serial",
-             [](const exp::RunContext &ctx) {
-                 return epochRing("ring8_2due_serial", 1, 2,
-                                  ctx.scaledCount(20'000, 100));
-             })
-        .add("ring8_2due_pool2",
-             [](const exp::RunContext &ctx) {
-                 return epochRing("ring8_2due_pool2", 2, 2,
-                                  ctx.scaledCount(20'000, 100));
-             })
-        .note("1due = one token, one due domain per epoch (runs "
-              "inline at any pool width); 2due = tokens on domains 0 "
-              "and 4, two due domains per epoch, so pool2 pays the "
-              "pool handoff at every barrier. ns_per_epoch is "
-              "wall-clock.")
-        .footer([](const std::vector<exp::ResultRow> &rows)
-                    -> std::vector<std::string> {
-            if (rows.size() < 3)
-                return {};
-            bool same =
-                rows[1].fingerprint() == rows[2].fingerprint();
-            return {std::string("2due serial vs pool2 fingerprints: ") +
-                    (same ? "IDENTICAL" : "DIVERGED")};
-        });
 
     return r.main(argc, argv);
 }

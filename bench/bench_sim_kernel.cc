@@ -116,12 +116,12 @@ membench(const std::string &name, std::uint32_t jobs,
     for (auto *h : handles)
         before.push_back(sys.hv.peekProgress(h->vaccel()));
 
-    std::uint64_t ev0 = sys.domains.executed();
+    std::uint64_t ev0 = sys.eq.executed();
     sim::Tick t0 = sys.now();
     exp::WallTimer t;
     sys.run(t0 + window);
     double wall_ms = t.ms();
-    std::uint64_t events = sys.domains.executed() - ev0;
+    std::uint64_t events = sys.eq.executed() - ev0;
 
     exp::ResultRow row(name);
     row.num("sim_us", "%.0f",

@@ -20,7 +20,6 @@
 #include <thread>
 
 #include "hv/system.hh"
-#include "sim/domain.hh"
 #include "sim/trace_sinks.hh"
 
 namespace optimus::exp {
@@ -160,22 +159,14 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
     auto usage = [&](std::FILE *out) {
         std::fprintf(
             out,
-            "usage: %s [--jobs N] [--sim-threads N]"
-            " [--filter REGEX] [--json PATH]\n"
+            "usage: %s [--jobs N] [--filter REGEX] [--json PATH]\n"
             "          [--csv PATH] [--telemetry DIR]\n"
             "          [--time-scale F]"
             " [--faults PLAN] [--repeat N] [--fail-fast]\n"
             "          [--nodes N] [--fleet-policy P]"
             " [--cmd-path mmio|ring]\n"
             "          [--list] [--quiet]\n"
-            "  --sim-threads N  epoch-scheduler pool width inside "
-            "each fleet cluster;\n"
-            "                   capped so jobs x sim-threads never "
-            "exceeds the\n"
-            "                   host's hardware threads (results "
-            "are identical\n"
-            "                   at any width); N and --jobs are at "
-            "most %u\n"
+            "  --jobs N         scenario worker threads, at most %u\n"
             "  --nodes N        restrict fleet benches to N-node "
             "clusters\n"
             "                   (0/default sweeps the bench's node "
@@ -212,12 +203,6 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
                 return false;
             if (opts.jobs == 0)
                 opts.jobs = 1;
-        } else if (a == "--sim-threads") {
-            const char *v = val();
-            if (!v || !parseCount(a, v, 0, kMaxThreads, opts.simThreads))
-                return false;
-            if (opts.simThreads == 0)
-                opts.simThreads = 1;
         } else if (a == "--filter" || a == "-f") {
             const char *v = val();
             if (!v)
@@ -313,30 +298,6 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
     return true;
 }
 
-unsigned
-Runner::effectiveSimThreads(unsigned jobs, unsigned sim_threads,
-                            unsigned hw)
-{
-    if (jobs == 0)
-        jobs = 1;
-    if (sim_threads <= 1)
-        return 1;
-    // A single scenario worker can never oversubscribe by itself, so
-    // the requested width passes through — a 1-CPU host may still
-    // genuinely exercise the threaded engine.
-    if (jobs == 1)
-        return sim_threads;
-    if (hw == 0) {
-        hw = std::thread::hardware_concurrency();
-        if (hw == 0)
-            hw = 1;
-    }
-    unsigned cap = hw / jobs;
-    if (cap < 1)
-        cap = 1;
-    return sim_threads < cap ? sim_threads : cap;
-}
-
 int
 Runner::run(const Options &opts)
 {
@@ -376,19 +337,11 @@ Runner::run(const Options &opts)
             if (selected(_tables[t], _tables[t].scenarios[s]))
                 jobs.push_back(Job{t, s});
 
-    unsigned simThreads =
-        effectiveSimThreads(opts.jobs, opts.simThreads);
-
     if (opts.list) {
         for (const Job &j : jobs)
             std::printf("%s / %s\n", _tables[j.table].title.c_str(),
                         _tables[j.table].scenarios[j.scen].name
                             .c_str());
-        std::printf("# thread budget: --jobs %u x --sim-threads %u"
-                    " -> %u sim thread(s)/scenario (capped at"
-                    " hardware_concurrency / jobs; jobs=1 passes"
-                    " the request through)\n",
-                    opts.jobs, opts.simThreads, simThreads);
         std::printf("# command path: %s\n",
                     opts.cmdPath.empty() ? "bench default"
                                          : opts.cmdPath.c_str());
@@ -401,7 +354,6 @@ Runner::run(const Options &opts)
     RunContext ctx;
     ctx.timeScale = opts.timeScale;
     ctx.faults = opts.faults;
-    ctx.simThreads = simThreads;
     ctx.nodes = opts.nodes;
     ctx.fleetPolicy = opts.fleetPolicy;
     ctx.cmdPath = opts.cmdPath;
@@ -461,18 +413,7 @@ Runner::run(const Options &opts)
         }
         return out;
     };
-    // Every worker installs the capped pool width as the thread-local
-    // default, so each cluster a scenario builds picks it up without
-    // the scenario body naming it (and restores the previous value —
-    // the inline nthreads<=1 path runs on the caller's thread).
     auto worker = [&]() {
-        unsigned prevSim = sim::defaultSimThreads();
-        sim::setDefaultSimThreads(simThreads);
-        struct RestoreSim
-        {
-            unsigned prev;
-            ~RestoreSim() { sim::setDefaultSimThreads(prev); }
-        } restoreSim{prevSim};
         for (;;) {
             if (abort.load(std::memory_order_relaxed))
                 return;
@@ -550,9 +491,9 @@ Runner::run(const Options &opts)
         writeCsv(opts.csvPath);
 
     std::fprintf(stderr,
-                 "[%s] %zu scenario(s), jobs=%u, sim-threads=%u, "
+                 "[%s] %zu scenario(s), jobs=%u, "
                  "cmd-path=%s, %.0f ms\n",
-                 _bench.c_str(), jobs.size(), opts.jobs, simThreads,
+                 _bench.c_str(), jobs.size(), opts.jobs,
                  opts.cmdPath.empty() ? "default"
                                       : opts.cmdPath.c_str(),
                  _wallMs);

@@ -50,15 +50,6 @@ class Runner
         /** Fault-campaign plan (fault::FaultPlan syntax) forwarded
          *  to scenarios via RunContext::faults; empty = fault-free. */
         std::string faults;
-        /**
-         * Worker-pool width inside each simulated System (the
-         * conservative epoch scheduler, sim/domain.hh). Composes
-         * with --jobs under a total-thread cap — see
-         * effectiveSimThreads() — so jobs × sim-threads never
-         * oversubscribes the host. Never affects results: bench
-         * JSON is byte-identical at any value.
-         */
-        unsigned simThreads = 1;
         /** Run every selected scenario this many times: the
          *  deterministic cells must agree byte-for-byte across
          *  repeats (a mismatch fails the scenario), and each
@@ -115,8 +106,8 @@ class Runner
     /** Computed footer lines under the current table. */
     Runner &footer(TableFooter fn);
 
-    /** Ceiling on --jobs and on --sim-threads: each value is a
-     *  number of OS threads the run starts. */
+    /** Ceiling on --jobs: the number of OS threads the run
+     *  starts. */
     static constexpr unsigned kMaxThreads = 256;
     /** Ceiling on --time-scale. */
     static constexpr double kMaxTimeScale = 100.0;
@@ -128,17 +119,6 @@ class Runner
      * range; `--help` also returns false.
      */
     static bool parseArgs(int argc, char **argv, Options &opts);
-
-    /**
-     * Total-thread cap composing --jobs with --sim-threads: with
-     * one scenario worker the pool width passes through unchanged,
-     * otherwise it is clamped so jobs × sim-threads stays within
-     * @p hw hardware threads (never below 1). Pure so tests can pin
-     * the policy; hw = 0 reads std::thread::hardware_concurrency().
-     */
-    static unsigned effectiveSimThreads(unsigned jobs,
-                                        unsigned sim_threads,
-                                        unsigned hw = 0);
 
     /** Execute the selected scenarios and render. Returns the number
      *  of scenarios that threw (0 = success). */

@@ -33,16 +33,6 @@ struct RunContext
      *  builders::installFaults(); empty = fault-free run. */
     std::string faults;
 
-    /**
-     * Effective per-cluster worker-pool width (from --sim-threads,
-     * capped against --jobs so jobs × sim-threads never oversubscribes
-     * the host). The runner installs it as sim::defaultSimThreads()
-     * on every worker, so scenarios pick it up without plumbing;
-     * it is mirrored here for scenarios that want to report it.
-     * Never affects results — only wall-clock.
-     */
-    unsigned simThreads = 1;
-
     /** --nodes: restrict fleet scenarios to this cluster size;
      *  0 = run the bench's full node-count sweep. */
     unsigned nodes = 0;

@@ -124,9 +124,8 @@ FaultInjector::fire(const FaultDirective &d, std::uint32_t index)
         d.slot < 0 ? 0 : static_cast<std::uint32_t>(d.slot);
 
     if (d.kind == Kind::kPoisonIotlb) {
-        // Host-domain execution context: only host-side state may be
-        // touched. The auditor owner registers live on the FPGA
-        // domain, so poison records carry no tenant attribution.
+        // A host-side fault: the auditor owner registers are on the
+        // FPGA side, so poison records carry no tenant attribution.
         iommu::Iotlb &tlb = _sys.platform.iommu().iotlb();
         std::uint32_t idx = d.set % tlb.entries();
         if (tlb.poisonSet(idx))
@@ -243,7 +242,7 @@ FaultInjector::forceFault(mem::Iova iova, bool is_write,
             continue;
         if (r.d.slot >= 0) {
             // Slot filtering resolves the owning vaccel through
-            // hypervisor state, on the same domain as this walk.
+            // hypervisor state.
             hv::VirtualAccel *v = _sys.hv.vaccelForIova(iova);
             if (!v ||
                 v->slot() != static_cast<std::uint32_t>(r.d.slot))

@@ -3,11 +3,11 @@
  * fleet::Cluster / fleet::GlobalScheduler implementation. The
  * mechanics live here; see fleet.hh for the architecture and the
  * determinism contract. The one rule everything below obeys: work
- * that spans nodes happens in barrierStep(), which the
- * EpochScheduler runs at epoch barriers when no domain executes;
- * event callbacks that feed it (channel receives, stray sinks, export
- * completions) only record into per-node or per-tenant state. Each
- * node's service plane dispatches in its own event handlers.
+ * that spans nodes happens in barrierStep(), which run() calls
+ * between windows, when no event executes; event callbacks that feed
+ * it (parcel landings, stray sinks, export completions) only record
+ * into per-node or per-tenant state. Each node's service plane
+ * dispatches in its own event handlers.
  */
 
 #include "fleet/fleet.hh"
@@ -190,18 +190,16 @@ GlobalScheduler::rebalance(sim::Tick now)
 
 // ---------------------------------------------------------- Cluster
 
-Cluster::Cluster(ClusterConfig cfg, unsigned sim_threads)
-    : _cfg(std::move(cfg)),
-      _domains(_cfg.nodes),
-      _sched(_domains, sim_threads == 0 ? sim::defaultSimThreads()
-                                        : sim_threads)
+Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
 {
+    if (_cfg.nodes == 0)
+        OPTIMUS_FATAL("fleet: a cluster needs at least one node");
     _strays.resize(_cfg.nodes);
     _inbox.resize(_cfg.nodes);
 
     for (unsigned i = 0; i < _cfg.nodes; ++i) {
         _nodes.push_back(
-            std::make_unique<hv::System>(_domains, _sched, i, _cfg.node));
+            std::make_unique<hv::System>(_eq, _sched, _cfg.node));
         _planes.push_back(
             std::make_unique<svc::ServicePlane>(*_nodes.back()));
         const unsigned node_idx = i;
@@ -213,32 +211,16 @@ Cluster::Cluster(ClusterConfig cfg, unsigned sim_threads)
             });
     }
 
-    // One combined barrier hook for the shared scheduler (per-node
-    // hooks would overwrite each other): flush every node's trace
-    // lanes in node order, keeping the merged stream byte-stable.
-    _sched.setBarrierHook([this]() {
-        for (auto &n : _nodes)
-            n->trace.flushMerged();
-    });
-
-    _links.resize(_cfg.nodes);
+    // A window is one smallest link latency wide, the shortest time
+    // in which one node can reach another: barrier work then lags the
+    // event it reacts to (a landing, a stray) by less than that.
     for (unsigned s = 0; s < _cfg.nodes; ++s) {
-        _links[s].resize(_cfg.nodes);
         for (unsigned d = 0; d < _cfg.nodes; ++d) {
             if (s == d)
                 continue;
-            const sim::Tick lat = rackOf(s) == rackOf(d)
-                                      ? _cfg.rackLinkLatency
-                                      : _cfg.interRackLinkLatency;
-            auto ch = std::make_unique<sim::Channel<ParcelPtr>>(
-                _domains, s, d, lat,
-                sim::strprintf("fleet.link%u_%u", s, d));
-            const unsigned dst_idx = d;
-            ch->onReceive([this, dst_idx](ParcelPtr p) {
-                // Destination node's event context: inbox only.
-                _inbox[dst_idx].push_back(std::move(p));
-            });
-            _links[s][d] = std::move(ch);
+            if (linkLatency(s, d) == 0)
+                OPTIMUS_FATAL("fleet: node links need a latency");
+            _window = std::min(_window, linkLatency(s, d));
         }
     }
 
@@ -392,8 +374,16 @@ Cluster::assembleAndSend(std::size_t ti)
     const auto wire_ns = static_cast<std::uint64_t>(
         static_cast<double>(parcel->bytes) * 8.0 / _cfg.migrationGbps);
     _migrationBytes += parcel->bytes;
-    _links[parcel->srcNode][parcel->dstNode]->send(
-        std::move(parcel), wire_ns * sim::kTickNs);
+    const unsigned dst = parcel->dstNode;
+    const sim::Tick delay =
+        linkLatency(parcel->srcNode, dst) + wire_ns * sim::kTickNs;
+    _eq.scheduleIn(delay,
+                   [this, dst, p = std::move(parcel)]() mutable {
+                       // The landing: inbox only; importParcel()
+                       // runs at the next barrier.
+                       ++_sched.parcels;
+                       _inbox[dst].push_back(std::move(p));
+                   });
 }
 
 void
@@ -582,21 +572,34 @@ Cluster::finished() const
 void
 Cluster::run(sim::Tick window)
 {
+    const sim::EventQueue::TopLevel top(_eq, "fleet::Cluster::run");
     for (auto &p : _planes)
         p->beginWindow(window);
     _horizon = now() + window;
     if (_cfg.rebalanceInterval != 0)
         _nextRebalance = now() + _cfg.rebalanceInterval;
 
-    const bool stopped = _sched.pumpUntil(
-        [this]() { return finished(); }, [this]() { barrierStep(); });
-    // The set may legitimately drain short of the horizon (every
-    // arrival chain exhausted and served — time cannot advance
-    // without events), but never with work or a migration in
-    // flight: that would be a lost parcel or a stuck freeze.
-    if (!stopped && !quiesced()) {
-        OPTIMUS_FATAL("fleet: simulation drained with work in "
-                      "flight (stuck migration or lost arrival)");
+    barrierStep();
+    while (!finished()) {
+        const sim::Tick tmin = _eq.nextEventTick();
+        if (tmin == sim::kTickForever) {
+            // The queue may legitimately drain short of the horizon
+            // (every arrival chain exhausted and served — time cannot
+            // advance without events), but never with work or a
+            // migration in flight: that would be a lost parcel or a
+            // stuck freeze.
+            if (!quiesced()) {
+                OPTIMUS_FATAL("fleet: simulation drained with work in "
+                              "flight (stuck migration or lost "
+                              "arrival)");
+            }
+            return;
+        }
+        if (_window == sim::kTickForever)
+            _eq.runAll();
+        else
+            _eq.runUntil(tmin + _window - 1);
+        barrierStep();
     }
 }
 

@@ -3,13 +3,13 @@
  * The fleet plane: N FPGA nodes (each a full hv::System) behind one
  * global scheduler, with cross-node live tenant migration.
  *
- * Topology: one sim::DomainSet holds one domain per node (node i is
- * domain i), driven by a single sim::EpochScheduler — so
- * `--sim-threads` parallelizes across nodes. Node-to-node links are
- * sim::Channels between the nodes' domains at configurable rack /
- * inter-rack latency; since every link latency is at least the
- * intra-node interconnect latency, the epoch schedule (and therefore
- * byte-determinism across pool widths) is unchanged by clustering.
+ * Topology: every node runs on the cluster's one sim::EventQueue.
+ * Node-to-node links have a configurable rack / inter-rack latency; a
+ * parcel sent over one is an event on the shared queue at send +
+ * link latency + wire time. run() advances the queue in windows one
+ * smallest link latency wide (the rack link; the inter-rack link when
+ * every rack holds one node; unbounded for a single node) and does
+ * the fleet's cross-node work at the barrier after each window.
  *
  * Tenancy: a fleet tenant is one logical svc tenant with a *binding*
  * (VM + workers + programmed workload) on every node, created in
@@ -20,18 +20,20 @@
  * drain, device-state save to the guest buffer, SAVED doorbell, or
  * forced reset with ERR_STATUS on timeout — then ships a parcel
  * (contexts, queued requests, worker DMA-window images including the
- * saved blobs, and the arrival generator) over the link channel at
- * the configured bandwidth. The destination imports at an epoch
- * barrier and the service stream continues there; the freeze-to-
- * reactivation gap is recorded per move in the blackout histogram.
+ * saved blobs, and the arrival generator) over the node link at the
+ * configured bandwidth. The destination imports at the first
+ * barrier at or after the parcel lands, and the service stream
+ * continues there; the freeze-to-reactivation gap is recorded per
+ * move in the blackout histogram.
  *
  * Determinism contract: all fleet logic — routing, rebalancing,
- * export retries, parcel assembly and import — runs at epoch
- * barriers (where no domain executes) or inside single-domain event
+ * export retries, parcel assembly and import — runs at barriers
+ * (between windows, where no event executes) or inside event
  * callbacks that only append to per-node inboxes; every scan runs in
  * index order with deterministic tie-breaks. Each node's service
  * plane dispatches inside its own node's events. Fleet results are
- * byte-identical across --sim-threads and --jobs.
+ * a pure function of the configuration, byte-identical across
+ * --jobs.
  */
 
 #ifndef OPTIMUS_FLEET_FLEET_HH
@@ -84,8 +86,7 @@ struct ClusterConfig
     sim::Tick interRackLinkLatency = 10 * sim::kTickUs;
     /** Migration payload bandwidth on the node links. */
     double migrationGbps = 100.0;
-    /** Per-node platform template; node i runs this config on
-     *  domain i. */
+    /** Per-node platform template; every node runs this config. */
     hv::PlatformConfig node;
 
     Policy policy = Policy::kLeastLoaded;
@@ -175,10 +176,16 @@ class GlobalScheduler
 class Cluster
 {
   public:
-    /** @p sim_threads sizes the epoch scheduler's worker pool, at
-     *  most one thread per node; 0 picks up sim::defaultSimThreads().
-     *  Never affects results. */
-    explicit Cluster(ClusterConfig cfg, unsigned sim_threads = 0);
+    /** Fatal for a cluster of no nodes, or with a link of no
+     *  latency between two nodes. */
+    explicit Cluster(ClusterConfig cfg);
+
+    /** As perfbench/perfbench_sim.cc calls it, with a sim-thread
+     *  count it ignores. Goes at the next benchmark change. */
+    Cluster(ClusterConfig cfg, unsigned /*sim_threads*/)
+        : Cluster(std::move(cfg))
+    {
+    }
     ~Cluster();
     Cluster(const Cluster &) = delete;
     Cluster &operator=(const Cluster &) = delete;
@@ -232,15 +239,19 @@ class Cluster
      */
     bool migrateTenant(std::size_t t, unsigned dst);
 
-    /** Invoked at every epoch barrier during run(); benches use it
-     *  to force migrations at deterministic simulated times. */
+    /** Invoked at every barrier during run(); benches use it to
+     *  force migrations at deterministic simulated times. */
     void setBarrierProbe(std::function<void()> probe)
     {
         _probe = std::move(probe);
     }
 
-    /** Current simulated time (all domains agree at barriers). */
-    sim::Tick now() const { return _nodes[0]->eq.now(); }
+    /** Current simulated time, every node's. */
+    sim::Tick now() const { return _eq.now(); }
+
+    /** Width of run()'s windows: the smallest link latency, or
+     *  kTickForever for a single node. */
+    sim::Tick window() const { return _window; }
 
     /** Tick at which the current run()'s arrival window closes —
      *  barrier probes use it to stop forcing migrations once the
@@ -274,7 +285,7 @@ class Cluster
     std::uint64_t fleetDropped() const;
 
     /** FNV-1a over every plane fingerprint plus the migration
-     *  accounting; byte-stable across pool widths. */
+     *  accounting. */
     std::uint64_t fingerprint() const;
 
   private:
@@ -314,8 +325,8 @@ class Cluster
         int user;
     };
 
-    /** The cross-node work of one epoch barrier: import parcels,
-     *  route strays, advance freezes, rebalance, run the probe. */
+    /** The cross-node work of one barrier: import parcels, route
+     *  strays, advance freezes, rebalance, run the probe. */
     void barrierStep();
     void drainInboxes();
     void importParcel(MigrationParcel &p);
@@ -331,16 +342,25 @@ class Cluster
     /** Queue + busy-worker load of node @p n's settled tenants. */
     std::uint64_t nodeLoad(unsigned n) const;
 
+    /** Latency of the link from node @p s to node @p d. */
+    sim::Tick linkLatency(unsigned s, unsigned d) const
+    {
+        return rackOf(s) == rackOf(d) ? _cfg.rackLinkLatency
+                                      : _cfg.interRackLinkLatency;
+    }
+
     ClusterConfig _cfg;
-    sim::DomainSet _domains;
-    sim::EpochScheduler _sched;
+    /** The one queue every node runs on; declared before the nodes,
+     *  which reference it. */
+    sim::EventQueue _eq;
+    /** perfbench's counters (sim/domain.hh), shared by every node's
+     *  System::sched. Goes at the next benchmark change. */
+    sim::EpochScheduler _sched{_eq};
+    sim::Tick _window = sim::kTickForever;
     std::vector<std::unique_ptr<hv::System>> _nodes;
     std::vector<std::unique_ptr<svc::ServicePlane>> _planes;
-    /** [src][dst] link channels; null on the diagonal. */
-    std::vector<std::vector<std::unique_ptr<sim::Channel<ParcelPtr>>>>
-        _links;
-    /** Parcels received, per destination node (written only by that
-     *  node's domain; drained at barriers). */
+    /** Parcels landed, per destination node (appended by the landing
+     *  event; drained at barriers). */
     std::vector<std::vector<ParcelPtr>> _inbox;
     /** Forwarded arrivals, per source node (same discipline). */
     std::vector<std::vector<Stray>> _strays;

@@ -6,19 +6,18 @@
 
 namespace optimus::hv {
 
-AccelHandle::AccelHandle(OptimusHv &hv, VirtualAccel &v,
-                         sim::EpochScheduler &sched)
-    : _hv(hv), _v(v), _sched(sched), _heap(hv, v)
+AccelHandle::AccelHandle(OptimusHv &hv, VirtualAccel &v)
+    : _hv(hv), _v(v), _heap(hv, v)
 {
 }
 
 void
 AccelHandle::pumpUntil(const std::function<bool()> &pred)
 {
-    // @p pred is evaluated at each stop request and barrier, so every
-    // call below names the event that requests its stop.
-    if (!_sched.pumpUntil(pred)) {
-        OPTIMUS_FATAL("guest library deadlock: event queues drained "
+    // @p pred is evaluated at each stop request, so every call below
+    // names the event that requests its stop.
+    if (!_hv.eventq().pumpUntil(pred)) {
+        OPTIMUS_FATAL("guest library deadlock: event queue drained "
                       "while waiting");
     }
 }

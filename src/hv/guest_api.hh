@@ -6,13 +6,15 @@
  * completion.
  *
  * The methods are synchronous from the caller's point of view: each
- * pumps the node's event queue until its own (timed) operation
- * completes, so guest "software time" is naturally charged to the
- * simulation clock while other agents keep running. Each call names
- * the event that completes it, which requests the pump's stop, so the
- * call returns with now() at that event's tick. A pumping call made
- * from inside an event is fatal (EpochScheduler::pumpUntil); only the
- * peeks and the direct memory accessors are safe there.
+ * pumps the event queue (EventQueue::pumpUntil) until its own (timed)
+ * operation completes, so guest "software time" is naturally charged
+ * to the simulation clock while other agents keep running. Each call
+ * names the event that completes it, which requests the pump's stop,
+ * so the call returns with now() at that event's tick — on a fleet
+ * node, the tick of every node, since the nodes share one queue. A
+ * pumping call made from inside an event, or from a fleet's barrier
+ * work, is fatal; only the peeks and the direct memory accessors are
+ * safe there.
  */
 
 #ifndef OPTIMUS_HV_GUEST_API_HH
@@ -24,7 +26,6 @@
 #include "hv/dma_heap.hh"
 #include "hv/optimus.hh"
 #include "ring/ring.hh"
-#include "sim/domain.hh"
 
 namespace optimus::hv {
 
@@ -33,10 +34,9 @@ class AccelHandle
 {
   public:
     /** "Connect" to a virtual accelerator. Synchronous calls pump
-     *  @p sched, the scheduler advancing @p hv's node, so a fleet
-     *  node's pump also runs its peers. */
-    AccelHandle(OptimusHv &hv, VirtualAccel &v,
-                sim::EpochScheduler &sched);
+     *  @p hv's event queue, so a fleet node's pump also runs its
+     *  peers. */
+    AccelHandle(OptimusHv &hv, VirtualAccel &v);
 
     VirtualAccel &vaccel() { return _v; }
     guest::Process &process() { return _v.process(); }
@@ -143,10 +143,10 @@ class AccelHandle
     void ringResync();
 
   private:
-    /** Run the event loop until @p pred holds; fatal if the queues
-     *  drain first. @p pred is evaluated up front, at each stop
-     *  request (EventQueue::requestStop) and at each epoch barrier, so
-     *  every caller names the event that requests its stop. */
+    /** Run the event loop until @p pred holds; fatal if the queue
+     *  drains first. @p pred is evaluated up front and at each stop
+     *  request (EventQueue::requestStop), so every caller names the
+     *  event that requests its stop. */
     void pumpUntil(const std::function<bool()> &pred);
     /** pumpUntil() with this vaccel marked as waited on, so the
      *  hypervisor stops the pump at each device event that can
@@ -158,7 +158,6 @@ class AccelHandle
 
     OptimusHv &_hv;
     VirtualAccel &_v;
-    sim::EpochScheduler &_sched;
     DmaHeap _heap;
     ring::SubmitQueue _submitQ;
     ring::CompleteQueue _completeQ;

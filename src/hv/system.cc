@@ -21,47 +21,34 @@ SystemObserver::current()
 }
 
 System::System(PlatformConfig config)
-    : _ownedDomains(std::make_unique<sim::DomainSet>()),
-      _ownedSched(std::make_unique<sim::EpochScheduler>(*_ownedDomains)),
-      domains(*_ownedDomains),
-      eq(domains.queue(0)),
+    : _ownedEq(std::make_unique<sim::EventQueue>()),
+      _ownedSched(std::make_unique<sim::EpochScheduler>(*_ownedEq)),
+      eq(*_ownedEq),
+      domains(eq),
       sched(*_ownedSched),
       platform(eq, std::move(config), telemetry, trace),
       hv(platform),
       _observer(SystemObserver::current())
 {
-    // One domain and no channel: the scheduler runs each run() as one
-    // epoch, and trace records dispatch inside the emitting event, so
-    // neither trace lanes nor a barrier hook are needed.
     if (_observer)
         _observer->systemCreated(*this);
 }
 
-System::System(sim::DomainSet &ext_domains,
-               sim::EpochScheduler &ext_sched, sim::DomainId domain,
+System::System(sim::EventQueue &ext_eq, sim::EpochScheduler &ext_sched,
                PlatformConfig config)
-    : domains(ext_domains),
-      eq(domains.queue(domain)),
+    : eq(ext_eq),
+      domains(eq),
       sched(ext_sched),
       platform(eq, std::move(config), telemetry, trace),
       hv(platform),
       _observer(SystemObserver::current())
 {
-    // Trace lanes are indexed by global domain id, so each node arms
-    // the embedder's full set; lanes owned by sibling nodes simply
-    // stay empty on this bus. The embedder installs the one barrier
-    // hook that flushes every node's bus in node order — per-node
-    // hooks would overwrite each other on the shared scheduler.
-    trace.armDomains(domains.size());
     if (_observer)
         _observer->systemCreated(*this);
 }
 
 System::~System()
 {
-    // A cluster node publishes any records its lane buffered since
-    // the last barrier (a lone System's bus has no lanes).
-    trace.flushMerged();
     if (_observer)
         _observer->systemDestroyed(*this);
 }

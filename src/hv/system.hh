@@ -4,6 +4,11 @@
  * hypervisor + per-slot guest VMs, processes, and userspace handles.
  * Used by the examples, tests, and benchmark harnesses; a downstream
  * user embedding the library can also start here.
+ *
+ * A lone System owns its EventQueue: run(limit) is one
+ * EventQueue::runUntil, and a guest call pumps the queue until the
+ * event that completes it. A fleet::Cluster node runs on the
+ * cluster's queue instead, shared with every other node.
  */
 
 #ifndef OPTIMUS_HV_SYSTEM_HH
@@ -49,45 +54,39 @@ class SystemObserver
 /**
  * A fully assembled simulated machine.
  *
- * Context-locality invariant: a System is one self-contained
- * simulation context. Everything mutable it touches — event queue,
- * pooled DMA-transaction blocks (sim::PoolArena, owned by the event
- * queue), platform components, stats, workload RNGs — lives inside
- * the System; no process-global mutable state is read or written
- * while it runs. Any number of Systems may therefore run concurrently
- * on different threads (one thread per System at a time), and each
- * produces results identical to a solo run. The exp::Runner relies on
- * this to fan experiment scenarios across a thread pool.
+ * Context-locality invariant: a lone System (or a whole
+ * fleet::Cluster) is one self-contained simulation context.
+ * Everything mutable it touches — event queue, pooled
+ * DMA-transaction blocks (sim::PoolArena, owned by the event queue),
+ * platform components, stats, workload RNGs — lives inside it; no
+ * process-global mutable state is read or written while it runs. Any
+ * number of contexts may therefore run concurrently on different
+ * threads (one thread per context at a time), and each produces
+ * results identical to a solo run. The exp::Runner relies on this to
+ * fan experiment scenarios across a thread pool.
  */
 class System
 {
   public:
-    /**
-     * Solo form: the System owns a one-domain DomainSet and a serial
-     * EpochScheduler. The domain has no channel, so the lookahead is
-     * unbounded: run(limit) is one EventQueue::runUntil and a guest
-     * call returns at the event that completes it.
-     */
+    /** Lone form: the System owns its queue. */
     explicit System(PlatformConfig config);
 
-    /** The solo form as perfbench/perfbench_sim.cc calls it, with its
-     *  sim-thread count: one domain has no pool to size, so the count
-     *  is ignored. Goes when the benchmark drops the argument. */
+    /** The lone form as perfbench/perfbench_sim.cc calls it, with a
+     *  sim-thread count it ignores. Goes at the next benchmark
+     *  change. */
     System(PlatformConfig config, unsigned /*sim_threads*/)
         : System(std::move(config))
     {
     }
 
     /**
-     * Embedded (cluster-node) form: the caller owns the DomainSet and
-     * EpochScheduler, shared by several Systems of one simulation
-     * context (fleet::Cluster), each on its own domain @p domain. The
-     * embedder is responsible for the barrier hook (flushing every
-     * node's trace bus) and for driving the shared scheduler;
-     * run()/runAll() on any node advance the whole set.
+     * Cluster-node form: the System runs on @p ext_eq, the queue of
+     * the fleet::Cluster that owns it and every other node, which
+     * also owns @p ext_sched (sim/domain.hh). run()/runAll() on any
+     * node advance every node.
      */
-    System(sim::DomainSet &ext_domains, sim::EpochScheduler &ext_sched,
-           sim::DomainId domain, PlatformConfig config);
+    System(sim::EventQueue &ext_eq, sim::EpochScheduler &ext_sched,
+           PlatformConfig config);
 
     ~System();
     System(const System &) = delete;
@@ -104,8 +103,7 @@ class System
             sim::strprintf("vm%zu", _handles.size()), vm_ram);
         auto &proc = vm.createProcess("app");
         auto &vaccel = hv.createVirtualAccel(proc, slot);
-        _handles.push_back(
-            std::make_unique<AccelHandle>(hv, vaccel, sched));
+        _handles.push_back(std::make_unique<AccelHandle>(hv, vaccel));
         return *_handles.back();
     }
 
@@ -130,7 +128,7 @@ class System
                 "app%zu", vm.processes().size()));
             auto &vaccel = hv.createVirtualAccel(proc, slot);
             _handles.push_back(
-                std::make_unique<AccelHandle>(hv, vaccel, sched));
+                std::make_unique<AccelHandle>(hv, vaccel));
             return *_handles.back();
         }
         return attach(slot);
@@ -140,48 +138,39 @@ class System
     std::size_t numHandles() const { return _handles.size(); }
 
     /**
-     * Advance the whole simulation up to and including @p limit: one
-     * epoch for a lone System; for a cluster node, every node in
-     * rack-link lookahead epochs, identical for every pool size.
+     * Advance the simulation up to and including @p limit (for a
+     * cluster node, every node, without the fleet's barrier work).
      * @return events executed.
      */
-    std::uint64_t run(sim::Tick limit) { return sched.run(limit); }
+    std::uint64_t run(sim::Tick limit) { return eq.runUntil(limit); }
 
-    /** Run every domain to quiescence. */
-    std::uint64_t runAll() { return sched.run(); }
+    /** Run the queue to quiescence. */
+    std::uint64_t runAll() { return eq.runAll(); }
 
-    /** Current simulated time: this node's clock (in a cluster, the
-     *  nodes' clocks agree at barriers, not after a guest call). */
+    /** Current simulated time (every node of a cluster shares it). */
     sim::Tick now() const { return eq.now(); }
 
   private:
-    /** Owned simulation context for the solo constructor; null when
-     *  an embedder (fleet::Cluster) owns domains + scheduler.
-     *  Declared before the public references so they exist first. */
-    std::unique_ptr<sim::DomainSet> _ownedDomains;
+    /** The lone form's queue and perfbench counters; null in a
+     *  cluster node. Declared before the public references so they
+     *  exist first. */
+    std::unique_ptr<sim::EventQueue> _ownedEq;
     std::unique_ptr<sim::EpochScheduler> _ownedSched;
 
   public:
-    /**
-     * The simulation context: one EventQueue shard per logical
-     * domain (a single shard for the solo form; the embedder's full
-     * set, one shard per node, for the cluster form) and the channel
-     * registry. Declared first so every other member may reference
-     * its shards.
-     */
-    sim::DomainSet &domains;
-    /** This system's shard, on which its whole platform runs; kept
-     *  as a member-style reference so `sys.eq` call sites read
-     *  naturally. */
+    /** The queue the whole platform runs on; declared first so every
+     *  other member may reference it. */
     sim::EventQueue &eq;
+    /** perfbench's names for the queue and its counters
+     *  (sim/domain.hh). Go at the next benchmark change. */
+    const sim::DomainSet &domains;
+    sim::EpochScheduler &sched;
     /** Root of the observability spine: the stat tree ("sys.…") and
      *  the trace bus every component publishes on. Declared before
      *  the platform so components can wire onto them during
      *  construction. */
     sim::Telemetry telemetry{"sys"};
     sim::TraceBus trace{eq};
-    /** The conservative epoch scheduler driving `domains`. */
-    sim::EpochScheduler &sched;
     Platform platform;
     OptimusHv hv;
 

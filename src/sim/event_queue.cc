@@ -15,17 +15,6 @@ EventQueue::CallbackPool::grow()
 }
 
 void
-EventQueue::deliverPost(EventQueue &src, const CrossPost &p)
-{
-    std::uint32_t cb = p.cb;
-    if (&src != this) {
-        cb = _pool.emplace(std::move(src._pool.at(p.cb)));
-        src._pool.recycle(p.cb);
-    }
-    enqueue(p.when, cb);
-}
-
-void
 EventQueue::scheduleSlow(Tick when, std::uint32_t cb)
 {
     if (when >= _ringLimit && _size == 0) {
@@ -233,6 +222,20 @@ EventQueue::runOne()
 std::uint64_t
 EventQueue::drain(Tick limit)
 {
+    if (_running) {
+        OPTIMUS_FATAL("EventQueue run called from inside an event; "
+                      "only top-level code may advance the simulation");
+    }
+    _running = true;
+    const std::uint64_t n = drainEvents(limit);
+    _running = false;
+    _runs += n != 0;
+    return n;
+}
+
+std::uint64_t
+EventQueue::drainEvents(Tick limit)
+{
     _stopRequested = false;
     std::uint64_t n = 0;
     for (;;) {
@@ -295,33 +298,35 @@ EventQueue::runUntil(Tick limit)
     return n;
 }
 
-void
-EventQueue::clearPending()
+EventQueue::TopLevel::TopLevel(EventQueue &q, const char *who) : _q(q)
 {
-    if (_activeSlot != kNoSlot)
-        deactivate();
-    auto drop = [this](std::vector<Key> &keys) {
-        for (const Key &k : keys)
-            _pool.release(k.cb);
-        keys.clear();
-    };
-    for (std::uint32_t s = 0; s < kRingSlots; ++s) {
-        if (!_buckets[s].empty()) {
-            drop(_buckets[s]);
-            _occupied.clear(s);
-        }
-        _slotInOrder[s] = 1;
+    if (q._running) {
+        OPTIMUS_FATAL("%s called from inside an event; only top-level "
+                      "code may advance the simulation",
+                      who);
     }
-    for (std::uint32_t f = 0; f < kFarSlots; ++f)
-        drop(_farBuckets[f]);
-    _farOccupied.fill(0);
-    _farCount = 0;
-    drop(_overflow);
-    for (const CrossPost &p : _outbox)
-        _pool.release(p.cb);
-    _outbox.clear();
-    _size = 0;
-    _nextTick = kTickForever;
+    if (q._holder) {
+        OPTIMUS_FATAL("%s called while %s holds the queue (from its "
+                      "predicate or barrier work); only top-level code "
+                      "may advance the simulation",
+                      who, q._holder);
+    }
+    q._holder = who;
+}
+
+bool
+EventQueue::pumpUntil(const std::function<bool()> &stop)
+{
+    TopLevel top(*this, "EventQueue::pumpUntil");
+    if (stop())
+        return true;
+    // Each runAll() ends at a stop request (the only point @p stop
+    // can newly hold) or when the queue drains.
+    while (runAll() != 0) {
+        if (stop())
+            return true;
+    }
+    return false;
 }
 
 } // namespace optimus::sim

@@ -7,6 +7,11 @@
  * shared EventQueue. Events at the same tick execute in scheduling
  * order (FIFO), which keeps the simulation deterministic.
  *
+ * One queue runs a whole simulation: a lone hv::System owns one, and
+ * every node of a fleet::Cluster runs on its cluster's. Only top-level
+ * code advances it — runUntil()/runAll(), or pumpUntil() for a caller
+ * that waits on simulated work — never an event.
+ *
  * The queue is a three-level hierarchical calendar (timing wheel)
  * tuned for this simulator's event mix:
  *
@@ -52,6 +57,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -123,66 +129,13 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * The logical domain this queue is the shard of (sim/domain.hh).
-     * Standalone queues are domain 0; a DomainSet numbers its shards
-     * at construction.
-     */
-    DomainId domain() const { return _domain; }
-    void setDomain(DomainId d) { _domain = d; }
-
-    /**
-     * One buffered channel event: produced by a Channel during an
-     * epoch, delivered into the destination shard by the
-     * EpochScheduler at the next barrier. The (channel id, channel
-     * send seq) pair is the deterministic tie-break for same-tick
-     * deliveries — a pure function of the component topology and the
-     * message streams, never of which domain a channel endpoint
-     * happens to live in or which worker ran it. The post's closure
-     * already sits in the source shard's callback pool; @c cb is its
-     * slot.
-     */
-    struct CrossPost
-    {
-        Tick when;
-        DomainId dst;
-        std::uint32_t chan;
-        std::uint64_t seq;
-        std::uint32_t cb;
-    };
-
-    /**
-     * Build @p f in this (source) shard's callback pool and append
-     * the post to its outbox. Only the thread currently executing
-     * this domain touches the outbox; the scheduler drains it at the
-     * barrier.
-     */
-    template <typename F>
-    void
-    postCross(DomainId dst, Tick when, std::uint32_t chan,
-              std::uint64_t seq, F &&f)
-    {
-        _outbox.push_back(CrossPost{when, dst, chan, seq,
-                                    _pool.emplace(std::forward<F>(f))});
-    }
-
-    /** The pending outbox (scheduler access). */
-    std::vector<CrossPost> &outbox() { return _outbox; }
-
-    /**
-     * Barrier delivery of outbox post @p p of queue @p src into this
-     * queue: the post becomes an ordinary event here with a fresh
-     * seq. A post to its own queue keeps its pool slot; a
-     * cross-domain post moves its closure into this queue's pool.
-     */
-    void deliverPost(EventQueue &src, const CrossPost &p);
-
-    /**
      * The simulation context's block-recycling arena. The queue is
-     * the root object of one simulation context (one hv::System), so
-     * it hosts the context-local allocator state; components reach it
-     * through their EventQueue reference. Destroyed with the queue —
-     * i.e. after every component of the System — so pooled blocks
-     * released during teardown still have a home.
+     * the root object of one simulation context (a lone hv::System,
+     * or a whole fleet::Cluster), so it hosts the context-local
+     * allocator state; components reach it through their EventQueue
+     * reference. Destroyed with the queue — i.e. after every
+     * component of the context — so pooled blocks released during
+     * teardown still have a home.
      */
     PoolArena &arena() { return _arena; }
 
@@ -224,20 +177,19 @@ class EventQueue
 
     /**
      * Callback-pool slots handed out over the queue's lifetime (its
-     * high-water mark of closures alive at once: pending events,
-     * outbox posts and the one running). Freed slots are reused
-     * first, so the pool grows only when that many are held.
+     * high-water mark of closures alive at once: pending events and
+     * the one running). Freed slots are reused first, so the pool
+     * grows only when that many are held.
      */
     std::uint32_t callbackSlots() const { return _pool.slots(); }
 
     /**
      * Tick of the next pending event; kTickForever if none. O(1): the
      * queue caches it. Every enqueue lowers the cache, runUntil sets
-     * it where it stops, runOne rescans it after its event and
-     * clearPending resets it. While an event runs it may lag the
-     * queue, so only the epoch coordinator (at a barrier) and tests
-     * read it. Debug builds check the cache against a full scan on
-     * every read.
+     * it where it stops and runOne rescans it after its event. While
+     * an event runs it may lag the queue, so only top-level code (a
+     * fleet's window loop) and tests read it. Debug builds check the
+     * cache against a full scan on every read.
      */
     Tick
     nextEventTick() const
@@ -261,7 +213,8 @@ class EventQueue
      * Run all events with tick <= @p limit, then advance time to
      * @p limit. Events scheduled during execution are honored. A stop
      * request (requestStop) returns right after the event that made
-     * it, with time left at that event's tick.
+     * it, with time left at that event's tick. Calling it, or
+     * runAll(), from inside an event is fatal.
      * @return number of events executed.
      */
     std::uint64_t runUntil(Tick limit);
@@ -274,44 +227,52 @@ class EventQueue
     void requestStop() { _stopRequested = true; }
 
     /**
-     * runUntil(@p limit) for a queue with no event at or before
-     * @p limit: advance time to @p limit without executing anything,
-     * leaving exactly the state runUntil would. The epoch scheduler
-     * coasts idle domains through a window this way, skipping the
-     * slot activation runUntil pays just to find nothing due.
-     */
-    void
-    coastTo(Tick limit)
-    {
-#ifndef NDEBUG
-        OPTIMUS_ASSERT(nextEventTick() > limit,
-                       "coasting past a pending event (%llu <= %llu)",
-                       static_cast<unsigned long long>(nextEventTick()),
-                       static_cast<unsigned long long>(limit));
-#endif
-        if (_activeSlot != kNoSlot)
-            deactivate();
-        if (_now < limit)
-            _now = limit;
-    }
-
-    /**
      * Run until the queue drains or a stop is requested; time stays
      * at the last event's tick.
      * @return number of events executed.
      */
     std::uint64_t runAll() { return drain(kTickForever); }
 
+    /**
+     * Run until @p stop() holds: how a synchronous caller (the guest
+     * API, svc::ServicePlane::run) waits on simulated work. @p stop()
+     * is evaluated up front and after each stop request, so every
+     * caller names the event that may satisfy it (requestStop);
+     * between two evaluations the queue runs as runAll() does.
+     * @retval true @p stop() became true; false the queue drained
+     * first (a deadlock from the caller's point of view).
+     *
+     * Fatal from inside an event, and while another top-level loop
+     * holds the queue (TopLevel): from a pump's own predicate or from
+     * a fleet's barrier work.
+     */
+    bool pumpUntil(const std::function<bool()> &stop);
+
+    /**
+     * A top-level loop's claim on the queue for its lifetime:
+     * pumpUntil() and fleet::Cluster::run() hold one. Claiming it
+     * from inside an event, or while another loop holds it, is fatal:
+     * only top-level code advances the simulation.
+     */
+    class TopLevel
+    {
+      public:
+        TopLevel(EventQueue &q, const char *who);
+        ~TopLevel() { _q._holder = nullptr; }
+        TopLevel(const TopLevel &) = delete;
+        TopLevel &operator=(const TopLevel &) = delete;
+
+      private:
+        EventQueue &_q;
+    };
+
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return _executed; }
 
-    /**
-     * Destroy every pending event (and outbox post) without running
-     * it, returning their pool slots. DomainSet teardown calls this
-     * on every shard before any queue is destroyed, so every capture
-     * is released while every shard still exists.
-     */
-    void clearPending();
+    /** runUntil()/runAll() calls that executed at least one event:
+     *  a lone System's runs and a pump's iterations, or a fleet's
+     *  windows. */
+    std::uint64_t runs() const { return _runs; }
 
   private:
     /** First member on purpose: destroyed after the callback pool
@@ -321,13 +282,12 @@ class EventQueue
     PoolArena _arena;
 
     /**
-     * Address-stable storage for every closure the queue holds —
-     * pending events and outbox posts. Slots live in fixed chunks
-     * that never move once allocated, so a closure is built once into
-     * its slot, runs there (even while it schedules enough to add a
-     * chunk) and is destroyed there; the calendar levels and the
-     * outbox refer to it by index. Freed slots are reused LIFO,
-     * keeping the working set to the closures actually alive.
+     * Address-stable storage for every closure the queue holds.
+     * Slots live in fixed chunks that never move once allocated, so
+     * a closure is built once into its slot, runs there (even while
+     * it schedules enough to add a chunk) and is destroyed there; the
+     * calendar levels refer to it by index. Freed slots are reused
+     * LIFO, keeping the working set to the closures actually alive.
      */
     class CallbackPool
     {
@@ -348,16 +308,8 @@ class EventQueue
             return _chunks[i >> kChunkBits][i & (kChunkSlots - 1)];
         }
 
-        /** Free slot @p i, whose closure was consumed or moved out. */
+        /** Free slot @p i, whose closure was consumed. */
         void recycle(std::uint32_t i) { _free.push_back(i); }
-
-        /** Destroy slot @p i's closure without running it; free it. */
-        void
-        release(std::uint32_t i)
-        {
-            at(i) = nullptr;
-            recycle(i);
-        }
 
         /** Slots handed out so far (the high-water mark). */
         std::uint32_t slots() const { return _used; }
@@ -387,8 +339,8 @@ class EventQueue
          *  take()). */
         void grow();
 
-        /** Destroying a chunk destroys every closure still held in
-         *  it (pending or posted). */
+        /** Destroying a chunk destroys every closure still pending
+         *  in it. */
         std::vector<std::unique_ptr<Callback[]>> _chunks;
         std::vector<std::uint32_t> _free;
         std::uint32_t _used = 0;
@@ -601,8 +553,12 @@ class EventQueue
      *  is only true while _now sits inside the active slot's span. */
     void deactivate();
 
-    /** runUntil() without the final clock advance. */
+    /** runUntil() without the final clock advance: drainEvents(),
+     *  marked running and counted in runs(). */
     std::uint64_t drain(Tick limit);
+
+    /** drain()'s event loop. */
+    std::uint64_t drainEvents(Tick limit);
 
     /** Advance time to @p t and execute the front event there. */
     void dispatch(Tick t);
@@ -636,11 +592,14 @@ class EventQueue
 
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
+    std::uint64_t _runs = 0;
     std::size_t _size = 0;
     /** Set by requestStop(); cleared when the next run starts. */
     bool _stopRequested = false;
-    DomainId _domain = 0;
-    std::vector<CrossPost> _outbox;
+    /** Set while drain() runs events. */
+    bool _running = false;
+    /** The top-level loop holding the queue (TopLevel), or null. */
+    const char *_holder = nullptr;
 
     std::vector<std::vector<Key>> _buckets;
     /** 1 while a slot's appends have arrived in (when, seq) order —

@@ -116,8 +116,8 @@ class TraceSink
 
 /**
  * The bus: fans emitted records out to the attached sinks whose mask
- * includes the record's kind.  One bus per simulation context
- * (hv::System) — never shared across threads.
+ * includes the record's kind.  One bus per hv::System — never shared
+ * across threads.
  */
 class TraceBus
 {
@@ -150,33 +150,12 @@ class TraceBus
     }
 
     /**
-     * Stamp r.at with the current tick and dispatch to sinks.
-     *
-     * An unarmed bus (a lone System's) dispatches synchronously,
-     * inside the emitting event. When the bus is domain-armed
-     * (armDomains: the nodes of a fleet) and the calling thread is
-     * executing a domain (sim::currentExecContext), the record is
-     * instead stamped with the *emitting domain's* clock and buffered
-     * in that domain's lane; flushMerged() — called at every epoch
-     * barrier — then dispatches all lanes merged in (tick, component,
-     * domain, emission seq) order. Sink byte streams are therefore
-     * identical for every worker-pool size.
+     * Stamp r.at with the current tick and dispatch to sinks, inside
+     * the emitting event. Every node of a fleet has its own bus over
+     * the cluster's one queue, so each sink sees its node's records
+     * in execution order.
      */
     void emit(TraceRecord r);
-
-    /**
-     * Arm per-domain emission lanes for a multi-domain context (each
-     * node of a fleet::Cluster).
-     * Buffering only engages for emissions made from inside a
-     * domain's execution; harness-side emissions keep dispatching
-     * synchronously.
-     */
-    void armDomains(std::uint32_t domains);
-    bool domainsArmed() const { return !_lanes.empty(); }
-
-    /** Merge and dispatch every buffered lane (coordinator thread
-     *  only; the epoch barrier orders it against the workers). */
-    void flushMerged();
 
     Tick now() const;
 
@@ -192,10 +171,6 @@ class TraceBus
     std::uint64_t _dispatched = 0;
     std::vector<std::pair<TraceSink *, std::uint32_t>> _sinks;
     std::vector<std::string> _paths;
-    /** Per-domain emission lanes (empty while single-domain). Each
-     *  lane is touched only by the worker executing its domain;
-     *  flushMerged() runs at the barrier, after the workers. */
-    std::vector<std::vector<TraceRecord>> _lanes;
 };
 
 /**

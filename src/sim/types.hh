@@ -27,16 +27,6 @@ constexpr Tick kTickSec = 1000 * kTickMs;
 /** A tick value that no simulation ever reaches. */
 constexpr Tick kTickForever = ~Tick(0);
 
-/**
- * Identifies one logical domain: a sequential island of the
- * simulation owning its own EventQueue shard (see sim/domain.hh).
- * Single-domain contexts — the default — use domain 0 everywhere.
- */
-using DomainId = std::uint32_t;
-
-/** "No domain": outside any domain's execution. */
-constexpr DomainId kNoDomain = ~DomainId(0);
-
 /** Convert a frequency in MHz to a clock period in ticks. */
 constexpr Tick
 periodFromMhz(std::uint64_t mhz)

@@ -80,8 +80,7 @@ ServicePlane::addTenant(const TenantConfig &cfg)
             vm.createProcess(sim::strprintf("worker%u", i));
         auto &vaccel = _sys.hv.createVirtualAccel(proc, cfg.slot);
         _handles.push_back(
-            std::make_unique<hv::AccelHandle>(_sys.hv, vaccel,
-                                              _sys.sched));
+            std::make_unique<hv::AccelHandle>(_sys.hv, vaccel));
         hv::AccelHandle &h = *_handles.back();
 
         auto w = std::make_unique<Tenant::Worker>();
@@ -248,7 +247,7 @@ ServicePlane::run(sim::Tick window)
     // Stop source: the horizon event or the completion that leaves
     // the plane idle (stopIfDrained).
     _draining = true;
-    const bool stopped = _sys.sched.pumpUntil(
+    const bool stopped = _sys.eq.pumpUntil(
         [this]() { return _sys.eq.now() >= _horizon && idle(); });
     _draining = false;
     if (!stopped && !idle()) {

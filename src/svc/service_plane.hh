@@ -24,9 +24,9 @@
  * admitted, an MMIO completion doorbell or a ring completion post
  * settles its requests and refills the worker, and one event at the
  * horizon serves the partial batches left queued. So a dispatch waits
- * only for the modelled daemon, never for the simulator's epoch
- * barrier. Handlers never pump: START and ring publish are
- * asynchronous, and verify() is untimed.
+ * only for the modelled daemon, never for a fleet's barrier. Handlers
+ * never pump: START and ring publish are asynchronous, and verify()
+ * is untimed.
  */
 
 #ifndef OPTIMUS_SVC_SERVICE_PLANE_HH
@@ -249,10 +249,10 @@ class ServicePlane
      * External-drive form of run(): open the arrival window (seed
      * generators and closed-loop populations, and schedule the
      * horizon event that serves leftover partial batches) without
-     * pumping. An embedder sharing one scheduler across several
-     * planes (fleet::Cluster) calls beginWindow() on every plane,
-     * then runs the shared scheduler itself; the planes dispatch
-     * in their own event handlers.
+     * pumping. An embedder sharing one queue across several planes
+     * (fleet::Cluster) calls beginWindow() on every plane, then runs
+     * the queue itself; the planes dispatch in their own event
+     * handlers.
      */
     void beginWindow(sim::Tick window);
 

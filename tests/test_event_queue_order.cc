@@ -10,12 +10,14 @@
  * differential check against a reference heap, so any future change
  * to the wheel geometry or migration logic that perturbs ordering
  * fails loudly here rather than as a silently different simulation.
- * The same differential check pins the cached nextEventTick() the
- * epoch scheduler reads at every barrier.
+ * The same differential check pins the cached nextEventTick() a
+ * fleet reads between its windows.
  * They also pin what the callback pool behind the levels guarantees:
  * a closure runs in place even while it grows the pool, every pending
- * closure is released without running by clearPending() and by
- * destruction, and steady traffic reuses slots instead of growing.
+ * closure is released without running by destruction, and steady
+ * traffic reuses slots instead of growing. Last, the stop requests
+ * and the pump built on them: a run returns right after the event
+ * that requests its stop.
  */
 
 #include <gtest/gtest.h>
@@ -211,28 +213,6 @@ TEST(EventQueueOrder, RunUntilAdvancesTimeOnEmptyQueue)
     EXPECT_EQ(eq.now(), 5000u);
 }
 
-TEST(EventQueueOrder, CoastToLeavesTheStateRunUntilWould)
-{
-    // coastTo is runUntil for a queue with nothing due: time moves,
-    // and a slot left active (here by runOne) is released, so an
-    // earlier schedule afterwards still runs first.
-    EventQueue eq;
-    std::vector<Tick> order;
-    auto rec = [&]() { order.push_back(eq.now()); };
-    eq.scheduleAt(4100, rec);
-    eq.scheduleAt(5000, rec); // same slot as 4100
-    ASSERT_TRUE(eq.runOne());
-    eq.coastTo(4200);
-    EXPECT_EQ(eq.now(), 4200u);
-    EXPECT_EQ(eq.nextEventTick(), 5000u);
-    eq.scheduleAt(4300, rec);
-    eq.coastTo(4250);
-    eq.coastTo(4000); // never moves time backwards
-    EXPECT_EQ(eq.now(), 4250u);
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<Tick>{4100, 4300, 5000}));
-}
-
 TEST(EventQueueOrder, FarRingAndHeapEventsComeBackInOrder)
 {
     EventQueue eq;
@@ -379,10 +359,9 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
 
         // Subject: the calendar queue making the same decisions,
         // drained once by runAll() and once through runUntil windows
-        // of random length (coasting the windows with nothing due, as
-        // the epoch scheduler does). The cached nextEventTick() must
-        // equal the pending reference minimum after every outside
-        // schedule, window, coast and clearPending.
+        // of random length, some with nothing due. The cached
+        // nextEventTick() must equal the pending reference minimum
+        // after every outside schedule and window.
         for (bool windowed : {false, true}) {
             const char *drive = windowed ? "runUntil windows" : "runAll";
             std::vector<Key> got_order;
@@ -472,22 +451,18 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                     Rng windows(static_cast<std::uint64_t>(seed) + 1000);
                     const Tick spans[] = {1, 700, kSlotSpan, kNearWindow,
                                           kFarWindow};
-                    std::uint64_t coasts = 0;
+                    std::uint64_t idle = 0;
                     while (!eq.empty()) {
                         const Tick limit =
                             eq.now() +
                             spans[windows.next() % std::size(spans)];
-                        if (eq.nextEventTick() > limit) {
-                            eq.coastTo(limit);
-                            ++coasts;
-                        } else {
-                            eq.runUntil(limit);
-                        }
+                        idle += eq.nextEventTick() > limit;
+                        eq.runUntil(limit);
                         ASSERT_EQ(eq.nextEventTick(), ref_min())
                             << "after the window to " << limit
                             << ", seed " << seed;
                     }
-                    EXPECT_GT(coasts, 0u);
+                    EXPECT_GT(idle, 0u);
                 } else {
                     eq.runAll();
                     ASSERT_EQ(eq.nextEventTick(), ref_min())
@@ -497,12 +472,12 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
                     << "a burst should have added a pool chunk";
 
                 // Outside schedules into the drained queue, latest
-                // first, then clearPending.
+                // first, then a final drain.
                 for (Tick off : {kFarWindow + 7, kNearWindow + 3, Tick(5)}) {
                     eq.scheduleIn(off, []() {});
                     ASSERT_EQ(eq.nextEventTick(), eq.now() + off);
                 }
-                eq.clearPending();
+                EXPECT_EQ(eq.runAll(), 3u);
                 ASSERT_EQ(eq.nextEventTick(), kTickForever);
             }
 
@@ -584,11 +559,11 @@ TEST(EventQueueOrder, CallbackGrowingThePoolRunsInPlaceInOrder)
     EXPECT_EQ(order, want);
 }
 
-TEST(EventQueueOrder, PendingCapturesReleasedByClearAndDestruction)
+TEST(EventQueueOrder, PendingCapturesReleasedByDestruction)
 {
-    // One pending closure per level, and one outbox post: each holds
-    // a reference to the same block. Neither clearPending() nor the
-    // destructor may run them, and both must release every capture.
+    // One pending closure per level, each holding a reference to the
+    // same block. The destructor must run none of them and release
+    // every capture.
     auto block = std::make_shared<int>(7);
     int ran = 0;
     auto fill = [&](EventQueue &eq) {
@@ -598,29 +573,19 @@ TEST(EventQueueOrder, PendingCapturesReleasedByClearAndDestruction)
                       [block, &ran]() { ++ran; }); // far ring
         eq.scheduleAt(eq.now() + 3 * kFarWindow,
                       [block, &ran]() { ++ran; }); // overflow heap
-        eq.postCross(0, eq.now() + 9, 0, 0, [block, &ran]() { ++ran; });
     };
     {
         EventQueue eq;
         fill(eq);
-        EXPECT_EQ(block.use_count(), 5);
-        EXPECT_EQ(eq.pending(), 3u);
-        eq.clearPending();
-        EXPECT_EQ(block.use_count(), 1);
-        EXPECT_EQ(eq.pending(), 0u);
-        EXPECT_TRUE(eq.outbox().empty());
-        EXPECT_EQ(ran, 0);
-
-        // The freed slots are reused, and a cleared queue still runs.
-        fill(eq);
-        EXPECT_EQ(eq.callbackSlots(), 4u);
+        EXPECT_EQ(block.use_count(), 4);
         EXPECT_EQ(eq.runAll(), 3u);
         EXPECT_EQ(ran, 3);
-        EXPECT_EQ(block.use_count(), 2); // the still-posted closure
+        EXPECT_EQ(block.use_count(), 1);
 
         ran = 0;
         fill(eq); // pending again at every level, at destruction
-        EXPECT_EQ(block.use_count(), 6);
+        EXPECT_EQ(eq.callbackSlots(), 3u); // the freed slots reused
+        EXPECT_EQ(block.use_count(), 4);
     }
     EXPECT_EQ(block.use_count(), 1);
     EXPECT_EQ(ran, 0);
@@ -854,6 +819,101 @@ TEST(MemberEventTest, MatchesPeriodicEventProtocol)
     ev.scheduleIn(10);
     eq.runAll();
     EXPECT_EQ(t.fired, 3);
+}
+
+// ---------------------------------------------------------------
+// Stop requests: a run, and the pump built on it, returns at the
+// event that satisfies its caller.
+// ---------------------------------------------------------------
+
+TEST(EventQueueStopTest, RunReturnsRightAfterTheRequestingEvent)
+{
+    EventQueue q;
+    std::vector<Tick> ran;
+    for (Tick t : {100, 200, 300}) {
+        q.scheduleAt(t, [&q, &ran, t]() {
+            ran.push_back(t);
+            if (t == 200)
+                q.requestStop();
+        });
+    }
+    EXPECT_EQ(q.runUntil(1000), 2u);
+    EXPECT_EQ(q.now(), 200u); // the clock stays at the stopping event
+    EXPECT_EQ(q.nextEventTick(), 300u);
+    // The next run starts without a stop and reaches its limit.
+    EXPECT_EQ(q.runUntil(1000), 1u);
+    EXPECT_EQ(q.now(), 1000u);
+    // A request made outside any run is dropped.
+    q.requestStop();
+    q.scheduleAt(1100, []() {});
+    q.scheduleAt(1200, []() {});
+    EXPECT_EQ(q.runAll(), 2u);
+    EXPECT_EQ(q.now(), 1200u);
+    EXPECT_EQ(ran, (std::vector<Tick>{100, 200, 300}));
+}
+
+TEST(EventQueueStopTest, PumpChecksUpFrontAndAtEachStop)
+{
+    EventQueue q;
+    int checks = 0;
+    EXPECT_TRUE(q.pumpUntil([&]() {
+        ++checks;
+        return true;
+    }));
+    EXPECT_EQ(checks, 1); // up front, with nothing run
+    EXPECT_EQ(q.runs(), 0u);
+
+    // A stop that does not satisfy the predicate, then one that does.
+    int stops = 0;
+    for (Tick t : {100, 200, 300, 400}) {
+        q.scheduleAt(t, [&q, &stops, t]() {
+            if (t != 300) {
+                ++stops;
+                q.requestStop();
+            }
+        });
+    }
+    checks = 0;
+    EXPECT_TRUE(q.pumpUntil([&]() {
+        ++checks;
+        return stops == 2;
+    }));
+    EXPECT_EQ(checks, 3);
+    EXPECT_EQ(q.now(), 200u);
+    EXPECT_EQ(q.runs(), 2u);
+
+    // Nothing satisfies this one: it returns false once the queue
+    // drains.
+    EXPECT_FALSE(q.pumpUntil([]() { return false; }));
+    EXPECT_EQ(q.now(), 400u);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.runs(), 3u);
+}
+
+TEST(EventQueueStopTest, RunsCountOnlyRunsThatExecute)
+{
+    EventQueue q;
+    EXPECT_EQ(q.runUntil(500), 0u);
+    q.scheduleAt(600, []() {});
+    EXPECT_EQ(q.runUntil(550), 0u);
+    EXPECT_EQ(q.runs(), 0u);
+    EXPECT_EQ(q.runUntil(700), 1u);
+    EXPECT_EQ(q.runAll(), 0u);
+    EXPECT_EQ(q.runs(), 1u);
+}
+
+TEST(EventQueueDeathTest, NestedRunsAreFatal)
+{
+    // Only top-level code advances the queue: a run from inside an
+    // event, or a pump from a pump's own predicate, never nests.
+    EventQueue q;
+    q.scheduleAt(10, [&q]() { q.runUntil(20); });
+    EXPECT_DEATH(q.runAll(), "run called from inside an event");
+    EventQueue p;
+    EXPECT_DEATH(p.pumpUntil([&p]() {
+        return p.pumpUntil([]() { return true; });
+    }),
+                 "EventQueue::pumpUntil holds the queue");
 }
 
 } // namespace

@@ -337,7 +337,23 @@ TEST(ExpRunner, RemovedSplitFlagFailsParsingCleanly)
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("unknown flag --domain-plan"), std::string::npos)
         << err;
-    EXPECT_EQ(o.simThreads, 1u);
+    EXPECT_EQ(o.jobs, 1u);
+}
+
+TEST(ExpRunner, RemovedSimThreadsFlagFailsParsingCleanly)
+{
+    // A fleet runs on one event queue, with no worker pool to size:
+    // --sim-threads is an unknown flag.
+    char prog[] = "bench";
+    char flag[] = "--sim-threads";
+    char value[] = "4";
+    char *argv[] = {prog, flag, value};
+    exp::Runner::Options o;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(exp::Runner::parseArgs(3, argv, o));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown flag --sim-threads"), std::string::npos)
+        << err;
     EXPECT_EQ(o.jobs, 1u);
 }
 
@@ -374,8 +390,6 @@ TEST(ExpRunner, MalformedNumericFlagsFailParsing)
         {"--jobs", "+4"},           {"--jobs", " 4"},
         {"--jobs", "four"},         {"--jobs", ""},
         {"--jobs", "257"},          {"-j", "99999999999999999999"},
-        {"--sim-threads", "2.5"},   {"--sim-threads", "-4"},
-        {"--sim-threads", "257"},   {"--sim-threads", "100000"},
         {"--repeat", "-1"},         {"--repeat", "3x"},
         {"--nodes", "-8"},          {"--nodes", "4294967296"},
     };
@@ -387,7 +401,6 @@ TEST(ExpRunner, MalformedNumericFlagsFailParsing)
         EXPECT_NE(err.find(flag + " wants"), std::string::npos) << err;
         EXPECT_NE(err.find("'" + value + "'"), std::string::npos) << err;
         EXPECT_EQ(o.jobs, 1u);
-        EXPECT_EQ(o.simThreads, 1u);
         EXPECT_EQ(o.timeScale, 1.0);
         EXPECT_EQ(o.repeat, 1u);
         EXPECT_EQ(o.nodes, 0u);
@@ -397,23 +410,20 @@ TEST(ExpRunner, MalformedNumericFlagsFailParsing)
     // repeat count still means one.
     exp::Runner::Options o;
     std::string err;
-    EXPECT_TRUE(parseWith({"--jobs", "256", "--sim-threads", "256",
-                           "--time-scale", "100", "--repeat", "2",
-                           "--nodes", "8"},
+    EXPECT_TRUE(parseWith({"--jobs", "256", "--time-scale", "100",
+                           "--repeat", "2", "--nodes", "8"},
                           o, err))
         << err;
     EXPECT_EQ(o.jobs, exp::Runner::kMaxThreads);
-    EXPECT_EQ(o.simThreads, exp::Runner::kMaxThreads);
     EXPECT_EQ(o.timeScale, exp::Runner::kMaxTimeScale);
     EXPECT_EQ(o.repeat, 2u);
     EXPECT_EQ(o.nodes, 8u);
     exp::Runner::Options z;
-    EXPECT_TRUE(parseWith({"-j", "0", "--sim-threads", "0", "--repeat",
-                           "0", "--time-scale", "0.02"},
+    EXPECT_TRUE(parseWith({"-j", "0", "--repeat", "0", "--time-scale",
+                           "0.02"},
                           z, err))
         << err;
     EXPECT_EQ(z.jobs, 1u);
-    EXPECT_EQ(z.simThreads, 1u);
     EXPECT_EQ(z.repeat, 1u);
     EXPECT_EQ(z.timeScale, 0.02);
 }

@@ -278,7 +278,7 @@ TEST(GuestCallReturnTest, FullRingSubmitReturnsOnePublishAfterTheAck)
             b.eq.requestStop();
         acked = true;
     });
-    ASSERT_TRUE(b.sched.pumpUntil([&]() { return acked; }));
+    ASSERT_TRUE(b.eq.pumpUntil([&]() { return acked; }));
     ASSERT_FALSE(hb.submitQueue().full());
     const sim::Tick ack = b.now();
     (void)hb.ringSubmit();
@@ -354,44 +354,42 @@ TEST(GuestCallReturnTest, RingWaitEndedByQuarantineReturnsAtTheErrors)
     EXPECT_EQ(sys.now(), landed);
 }
 
-/** The ticks a fleet node's guest calls return at. */
-std::vector<sim::Tick>
-fleetNodeCallTicks(unsigned threads)
+TEST(GuestCallReturnTest, FleetNodeCallsReturnEveryNodeAtTheirTick)
 {
+    // The nodes of a cluster share one queue, so a guest call on node
+    // 1 returns with every node's clock at the event that completes
+    // it.
     fleet::ClusterConfig cfg;
     cfg.nodes = 2;
     cfg.node = hv::makeOptimusConfig("SHA", 1);
-    fleet::Cluster cl(cfg, threads);
+    fleet::Cluster cl(cfg);
     hv::System &node = cl.node(1);
     hv::AccelHandle &h = node.attach(0, 1ULL << 30);
-    std::vector<sim::Tick> ticks;
+    auto everyNodeAt = [&](const char *call) {
+        EXPECT_EQ(cl.node(0).now(), node.now()) << call;
+        EXPECT_EQ(cl.now(), node.now()) << call;
+    };
     (void)h.mmioRead(accel::reg::kStateSize);
-    ticks.push_back(node.now());
+    everyNodeAt("mmioRead");
     (void)h.dmaAlloc(4ULL << 20);
-    ticks.push_back(node.now());
+    everyNodeAt("dmaAlloc");
     auto wl = hv::workload::Workload::create("SHA", h, 4096, 5);
     wl->program();
-    ticks.push_back(node.now());
+    everyNodeAt("program");
     sim::Tick doorbell = 0;
     h.vaccel().setCompletionHandler(
         [&](accel::Status) { doorbell = node.now(); });
     h.start();
+    everyNodeAt("start");
     EXPECT_EQ(h.wait(), accel::Status::kDone);
     EXPECT_EQ(node.now(), doorbell);
-    ticks.push_back(node.now());
+    everyNodeAt("wait");
     EXPECT_TRUE(wl->verify());
-    return ticks;
-}
-
-TEST(GuestCallReturnTest, FleetNodeCallsReturnAtTheSameTickAtAnyWidth)
-{
-    const std::vector<sim::Tick> serial = fleetNodeCallTicks(1);
-    EXPECT_EQ(fleetNodeCallTicks(4), serial);
 }
 
 TEST(GuestApiDeathTest, PumpingFromAnEventIsFatal)
 {
-    // A synchronous guest-API call pumps the scheduler; from inside an
+    // A synchronous guest-API call pumps the queue; from inside an
     // event it would run the queue under its own running event.
     hv::System sys(hv::makeOptimusConfig("MB", 1));
     hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
@@ -401,15 +399,17 @@ TEST(GuestApiDeathTest, PumpingFromAnEventIsFatal)
 
 TEST(GuestApiDeathTest, PumpingFromABarrierCallbackIsFatal)
 {
-    // pumpUntil's predicate runs at barriers; entering the same
-    // scheduler again from there is refused as well.
-    hv::System sys(hv::makeOptimusConfig("MB", 1));
-    hv::AccelHandle &h = sys.attach(0, 1ULL << 30);
-    EXPECT_DEATH(sys.sched.pumpUntil([&]() {
-        (void)h.result();
-        return true;
-    }),
-                 "re-entered");
+    // A fleet's barrier work runs between its windows, while
+    // Cluster::run holds the queue; a guest call from a barrier probe
+    // would run the queue under it.
+    fleet::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.node = hv::makeOptimusConfig("MB", 1);
+    fleet::Cluster cl(cfg);
+    hv::AccelHandle &h = cl.node(1).attach(0, 1ULL << 30);
+    cl.setBarrierProbe([&]() { (void)h.result(); });
+    EXPECT_DEATH(cl.run(sim::kTickUs),
+                 "fleet::Cluster::run holds the queue");
 }
 
 } // namespace

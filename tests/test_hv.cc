@@ -126,7 +126,7 @@ TEST(ShadowPagingTest, RejectsPagesOutsideTheWindow)
         result = ok;
         sys.eq.requestStop();
     });
-    ASSERT_TRUE(sys.sched.pumpUntil([&]() { return !result; }));
+    ASSERT_TRUE(sys.eq.pumpUntil([&]() { return !result; }));
     EXPECT_FALSE(result);
 }
 
@@ -153,7 +153,7 @@ TEST(ShadowPagingTest, RejectsUnalignedAndUnbackedPages)
                                ++done;
                                sys.eq.requestStop();
                            });
-    ASSERT_TRUE(sys.sched.pumpUntil([&]() { return done == 2; }));
+    ASSERT_TRUE(sys.eq.pumpUntil([&]() { return done == 2; }));
     EXPECT_FALSE(ok_unaligned);
     EXPECT_FALSE(ok_unbacked);
 }

@@ -43,7 +43,7 @@ TEST(MigrationTest, RunningJobMigratesAndCompletesCorrectly)
         migrated = ok;
         sys.eq.requestStop();
     });
-    ASSERT_TRUE(sys.sched.pumpUntil([&]() { return migrated; }));
+    ASSERT_TRUE(sys.eq.pumpUntil([&]() { return migrated; }));
     EXPECT_EQ(h.vaccel().slot(), 1u);
     EXPECT_TRUE(sys.hv.isScheduled(h.vaccel()));
     EXPECT_EQ(sys.hv.migrations(), 1u);
@@ -132,7 +132,7 @@ TEST(MigrationTest, DescheduledTenantMigratesWithPendingStart)
         migrated = ok;
         sys.eq.requestStop();
     });
-    ASSERT_TRUE(sys.sched.pumpUntil([&]() { return migrated; }));
+    ASSERT_TRUE(sys.eq.pumpUntil([&]() { return migrated; }));
     EXPECT_EQ(second.vaccel().slot(), 1u);
     EXPECT_EQ(second.wait(), accel::Status::kDone);
     EXPECT_EQ(second.result(), layout.checksum);
@@ -163,7 +163,7 @@ TEST(MigrationTest, FinishedHolderMigratesWithoutSecondCompletion)
         migrated = ok;
         sys.eq.requestStop();
     });
-    ASSERT_TRUE(sys.sched.pumpUntil([&]() { return migrated; }));
+    ASSERT_TRUE(sys.eq.pumpUntil([&]() { return migrated; }));
     sys.run(sys.eq.now() + 5 * sim::kTickMs);
 
     EXPECT_EQ(h.vaccel().slot(), 1u);
@@ -204,12 +204,12 @@ TEST(MigrationTest, LoadBalancingAcrossSlots)
         moved += ok ? 1 : 0;
         sys.eq.requestStop();
     });
-    ASSERT_TRUE(sys.sched.pumpUntil([&]() { return moved == 1; }));
+    ASSERT_TRUE(sys.eq.pumpUntil([&]() { return moved == 1; }));
     sys.hv.migrate(handles[2]->vaccel(), 2, [&](bool ok) {
         moved += ok ? 1 : 0;
         sys.eq.requestStop();
     });
-    ASSERT_TRUE(sys.sched.pumpUntil([&]() { return moved == 2; }));
+    ASSERT_TRUE(sys.eq.pumpUntil([&]() { return moved == 2; }));
 
     for (int i = 0; i < 3; ++i) {
         EXPECT_EQ(handles[static_cast<std::size_t>(i)]->wait(),

@@ -181,7 +181,7 @@ auditDispatch(TenantConfig cfg)
             counted(a.onArrival, [&]() { plane.injectArrival(t, -1); });
         });
     }
-    EXPECT_TRUE(sys.sched.pumpUntil(
+    EXPECT_TRUE(sys.eq.pumpUntil(
         [&]() { return sys.now() >= horizon && plane.idle(); }));
     a.dispatched = t.queueHist().count();
     a.admitted = t.admitted();
