@@ -2,12 +2,14 @@
  * @file
  * fleet::Cluster / fleet::GlobalScheduler implementation. The
  * mechanics live here; see fleet.hh for the architecture and the
- * determinism contract. The one rule everything below obeys: work
- * that spans nodes happens in barrierStep(), which run() calls
- * between windows, when no event executes; event callbacks that feed
- * it (parcel landings, stray sinks, export completions) only record
- * into per-node or per-tenant state. Each node's service plane
- * dispatches in its own event handlers.
+ * determinism contract. Each cross-node step runs inside the event
+ * that triggers it: the export completion that finishes a freeze
+ * sends the parcel, the parcel's landing imports it, and a stray's
+ * landing admits it (or holds it while its tenant is in flight).
+ * barrierStep(), which run() calls between windows, keeps only what
+ * must see every node at once: the rebalancer's load scan and the
+ * probe. Each node's service plane dispatches in its own event
+ * handlers.
  */
 
 #include "fleet/fleet.hh"
@@ -194,26 +196,21 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
 {
     if (_cfg.nodes == 0)
         OPTIMUS_FATAL("fleet: a cluster needs at least one node");
-    _strays.resize(_cfg.nodes);
-    _inbox.resize(_cfg.nodes);
 
     for (unsigned i = 0; i < _cfg.nodes; ++i) {
         _nodes.push_back(
             std::make_unique<hv::System>(_eq, _sched, _cfg.node));
         _planes.push_back(
             std::make_unique<svc::ServicePlane>(*_nodes.back()));
-        const unsigned node_idx = i;
         _planes.back()->setStrayArrivalSink(
-            [this, node_idx](svc::Tenant &t, int user) {
-                // Event context: record only; drainStrays() routes
-                // at the next barrier.
-                _strays[node_idx].push_back(Stray{&t, user});
+            [this, i](svc::Tenant &b, int user) {
+                forwardStray(i, b, user);
             });
     }
 
     // A window is one smallest link latency wide, the shortest time
-    // in which one node can reach another: barrier work then lags the
-    // event it reacts to (a landing, a stray) by less than that.
+    // in which one node can reach another: the rebalancer and the
+    // probe look at the fleet at that cadence.
     for (unsigned s = 0; s < _cfg.nodes; ++s) {
         for (unsigned d = 0; d < _cfg.nodes; ++d) {
             if (s == d)
@@ -255,6 +252,8 @@ Cluster::addTenant(FleetTenantSpec spec)
 bool
 Cluster::migrateTenant(std::size_t ti, unsigned dst)
 {
+    if (ti >= numTenants())
+        return false;
     FleetTenant &ft = _tenants[ti];
     if (dst >= numNodes() || dst == ft.node ||
         ft.state != MigState::kSettled)
@@ -268,53 +267,28 @@ Cluster::migrateTenant(std::size_t ti, unsigned dst)
     svc::Tenant &src = *ft.bindings[ft.node];
     src._mode = svc::Tenant::Mode::kFrozen;
     const std::size_t nw = src._workers.size();
-    ft.exportState.assign(nw, ExportState::kRetry);
     ft.exportCtx.assign(nw, hv::VaccelContext{});
-    issueExports(ti);
-    return true;
-}
-
-void
-Cluster::issueExports(std::size_t ti)
-{
-    FleetTenant &ft = _tenants[ti];
-    svc::Tenant &src = *ft.bindings[ft.node];
-    hv::System &sys = *_nodes[ft.node];
-    for (std::size_t w = 0; w < ft.exportState.size(); ++w) {
-        if (ft.exportState[w] != ExportState::kRetry)
-            continue;
-        // A busy worker whose vaccel is not (yet) running has an
-        // asynchronous START trap still in flight (dispatch issues
-        // them without waiting). Exporting now would capture an idle
-        // context and strand the job when the trap lands on the
-        // neutralized source vaccel — hold off until it is absorbed.
-        // The ring path's analogue is a publish whose kick has not
-        // landed yet: the guest cursor runs ahead of the hypervisor
-        // mirror, so the captured context would miss the newest
-        // entries and the destination poller would never fetch them.
-        if (src._workers[w]->handle->ringEnabled()) {
-            if (src._workers[w]->handle->submitQueue().produced() >
-                src._workers[w]->handle->vaccel().ringProdSeq())
-                continue; // kick in flight; stays kRetry
-        } else if (src._workers[w]->busy &&
-                   src._workers[w]->handle->vaccel().visibleStatus() !=
-                       accel::Status::kRunning)
-            continue; // stays kRetry for the next barrier
-        ft.exportState[w] = ExportState::kPending;
-        hv::VirtualAccel &v = src._workers[w]->handle->vaccel();
-        sys.hv.exportContext(
-            v, [this, ti, w](bool ok, hv::VaccelContext ctx) {
-                // Event context (or inline): record the outcome; the
-                // freeze state machine advances at the next barrier.
-                FleetTenant &t = _tenants[ti];
+    ft.exportsLeft = nw;
+    // Each export completes inline or in the hypervisor event that
+    // ends its wait (OptimusHv::exportContext); the last one ships.
+    hv::OptimusHv &hv = _nodes[ft.node]->hv;
+    for (std::size_t w = 0; w < nw; ++w) {
+        hv.exportContext(
+            src._workers[w]->handle->vaccel(),
+            [this, ti, w](bool ok, hv::VaccelContext ctx) {
                 if (!ok) {
-                    t.exportState[w] = ExportState::kRetry;
-                    return;
+                    OPTIMUS_FATAL("fleet: tenant %zu worker %zu refused "
+                                  "its export (fleet nodes run OPTIMUS "
+                                  "and every worker has a state buffer)",
+                                  ti, w);
                 }
+                FleetTenant &t = _tenants[ti];
                 t.exportCtx[w] = std::move(ctx);
-                t.exportState[w] = ExportState::kDone;
+                if (--t.exportsLeft == 0)
+                    assembleAndSend(ti);
             });
     }
+    return true;
 }
 
 void
@@ -366,7 +340,6 @@ Cluster::assembleAndSend(std::size_t ti)
     src._mode = svc::Tenant::Mode::kDetached;
 
     ft.state = MigState::kInFlight;
-    ft.exportState.clear();
     ft.exportCtx.clear();
 
     // Serialization time on the wire at the configured bandwidth,
@@ -374,16 +347,12 @@ Cluster::assembleAndSend(std::size_t ti)
     const auto wire_ns = static_cast<std::uint64_t>(
         static_cast<double>(parcel->bytes) * 8.0 / _cfg.migrationGbps);
     _migrationBytes += parcel->bytes;
-    const unsigned dst = parcel->dstNode;
-    const sim::Tick delay =
-        linkLatency(parcel->srcNode, dst) + wire_ns * sim::kTickNs;
-    _eq.scheduleIn(delay,
-                   [this, dst, p = std::move(parcel)]() mutable {
-                       // The landing: inbox only; importParcel()
-                       // runs at the next barrier.
-                       ++_sched.parcels;
-                       _inbox[dst].push_back(std::move(p));
-                   });
+    const sim::Tick delay = linkLatency(parcel->srcNode, parcel->dstNode) +
+                            wire_ns * sim::kTickNs;
+    _eq.scheduleIn(delay, [this, p = std::move(parcel)]() {
+        ++_sched.parcels;
+        importParcel(*p);
+    });
 }
 
 void
@@ -468,66 +437,34 @@ Cluster::importParcel(MigrationParcel &p)
 }
 
 void
-Cluster::drainInboxes()
+Cluster::forwardStray(unsigned from, const svc::Tenant &b, int user)
 {
-    for (unsigned n = 0; n < numNodes(); ++n) {
-        for (ParcelPtr &p : _inbox[n])
-            importParcel(*p);
-        _inbox[n].clear();
-    }
-}
-
-void
-Cluster::drainStrays()
-{
-    for (unsigned n = 0; n < numNodes(); ++n) {
-        for (const Stray &s : _strays[n]) {
-            auto it = _byBinding.find(s.binding);
-            OPTIMUS_ASSERT(it != _byBinding.end(),
-                           "fleet: stray from unknown binding");
-            FleetTenant &ft = _tenants[it->second];
-            if (ft.state == MigState::kInFlight) {
-                // Buffer until the parcel lands; re-injected by
-                // importParcel().
-                ft.pendingStrays.push_back(s.user);
-            } else {
-                // Settled or freezing: the active binding admits
-                // (frozen bindings still queue arrivals).
-                _planes[ft.node]->injectArrival(*ft.bindings[ft.node],
-                                                s.user);
-            }
+    auto it = _byBinding.find(&b);
+    OPTIMUS_ASSERT(it != _byBinding.end(),
+                   "fleet: stray from unknown binding");
+    const std::size_t ti = it->second;
+    const FleetTenant &ft = _tenants[ti];
+    // To the tenant's node, or to where its parcel is headed.
+    const unsigned to =
+        ft.state == MigState::kInFlight ? ft.dst : ft.node;
+    ++_straysOnWire;
+    _eq.scheduleIn(linkLatency(from, to), [this, ti, user]() {
+        --_straysOnWire;
+        FleetTenant &t = _tenants[ti];
+        if (t.state == MigState::kInFlight) {
+            // Re-injected by importParcel().
+            t.pendingStrays.push_back(user);
+            return;
         }
-        _strays[n].clear();
-    }
-}
-
-void
-Cluster::progressFreezes()
-{
-    if (_migrationsStarted == _migrationsCompleted)
-        return; // no tenant is freezing (or in flight)
-    for (std::size_t ti = 0; ti < _tenants.size(); ++ti) {
-        FleetTenant &ft = _tenants[ti];
-        if (ft.state != MigState::kFreezing)
-            continue;
-        issueExports(ti); // re-issue any kRetry workers
-        bool all_done = true;
-        for (ExportState s : ft.exportState)
-            if (s != ExportState::kDone)
-                all_done = false;
-        if (all_done)
-            assembleAndSend(ti);
-    }
+        // Settled or freezing: the active binding admits (a frozen
+        // binding still queues arrivals).
+        _planes[t.node]->injectArrival(*t.bindings[t.node], user);
+    });
 }
 
 void
 Cluster::barrierStep()
 {
-    // Imports and re-injected arrivals dispatch as they happen.
-    drainInboxes();
-    drainStrays();
-    progressFreezes();
-
     if (_cfg.rebalanceInterval != 0 && now() >= _nextRebalance) {
         while (now() >= _nextRebalance)
             _nextRebalance += _cfg.rebalanceInterval;
@@ -536,29 +473,18 @@ Cluster::barrierStep()
     }
     if (_probe)
         _probe();
-
-    // Migrations the rebalancer or probe just started can complete
-    // their exports inline (idle workers detach synchronously);
-    // assemble them now — with the fleet otherwise idle there may be
-    // no later event, hence no later barrier, to do it.
-    progressFreezes();
 }
 
 bool
 Cluster::quiesced() const
 {
+    if (_straysOnWire != 0)
+        return false;
     for (const auto &p : _planes)
         if (!p->idle())
             return false;
     for (const auto &ft : _tenants)
-        if (ft.state != MigState::kSettled ||
-            !ft.pendingStrays.empty())
-            return false;
-    for (const auto &in : _inbox)
-        if (!in.empty())
-            return false;
-    for (const auto &st : _strays)
-        if (!st.empty())
+        if (ft.state != MigState::kSettled)
             return false;
     return true;
 }

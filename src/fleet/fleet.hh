@@ -4,36 +4,37 @@
  * global scheduler, with cross-node live tenant migration.
  *
  * Topology: every node runs on the cluster's one sim::EventQueue.
- * Node-to-node links have a configurable rack / inter-rack latency; a
- * parcel sent over one is an event on the shared queue at send +
- * link latency + wire time. run() advances the queue in windows one
- * smallest link latency wide (the rack link; the inter-rack link when
- * every rack holds one node; unbounded for a single node) and does
- * the fleet's cross-node work at the barrier after each window.
+ * Node-to-node links have a configurable rack / inter-rack latency;
+ * what crosses one (a parcel, a forwarded arrival) is an event on the
+ * shared queue one link latency after it is sent, plus a parcel's
+ * wire time. run() advances the queue in windows one smallest link
+ * latency wide (the rack link; the inter-rack link when every rack
+ * holds one node; unbounded for a single node) and runs the
+ * rebalancer and the barrier probe between windows: the two steps
+ * that must see every node at once.
  *
  * Tenancy: a fleet tenant is one logical svc tenant with a *binding*
  * (VM + workers + programmed workload) on every node, created in
  * identical order so guest-virtual layouts match across nodes; at
  * most one binding is active. Migration freezes the active binding
  * (arrivals still queue, dispatch stops), detaches each worker's job
- * through OptimusHv::exportContext() — the PR 4/6 preemption path:
- * drain, device-state save to the guest buffer, SAVED doorbell, or
- * forced reset with ERR_STATUS on timeout — then ships a parcel
- * (contexts, queued requests, worker DMA-window images including the
- * saved blobs, and the arrival generator) over the node link at the
- * configured bandwidth. The destination imports at the first
- * barrier at or after the parcel lands, and the service stream
- * continues there; the freeze-to-reactivation gap is recorded per
- * move in the blackout histogram.
+ * through OptimusHv::exportContext() — the preemption path: drain,
+ * device-state save to the guest buffer, SAVED doorbell, or forced
+ * reset with ERR_STATUS on timeout — and, when the last export
+ * completes, ships a parcel (contexts, queued requests, worker
+ * DMA-window images including the saved blobs, and the arrival
+ * generator) over the node link at the configured bandwidth. The
+ * parcel's landing event imports it on the destination, and the
+ * service stream continues there; the freeze-to-reactivation gap is
+ * recorded per move in the blackout histogram.
  *
- * Determinism contract: all fleet logic — routing, rebalancing,
- * export retries, parcel assembly and import — runs at barriers
- * (between windows, where no event executes) or inside event
- * callbacks that only append to per-node inboxes; every scan runs in
- * index order with deterministic tie-breaks. Each node's service
- * plane dispatches inside its own node's events. Fleet results are
- * a pure function of the configuration, byte-identical across
- * --jobs.
+ * Determinism contract: every cross-node step runs inside the event
+ * that triggers it (an export's completion, a parcel's or a stray's
+ * landing), and the rebalancer and the probe run between windows,
+ * where no event executes; every scan runs in index order with
+ * deterministic tie-breaks. Each node's service plane dispatches
+ * inside its own node's events. Fleet results are a pure function of
+ * the configuration, byte-identical across --jobs.
  */
 
 #ifndef OPTIMUS_FLEET_FLEET_HH
@@ -130,7 +131,6 @@ struct MigrationParcel
     std::unique_ptr<svc::ArrivalGen> gen;
     std::uint64_t nextId = 0;
 };
-using ParcelPtr = std::shared_ptr<MigrationParcel>;
 
 /**
  * The pluggable routing brain: initial placement for new tenants and
@@ -232,15 +232,18 @@ class Cluster
     void run(sim::Tick window);
 
     /**
-     * Request a live migration; executed by the barrier state
-     * machine. Returns false if @p dst is the current node, out of
-     * range, or the tenant is already migrating. Callable from the
-     * barrier probe or between runs.
+     * Start a live migration of tenant @p t to node @p dst: freeze its
+     * binding and export its workers; the last export to complete
+     * sends the parcel, and the parcel's landing imports it. Returns
+     * false if @p t or @p dst is out of range, @p dst is the current
+     * node, or the tenant is already migrating. Callable from an
+     * event, from the barrier probe, or between runs.
      */
     bool migrateTenant(std::size_t t, unsigned dst);
 
-    /** Invoked at every barrier during run(); benches use it to
-     *  force migrations at deterministic simulated times. */
+    /** Invoked between windows during run(), after the rebalancer;
+     *  benches use it to force migrations at deterministic simulated
+     *  times. */
     void setBarrierProbe(std::function<void()> probe)
     {
         _probe = std::move(probe);
@@ -297,12 +300,6 @@ class Cluster
         kFreezing, ///< exports in flight on the source node
         kInFlight, ///< parcel on the wire
     };
-    enum class ExportState
-    {
-        kRetry, ///< needs (re-)issue at the next barrier
-        kPending,
-        kDone,
-    };
 
     struct FleetTenant
     {
@@ -313,29 +310,20 @@ class Cluster
         unsigned dst = 0;
         sim::Tick freezeTick = 0;
         sim::Tick lastMigration = 0;
-        std::vector<ExportState> exportState;
+        /** Worker contexts of a freeze, and the exports still due. */
         std::vector<hv::VaccelContext> exportCtx;
+        std::size_t exportsLeft = 0;
         /** Arrivals forwarded while the parcel was on the wire. */
         std::vector<int> pendingStrays;
     };
 
-    struct Stray
-    {
-        svc::Tenant *binding;
-        int user;
-    };
-
-    /** The cross-node work of one barrier: import parcels, route
-     *  strays, advance freezes, rebalance, run the probe. */
+    /** Between windows: the rebalancer and the probe. */
     void barrierStep();
-    void drainInboxes();
-    void importParcel(MigrationParcel &p);
-    void drainStrays();
-    /** Re-issue exports and ship finished freezes; a no-op while no
-     *  migration is in flight. */
-    void progressFreezes();
-    void issueExports(std::size_t ti);
     void assembleAndSend(std::size_t ti);
+    void importParcel(MigrationParcel &p);
+    /** An arrival fired on binding @p b, detached on node @p from: it
+     *  reaches its tenant's node one link latency later. */
+    void forwardStray(unsigned from, const svc::Tenant &b, int user);
     /** No queued/busy work, no migration state in flight. */
     bool quiesced() const;
     bool finished() const;
@@ -359,11 +347,8 @@ class Cluster
     sim::Tick _window = sim::kTickForever;
     std::vector<std::unique_ptr<hv::System>> _nodes;
     std::vector<std::unique_ptr<svc::ServicePlane>> _planes;
-    /** Parcels landed, per destination node (appended by the landing
-     *  event; drained at barriers). */
-    std::vector<std::vector<ParcelPtr>> _inbox;
-    /** Forwarded arrivals, per source node (same discipline). */
-    std::vector<std::vector<Stray>> _strays;
+    /** Forwarded arrivals not yet landed. */
+    std::uint64_t _straysOnWire = 0;
     std::unordered_map<const svc::Tenant *, std::size_t> _byBinding;
     std::vector<FleetTenant> _tenants;
     std::unique_ptr<GlobalScheduler> _gsched;

@@ -209,79 +209,89 @@ OptimusHv::mmioWrite(VirtualAccel &v, std::uint64_t r,
     if (!done)
         done = []() {};
 
+    ++v._cmdsInFlight;
     eventq().scheduleIn(cost, [this, &v, r, value,
                                done = std::move(done)]() mutable {
-        const bool sched = isScheduled(v);
-        auto forward = [this, &v, r, done](std::uint64_t val) {
-            deviceMmio(true, accelRegOffset(v._slot, r), val,
-                       [done](std::uint64_t) { done(); });
-        };
+        trapWrite(v, r, value, std::move(done));
+        --v._cmdsInFlight;
+        runHeldExport(v);
+    });
+}
 
-        if (r == reg::kCtrl) {
-            std::uint64_t bits = value;
-            // PREEMPT/RESUME are privileged control-register
-            // operations; guests may not issue them directly.
-            bits &= ~(ctrl::kPreempt | ctrl::kResume);
-            if (bits & ctrl::kStart) {
-                v._ctx.visibleStatus = Status::kRunning;
-                v._ctx.cachedResult = 0;
-                v._ctx.cachedProgress = 0;
-                v._resultFromCtx = false;
-                v._ctx.savedContext = false;
-                // A fresh START acknowledges and clears any earlier
-                // fault; a quarantined vaccel becomes eligible again.
-                v._ctx.errStatus = 0;
-                v._ctx.quarantined = false;
-                if (!sched) {
-                    v._ctx.pendingStart = true;
-                    wake(v);
-                    done();
-                    return;
-                }
-                armWatchdog(v);
-            }
-            if (bits & ctrl::kSoftReset) {
-                v._ctx.visibleStatus = Status::kIdle;
-                v._ctx.pendingStart = false;
-                v._ctx.savedContext = false;
-                v._ctx.errStatus = 0;
-                v._ctx.quarantined = false;
-                if (!sched) {
-                    done();
-                    return;
-                }
-            }
-            if (bits == 0) {
+void
+OptimusHv::trapWrite(VirtualAccel &v, std::uint64_t r,
+                     std::uint64_t value, std::function<void()> done)
+{
+    const bool sched = isScheduled(v);
+    auto forward = [this, &v, r, done](std::uint64_t val) {
+        deviceMmio(true, accelRegOffset(v._slot, r), val,
+                   [done](std::uint64_t) { done(); });
+    };
+
+    if (r == reg::kCtrl) {
+        std::uint64_t bits = value;
+        // PREEMPT/RESUME are privileged control-register
+        // operations; guests may not issue them directly.
+        bits &= ~(ctrl::kPreempt | ctrl::kResume);
+        if (bits & ctrl::kStart) {
+            v._ctx.visibleStatus = Status::kRunning;
+            v._ctx.cachedResult = 0;
+            v._ctx.cachedProgress = 0;
+            v._resultFromCtx = false;
+            v._ctx.savedContext = false;
+            // A fresh START acknowledges and clears any earlier
+            // fault; a quarantined vaccel becomes eligible again.
+            v._ctx.errStatus = 0;
+            v._ctx.quarantined = false;
+            if (!sched) {
+                v._ctx.pendingStart = true;
+                wake(v);
                 done();
                 return;
             }
-            forward(bits);
-            return;
+            armWatchdog(v);
         }
-        // Cached registers reach the device only while v holds it;
-        // scheduleVaccel() replays them otherwise.
-        if (r == reg::kStateBuf) {
-            v._ctx.stateBufGva = value;
-        } else if (r >= reg::kApp0 &&
-                   r < reg::kApp0 + 8ULL * reg::kNumAppRegs &&
-                   r % 8 == 0) {
-            auto idx =
-                static_cast<std::uint32_t>((r - reg::kApp0) / 8);
-            v._ctx.regCache[idx] = value;
-            if (std::find(v._ctx.touchedRegs.begin(),
-                          v._ctx.touchedRegs.end(),
-                          idx) == v._ctx.touchedRegs.end()) {
-                v._ctx.touchedRegs.push_back(idx);
+        if (bits & ctrl::kSoftReset) {
+            v._ctx.visibleStatus = Status::kIdle;
+            v._ctx.pendingStart = false;
+            v._ctx.savedContext = false;
+            v._ctx.errStatus = 0;
+            v._ctx.quarantined = false;
+            if (!sched) {
+                done();
+                return;
             }
-        } else {
-            done(); // read-only or unknown register: ignored
+        }
+        if (bits == 0) {
+            done();
             return;
         }
-        if (sched)
-            forward(value);
-        else
-            done();
-    });
+        forward(bits);
+        return;
+    }
+    // Cached registers reach the device only while v holds it;
+    // scheduleVaccel() replays them otherwise.
+    if (r == reg::kStateBuf) {
+        v._ctx.stateBufGva = value;
+    } else if (r >= reg::kApp0 &&
+               r < reg::kApp0 + 8ULL * reg::kNumAppRegs &&
+               r % 8 == 0) {
+        auto idx =
+            static_cast<std::uint32_t>((r - reg::kApp0) / 8);
+        v._ctx.regCache[idx] = value;
+        if (std::find(v._ctx.touchedRegs.begin(),
+                      v._ctx.touchedRegs.end(),
+                      idx) == v._ctx.touchedRegs.end()) {
+            v._ctx.touchedRegs.push_back(idx);
+        }
+    } else {
+        done(); // read-only or unknown register: ignored
+        return;
+    }
+    if (sched)
+        forward(value);
+    else
+        done();
 }
 
 void
@@ -426,6 +436,7 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
     // The publish itself is two plain stores in the guest's own
     // memory — no trap. What is priced here is the propagation of
     // the sequence-word store into the line the device polls.
+    ++v._cmdsInFlight;
     eventq().scheduleIn(
         _platform.params().ringPublishCost,
         [this, &v, prod_seq, done = std::move(done)]() mutable {
@@ -450,6 +461,8 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
                 wake(v);
             }
             done();
+            --v._cmdsInFlight;
+            runHeldExport(v);
         });
 }
 
@@ -744,6 +757,7 @@ OptimusHv::attach(VirtualAccel &v, std::function<void()> done)
         v._watchdog.cancel();
         armWatchdog(v);
         done();
+        runHeldExports(v._slot);
     });
 }
 
@@ -925,6 +939,8 @@ OptimusHv::vacate(std::uint32_t slot_idx)
     // register replay).
     if (VirtualAccel *next = pickNext(slot))
         performSwitch(slot_idx, next);
+    else
+        runHeldExports(slot_idx);
 }
 
 void
@@ -1082,6 +1098,25 @@ void
 OptimusHv::exportContext(
     VirtualAccel &v, std::function<void(bool, VaccelContext)> done)
 {
+    OPTIMUS_ASSERT(!v._heldExport, "second export of one vaccel");
+    if (!optimusMode()) {
+        done(false, {});
+        return;
+    }
+    v._heldExport = std::move(done);
+    runHeldExport(v);
+}
+
+void
+OptimusHv::runHeldExport(VirtualAccel &v)
+{
+    // A command in flight would land on the neutralized vaccel and
+    // strand its job; a switch in flight owns the slot.
+    if (!v._heldExport || v._cmdsInFlight != 0 ||
+        _slots[v._slot].midSwitch())
+        return;
+    auto done = std::move(v._heldExport);
+    v._heldExport = nullptr;
     // Snapshot the hypervisor-side state, then neutralize the source
     // vaccel: the job now lives in the context, so the local
     // scheduler must never consider it eligible again. A forced reset
@@ -1096,8 +1131,15 @@ OptimusHv::exportContext(
         v._watchdog.cancel();
         done(true, std::move(ctx));
     };
-    if (!optimusMode() || !release(v, false, std::move(capture)))
-        done(false, {}); // retry later
+    if (!release(v, false, std::move(capture)))
+        done(false, {}); // running without a state buffer
+}
+
+void
+OptimusHv::runHeldExports(std::uint32_t slot_idx)
+{
+    for (const auto &v : _slots[slot_idx].vaccels)
+        runHeldExport(*v);
 }
 
 void

@@ -209,6 +209,13 @@ class VirtualAccel
 
     CompletionHandler _completion;
     bool _guestWaiting = false;
+
+    /** Context-changing guest commands (MMIO writes, ring publishes)
+     *  issued but not yet landed. */
+    std::uint32_t _cmdsInFlight = 0;
+    /** An export waiting for those commands to land and for its slot's
+     *  switch to end (OptimusHv::exportContext). */
+    std::function<void(bool, VaccelContext)> _heldExport;
 };
 
 /** The hypervisor. */
@@ -286,9 +293,13 @@ class OptimusHv
      * re-runs the request on the destination). After a successful
      * export the source vaccel is neutralized (kIdle, no pending
      * start, no saved context) so the local scheduler never runs it
-     * again; its slot is handed to the next tenant. @p done receives
-     * false — retry later — if a context switch already holds the
-     * slot, or if @p v is running without a state buffer.
+     * again; its slot is handed to the next tenant. The export is held,
+     * and runs from the event that ends the wait, while @p v has a
+     * context-changing guest command in flight (a START or other MMIO
+     * write, or a ring publish, that has not landed) or while a switch
+     * holds its slot. @p done receives false only on a pass-through
+     * platform, or if @p v holds its slot running without a state
+     * buffer.
      */
     void exportContext(
         VirtualAccel &v,
@@ -523,6 +534,14 @@ class OptimusHv
      */
     bool release(VirtualAccel &v, bool ring_errors,
                  std::function<void(bool)> then);
+    /** Run @p v's held export (see exportContext()) unless a command
+     *  is still in flight or a switch holds the slot. */
+    void runHeldExport(VirtualAccel &v);
+    /** A switch on @p slot_idx ended: run its vaccels' held exports. */
+    void runHeldExports(std::uint32_t slot_idx);
+    /** Emulate a trapped guest MMIO write as it lands (mmioWrite). */
+    void trapWrite(VirtualAccel &v, std::uint64_t reg,
+                   std::uint64_t value, std::function<void()> done);
     void onDoorbell(std::uint32_t slot_idx, accel::Accelerator &a);
     /** A ring job's completion landed in the holder's ring: forward it
      *  to the holder's completion handler. */

@@ -211,11 +211,10 @@ EventQueue::dispatchActive(Tick t)
 bool
 EventQueue::runOne()
 {
-    const Tick t = _nextTick;
+    const Tick t = scanNextTick();
     if (t == kTickForever)
         return false;
     dispatch(t);
-    _nextTick = scanNextTick();
     return true;
 }
 
@@ -253,7 +252,6 @@ EventQueue::drainEvents(Tick limit)
                 // slots. Release the activation so those inserts are
                 // found first on the next run.
                 deactivate();
-                _nextTick = t;
                 return n;
             }
             dispatchActive(t);
@@ -263,7 +261,6 @@ EventQueue::drainEvents(Tick limit)
                 // slot's span (if any), as after runOne(). The flag
                 // stays set until the next run starts, telling
                 // runUntil() not to advance the clock.
-                _nextTick = scanNextTick();
                 return n;
             }
         }
@@ -279,10 +276,8 @@ EventQueue::drainEvents(Tick limit)
                      ? farMinTick()
                      : (_overflow.empty() ? kTickForever
                                           : _overflow.front().when);
-        if (t == kTickForever || t > limit) {
-            _nextTick = t;
+        if (t == kTickForever || t > limit)
             return n;
-        }
         _now = t;
         advanceWindow();
         activateSlot(_occupied.findFrom(slotOf(t)));

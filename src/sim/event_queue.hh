@@ -183,25 +183,10 @@ class EventQueue
      */
     std::uint32_t callbackSlots() const { return _pool.slots(); }
 
-    /**
-     * Tick of the next pending event; kTickForever if none. O(1): the
-     * queue caches it. Every enqueue lowers the cache, runUntil sets
-     * it where it stops and runOne rescans it after its event. While
-     * an event runs it may lag the queue, so only top-level code (a
-     * fleet's window loop) and tests read it. Debug builds check the
-     * cache against a full scan on every read.
-     */
-    Tick
-    nextEventTick() const
-    {
-#ifndef NDEBUG
-        OPTIMUS_ASSERT(_nextTick == scanNextTick(),
-                       "stale next-event tick (%llu, queue holds %llu)",
-                       static_cast<unsigned long long>(_nextTick),
-                       static_cast<unsigned long long>(scanNextTick()));
-#endif
-        return _nextTick;
-    }
+    /** Tick of the next pending event; kTickForever if none. Scans
+     *  the levels: the active slot's cursor, else the first occupied
+     *  ring slot, the far ring or the heap. */
+    Tick nextEventTick() const { return scanNextTick(); }
 
     /**
      * Execute the single next event, advancing time to it.
@@ -478,8 +463,6 @@ class EventQueue
 #endif
         if (when < _now)
             when = _now;
-        if (when < _nextTick)
-            _nextTick = when;
         if (when < _ringLimit) {
             std::uint32_t s = slotOf(when);
             if (s != _activeSlot) {
@@ -516,7 +499,7 @@ class EventQueue
     void pushToFar(const Key &k);
 
     /** Tick of the earliest pending event, found by scanning the
-     *  levels (what the _nextTick cache stands for). */
+     *  levels. */
     Tick
     scanNextTick() const
     {
@@ -570,9 +553,6 @@ class EventQueue
     CallbackPool _pool;
 
     Tick _now = 0;
-    /** The earliest pending tick (see nextEventTick): exact whenever
-     *  no event of this queue is running. */
-    Tick _nextTick = kTickForever;
     /** Exclusive end of the near window: ring events all have ticks
      *  in [_now, _ringLimit). Always a whole-window boundary, and
      *  always the first boundary above _now, so _ringLimit - _now

@@ -10,7 +10,7 @@
  * differential check against a reference heap, so any future change
  * to the wheel geometry or migration logic that perturbs ordering
  * fails loudly here rather than as a silently different simulation.
- * The same differential check pins the cached nextEventTick() a
+ * The same differential check pins nextEventTick(), the scan a
  * fleet reads between its windows.
  * They also pin what the callback pool behind the levels guarantees:
  * a closure runs in place even while it grows the pool, every pending
@@ -359,8 +359,8 @@ TEST(EventQueueOrder, RandomizedDifferentialAgainstReferenceHeap)
 
         // Subject: the calendar queue making the same decisions,
         // drained once by runAll() and once through runUntil windows
-        // of random length, some with nothing due. The cached
-        // nextEventTick() must equal the pending reference minimum
+        // of random length, some with nothing due. nextEventTick()
+        // must equal the pending reference minimum
         // after every outside schedule and window.
         for (bool windowed : {false, true}) {
             const char *drive = windowed ? "runUntil windows" : "runAll";

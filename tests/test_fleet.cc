@@ -2,7 +2,9 @@
  * @file
  * Fleet plane tests: conservation of work across forced live
  * migrations (nothing lost in flight, blackout measured per move),
- * the parcel's landing and import times,
+ * fleet steps at their trigger events (an import in the parcel's
+ * landing, a stray admitted one link latency after it fires, a
+ * blackout that no window width changes),
  * an export whose preempt times out on a wedged source, a rebalancer
  * export that lands while the device is restoring, the guest-visible
  * RESULT/PROGRESS of a finished job after a move, placement policy
@@ -11,10 +13,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <vector>
 
 #include "fleet/fleet.hh"
 
@@ -92,39 +93,128 @@ TEST(FleetTest, RebalancerMovesLoadOffHotNode)
     EXPECT_GE(st.migrations, 1u);
 }
 
-TEST(FleetTest, ParcelLandsAfterLinkAndWireTimeAndImportsAtTheNextBarrier)
+TEST(FleetTest, ParcelImportsInItsLandingEvent)
 {
     // An idle tenant frozen at the up-front barrier exports inline, so
-    // its parcel leaves at that barrier's tick. It lands one link
-    // latency plus its wire time later, and is imported at the first
-    // barrier at or after the landing: the end of the window the
-    // landing falls in.
+    // its parcel leaves at the freeze tick. The landing event, one link
+    // latency plus the parcel's wire time later, imports it: the
+    // blackout is exactly that flight.
     fleet::ClusterConfig cfg = twoNodeConfig();
     cfg.rebalanceInterval = 0;
     fleet::Cluster cl(cfg);
     const std::size_t t = cl.addTenant(shaTenant("t0", 31, 20000.0));
     ASSERT_EQ(cl.tenantNode(t), 0u);
-    std::vector<sim::Tick> barriers;
-    sim::Tick imported = 0;
+    bool moved = false;
     cl.setBarrierProbe([&]() {
-        barriers.push_back(cl.now());
-        if (barriers.size() == 1)
-            EXPECT_TRUE(cl.migrateTenant(t, 1));
-        else if (imported == 0 && cl.tenantNode(t) == 1)
-            imported = cl.now();
+        if (!moved)
+            moved = cl.migrateTenant(t, 1);
     });
     cl.run(sim::kTickMs);
     ASSERT_EQ(cl.migrationsCompleted(), 1u);
     const auto wire_ns = static_cast<std::uint64_t>(
         static_cast<double>(cl.migrationBytes()) * 8.0 /
         cfg.migrationGbps);
-    const sim::Tick landed =
-        barriers[0] + cfg.rackLinkLatency + wire_ns * sim::kTickNs;
-    const auto first =
-        std::lower_bound(barriers.begin(), barriers.end(), landed);
-    ASSERT_NE(first, barriers.end());
-    EXPECT_EQ(imported, *first);
-    EXPECT_LT(imported, landed + cl.window());
+    EXPECT_EQ(cl.blackoutHist().max(),
+              cfg.rackLinkLatency / sim::kTickNs + wire_ns);
+}
+
+TEST(FleetTest, StrayIsAdmittedOneLinkLatencyAfterItFires)
+{
+    // A fixed-rate tenant moves at the up-front barrier, after its
+    // first arrival was scheduled on the source binding. That arrival
+    // fires there one gap later, long after the parcel landed, and is
+    // forwarded: the destination admits it one link latency after it
+    // fired, not earlier and not at a barrier.
+    fleet::ClusterConfig cfg = twoNodeConfig();
+    cfg.rebalanceInterval = 0;
+    fleet::Cluster cl(cfg);
+    fleet::FleetTenantSpec spec = shaTenant("t0", 33, 2000.0);
+    spec.svc.arrivals.kind = svc::ArrivalKind::kFixed; // 500 us gap
+    const std::size_t t = cl.addTenant(spec);
+    ASSERT_EQ(cl.tenantNode(t), 0u);
+    cl.setBarrierProbe([&]() {
+        if (cl.migrationsStarted() == 0) {
+            EXPECT_TRUE(cl.migrateTenant(t, 1));
+        }
+    });
+    const sim::Tick fires = cl.now() + 500 * sim::kTickUs;
+    const sim::Tick lands = fires + cfg.rackLinkLatency;
+    const svc::Tenant &dst = cl.binding(t, 1);
+    // Scheduled before the stray's landing, so they run before it at
+    // a shared tick.
+    cl.node(0).eq.scheduleAt(lands, [&]() {
+        EXPECT_EQ(cl.tenantNode(t), 1u);
+        EXPECT_EQ(dst.arrivals(), 0u);
+    });
+    cl.node(0).eq.scheduleAt(lands + 1,
+                             [&]() { EXPECT_EQ(dst.arrivals(), 1u); });
+    cl.run(sim::kTickMs);
+    EXPECT_EQ(cl.fleetArrivals(), 1u);
+    EXPECT_EQ(cl.fleetCompleted(), 1u);
+}
+
+/** Blackout of one move of a two-worker tenant time-sharing slot 0
+ *  from node 0 to node @p dst, frozen by an event while the slot is
+ *  mid-switch. Every cluster starts the run at one tick with its nodes
+ *  settled, so node 0 runs identically whatever the cluster's size. */
+std::uint64_t
+midSwitchBlackout(unsigned nodes, unsigned nodes_per_rack, unsigned dst)
+{
+    fleet::ClusterConfig cfg = twoNodeConfig();
+    cfg.nodes = nodes;
+    cfg.nodesPerRack = nodes_per_rack;
+    cfg.rebalanceInterval = 0;
+    fleet::Cluster cl(cfg);
+    for (unsigned n = 0; n < cl.numNodes(); ++n)
+        cl.node(n).hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
+                                100 * sim::kTickUs);
+    fleet::FleetTenantSpec spec = shaTenant("t0", 81, 80000.0);
+    spec.svc.vaccels = 2;
+    const std::size_t t = cl.addTenant(spec);
+    EXPECT_EQ(cl.tenantNode(t), 0u);
+    cl.node(0).run(5 * sim::kTickMs);
+    EXPECT_EQ(cl.now(), 5 * sim::kTickMs);
+
+    // Poll every microsecond from 300 us into the run; the first poll
+    // that finds a worker running but neither holding the slot is
+    // inside a slice switch, and freezes the tenant there.
+    hv::OptimusHv &hv = cl.node(0).hv;
+    const svc::Tenant &b = cl.binding(t, 0);
+    auto switching = [&]() {
+        bool running = false;
+        for (std::size_t w = 0; w < b.numWorkers(); ++w) {
+            if (hv.isScheduled(b.vaccel(w)))
+                return false;
+            running |= b.vaccel(w).visibleStatus() ==
+                       accel::Status::kRunning;
+        }
+        return running;
+    };
+    std::function<void()> poll = [&]() {
+        if (!switching()) {
+            cl.node(0).eq.scheduleIn(sim::kTickUs, poll);
+            return;
+        }
+        EXPECT_TRUE(cl.migrateTenant(t, dst));
+    };
+    cl.node(0).eq.scheduleIn(300 * sim::kTickUs, poll);
+    cl.run(sim::kTickMs);
+    EXPECT_EQ(cl.migrationsCompleted(), 1u);
+    EXPECT_EQ(cl.fleetArrivals(),
+              cl.fleetCompleted() + cl.fleetDropped());
+    EXPECT_GT(cl.blackoutHist().max(),
+              cfg.interRackLinkLatency / sim::kTickNs);
+    return cl.blackoutHist().max();
+}
+
+TEST(FleetTest, BlackoutDoesNotDependOnTheWindow)
+{
+    // The move crosses the 10 us inter-rack link in both clusters;
+    // their windows are that link (one node per rack) and the 2 us
+    // rack link (the third node shares the source's rack).
+    const std::uint64_t wide = midSwitchBlackout(2, 1, 1);
+    const std::uint64_t narrow = midSwitchBlackout(3, 2, 2);
+    EXPECT_EQ(wide, narrow);
 }
 
 TEST(FleetTest, ForcedMigrationConservesWork)
@@ -280,10 +370,12 @@ TEST(FleetTest, MigrateTenantRejectsBadTargets)
     fleet::ClusterConfig cfg = twoNodeConfig();
     cfg.rebalanceInterval = 0;
     fleet::Cluster cl(cfg);
+    EXPECT_FALSE(cl.migrateTenant(3, 1));     // no such tenant
     std::size_t t = cl.addTenant(shaTenant("t0", 31, 1000.0));
     unsigned home = cl.tenantNode(t);
     EXPECT_FALSE(cl.migrateTenant(t, home));  // same node
     EXPECT_FALSE(cl.migrateTenant(t, 99));    // out of range
+    EXPECT_FALSE(cl.migrateTenant(t + 1, 1 - home)); // no such tenant
     EXPECT_TRUE(cl.migrateTenant(t, 1 - home));
     EXPECT_FALSE(cl.migrateTenant(t, home));  // already migrating
     cl.run(200 * sim::kTickUs);

@@ -5,7 +5,9 @@
  * completes correctly; a source that cannot cede is force-reset and
  * the migration reports failure; migration is refused across
  * accelerator types; descheduled tenants migrate with their cached
- * state; a finished job moves without completing a second time.
+ * state; a finished job moves without completing a second time; a
+ * cross-node export waits out a slice switch or a START trap in
+ * flight instead of being refused.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "accel/linkedlist_accel.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
+#include "step_until.hh"
 
 using namespace optimus;
 using namespace optimus::hv;
@@ -171,6 +174,86 @@ TEST(MigrationTest, FinishedHolderMigratesWithoutSecondCompletion)
     EXPECT_EQ(completions, 1);
     EXPECT_EQ(sys.hv.peekStatus(h.vaccel()), accel::Status::kDone);
     EXPECT_EQ(h.result(), layout.checksum);
+}
+
+/** Program @p h with a long linked-list walk and a state buffer. */
+void
+programWalk(AccelHandle &h, std::uint64_t seed)
+{
+    auto layout = workload::buildLinkedList(h, 60000, seed);
+    h.writeAppReg(accel::LinkedlistAccel::kRegHead, layout.head.value());
+    h.writeAppReg(accel::LinkedlistAccel::kRegCount, 0);
+    h.setupStateBuffer();
+}
+
+TEST(MigrationTest, ExportHeldMidSwitchFinishesWhenTheSwitchEnds)
+{
+    // Two walks time-share slot 0. An export of the outgoing walk
+    // issued while the slice switch is in flight is held, not refused,
+    // and completes in the event that hands the slot to the incoming
+    // walk, carrying the context the switch saved.
+    System sys(makeOptimusConfig("LL", 1));
+    sys.hv.setPolicy(0, SchedPolicy::kRoundRobin, 100 * sim::kTickUs);
+    AccelHandle &a = sys.attach(0, 1ULL << 30);
+    AccelHandle &b = sys.attach(0, 1ULL << 30);
+    programWalk(a, 33);
+    programWalk(b, 34);
+    a.start();
+    b.start(); // postponed: a holds slot 0
+    ASSERT_TRUE(test::stepUntil(sys, [&]() {
+        return !sys.hv.isScheduled(a.vaccel()) &&
+               !sys.hv.isScheduled(b.vaccel());
+    }));
+
+    bool ok = false;
+    sim::Tick exported = 0;
+    VaccelContext ctx;
+    sys.hv.exportContext(a.vaccel(), [&](bool k, VaccelContext c) {
+        ok = k;
+        exported = sys.now();
+        ctx = std::move(c);
+    });
+    EXPECT_EQ(exported, 0u); // held
+    sim::Tick attached = 0;
+    while (exported == 0 && sys.eq.runOne()) {
+        if (attached == 0 && sys.hv.isScheduled(b.vaccel()))
+            attached = sys.now();
+    }
+    EXPECT_TRUE(ok);
+    EXPECT_NE(attached, 0u);
+    EXPECT_EQ(exported, attached);
+    EXPECT_EQ(ctx.visibleStatus, accel::Status::kRunning);
+    EXPECT_TRUE(ctx.savedContext);
+    EXPECT_EQ(sys.hv.peekStatus(a.vaccel()), accel::Status::kIdle);
+}
+
+TEST(MigrationTest, ExportWaitsForAStartTrapInFlight)
+{
+    // Exported before its START trap lands, an idle holder would leave
+    // that START to land on the neutralized vaccel and strand the job.
+    // The export waits for the trap, then cedes the running walk.
+    System sys(makeOptimusConfig("LL", 1));
+    AccelHandle &h = sys.attach(0, 1ULL << 30);
+    programWalk(h, 35);
+    const sim::Tick trap_lands =
+        sys.now() + sys.platform.params().trapEmulateCost;
+    sys.hv.mmioWrite(h.vaccel(), accel::reg::kCtrl, accel::ctrl::kStart);
+
+    bool ok = false;
+    sim::Tick exported = 0;
+    VaccelContext ctx;
+    sys.hv.exportContext(h.vaccel(), [&](bool k, VaccelContext c) {
+        ok = k;
+        exported = sys.now();
+        ctx = std::move(c);
+    });
+    EXPECT_EQ(exported, 0u); // held
+    sys.run(sys.now() + 20 * sim::kTickMs);
+    EXPECT_TRUE(ok);
+    EXPECT_GT(exported, trap_lands);
+    EXPECT_EQ(ctx.visibleStatus, accel::Status::kRunning);
+    EXPECT_TRUE(ctx.savedContext);
+    EXPECT_EQ(sys.hv.forcedResets(), 0u);
 }
 
 TEST(MigrationTest, LoadBalancingAcrossSlots)
