@@ -16,11 +16,9 @@
  *  4. Per-node breakdown of one 4-node least-loaded run, plus the
  *     fleet-merged row (sim::Histogram::merge across bindings).
  *
- * All cells are deterministic: byte-identical across --jobs.
- * `--nodes N` restricts sweep 1 to one cluster size and re-sizes
- * sweeps 2 and 4; `--fleet-policy P`
- * restricts sweep 1 to one policy (restricted-out rows render as
- * "skipped" so a fixed flag set still yields a stable table shape).
+ * All cells are deterministic: byte-identical across --jobs. Sweep 1's
+ * rows are named n<nodes>_<policy>, so `--filter` selects one cluster
+ * size (`--filter '^n8_'`) or one policy (`--filter 'slo-aware$'`).
  */
 
 #include <cstdint>
@@ -33,6 +31,9 @@
 using namespace optimus;
 
 namespace {
+
+/** Cluster size of the closed-loop and per-node breakdown sweeps. */
+constexpr unsigned kSweepNodes = 4;
 
 /** Baseline fleet tenant: SHA over 512 B per request, 300us SLO. */
 fleet::FleetTenantSpec
@@ -68,14 +69,6 @@ sealRow(exp::ResultRow &row, fleet::Cluster &cl)
     row.fp.add(cl.fingerprint());
     row.fp.add(cl.now());
     row.sealFingerprint();
-}
-
-exp::ResultRow
-skippedRow(const std::string &label, const char *why)
-{
-    exp::ResultRow row(label);
-    row.str("status", std::string("skipped (") + why + ")");
-    return row;
 }
 
 /** Sweep 1: @p nodes-node fleet, two tenants per node, alternating
@@ -114,14 +107,14 @@ policyScenario(const std::string &label, unsigned nodes,
 }
 
 /** Sweep 2: closed-loop population @p users across a fleet of
- *  @p nodes, two tenants per node sharing the population evenly. */
+ *  kSweepNodes, two tenants per node sharing the population evenly. */
 exp::ResultRow
-closedScenario(const std::string &label, unsigned nodes,
-               std::uint64_t users, const exp::RunContext &ctx)
+closedScenario(const std::string &label, std::uint64_t users,
+               const exp::RunContext &ctx)
 {
     fleet::Cluster cl(
-        fleetConfig(nodes, fleet::Policy::kLeastLoaded));
-    const unsigned tenants = 2 * nodes;
+        fleetConfig(kSweepNodes, fleet::Policy::kLeastLoaded));
+    const unsigned tenants = 2 * kSweepNodes;
     const std::uint64_t per =
         std::max<std::uint64_t>(1, users / tenants);
     for (unsigned i = 0; i < tenants; ++i) {
@@ -190,13 +183,13 @@ blackoutScenario(const std::string &app, const exp::RunContext &ctx)
     return row;
 }
 
-/** Sweep 4: one least-loaded run, reported per node. */
+/** Sweep 4: one least-loaded kSweepNodes run, reported per node. */
 exp::ResultRow
-breakdownScenario(unsigned nodes, const exp::RunContext &ctx)
+breakdownScenario(const exp::RunContext &ctx)
 {
     fleet::Cluster cl(
-        fleetConfig(nodes, fleet::Policy::kLeastLoaded));
-    for (unsigned i = 0; i < 2 * nodes; ++i) {
+        fleetConfig(kSweepNodes, fleet::Policy::kLeastLoaded));
+    for (unsigned i = 0; i < 2 * kSweepNodes; ++i) {
         double rate = (i % 2) ? 120000.0 : 60000.0;
         cl.addTenant(
             shaTenant("t" + std::to_string(i), 401 + i, rate, 0));
@@ -204,7 +197,7 @@ breakdownScenario(unsigned nodes, const exp::RunContext &ctx)
     cl.run(ctx.scaled(4 * sim::kTickMs));
 
     exp::ResultRow row("breakdown");
-    for (unsigned n = 0; n < nodes; ++n) {
+    for (unsigned n = 0; n < kSweepNodes; ++n) {
         sim::Histogram h = cl.nodeE2e(n);
         std::string p = "n" + std::to_string(n) + "_";
         row.count(p + "done", h.count());
@@ -246,11 +239,6 @@ main(int argc, char **argv)
             std::string label = "n" + std::to_string(nodes) + "_" +
                                 p.name;
             r.add(label, [nodes, p, label](const exp::RunContext &c) {
-                if (c.nodes != 0 && c.nodes != nodes)
-                    return skippedRow(label, "--nodes");
-                if (!c.fleetPolicy.empty() &&
-                    c.fleetPolicy != p.name)
-                    return skippedRow(label, "--fleet-policy");
                 return policyScenario(label, nodes, p.policy, c);
             });
         }
@@ -266,9 +254,8 @@ main(int argc, char **argv)
     for (std::uint64_t pop : {1000ULL, 10000ULL, 100000ULL}) {
         std::string label = "users" + std::to_string(pop);
         r.add(label, [pop, label](const exp::RunContext &c) {
-            unsigned nodes = c.nodes ? c.nodes : 4;
             return closedScenario(
-                label, nodes, c.scaledCount(pop, 2 * nodes), c);
+                label, c.scaledCount(pop, 2 * kSweepNodes), c);
         });
     }
 
@@ -287,9 +274,7 @@ main(int argc, char **argv)
 
     r.table("Per-node breakdown (least-loaded, 2 tenants/node)",
             "Fleet-wide aggregation via sim::Histogram::merge");
-    r.add("breakdown", [](const exp::RunContext &c) {
-        return breakdownScenario(c.nodes ? c.nodes : 4, c);
-    });
+    r.add("breakdown", breakdownScenario);
 
     return r.main(argc, argv);
 }

@@ -15,8 +15,8 @@
  *    bench_sim_kernel (BENCH_sim_kernel.json), so the ring poller's
  *    event overhead is comparable against the kernel baseline.
  *
- * `--cmd-path mmio|ring` restricts the sweep to one path; excluded
- * rows render as "skipped" so tables keep their shape.
+ * Rows are named <path>_<rate>, so `--filter '^ring_'` (or '^mmio_')
+ * runs one path; the footer's cross-path lines then read "skipped".
  */
 
 #include <cstdint>
@@ -41,15 +41,6 @@ cellLabel(ring::CmdPath path, double rate)
            std::to_string(static_cast<int>(rate / 1000)) + "k";
 }
 
-/** "skipped" placeholder when --cmd-path excludes this row. */
-exp::ResultRow
-skippedRow(const std::string &label, const std::string &why)
-{
-    exp::ResultRow row(label);
-    row.str("status", "skipped (--cmd-path " + why + ")");
-    return row;
-}
-
 /**
  * One tenant on slot 0 under @p path at @p rate: SHA over 512 B per
  * request, open-loop Poisson, batchMax pipelining the ring (the MMIO
@@ -60,11 +51,6 @@ exp::ResultRow
 pathScenario(ring::CmdPath path, double rate, unsigned batch,
              const exp::RunContext &ctx)
 {
-    const std::string label = cellLabel(path, rate);
-    if (!ctx.cmdPath.empty() &&
-        ctx.cmdPath != ring::cmdPathName(path))
-        return skippedRow(label, ctx.cmdPath);
-
     hv::System sys(hv::makeOptimusConfig("SHA", 1));
     sys.hv.setPolicy(0, hv::SchedPolicy::kRoundRobin,
                      100 * sim::kTickUs); // scheduling knob: unscaled
@@ -94,7 +80,7 @@ pathScenario(ring::CmdPath path, double rate, unsigned batch,
     const std::uint64_t events = sys.eq.executed() - ev0;
 
     const svc::Tenant &ten = plane.tenant(0);
-    exp::ResultRow row(label);
+    exp::ResultRow row(cellLabel(path, rate));
     row.count("done", ten.completed());
     row.num("p50_us", "%.1f",
             static_cast<double>(ten.e2eHist().p50()) / 1e3);
@@ -148,7 +134,7 @@ ringClaimsFooter(const std::vector<exp::ResultRow> &rows,
             std::to_string(static_cast<int>(rate / 1000)) + "k";
         if (!mp || !rp) {
             out.push_back("ring p50 < mmio p50 [" + at +
-                          "]: skipped (--cmd-path restricted)");
+                          "]: skipped (a side is filtered out)");
         } else {
             out.push_back("ring p50 < mmio p50 [" + at + "]: " +
                           (rp->value < mp->value ? "yes" : "NO"));

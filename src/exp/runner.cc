@@ -160,31 +160,13 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
         std::fprintf(
             out,
             "usage: %s [--jobs N] [--filter REGEX] [--json PATH]\n"
-            "          [--csv PATH] [--telemetry DIR]\n"
-            "          [--time-scale F]"
-            " [--faults PLAN] [--repeat N] [--fail-fast]\n"
-            "          [--nodes N] [--fleet-policy P]"
-            " [--cmd-path mmio|ring]\n"
-            "          [--list] [--quiet]\n"
+            "          [--telemetry DIR] [--time-scale F]"
+            " [--faults PLAN]\n"
+            "          [--repeat N] [--list] [--quiet]\n"
             "  --jobs N         scenario worker threads, at most %u\n"
-            "  --nodes N        restrict fleet benches to N-node "
-            "clusters\n"
-            "                   (0/default sweeps the bench's node "
-            "counts)\n"
-            "  --fleet-policy P restrict fleet benches to one "
-            "routing policy:\n"
-            "                   least-loaded, locality, or slo-aware "
-            "(default\n"
-            "                   sweeps all)\n"
-            "  --cmd-path P     restrict command-path-aware benches "
-            "to one\n"
-            "                   submission path: 'mmio' (trapped "
-            "doorbells) or\n"
-            "                   'ring' (polled shared-memory rings); "
-            "default\n"
-            "                   runs each bench's full set; excluded "
-            "rows\n"
-            "                   render as 'skipped'\n",
+            "  --filter REGEX   run only the rows whose name or table "
+            "title\n"
+            "                   matches REGEX\n",
             argc > 0 ? argv[0] : "bench", kMaxThreads);
     };
     for (int i = 1; i < argc; ++i) {
@@ -213,11 +195,6 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
             if (!v)
                 return false;
             opts.jsonPath = v;
-        } else if (a == "--csv") {
-            const char *v = val();
-            if (!v)
-                return false;
-            opts.csvPath = v;
         } else if (a == "--telemetry") {
             const char *v = val();
             if (!v)
@@ -255,33 +232,6 @@ Runner::parseArgs(int argc, char **argv, Options &opts)
                 return false;
             if (opts.repeat == 0)
                 opts.repeat = 1;
-        } else if (a == "--nodes") {
-            const char *v = val();
-            if (!v ||
-                !parseCount(a, v, 0, std::numeric_limits<unsigned>::max(),
-                            opts.nodes))
-                return false;
-        } else if (a == "--fleet-policy") {
-            const char *v = val();
-            if (!v)
-                return false;
-            opts.fleetPolicy = v;
-        } else if (a == "--cmd-path") {
-            const char *v = val();
-            if (!v)
-                return false;
-            if (std::strcmp(v, "mmio") != 0 &&
-                std::strcmp(v, "ring") != 0) {
-                std::fprintf(stderr,
-                             "--cmd-path wants 'mmio' or 'ring', "
-                             "got '%s'\n",
-                             v);
-                usage(stderr);
-                return false;
-            }
-            opts.cmdPath = v;
-        } else if (a == "--fail-fast") {
-            opts.failFast = true;
         } else if (a == "--list") {
             opts.list = true;
         } else if (a == "--quiet" || a == "-q") {
@@ -342,28 +292,21 @@ Runner::run(const Options &opts)
             std::printf("%s / %s\n", _tables[j.table].title.c_str(),
                         _tables[j.table].scenarios[j.scen].name
                             .c_str());
-        std::printf("# command path: %s\n",
-                    opts.cmdPath.empty() ? "bench default"
-                                         : opts.cmdPath.c_str());
         return 0;
     }
 
-    // Execute on a pool; each result lands in its declaration slot so
-    // rendering below is independent of completion order.
-    std::vector<std::optional<ResultRow>> slots(jobs.size());
+    // Execute on a pool; each result (or FAILED row) lands in its
+    // declaration slot so rendering below is independent of completion
+    // order.
+    std::vector<ResultRow> slots(jobs.size());
     RunContext ctx;
     ctx.timeScale = opts.timeScale;
     ctx.faults = opts.faults;
-    ctx.nodes = opts.nodes;
-    ctx.fleetPolicy = opts.fleetPolicy;
-    ctx.cmdPath = opts.cmdPath;
     std::atomic<std::size_t> next{0};
-    std::atomic<bool> abort{false};
     std::mutex errLock;
     // A scenario that throws must not take the whole run down: record
     // a FAILED row in its declaration slot (so tables stay aligned),
-    // remember the error for the nonzero exit, and keep going unless
-    // --fail-fast asked for an immediate stop.
+    // remember the error for the nonzero exit, and keep going.
     auto fail = [&](std::size_t i, const std::string &name,
                     const std::string &what) {
         ResultRow row(name);
@@ -373,8 +316,6 @@ Runner::run(const Options &opts)
             std::lock_guard<std::mutex> g(errLock);
             _errors.push_back(name + ": " + what);
         }
-        if (opts.failFast)
-            abort.store(true, std::memory_order_relaxed);
     };
     // One scenario, opts.repeat times: the deterministic cells must
     // agree across repeats (a mismatch is a determinism regression
@@ -415,8 +356,6 @@ Runner::run(const Options &opts)
     };
     auto worker = [&]() {
         for (;;) {
-            if (abort.load(std::memory_order_relaxed))
-                return;
             std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= jobs.size())
@@ -469,12 +408,8 @@ Runner::run(const Options &opts)
                   std::chrono::steady_clock::now() - t0)
                   .count();
 
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!slots[i])
-            continue;
-        _results[jobs[i].table].rows.push_back(
-            std::move(*slots[i]));
-    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        _results[jobs[i].table].rows.push_back(std::move(slots[i]));
     for (TableResult &tr : _results) {
         Fingerprint f;
         f.add(tr.title);
@@ -484,19 +419,14 @@ Runner::run(const Options &opts)
     }
 
     if (!opts.quiet)
-        render(opts);
-    if (!opts.jsonPath.empty())
-        writeJson(opts.jsonPath);
-    if (!opts.csvPath.empty())
-        writeCsv(opts.csvPath);
+        render();
+    // An unwritten results file is a failed run: a caller that checks
+    // only the exit code must not go on to read a stale or absent file.
+    if (!opts.jsonPath.empty() && !writeJson(opts.jsonPath))
+        _errors.push_back("--json " + opts.jsonPath + ": cannot write");
 
-    std::fprintf(stderr,
-                 "[%s] %zu scenario(s), jobs=%u, "
-                 "cmd-path=%s, %.0f ms\n",
-                 _bench.c_str(), jobs.size(), opts.jobs,
-                 opts.cmdPath.empty() ? "default"
-                                      : opts.cmdPath.c_str(),
-                 _wallMs);
+    std::fprintf(stderr, "[%s] %zu scenario(s), jobs=%u, %.0f ms\n",
+                 _bench.c_str(), jobs.size(), opts.jobs, _wallMs);
     for (const std::string &e : _errors)
         std::fprintf(stderr, "[%s] FAILED %s\n", _bench.c_str(),
                      e.c_str());
@@ -513,9 +443,8 @@ Runner::main(int argc, char **argv)
 }
 
 void
-Runner::render(const Options &opts) const
+Runner::render() const
 {
-    (void)opts;
     for (const TableResult &tr : _results) {
         if (tr.rows.empty())
             continue;
@@ -630,31 +559,14 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-std::string
-csvEscape(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
 } // namespace
 
-void
+bool
 Runner::writeJson(const std::string &path) const
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
+    if (!f)
+        return false;
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"tables\": [",
                  jsonEscape(_bench).c_str());
     bool firstT = true;
@@ -706,31 +618,8 @@ Runner::writeJson(const std::string &path) const
         std::fprintf(f, "\n      ]\n    }");
     }
     std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-}
-
-void
-Runner::writeCsv(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "bench,table,row,key,text,value\n");
-    for (const TableResult &tr : _results)
-        for (const ResultRow &r : tr.rows)
-            for (const Metric &m : r.metrics) {
-                if (!m.deterministic)
-                    continue;
-                std::fprintf(f, "%s,%s,%s,%s,%s,%.17g\n",
-                             csvEscape(_bench).c_str(),
-                             csvEscape(tr.title).c_str(),
-                             csvEscape(r.label).c_str(),
-                             csvEscape(m.key).c_str(),
-                             csvEscape(m.text).c_str(), m.value);
-            }
-    std::fclose(f);
+    const bool written = !std::ferror(f);
+    return std::fclose(f) == 0 && written;
 }
 
 } // namespace optimus::exp

@@ -2,9 +2,11 @@
  * @file
  * The experiment runner shared by every bench binary: declare tables
  * of scenarios, then Runner::main() parses the common CLI (--jobs,
- * --filter, --json, --csv, --time-scale, --list, --quiet), executes
- * the selected scenarios on a thread pool, and renders paper-style
- * text tables plus optional JSON/CSV.
+ * --filter, --json, --telemetry, --time-scale, --faults, --repeat,
+ * --list, --quiet), executes the selected scenarios on a thread pool,
+ * and renders paper-style text tables plus optional JSON. --filter is
+ * the one row selector: a bench declares every row it can run, and
+ * nothing else restricts or re-sizes them.
  *
  * Determinism contract: scenario bodies run concurrently but each
  * owns its simulation context, results land in declaration slots, and
@@ -12,7 +14,7 @@
  * so every table, row, and fingerprint is byte-identical at --jobs 1
  * and --jobs 8. Wall-clock cells (ResultRow::wall) are the one
  * exception in the text tables; they are excluded from fingerprints
- * and from the JSON/CSV emitters, which are fully deterministic.
+ * and from the JSON emitter, which is fully deterministic.
  */
 
 #ifndef OPTIMUS_EXP_RUNNER_HH
@@ -41,7 +43,6 @@ class Runner
         double timeScale = 1.0;
         std::string filter;   ///< ECMAScript regex; empty = all
         std::string jsonPath; ///< write machine-readable JSON here
-        std::string csvPath;  ///< write flat CSV here
         /** Directory for per-scenario observability dumps: each
          *  simulated System writes its telemetry tree as JSON plus a
          *  Chrome-trace (Perfetto-loadable) event file. Excluded
@@ -57,32 +58,12 @@ class Runner
          *  stabilizing the one class of cell the determinism
          *  contract cannot pin down. */
         unsigned repeat = 1;
-        /**
-         * Fleet-bench node-count selector (`--nodes N`): scenarios
-         * that sweep cluster sizes restrict themselves to N nodes;
-         * 0 (default) keeps the full sweep. Ignored by single-node
-         * benches.
-         */
-        unsigned nodes = 0;
-        /** Fleet routing policy (`--fleet-policy P`, one of
-         *  least-loaded / locality / slo-aware); empty (default)
-         *  keeps the full policy sweep. Ignored by single-node
-         *  benches. */
-        std::string fleetPolicy;
-        /** Command path selector (`--cmd-path mmio|ring`): restrict
-         *  command-path-aware benches to one submission path; empty
-         *  (default) keeps each bench's default set. Benches render
-         *  restricted-out rows as "skipped". */
-        std::string cmdPath;
         bool list = false;    ///< print scenario names and exit
         bool quiet = false;   ///< suppress text tables
-        /** Abort the whole run on the first scenario failure instead
-         *  of recording a FAILED row and continuing. */
-        bool failFast = false;
     };
 
-    /** A finished table: declaration metadata plus result rows in
-     *  declaration order (skipped scenarios leave no row). */
+    /** A finished table: declaration metadata plus one result row
+     *  per selected scenario, in declaration order. */
     struct TableResult
     {
         std::string title;
@@ -121,7 +102,8 @@ class Runner
     static bool parseArgs(int argc, char **argv, Options &opts);
 
     /** Execute the selected scenarios and render. Returns the number
-     *  of scenarios that threw (0 = success). */
+     *  of run errors (0 = success): scenarios that threw, plus one if
+     *  the --json file could not be written. */
     int run(const Options &opts);
 
     /** Convenience for bench main(): parse + run. */
@@ -136,7 +118,9 @@ class Runner
     /** Wall-clock of the last run()'s execute phase, ms. */
     double wallMs() const { return _wallMs; }
 
-    /** "name: reason" for every scenario the last run() failed. */
+    /** "name: reason" for every run error of the last run(): each
+     *  scenario that threw, and "--json PATH" if that file could not
+     *  be written. */
     const std::vector<std::string> &errors() const
     {
         return _errors;
@@ -152,9 +136,10 @@ class Runner
         TableFooter footerFn;
     };
 
-    void render(const Options &opts) const;
-    void writeJson(const std::string &path) const;
-    void writeCsv(const std::string &path) const;
+    void render() const;
+    /** Write the results as JSON; false if @p path could not be
+     *  opened, written or closed. */
+    bool writeJson(const std::string &path) const;
 
     std::string _bench;
     std::vector<TableSpec> _tables;

@@ -33,22 +33,6 @@ struct RunContext
      *  builders::installFaults(); empty = fault-free run. */
     std::string faults;
 
-    /** --nodes: restrict fleet scenarios to this cluster size;
-     *  0 = run the bench's full node-count sweep. */
-    unsigned nodes = 0;
-
-    /** --fleet-policy: restrict fleet scenarios to one routing
-     *  policy (least-loaded / locality / slo-aware); empty = run
-     *  the bench's full policy sweep. */
-    std::string fleetPolicy;
-
-    /** --cmd-path: restrict command-path-aware scenarios to one
-     *  submission path — "mmio" (trapped doorbells, the paper's
-     *  baseline) or "ring" (polled shared-memory rings, DESIGN.md
-     *  §14); empty = run each bench's default set. Benches render
-     *  restricted-out rows as "skipped" rather than dropping them. */
-    std::string cmdPath;
-
     /** Scale a simulated duration (never below one tick). */
     sim::Tick
     scaled(sim::Tick t) const

@@ -307,15 +307,15 @@ Cluster::assembleAndSend(std::size_t ti)
     for (std::size_t w = 0; w < nw; ++w) {
         svc::Tenant::Worker &sw = *src._workers[w];
         MigrationParcel::WorkerState &pw = parcel->workers[w];
+        hv::AccelHandle &h = *sw.handle;
         pw.ctx = std::move(ft.exportCtx[w]);
-        pw.busy = sw.busy;
-        pw.cur = sw.cur;
-        pw.issued = sw.issued;
         pw.batchLeft = sw.batchLeft;
         pw.inflight = std::move(sw.inflight);
-        parcel->bytes += 64ULL * pw.inflight.size();
+        // 64 B per ring entry; an MMIO worker's one request adds
+        // nothing beyond the context page below.
+        if (h.ringEnabled())
+            parcel->bytes += 64ULL * pw.inflight.size();
 
-        hv::AccelHandle &h = *sw.handle;
         pw.windowBase = h.vaccel().windowBase().value();
         const std::uint64_t brk = h.heap().registeredBytes();
         pw.memory.resize(brk);
@@ -327,7 +327,6 @@ Cluster::assembleAndSend(std::size_t ti)
         // The source worker is now empty; its in-flight request (if
         // any) travels inside pw and completes on the destination.
         // Ring contents themselves ride the window image above.
-        sw.busy = false;
         sw.batchLeft = 0;
         sw.inflight.clear();
     }
@@ -389,16 +388,11 @@ Cluster::importParcel(MigrationParcel &p)
                        pw.memory.size());
         if (h.ringEnabled())
             h.ringResync(); // reload queue cursors from the image
-        dw.busy = pw.busy;
-        dw.cur = pw.cur;
-        dw.issued = pw.issued;
         dw.batchLeft = pw.batchLeft;
         dw.inflight = std::move(pw.inflight);
         // Ring completions still to come land in the imported ring —
         // importContext's error delivery among them — and run the
         // worker's handler there.
-        if (h.ringEnabled())
-            dw.busy = !dw.inflight.empty();
         sys.hv.importContext(h.vaccel(), pw.ctx);
     }
 
@@ -539,7 +533,7 @@ Cluster::nodeLoad(unsigned n) const
         const svc::Tenant &b = *ft.bindings[n];
         load += b.queueLength();
         for (const auto &w : b._workers)
-            if (w->busy)
+            if (!w->inflight.empty())
                 ++load;
     }
     return load;

@@ -112,17 +112,14 @@ struct MigrationParcel
     struct WorkerState
     {
         hv::VaccelContext ctx;
-        bool busy = false;
-        svc::Request cur;
-        sim::Tick issued = 0;
         unsigned batchLeft = 0;
         std::uint64_t windowBase = 0;
         /** Registered DMA-window image — carries the job data *and*
          *  the device blob the preemption path saved into it (and,
          *  for ring tenants, the ring contents and cursors). */
         std::vector<std::uint8_t> memory;
-        /** Ring path: issued-but-uncompleted requests, oldest
-         *  first. */
+        /** Issued-but-uncompleted requests, oldest first (at most
+         *  one on MMIO). */
         std::deque<svc::Inflight> inflight;
     };
     std::vector<WorkerState> workers;

@@ -24,8 +24,6 @@ struct PlatformParams
     // ------------------------------------------------------------ clocks
     /** FPGA interface / hardware-monitor clock (MHz). */
     std::uint64_t fpgaIfaceMhz = 400;
-    /** CPU clock (MHz); used for trap-cost bookkeeping only. */
-    std::uint64_t cpuMhz = 2800;
 
     // ------------------------------------------------- interconnect links
     /**
@@ -65,8 +63,6 @@ struct PlatformParams
     Tick pageWalkLatency = 560 * kTickNs;
 
     // ---------------------------------------------------- hardware monitor
-    /** Levels in the default multiplexer tree (binary, 8 leaves). */
-    std::uint32_t muxTreeLevels = 3;
     /**
      * Per-level, per-direction latency in FPGA-interface cycles.
      * 6+7 cycles at 400 MHz ~= 32.5 ns round trip per level; three
@@ -136,14 +132,9 @@ struct PlatformParams
     // ---------------------------------------------------- address layout
     /** Per-virtual-accelerator IOVA slice (64 GiB default, Sec. 5). */
     std::uint64_t sliceBytes = 64ULL << 30;
-    /**
-     * Inter-slice guard gap for IOTLB conflict mitigation at the
-     * default 2 MiB pages (iotlbEntries/8 * pageBytes = 128 MiB,
-     * Section 5). The hypervisor recomputes the gap from the active
-     * page size; this field documents the default.
-     */
-    std::uint64_t sliceGapBytes = 128ULL << 20;
-    /** Whether the conflict-mitigation gap is applied. */
+    /** Whether the conflict-mitigation gap is applied: a guard of
+     *  iotlbEntries/8 pages after each slice (128 MiB at the default
+     *  2 MiB pages, Section 5; OptimusHv::sliceStride). */
     bool iotlbConflictMitigation = true;
     /** DMA page size: 2 MiB huge pages by default. */
     std::uint64_t pageBytes = 2ULL << 20;

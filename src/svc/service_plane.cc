@@ -96,11 +96,7 @@ ServicePlane::addTenant(const TenantConfig &cfg)
             // Ring path: completions ride the ring, and the handler
             // runs as each one lands (the daemon polls its completion
             // line) — per-job traps disappear from the hot path.
-            std::uint32_t entries =
-                cfg.ringEntries != 0
-                    ? cfg.ringEntries
-                    : ring::defaultEntries(cfg.batchMax);
-            h.setupRing(entries);
+            h.setupRing(ring::defaultEntries(cfg.batchMax));
         }
         Tenant::Worker *wp = w.get();
         Tenant *tp = t.get();
@@ -257,12 +253,12 @@ ServicePlane::run(sim::Tick window)
 }
 
 void
-ServicePlane::settle(Tenant &t, Tenant::Worker &w,
-                     const Request &req, accel::Status st,
-                     sim::Tick issued, sim::Tick done_tick)
+ServicePlane::settle(Tenant &t, Tenant::Worker &w, const Inflight &inf,
+                     accel::Status st, sim::Tick done_tick)
 {
+    const Request &req = inf.req;
     if (st == accel::Status::kDone) {
-        std::uint64_t service = (done_tick - issued) / sim::kTickNs;
+        std::uint64_t service = (done_tick - inf.issued) / sim::kTickNs;
         std::uint64_t e2e =
             (done_tick - req.arrival) / sim::kTickNs;
         // Untimed: reads guest memory and the hypervisor's peeks.
@@ -332,10 +328,9 @@ ServicePlane::onCompletion(Tenant &t, Tenant::Worker &w,
             w.inflight.pop_front();
             OPTIMUS_ASSERT(e.seq == inf.seq,
                            "ring completion out of order");
-            settle(t, w, inf.req, static_cast<accel::Status>(e.status),
-                   inf.issued, static_cast<sim::Tick>(e.tick));
+            settle(t, w, inf, static_cast<accel::Status>(e.status),
+                   static_cast<sim::Tick>(e.tick));
         }
-        w.busy = !w.inflight.empty();
     }
     dispatch(t);
     stopIfDrained();
@@ -351,10 +346,11 @@ ServicePlane::stopIfDrained()
 void
 ServicePlane::complete(Tenant &t, Tenant::Worker &w, accel::Status st)
 {
-    if (!w.busy)
+    if (w.inflight.empty())
         return; // no request of this worker is in flight
-    w.busy = false;
-    settle(t, w, w.cur, st, w.issued, _sys.eq.now());
+    const Inflight inf = w.inflight.front();
+    w.inflight.pop_front();
+    settle(t, w, inf, st, _sys.eq.now());
 }
 
 void
@@ -400,10 +396,9 @@ ServicePlane::dispatch(Tenant &t)
             // waits on it; completions surface through the ring.
             _sys.hv.ringPublish(w.handle->vaccel(), sq.produced(),
                                 nullptr);
-            w.busy = true;
             continue;
         }
-        if (w.busy || t._queue.empty())
+        if (!w.inflight.empty() || t._queue.empty())
             continue;
         if (w.batchLeft == 0) {
             // Batch formation: while arrivals can still come, wait
@@ -417,13 +412,14 @@ ServicePlane::dispatch(Tenant &t)
                                       t._queue.size()));
             ++t._batches;
         }
-        w.cur = t._queue.front();
+        Inflight inf;
+        inf.req = t._queue.front();
         t._queue.pop_front();
         --w.batchLeft;
-        ++w.cur.attempts;
-        w.busy = true;
-        w.issued = _sys.eq.now();
-        t._queueNs.sample((w.issued - w.cur.arrival) / sim::kTickNs);
+        ++inf.req.attempts;
+        inf.issued = _sys.eq.now();
+        t._queueNs.sample((inf.issued - inf.req.arrival) / sim::kTickNs);
+        w.inflight.push_back(inf);
         // Asynchronous START: schedule the trap and move on. Each
         // tenant's daemon issues from its own core, so dispatches
         // overlap in simulated time, and a handler may not pump
@@ -441,7 +437,7 @@ ServicePlane::idle() const
         if (!t->_queue.empty())
             return false;
         for (const auto &w : t->_workers)
-            if (w->busy)
+            if (!w->inflight.empty())
                 return false;
     }
     return true;

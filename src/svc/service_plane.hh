@@ -82,11 +82,9 @@ struct TenantConfig
     std::uint64_t sloNs = 0;
 
     /** Command path: trapped MMIO doorbells (the paper's baseline)
-     *  or polled shared-memory rings (DESIGN.md §14). */
+     *  or polled shared-memory rings (DESIGN.md §14), each worker's
+     *  ring sized from batchMax (ring::defaultEntries). */
     ring::CmdPath cmdPath = ring::CmdPath::kMmio;
-    /** Ring slots per worker; 0 sizes automatically from batchMax
-     *  (ring::defaultEntries). Ignored on the MMIO path. */
-    std::uint32_t ringEntries = 0;
 };
 
 /** One admitted request waiting in or moving through the plane. */
@@ -98,13 +96,14 @@ struct Request
     int user = -1;          ///< closed-loop user index, -1 open-loop
 };
 
-/** Ring path: one issued-but-uncompleted request per submit entry.
- *  A migration parcel carries a worker's queue of these whole. */
+/** One issued-but-uncompleted request: a submit entry on the ring
+ *  path, the one START on the MMIO path. A migration parcel carries a
+ *  worker's queue of these whole. */
 struct Inflight
 {
     Request req;
     sim::Tick issued = 0;
-    std::uint64_t seq = 0;
+    std::uint64_t seq = 0; ///< submit-ring sequence; 0 on MMIO
 };
 
 class ServicePlane;
@@ -185,13 +184,11 @@ class Tenant
     {
         hv::AccelHandle *handle = nullptr;
         std::unique_ptr<hv::workload::Workload> wl;
-        bool busy = false;
-        Request cur;
-        sim::Tick issued = 0;
         unsigned batchLeft = 0; ///< remaining requests in this batch
 
-        /** Ring path: issued-but-uncompleted requests, oldest
-         *  first (completions post in order). */
+        /** Issued-but-uncompleted requests, oldest first
+         *  (completions post in order); at most one on MMIO. The
+         *  worker is busy while this is non-empty. */
         std::deque<Inflight> inflight;
     };
 
@@ -316,9 +313,8 @@ class ServicePlane
      *  slots), honouring batchMin while the window is open. */
     void dispatch(Tenant &t);
     /** Shared completion accounting for both command paths. */
-    void settle(Tenant &t, Tenant::Worker &w, const Request &req,
-                accel::Status st, sim::Tick issued,
-                sim::Tick done_tick);
+    void settle(Tenant &t, Tenant::Worker &w, const Inflight &inf,
+                accel::Status st, sim::Tick done_tick);
     /** Inside run()'s drain, stop its pump once the window has closed
      *  and the plane is idle (the horizon event, each completion). */
     void stopIfDrained();

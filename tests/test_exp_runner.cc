@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -167,26 +168,6 @@ TEST(ExpRunner, ThrowingScenarioRecordsFailedRowAndContinues)
     EXPECT_EQ(rows[2].label, "good_after");
 }
 
-TEST(ExpRunner, FailFastStopsAfterFirstFailure)
-{
-    exp::Runner r("t");
-    r.table("tbl", "test");
-    r.add("boom", [](const exp::RunContext &) -> exp::ResultRow {
-        throw std::runtime_error("injected failure");
-    });
-    r.add("never_runs", [](const exp::RunContext &) {
-        return exp::ResultRow("never_runs").count("v", 1);
-    });
-
-    exp::Runner::Options o;
-    o.quiet = true;
-    o.failFast = true;
-    EXPECT_NE(r.run(o), 0);
-    // The failure aborted the sweep: only the FAILED row made it.
-    ASSERT_EQ(r.results()[0].rows.size(), 1u);
-    EXPECT_EQ(r.results()[0].rows[0].label, "boom");
-}
-
 TEST(ExpRunner, FaultsFlagReachesScenarios)
 {
     exp::Runner r("t");
@@ -323,38 +304,47 @@ TEST(ExpRunner, NonFiniteMetricsWriteJsonNull)
     std::remove(o.jsonPath.c_str());
 }
 
-TEST(ExpRunner, RemovedSplitFlagFailsParsingCleanly)
+TEST(ExpRunner, UnwritableJsonPathFailsTheRun)
 {
-    // Every System is one simulation domain: the old split-plan flag
-    // is an unknown flag, reported without touching the options.
-    char prog[] = "bench";
-    char flag[] = "--domain-plan";
-    char value[] = "split";
-    char *argv[] = {prog, flag, value};
-    exp::Runner::Options o;
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(exp::Runner::parseArgs(3, argv, o));
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("unknown flag --domain-plan"), std::string::npos)
-        << err;
-    EXPECT_EQ(o.jobs, 1u);
+    // A results file that cannot be written fails the run: a script
+    // that checks only the exit code must not read a missing file.
+    exp::Runner r("t");
+    r.table("tbl", "test");
+    r.add("ok", [](const exp::RunContext &) {
+        return exp::ResultRow("ok").count("v", 1);
+    });
+
+    std::vector<std::string> paths = {
+        testing::TempDir() + "exp_runner_no_such_dir/x.json"};
+    // Opens, but every write fails (ENOSPC at the flush in fclose).
+    if (std::filesystem::exists("/dev/full"))
+        paths.push_back("/dev/full");
+    for (const std::string &path : paths) {
+        exp::Runner::Options o;
+        o.quiet = true;
+        o.jsonPath = path;
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(r.run(o), 1) << path;
+        const std::string err = testing::internal::GetCapturedStderr();
+        ASSERT_EQ(r.errors().size(), 1u) << path;
+        EXPECT_EQ(r.errors()[0], "--json " + path + ": cannot write");
+        EXPECT_NE(err.find("FAILED --json " + path), std::string::npos)
+            << err;
+        // The scenario itself ran and kept its row.
+        ASSERT_EQ(r.results()[0].rows.size(), 1u);
+        EXPECT_EQ(r.results()[0].rows[0].label, "ok");
+    }
 }
 
-TEST(ExpRunner, RemovedSimThreadsFlagFailsParsingCleanly)
+/** {"bench", args...} as an argv; @p args must outlive it. */
+std::vector<char *>
+argvOf(std::vector<std::string> &args)
 {
-    // A fleet runs on one event queue, with no worker pool to size:
-    // --sim-threads is an unknown flag.
-    char prog[] = "bench";
-    char flag[] = "--sim-threads";
-    char value[] = "4";
-    char *argv[] = {prog, flag, value};
-    exp::Runner::Options o;
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(exp::Runner::parseArgs(3, argv, o));
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("unknown flag --sim-threads"), std::string::npos)
-        << err;
-    EXPECT_EQ(o.jobs, 1u);
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return argv;
 }
 
 /** parseArgs over {"bench", args...}, with stderr captured into
@@ -363,15 +353,50 @@ bool
 parseWith(std::vector<std::string> args, exp::Runner::Options &o,
           std::string &err)
 {
-    args.insert(args.begin(), "bench");
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
+    std::vector<char *> argv = argvOf(args);
     testing::internal::CaptureStderr();
     bool ok = exp::Runner::parseArgs(static_cast<int>(argv.size()),
                                      argv.data(), o);
     err = testing::internal::GetCapturedStderr();
     return ok;
+}
+
+TEST(ExpRunner, RemovedFlagsFailParsingCleanly)
+{
+    // Each of these once selected or shaped rows beside --filter, or
+    // sized machinery that is gone: the split-plan domain, the fleet
+    // worker pool, the fleet node-count and policy selectors, the
+    // command-path selector, the CSV emitter and the abort-on-first-
+    // failure switch. Each is now an unknown flag, reported without
+    // touching the options, and Runner::main exits 2 on it.
+    const std::vector<std::vector<std::string>> removed = {
+        {"--domain-plan", "split"}, {"--sim-threads", "4"},
+        {"--nodes", "8"},           {"--fleet-policy", "slo-aware"},
+        {"--cmd-path", "ring"},     {"--csv", "x.csv"},
+        {"--fail-fast"},
+    };
+    for (const std::vector<std::string> &args : removed) {
+        exp::Runner::Options o;
+        std::string err;
+        EXPECT_FALSE(parseWith(args, o, err)) << args[0];
+        EXPECT_NE(err.find("unknown flag " + args[0]), std::string::npos)
+            << err;
+        EXPECT_EQ(o.jobs, 1u);
+        EXPECT_EQ(o.timeScale, 1.0);
+        EXPECT_TRUE(o.filter.empty());
+        EXPECT_TRUE(o.jsonPath.empty());
+        EXPECT_EQ(o.repeat, 1u);
+        EXPECT_FALSE(o.list);
+        EXPECT_FALSE(o.quiet);
+
+        std::vector<std::string> main_args = args;
+        std::vector<char *> argv = argvOf(main_args);
+        exp::Runner r("t");
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(r.main(static_cast<int>(argv.size()), argv.data()), 2)
+            << args[0];
+        testing::internal::GetCapturedStderr();
+    }
 }
 
 TEST(ExpRunner, MalformedNumericFlagsFailParsing)
@@ -391,7 +416,6 @@ TEST(ExpRunner, MalformedNumericFlagsFailParsing)
         {"--jobs", "four"},         {"--jobs", ""},
         {"--jobs", "257"},          {"-j", "99999999999999999999"},
         {"--repeat", "-1"},         {"--repeat", "3x"},
-        {"--nodes", "-8"},          {"--nodes", "4294967296"},
     };
     for (const auto &[flag, value] : bad) {
         exp::Runner::Options o;
@@ -403,7 +427,6 @@ TEST(ExpRunner, MalformedNumericFlagsFailParsing)
         EXPECT_EQ(o.jobs, 1u);
         EXPECT_EQ(o.timeScale, 1.0);
         EXPECT_EQ(o.repeat, 1u);
-        EXPECT_EQ(o.nodes, 0u);
     }
 
     // The ceilings themselves are accepted, and a zero thread or
@@ -411,13 +434,12 @@ TEST(ExpRunner, MalformedNumericFlagsFailParsing)
     exp::Runner::Options o;
     std::string err;
     EXPECT_TRUE(parseWith({"--jobs", "256", "--time-scale", "100",
-                           "--repeat", "2", "--nodes", "8"},
+                           "--repeat", "2"},
                           o, err))
         << err;
     EXPECT_EQ(o.jobs, exp::Runner::kMaxThreads);
     EXPECT_EQ(o.timeScale, exp::Runner::kMaxTimeScale);
     EXPECT_EQ(o.repeat, 2u);
-    EXPECT_EQ(o.nodes, 8u);
     exp::Runner::Options z;
     EXPECT_TRUE(parseWith({"-j", "0", "--repeat", "0", "--time-scale",
                            "0.02"},

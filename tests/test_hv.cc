@@ -36,8 +36,9 @@ TEST(SlicingTest, SlicesAreDisjointAndGapped)
     // Window GVAs may (and here do) alias across processes — the
     // exact conflict page table slicing exists to resolve. The
     // hardware view disambiguates: each auditor's committed offset
-    // entry maps the same GVA window to a disjoint IOVA slice.
-    std::uint64_t stride = p.sliceBytes + p.sliceGapBytes;
+    // entry maps the same GVA window to a disjoint IOVA slice, each
+    // followed by the paper's 128 MiB guard gap (512/8 x 2 MiB).
+    std::uint64_t stride = p.sliceBytes + (128ULL << 20);
     ASSERT_TRUE(test::stepUntil(sys, [&]() {
         return sys.platform.monitor()
             ->auditor(7)
@@ -78,9 +79,9 @@ TEST(SlicingTest, ConflictMitigationTogglesGap)
         auto &tlb = sys.platform.iommu().iotlb();
 
         const auto &p = sys.platform.params();
+        // The paper's gap: 512/8 IOTLB sets x 2 MiB pages = 128 MiB.
         std::uint64_t stride =
-            p.sliceBytes +
-            (mode == 0 ? p.sliceGapBytes : 0);
+            p.sliceBytes + (mode == 0 ? 128ULL << 20 : 0);
         std::uint32_t set0 = tlb.setIndex(mem::Iova(1 * stride));
         std::uint32_t set1 = tlb.setIndex(mem::Iova(2 * stride));
         if (mode == 0) {
