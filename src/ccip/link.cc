@@ -56,12 +56,4 @@ Link::reserveDepartAt(sim::Tick ready, LinkDir dir,
     return depart;
 }
 
-void
-Link::transfer(LinkDir dir, std::uint64_t bytes,
-               sim::EventQueue::Callback on_delivered)
-{
-    sim::Tick depart = reserveDepartAt(_eq.now(), dir, bytes);
-    _eq.scheduleAt(depart + _latency, std::move(on_delivered));
-}
-
 } // namespace optimus::ccip

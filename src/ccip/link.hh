@@ -45,13 +45,6 @@ class Link
     sim::Tick latency() const { return _latency; }
 
     /**
-     * Queue @p bytes for transfer in @p dir; @p on_delivered fires
-     * when the last byte arrives at the far side.
-     */
-    void transfer(LinkDir dir, std::uint64_t bytes,
-                  sim::EventQueue::Callback on_delivered);
-
-    /**
      * Reserve the @p dir channel for @p bytes, as if the transfer
      * became ready to serialize at tick @p ready: occupancy begins at
      * max(ready, channel free), runs for the serialization time, and
@@ -113,9 +106,6 @@ class Link
 
     /** Serialization time for @p bytes in @p dir. */
     sim::Tick serialization(LinkDir dir, std::uint64_t bytes) const;
-
-    std::uint64_t bytesToHost() const { return _bytesToHost.value(); }
-    std::uint64_t bytesToFpga() const { return _bytesToFpga.value(); }
 
   private:
     sim::EventQueue &_eq;

@@ -89,41 +89,29 @@ Shell::onHostRequest(DmaTxnPtr txn)
         iova, is_write,
         [this,
          txn = std::move(txn)](iommu::TranslationResult tr) mutable {
+            // The memory controller's FCFS admission is the host
+            // side's last decision: once it fixes when DRAM finishes,
+            // the completion is scheduled straight at the front, one
+            // return crossing later. A fault bounces from here.
+            sim::Tick done = _eq.now();
             if (tr.fault) {
                 ++_hostFaults;
                 txn->error = true;
                 txn->transFault = true;
-                returnToFpga(std::move(txn));
-                return;
+            } else {
+                done = _memctl.admit(txn->bytes);
             }
-            mem::Hpa hpa = tr.hpa;
-            std::uint32_t bytes = txn->bytes;
-            bool w = txn->isWrite;
-            _memctl.access(
-                bytes, w, [this, txn = std::move(txn), hpa]() mutable {
-                    if (txn->isWrite)
-                        _memory.write(hpa, txn->data.data(),
-                                      txn->bytes);
-                    else
-                        _memory.read(hpa, txn->data.data(),
-                                     txn->bytes);
-                    returnToFpga(std::move(txn));
-                });
+            _eq.scheduleAt(done + _returnLatency,
+                           [this, txn = std::move(txn),
+                            hpa = tr.hpa]() mutable {
+                               onHostResponse(std::move(txn), hpa);
+                           });
         },
         vm, proc);
 }
 
 void
-Shell::returnToFpga(DmaTxnPtr txn)
-{
-    _eq.scheduleIn(_returnLatency,
-                   [this, txn = std::move(txn)]() mutable {
-                       onHostResponse(std::move(txn));
-                   });
-}
-
-void
-Shell::onHostResponse(DmaTxnPtr txn)
+Shell::onHostResponse(DmaTxnPtr txn, mem::Hpa hpa)
 {
     Link &link = linkOf(txn->link);
     // The data leg is no longer pending once the response reaches the
@@ -142,6 +130,14 @@ Shell::onHostResponse(DmaTxnPtr txn)
         respond(std::move(txn));
         return;
     }
+
+    // The functional access, one crossing after DRAM finished: every
+    // DMA's access moves by the same crossing, so they keep their
+    // order.
+    if (txn->isWrite)
+        _memory.write(hpa, txn->data.data(), txn->bytes);
+    else
+        _memory.read(hpa, txn->data.data(), txn->bytes);
 
     // Reserve the return leg from the moment the host side finished
     // — one crossing before this event — so back-to-back completions

@@ -104,17 +104,17 @@ class Shell
 
     std::uint64_t dmaReads() const { return _dmaReads.value(); }
     std::uint64_t dmaWrites() const { return _dmaWrites.value(); }
-    std::uint64_t dmaFaults() const { return _dmaFaults.value(); }
     std::uint64_t dmaRetries() const { return _dmaRetries.value(); }
     std::uint64_t dmaDropped() const { return _dmaDropped.value(); }
 
   private:
     void issue(DmaTxnPtr txn);
-    /** Host side: translate, access memory, start the return leg. */
+    /** Host side: translate, admit to memory, schedule the return
+     *  leg's arrival at the front. */
     void onHostRequest(DmaTxnPtr txn);
-    /** The return leg: one crossing after the host side finished. */
-    void returnToFpga(DmaTxnPtr txn);
-    void onHostResponse(DmaTxnPtr txn);
+    /** The return leg, one crossing after the host side finished:
+     *  access memory at @p hpa, then reserve the return wire. */
+    void onHostResponse(DmaTxnPtr txn, mem::Hpa hpa);
     void respond(DmaTxnPtr txn);
     void deliver(DmaTxnPtr txn);
 

@@ -44,7 +44,8 @@ sanitize(const std::string &s)
  * Thread-local observer backing --telemetry: for every System a
  * scenario creates, attach a Chrome-trace sink at birth and dump the
  * telemetry tree (JSON) plus the collected trace at death. Installed
- * per worker-scenario, so parallel workers dump independently.
+ * per worker-scenario, so parallel workers dump independently. A dump
+ * that cannot be written is remembered for the run's errors.
  */
 class TelemetryDumper : public hv::SystemObserver
 {
@@ -69,25 +70,41 @@ class TelemetryDumper : public hv::SystemObserver
     {
         std::string base = _dir + "/" + _scenario + ".sys" +
                            std::to_string(_count++);
-        {
-            std::ofstream os(base + ".telemetry.json");
-            sys.telemetry.writeJson(os);
-        }
+        dump(base + ".telemetry.json",
+             [&](std::ostream &os) { sys.telemetry.writeJson(os); });
         auto it = _sinks.find(&sys);
         if (it != _sinks.end()) {
-            std::ofstream os(base + ".trace.json");
-            it->second->write(os);
+            dump(base + ".trace.json",
+                 [&](std::ostream &os) { it->second->write(os); });
             _sinks.erase(it); // detaches while the bus still lives
         }
     }
 
+    /** Dump files that could not be opened, written or closed. */
+    const std::vector<std::string> &unwritten() const
+    {
+        return _unwritten;
+    }
+
   private:
+    template <typename Fill>
+    void
+    dump(const std::string &path, Fill &&fill)
+    {
+        std::ofstream os(path);
+        fill(os);
+        os.close();
+        if (!os)
+            _unwritten.push_back(path);
+    }
+
     std::string _dir;
     std::string _scenario;
     unsigned _count = 0;
     hv::SystemObserver *_prev = nullptr;
     std::map<hv::System *, std::unique_ptr<sim::ChromeTraceSink>>
         _sinks;
+    std::vector<std::string> _unwritten;
 };
 
 /** Parse @p v, the value of @p flag, as a decimal integer in
@@ -304,6 +321,10 @@ Runner::run(const Options &opts)
     ctx.faults = opts.faults;
     std::atomic<std::size_t> next{0};
     std::mutex errLock;
+    auto error = [&](std::string what) {
+        std::lock_guard<std::mutex> g(errLock);
+        _errors.push_back(std::move(what));
+    };
     // A scenario that throws must not take the whole run down: record
     // a FAILED row in its declaration slot (so tables stay aligned),
     // remember the error for the nonzero exit, and keep going.
@@ -312,10 +333,7 @@ Runner::run(const Options &opts)
         ResultRow row(name);
         row.str("status", "FAILED: " + what);
         slots[i] = std::move(row);
-        {
-            std::lock_guard<std::mutex> g(errLock);
-            _errors.push_back(name + ": " + what);
-        }
+        error(name + ": " + what);
     };
     // One scenario, opts.repeat times: the deterministic cells must
     // agree across repeats (a mismatch is a determinism regression
@@ -362,20 +380,22 @@ Runner::run(const Options &opts)
                 return;
             const Job &j = jobs[i];
             const Scenario &s = _tables[j.table].scenarios[j.scen];
+            std::optional<TelemetryDumper> dumper;
             try {
-                if (!opts.telemetryDir.empty()) {
-                    TelemetryDumper dumper(
-                        opts.telemetryDir,
-                        "t" + std::to_string(j.table) + "." + s.name);
-                    slots[i] = execute(s);
-                } else {
-                    slots[i] = execute(s);
-                }
+                if (!opts.telemetryDir.empty())
+                    dumper.emplace(opts.telemetryDir,
+                                   "t" + std::to_string(j.table) + "." +
+                                       s.name);
+                slots[i] = execute(s);
             } catch (const std::exception &e) {
                 fail(i, s.name, e.what());
             } catch (...) {
                 fail(i, s.name, "unknown exception");
             }
+            // Like an unwritten --json file, a lost dump fails the run.
+            if (dumper)
+                for (const std::string &path : dumper->unwritten())
+                    error("--telemetry " + path + ": cannot write");
         }
     };
 

@@ -102,8 +102,9 @@ class Runner
     static bool parseArgs(int argc, char **argv, Options &opts);
 
     /** Execute the selected scenarios and render. Returns the number
-     *  of run errors (0 = success): scenarios that threw, plus one if
-     *  the --json file could not be written. */
+     *  of run errors (0 = success): scenarios that threw, plus one for
+     *  each --telemetry dump and for the --json file that could not
+     *  be written. */
     int run(const Options &opts);
 
     /** Convenience for bench main(): parse + run. */
@@ -119,8 +120,8 @@ class Runner
     double wallMs() const { return _wallMs; }
 
     /** "name: reason" for every run error of the last run(): each
-     *  scenario that threw, and "--json PATH" if that file could not
-     *  be written. */
+     *  scenario that threw, and "--telemetry FILE" or "--json PATH"
+     *  for each file that could not be written. */
     const std::vector<std::string> &errors() const
     {
         return _errors;

@@ -54,8 +54,15 @@ HardwareMonitor::HardwareMonitor(sim::EventQueue &eq,
         _tree.setLeafWake(i, [a]() { a->pumpUpstream(); });
     }
 
-    _tree.setRootSink(
-        [this](ccip::DmaTxnPtr t) { dmaUpFromRoot(std::move(t)); });
+    // Neither the root's pipeline nor the VCU arbitrates, so a packet
+    // crosses both in one event: it reaches the shell one VCU latency
+    // after it leaves the tree.
+    _tree.setRootSink([this](ccip::DmaTxnPtr t, sim::Tick leave) {
+        _eq.scheduleAt(leave + _vcuLatency,
+                       [this, t = std::move(t)]() mutable {
+                           _shell.fromAfu(std::move(t));
+                       });
+    });
     _tree.setDownSink([this](ccip::DmaTxnPtr t) {
         // The hardware broadcasts every response down the tree and
         // each auditor filters by tag; only the tag's owner ever
@@ -66,7 +73,7 @@ HardwareMonitor::HardwareMonitor(sim::EventQueue &eq,
     });
 
     _shell.setResponseSink(
-        [this](ccip::DmaTxnPtr t) { dmaDownFromShell(std::move(t)); });
+        [this](ccip::DmaTxnPtr t) { _tree.down(std::move(t)); });
     _shell.setMmioSink(
         [this](ccip::MmioOp op) { mmioFromShell(std::move(op)); });
 }
@@ -83,20 +90,6 @@ HardwareMonitor::port(std::uint32_t idx)
 {
     OPTIMUS_ASSERT(idx < _ports.size(), "bad accelerator index");
     return *_ports[idx];
-}
-
-void
-HardwareMonitor::dmaUpFromRoot(ccip::DmaTxnPtr txn)
-{
-    _eq.scheduleIn(_vcuLatency, [this, txn = std::move(txn)]() mutable {
-        _shell.fromAfu(std::move(txn));
-    });
-}
-
-void
-HardwareMonitor::dmaDownFromShell(ccip::DmaTxnPtr txn)
-{
-    _tree.down(std::move(txn));
 }
 
 void

@@ -104,8 +104,6 @@ class HardwareMonitor
     };
 
     void handleVcuMmio(ccip::MmioOp &op);
-    void dmaUpFromRoot(ccip::DmaTxnPtr txn);
-    void dmaDownFromShell(ccip::DmaTxnPtr txn);
 
     sim::EventQueue &_eq;
     ccip::Shell &_shell;

@@ -14,7 +14,6 @@ MuxNode::MuxNode(sim::EventQueue &eq, std::uint64_t freq_mhz,
       _queues(arity),
       _reserved(arity, 0),
       _wake(arity),
-      _forwardedPerChild(arity, 0),
       _trace(scope.bus),
       _comp(sim::traceComponent(scope, "mux"))
 {
@@ -84,7 +83,6 @@ MuxNode::service()
 
     ccip::DmaTxnPtr txn = _queues[pick].pop_front();
     --_queued;
-    ++_forwardedPerChild[pick];
     _rr = pick + 1 == n ? 0 : pick + 1;
 
     if (_trace && _trace->wants(sim::TraceKind::kMuxGrant)) {
@@ -115,10 +113,7 @@ MuxNode::service()
                             });
     } else {
         OPTIMUS_ASSERT(_rootSink, "mux root has no sink");
-        eventq().scheduleIn(cyclesToTicks(_upLatencyCycles),
-                            [this, txn = std::move(txn)]() mutable {
-                                _rootSink(std::move(txn));
-                            });
+        _rootSink(std::move(txn), now() + cyclesToTicks(_upLatencyCycles));
     }
 
     // Credit return: whoever feeds the served port may proceed.
@@ -181,7 +176,7 @@ MuxTree::MuxTree(sim::EventQueue &eq, const sim::PlatformParams &params,
 }
 
 void
-MuxTree::setRootSink(MuxNode::Deliver d)
+MuxTree::setRootSink(MuxNode::RootSink d)
 {
     _nodes[0][0]->setRootSink(std::move(d));
 }

@@ -63,9 +63,14 @@ class MuxNode : public sim::Clocked
         _parentPort = port;
     }
 
+    /** Takes a packet granted by the root, with the tick it leaves
+     *  the root's pipeline. */
+    using RootSink = sim::InlineFunction<void(ccip::DmaTxnPtr, sim::Tick),
+                                         sim::kCompletionCaptureBytes>;
+
     /** Root only: where packets leaving the tree go (no backpressure
      *  — the shell accepts one packet per cycle). */
-    void setRootSink(Deliver d) { _rootSink = std::move(d); }
+    void setRootSink(RootSink d) { _rootSink = std::move(d); }
 
     /**
      * Called by whoever feeds input @p child when this node frees a
@@ -130,12 +135,6 @@ class MuxNode : public sim::Clocked
         return static_cast<std::uint32_t>(_queues.size());
     }
 
-    /** Packets forwarded per input port (for fairness tests). */
-    const std::vector<std::uint64_t> &forwardedPerChild() const
-    {
-        return _forwardedPerChild;
-    }
-
   private:
     void service();
 
@@ -143,7 +142,6 @@ class MuxNode : public sim::Clocked
     std::vector<PortQueue> _queues;
     std::vector<std::uint32_t> _reserved;
     std::vector<Wake> _wake;
-    std::vector<std::uint64_t> _forwardedPerChild;
     std::uint32_t _rr = 0;
     /** Total packets across all input queues (O(1) idle check). */
     std::uint32_t _queued = 0;
@@ -154,7 +152,7 @@ class MuxNode : public sim::Clocked
 
     MuxNode *_parent = nullptr;
     std::uint32_t _parentPort = 0;
-    Deliver _rootSink;
+    RootSink _rootSink;
 
     sim::TraceBus *_trace = nullptr;
     std::uint32_t _comp = 0;
@@ -190,8 +188,11 @@ class MuxTree
     /** Credit-return notification for leaf @p leaf. */
     void setLeafWake(std::uint32_t leaf, MuxNode::Wake w);
 
-    /** Where packets emerging from the root are delivered (the VCU). */
-    void setRootSink(MuxNode::Deliver d);
+    /** Where packets emerging from the root are delivered (the VCU),
+     *  at grant time with the tick they leave the root's pipeline:
+     *  nothing arbitrates after the root, so the sink carries that
+     *  latency instead of the tree spending an event on it. */
+    void setRootSink(MuxNode::RootSink d);
 
     /**
      * Send a response packet down the tree. It is delivered to the

@@ -117,13 +117,17 @@ Iommu::finishWalk(mem::Iova page)
         _iotlb.insert(page, entry->base, entry->perms.writable,
                       first.vm, first.proc);
     }
+    // Every waiter is on this page, so each checks its access against
+    // the one entry the walk fetched.
     for (PendingWalk &w : node.mapped()) {
-        auto translated = _iopt->translate(w.iova, w.isWrite);
-        if (!translated) {
+        bool allowed = entry && (w.isWrite ? entry->perms.writable
+                                           : entry->perms.readable);
+        if (!allowed) {
             fault(w);
             continue;
         }
-        w.cb(TranslationResult{false, *translated});
+        w.cb(TranslationResult{
+            false, entry->base + w.iova.pageOffset(_pageBytes)});
     }
 }
 

@@ -17,9 +17,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "iommu/iotlb.hh"
 #include "mem/address.hh"
@@ -124,8 +125,11 @@ class Iommu
     std::uint32_t _maxConcurrentWalks;
     std::uint32_t _activeWalks = 0;
     /** Pages with a walk queued or in flight; concurrent misses to
-     *  the same page coalesce onto one walk (MSHR-style). */
-    std::map<std::uint64_t, std::vector<PendingWalk>> _walkWaiters;
+     *  the same page coalesce onto one walk (MSHR-style). Looked up
+     *  by page only, never iterated: _walkQueue keeps the walk order
+     *  and each vector its waiters' arrival order. */
+    std::unordered_map<std::uint64_t, std::vector<PendingWalk>>
+        _walkWaiters;
     std::deque<mem::Iova> _walkQueue;
 
     std::uint64_t _pageBytes;

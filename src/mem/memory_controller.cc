@@ -16,11 +16,9 @@ MemoryController::MemoryController(sim::EventQueue &eq,
 {
 }
 
-void
-MemoryController::access(std::uint64_t bytes, bool is_write,
-                         sim::EventQueue::Callback on_done)
+sim::Tick
+MemoryController::admit(std::uint64_t bytes)
 {
-    (void)is_write; // symmetric service time at the controller
     ++_accesses;
     _bytes += bytes;
     // Accesses repeat a handful of line sizes, so cache the last
@@ -37,7 +35,7 @@ MemoryController::access(std::uint64_t bytes, bool is_write,
     }
     sim::Tick start = std::max(_eq.now(), _nextFree);
     _nextFree = start + ser;
-    _eq.scheduleAt(_nextFree + _latency, std::move(on_done));
+    return _nextFree + _latency;
 }
 
 } // namespace optimus::mem

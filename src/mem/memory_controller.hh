@@ -13,7 +13,6 @@
 
 #include <cstdint>
 
-#include "sim/clocked.hh"
 #include "sim/event_queue.hh"
 #include "sim/platform_params.hh"
 #include "sim/stats.hh"
@@ -25,9 +24,10 @@ namespace optimus::mem {
 /**
  * Bandwidth/latency model for the host memory system.
  *
- * access() returns (via callback) when the data would be available;
- * the functional data movement itself is done by the caller against
- * HostMemory, keeping timing and function decoupled.
+ * admit() returns the tick the data would be available, as
+ * ccip::Link::reserveDepart returns a departure; the caller schedules
+ * whatever follows and does the functional data movement against
+ * HostMemory itself, keeping timing and function decoupled.
  */
 class MemoryController
 {
@@ -37,11 +37,11 @@ class MemoryController
                      sim::Scope scope = {});
 
     /**
-     * Schedule a timed access of @p bytes.
-     * @param on_done invoked when the access completes.
+     * Admit an access of @p bytes now, first come first served (reads
+     * and writes take the same service time).
+     * @return the tick the access completes.
      */
-    void access(std::uint64_t bytes, bool is_write,
-                sim::EventQueue::Callback on_done);
+    sim::Tick admit(std::uint64_t bytes);
 
     std::uint64_t accesses() const { return _accesses.value(); }
 

@@ -336,6 +336,48 @@ TEST(ExpRunner, UnwritableJsonPathFailsTheRun)
     }
 }
 
+TEST(ExpRunner, UnwritableTelemetryDumpFailsTheRun)
+{
+    // A --telemetry dump that cannot be written fails the run, as an
+    // unwritten --json file does.
+    exp::Runner r("t");
+    r.table("tbl", "test");
+    r.add("ok", [](const exp::RunContext &) {
+        hv::System sys(hv::makeOptimusConfig("MB", 8));
+        return exp::ResultRow("ok").count("v", 1);
+    });
+
+    namespace fs = std::filesystem;
+    const std::string dir = testing::TempDir() + "exp_runner_telemetry";
+    fs::remove_all(dir);
+    // The telemetry dump cannot be opened: a directory holds its name.
+    const std::string telemetry = dir + "/t0.ok.sys0.telemetry.json";
+    fs::create_directories(telemetry);
+    std::vector<std::string> expected = {
+        "--telemetry " + telemetry + ": cannot write"};
+    // The trace opens, but every write fails (ENOSPC at the flush).
+    const std::string trace = dir + "/t0.ok.sys0.trace.json";
+    if (fs::exists("/dev/full")) {
+        fs::create_symlink("/dev/full", trace);
+        expected.push_back("--telemetry " + trace + ": cannot write");
+    }
+
+    exp::Runner::Options o;
+    o.quiet = true;
+    o.telemetryDir = dir;
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(r.run(o), static_cast<int>(expected.size()));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(r.errors(), expected);
+    EXPECT_NE(err.find("FAILED --telemetry " + telemetry),
+              std::string::npos)
+        << err;
+    // The scenario itself ran and kept its row.
+    ASSERT_EQ(r.results()[0].rows.size(), 1u);
+    EXPECT_EQ(r.results()[0].rows[0].label, "ok");
+    fs::remove_all(dir);
+}
+
 /** {"bench", args...} as an argv; @p args must outlive it. */
 std::vector<char *>
 argvOf(std::vector<std::string> &args)

@@ -31,25 +31,23 @@ TEST(LinkTest, LatencyPlusSerialization)
 {
     sim::EventQueue eq;
     Link link(eq, "l", 100 * sim::kTickNs, 8.0, 8.0); // 8 GB/s
-    sim::Tick done = 0;
-    link.transfer(LinkDir::kToFpga, 64, [&]() { done = eq.now(); });
-    eq.runAll();
-    // 64 B at 8 GB/s = 8 ns serialization + 100 ns latency.
-    EXPECT_EQ(done, 8 * sim::kTickNs + 100 * sim::kTickNs);
+    // 64 B at 8 GB/s = 8 ns serialization, then 100 ns latency to the
+    // far side.
+    sim::Tick depart = link.reserveDepart(LinkDir::kToFpga, 64);
+    EXPECT_EQ(depart, 8 * sim::kTickNs);
+    EXPECT_EQ(depart + link.latency(),
+              8 * sim::kTickNs + 100 * sim::kTickNs);
 }
 
 TEST(LinkTest, DirectionsAreIndependent)
 {
     sim::EventQueue eq;
     Link link(eq, "l", 0, 6.4, 6.4);
-    sim::Tick up_done = 0;
-    sim::Tick down_done = 0;
-    link.transfer(LinkDir::kToHost, 640, [&]() { up_done = eq.now(); });
-    link.transfer(LinkDir::kToFpga, 640,
-                  [&]() { down_done = eq.now(); });
-    eq.runAll();
-    // Full duplex: both complete at their own serialization time.
-    EXPECT_EQ(up_done, down_done);
+    sim::Tick up = link.reserveDepart(LinkDir::kToHost, 640);
+    sim::Tick down = link.reserveDepart(LinkDir::kToFpga, 640);
+    // Full duplex: both depart after their own serialization time.
+    EXPECT_EQ(up, down);
+    EXPECT_EQ(up, 100 * sim::kTickNs);
 }
 
 TEST(LinkTest, SameDirectionSerializes)
@@ -57,14 +55,25 @@ TEST(LinkTest, SameDirectionSerializes)
     sim::EventQueue eq;
     Link link(eq, "l", 0, 6.4, 6.4);
     std::vector<sim::Tick> done;
-    for (int i = 0; i < 3; ++i) {
-        link.transfer(LinkDir::kToFpga, 640,
-                      [&]() { done.push_back(eq.now()); });
-    }
-    eq.runAll();
-    ASSERT_EQ(done.size(), 3u);
+    for (int i = 0; i < 3; ++i)
+        done.push_back(link.reserveDepart(LinkDir::kToFpga, 640));
     EXPECT_EQ(done[1], 2 * done[0]);
     EXPECT_EQ(done[2], 3 * done[0]);
+}
+
+TEST(LinkTest, PastReadyStartsWhenTheChannelFrees)
+{
+    sim::EventQueue eq;
+    Link link(eq, "l", 0, 6.4, 6.4);
+    eq.runUntil(1000 * sim::kTickNs);
+    // A transfer ready in the past serializes from that tick on an
+    // idle channel, and from the channel's free tick on a busy one.
+    sim::Tick first =
+        link.reserveDepartAt(900 * sim::kTickNs, LinkDir::kToFpga, 640);
+    EXPECT_EQ(first, 1000 * sim::kTickNs);
+    sim::Tick second =
+        link.reserveDepartAt(900 * sim::kTickNs, LinkDir::kToFpga, 640);
+    EXPECT_EQ(second, 1100 * sim::kTickNs);
 }
 
 TEST(LinkTest, PendingAccounting)
@@ -111,7 +120,7 @@ TEST(ChannelSelectorTest, AutoSharesLoadProportionallyToBandwidth)
         t.bytes = 64;
         Link &l = sel.select(t);
         // Occupy the link like the shell would.
-        l.transfer(LinkDir::kToFpga, 64, []() {});
+        l.reserveDepart(LinkDir::kToFpga, 64);
         if (&l == &upi)
             ++counts[0];
         else if (&l == &p0)

@@ -196,6 +196,63 @@ TEST_F(IommuFixture, ConcurrentWalksQueueBeyondWalkerCapacity)
     EXPECT_EQ(iommu.walks(), 8u);
 }
 
+TEST_F(IommuFixture, CoalescedWaitersFinishInArrivalOrderAtTheWalk)
+{
+    // Page 0 is read-only; page 1 is writable.
+    iommu.pageTable().map(Iova(0), Hpa(4 * mem::kPage2M),
+                          mem::PagePerms{true, false});
+    iommu.pageTable().map(Iova(mem::kPage2M), Hpa(8 * mem::kPage2M));
+    std::vector<bool> faulted_writes;
+    iommu.setFaultHandler(
+        [&](Iova, bool write) { faulted_writes.push_back(write); });
+
+    struct Done
+    {
+        int id;
+        sim::Tick at;
+        bool fault;
+        std::uint64_t hpa;
+    };
+    std::vector<Done> done;
+    auto issue = [&](int id, std::uint64_t iova, bool write) {
+        iommu.translate(Iova(iova), write, [&, id](TranslationResult r) {
+            done.push_back(Done{id, eq.now(), r.fault, r.hpa.value()});
+        });
+    };
+    // Two walks start at tick 0, page 0's first; the later misses on
+    // each page coalesce onto its walk.
+    issue(0, 0x40, false);
+    issue(1, mem::kPage2M + 0x80, false);
+    eq.runUntil(10 * sim::kTickNs);
+    issue(2, 0x1000, true);
+    issue(3, 0x2000, false);
+    issue(4, mem::kPage2M + 0x3000, true);
+    eq.runAll();
+
+    EXPECT_EQ(iommu.walks(), 2u);
+    EXPECT_EQ(iommu.coalescedWalks(), 3u);
+    // Walk order, then arrival order within a walk, all at the walks'
+    // completion tick.
+    ASSERT_EQ(done.size(), 5u);
+    const int order[] = {0, 2, 3, 1, 4};
+    for (std::size_t i = 0; i < done.size(); ++i) {
+        EXPECT_EQ(done[i].id, order[i]) << i;
+        EXPECT_EQ(done[i].at, params.pageWalkLatency) << i;
+    }
+    // Only the write to the read-only page faults.
+    EXPECT_FALSE(done[0].fault);
+    EXPECT_EQ(done[0].hpa, 4 * mem::kPage2M + 0x40);
+    EXPECT_TRUE(done[1].fault);
+    EXPECT_FALSE(done[2].fault);
+    EXPECT_EQ(done[2].hpa, 4 * mem::kPage2M + 0x2000);
+    EXPECT_FALSE(done[3].fault);
+    EXPECT_EQ(done[3].hpa, 8 * mem::kPage2M + 0x80);
+    EXPECT_FALSE(done[4].fault);
+    EXPECT_EQ(done[4].hpa, 8 * mem::kPage2M + 0x3000);
+    EXPECT_EQ(faulted_writes, std::vector<bool>{true});
+    EXPECT_EQ(iommu.faults(), 1u);
+}
+
 TEST_F(IommuFixture, SetPageBytesRebuildsStructures)
 {
     iommu.pageTable().map(Iova(0), Hpa(mem::kPage2M));

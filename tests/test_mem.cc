@@ -161,17 +161,19 @@ TEST(MemoryControllerTest, LatencyAndSerialization)
     sim::PlatformParams p;
     MemoryController mc(eq, p);
 
-    std::vector<sim::Tick> done;
-    mc.access(64, false, [&]() { done.push_back(eq.now()); });
-    mc.access(64, false, [&]() { done.push_back(eq.now()); });
-    eq.runAll();
-    ASSERT_EQ(done.size(), 2u);
+    sim::Tick first = mc.admit(64);
+    sim::Tick second = mc.admit(64);
     // First access: serialization + latency.
     sim::Tick ser = static_cast<sim::Tick>(
         64.0 / (p.dramGbps / sim::kTickNs));
-    EXPECT_EQ(done[0], ser + p.dramLatency);
+    EXPECT_EQ(first, ser + p.dramLatency);
     // Second access waits for the first's serialization slot.
-    EXPECT_EQ(done[1], 2 * ser + p.dramLatency);
+    EXPECT_EQ(second, 2 * ser + p.dramLatency);
+    // Admission is first come, first served from the current tick:
+    // once the controller is idle, an access starts when admitted.
+    eq.runUntil(second);
+    EXPECT_EQ(mc.admit(64), second + ser + p.dramLatency);
+    EXPECT_EQ(mc.accesses(), 3u);
 }
 
 } // namespace
