@@ -30,6 +30,8 @@ Accelerator::Accelerator(sim::EventQueue &eq,
       _ringPosts(scope.node, "ring_posts",
                  "completions posted into the completion ring")
 {
+    _pumpEvent.bind(eq, this);
+    _ringPollEvent.bind(eq, this);
 }
 
 std::uint64_t
@@ -133,10 +135,20 @@ Accelerator::command(std::uint64_t bits)
 }
 
 void
-Accelerator::clearJob()
+Accelerator::dropInFlight()
 {
     ++_epoch;
     _dma.reset();
+    _pumpEvent.cancel();
+    _ringPollEvent.cancel();
+    // The port dropped the fetch, so its response never comes.
+    _ringFetchInFlight = false;
+}
+
+void
+Accelerator::clearJob()
+{
+    dropInFlight();
     _status = Status::kIdle;
     _result = 0;
     _progress = 0;
@@ -155,8 +167,6 @@ Accelerator::hardReset()
     _appRegs.fill(0);
     _ringArmed = false;
     _ring = ring::DeviceConfig{};
-    _ringFetchInFlight = false;
-    _ringPollPending = false;
 }
 
 void
@@ -165,10 +175,9 @@ Accelerator::wedge()
     if (_wedged)
         return;
     _wedged = true;
-    // The epoch bump kills every guarded callback, so the pipeline
-    // genuinely stops: no more progress, no completion, no doorbell.
-    ++_epoch;
-    _dma.reset();
+    // The pipeline genuinely stops: no more progress, no completion,
+    // no doorbell.
+    dropInFlight();
 }
 
 void
@@ -239,12 +248,9 @@ Accelerator::beginPreempt()
     _doneDuringSave = false;
 
     // Wait for all in-flight transactions to be processed, then save
-    // the execution state to the guest buffer (Section 4.2).
-    std::uint64_t epoch = _epoch;
-    _dma.notifyWhenDrained([this, epoch, at_preempt]() {
-        if (epoch != _epoch)
-            return;
-
+    // the execution state to the guest buffer (Section 4.2). A reset
+    // drops the drain callback with the port's requests.
+    _dma.notifyWhenDrained([this, at_preempt]() {
         Status to_save = at_preempt;
         if (_doneDuringSave || at_preempt == Status::kDone)
             to_save = Status::kDone;
@@ -338,7 +344,8 @@ Accelerator::transferStateBlob(
     mem::Gva buf(_stateBuf);
 
     // State moves in MMIO-paced cache-line bursts: one line per
-    // _stateLineGap, well below streaming DMA rates.
+    // _stateLineGap, well below streaming DMA rates. A reset drops
+    // the lines not yet issued (epoch) and those in flight (port).
     auto issue_one = [this, epoch, xfer, buf, save]() {
         if (epoch != _epoch)
             return;
@@ -347,10 +354,7 @@ Accelerator::transferStateBlob(
         std::uint32_t bytes = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(sim::kCacheLineBytes,
                                     xfer->blob.size() - off));
-        auto on_line = [this, epoch, xfer, off,
-                        bytes](ccip::DmaTxn &t) {
-            if (epoch != _epoch)
-                return;
+        auto on_line = [xfer, off, bytes](ccip::DmaTxn &t) {
             if (!t.isWrite)
                 std::memcpy(xfer->blob.data() + off, t.data.data(),
                             bytes);
@@ -385,17 +389,8 @@ Accelerator::armRing(const ring::DeviceConfig &cfg)
     _ringArmed = true;
     _ring = cfg;
     _ringFetchInFlight = false;
-    _ringPollPending = false;
     if (!_ring.state.jobActive)
         ringWake();
-}
-
-void
-Accelerator::disarmRing()
-{
-    _ringArmed = false;
-    _ringFetchInFlight = false;
-    _ringPollPending = false;
 }
 
 void
@@ -412,19 +407,15 @@ Accelerator::ringNotify(std::uint64_t prod_seq)
 void
 Accelerator::ringWake()
 {
-    if (_ringPollPending || !_ringArmed || _wedged)
+    if (!_ringArmed || _wedged)
         return;
-    _ringPollPending = true;
-    scheduleGuarded(_ringPollCycles, [this]() {
-        _ringPollPending = false;
-        ++_ringPolls;
-        ringTryFetch();
-    });
+    _ringPollEvent.schedule(nextEdge() + cyclesToTicks(_ringPollCycles));
 }
 
 void
-Accelerator::ringTryFetch()
+Accelerator::ringPoll()
 {
+    ++_ringPolls;
     if (!_ringArmed || _wedged || _ringFetchInFlight)
         return;
     if (_ring.state.jobActive ||
@@ -438,13 +429,10 @@ Accelerator::ringTryFetch()
     std::uint64_t seq = _ring.state.nextSeq;
     mem::Gva slot(_ring.base.value() +
                   ring::submitSlotOff(_ring.entries, seq));
-    std::uint64_t epoch = _epoch;
     _dma.read(slot, sizeof(ring::SubmitEntry),
-              [this, epoch, seq](ccip::DmaTxn &t) {
-                  if (epoch != _epoch)
-                      return;
+              [this, seq](ccip::DmaTxn &t) {
                   _ringFetchInFlight = false;
-                  // A preempt (or disarm) raced the fetch: abandon
+                  // A preempt (or re-arm) raced the fetch: abandon
                   // without consuming; the re-armed poller fetches
                   // this entry again.
                   if (!_ringArmed || _wedged ||
@@ -511,20 +499,15 @@ Accelerator::ringPostCompletion()
     // publish discipline, each line one DMA write. The chained
     // completion keeps the port non-idle, so a concurrent preempt's
     // drain cannot fire between the two stores.
-    std::uint64_t epoch = _epoch;
     mem::Gva slot(_ring.base.value() +
                   ring::completeSlotOff(_ring.entries, ce.seq));
-    _dma.write(slot, &ce, sizeof(ce), [this, epoch](ccip::DmaTxn &) {
-        if (epoch != _epoch)
-            return;
+    _dma.write(slot, &ce, sizeof(ce), [this](ccip::DmaTxn &) {
         std::uint64_t prod = _ring.state.jobSeq + 1;
         _ring.state.compSeq = prod;
         _dma.write(mem::Gva(_ring.base.value() +
                             ring::headerOff(ring::kCompleteProdLine)),
                    &prod, sizeof(prod),
-                   [this, epoch](ccip::DmaTxn &) {
-                       if (epoch != _epoch)
-                           return;
+                   [this](ccip::DmaTxn &) {
                        _ring.state.jobActive = false;
                        ++_ringPosts;
                        if (_ringPosted)

@@ -95,10 +95,10 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
 
     // ----- fault plane -----
     /**
-     * Wedge the pipeline: every in-flight callback dies (epoch bump),
-     * DMA stops, the status register freezes at its current value and
-     * commands are ignored.  Only a VCU hardReset() recovers — the
-     * exact failure the hypervisor watchdog exists to catch.
+     * Wedge the pipeline: everything in flight dies (as on a reset),
+     * the status register freezes at its current value and commands
+     * are ignored.  Only a VCU hardReset() recovers — the exact
+     * failure the hypervisor watchdog exists to catch.
      */
     void wedge();
 
@@ -124,10 +124,6 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
      * exactly where it stopped.
      */
     void armRing(const ring::DeviceConfig &cfg);
-
-    /** Detach the poller (hardReset() also disarms). Cursor state
-     *  stays readable for mirror syncs until the next armRing(). */
-    void disarmRing();
 
     /**
      * Publish notification from the hypervisor (the simulation's
@@ -174,6 +170,11 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     /** Continue execution after a restore that left us RUNNING. */
     virtual void onResumed() = 0;
 
+    /** Issue what the job may issue now; the pacing wakeup armed by
+     *  armPump() calls it. Overrides are final, so a model's own
+     *  per-completion calls stay direct calls. */
+    virtual void pump() {}
+
     /** Upper bound on saveArchState() bytes, for STATE_SIZE. */
     virtual std::uint64_t archStateCapacity() const { return 256; }
 
@@ -212,12 +213,18 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
         });
     }
 
-    /** Current reset epoch (for custom guards). */
-    std::uint64_t epoch() const { return _epoch; }
+    /** Wake pump() at tick @p when (the earlier arm wins); a reset
+     *  or wedge cancels it. */
+    void armPump(sim::Tick when) { _pumpEvent.schedule(when); }
+    void cancelPump() { _pumpEvent.cancel(); }
 
   private:
-    /** Drop the job (soft and hard reset): kill guarded callbacks,
-     *  reset the port and return to kIdle. */
+    /** Kill everything the job has in flight (reset and wedge): the
+     *  port drops its requests, the armed wakeups are cancelled and
+     *  the epoch bump drops what scheduleGuarded() queued. */
+    void dropInFlight();
+    /** Drop the job (soft and hard reset): dropInFlight() and return
+     *  to kIdle. */
     void clearJob();
     /** Report a finished job (kDone/kError already in _status): post
      *  it through the ring it came from, else raise the doorbell. */
@@ -233,7 +240,7 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     /** Arm one clock-gated poll of the submission ring. */
     void ringWake();
     /** Poll body: fetch the next submit entry if quiescent. */
-    void ringTryFetch();
+    void ringPoll();
     /** Post the in-flight job's completion into the ring (entry
      *  line, then the complete.prod line), then resume polling or —
      *  with the ring drained — raise the completion doorbell. */
@@ -257,7 +264,12 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     bool _wedged = false;
     bool _mmioWedged = false;
     std::uint64_t _syntheticStateBytes = 0;
+    /** Bumped by a reset or wedge: drops what scheduleGuarded() and
+     *  the state-blob transfer scheduled before it. */
     std::uint64_t _epoch = 0;
+    /** Pacing wakeup (armPump()); unarmed while the job is not
+     *  waiting out an initiation interval. */
+    sim::MemberEvent<Accelerator, &Accelerator::pump> _pumpEvent;
 
     sim::Tick _stateLineGap;
     std::uint32_t _ringPollCycles;
@@ -265,7 +277,8 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     bool _ringArmed = false;
     ring::DeviceConfig _ring{};
     bool _ringFetchInFlight = false;
-    bool _ringPollPending = false;
+    /** The pending poll (ringWake()); unarmed while none is due. */
+    sim::MemberEvent<Accelerator, &Accelerator::ringPoll> _ringPollEvent;
 
     sim::Counter _preempts;
     sim::Counter _resumes;

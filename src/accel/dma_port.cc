@@ -85,8 +85,6 @@ DmaPort::tryIssue()
     while (!_pending.empty() && _outstanding < _maxOutstanding) {
         sim::Tick when = std::max(nextEdge(), _nextIssueAllowed);
         if (when > now()) {
-            if (!_issueEvent.armed())
-                _issueArmEpoch = _epoch;
             _issueEvent.schedule(when);
             return;
         }
@@ -157,6 +155,7 @@ DmaPort::reset()
     _pending.clear();
     _outstanding = 0;
     _nextIssueAllowed = 0;
+    _issueEvent.cancel();
     _drainCb = nullptr;
 }
 

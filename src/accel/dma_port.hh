@@ -74,8 +74,9 @@ class DmaPort : public sim::Clocked
     void notifyWhenDrained(std::function<void()> cb);
 
     /**
-     * Abandon all pending and in-flight requests (hard reset).
-     * Responses already traveling are dropped on arrival.
+     * Abandon all pending and in-flight requests (hard reset), the
+     * drain callback and the armed issue wakeup. Responses already
+     * traveling are dropped on arrival.
      */
     void reset();
 
@@ -88,14 +89,6 @@ class DmaPort : public sim::Clocked
   private:
     void enqueue(ccip::DmaTxnPtr txn, Completion cb);
     void tryIssue();
-
-    /** Issue-event target: drop occurrences armed before a reset. */
-    void
-    issueGuarded()
-    {
-        if (_issueArmEpoch == _epoch)
-            tryIssue();
-    }
     void onResponse(std::uint64_t epoch, ccip::DmaTxn &txn,
                     const Completion &cb);
 
@@ -107,10 +100,10 @@ class DmaPort : public sim::Clocked
     std::uint32_t _outstanding = 0;
     sim::Tick _nextIssueAllowed = 0;
     /** Recyclable issue event; unarmed while the port has nothing to
-     *  inject (clock-gated). An occurrence armed before a hard reset
-     *  is neutralized by the epoch check. */
-    sim::MemberEvent<DmaPort, &DmaPort::issueGuarded> _issueEvent;
-    std::uint64_t _issueArmEpoch = 0;
+     *  inject (clock-gated). reset() cancels it. */
+    sim::MemberEvent<DmaPort, &DmaPort::tryIssue> _issueEvent;
+    /** Bumped by reset(): completions of requests enqueued before it
+     *  are dropped on arrival. */
     std::uint64_t _epoch = 0;
     std::uint64_t _nextId = 1;
     std::function<void()> _drainCb;

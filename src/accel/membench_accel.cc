@@ -12,7 +12,6 @@ MembenchAccel::MembenchAccel(sim::EventQueue &eq,
     : Accelerator(eq, params, std::move(name), 400, scope)
 {
     dma().setMaxOutstanding(256);
-    _pumpEvent.bind(eq, this);
 }
 
 void
@@ -64,9 +63,7 @@ MembenchAccel::pump()
     while ((target == 0 || _issued < target) &&
            dma().inFlight() < dma().maxOutstanding()) {
         if (now() < _nextAllowed) {
-            if (!_pumpEvent.armed())
-                _pumpArmEpoch = epoch();
-            _pumpEvent.schedule(_nextAllowed);
+            armPump(_nextAllowed);
             return;
         }
 
@@ -136,7 +133,7 @@ MembenchAccel::restoreArchState(StateReader &r)
     // them as completed work.
     _issued = _completed;
     _nextAllowed = 0;
-    _pumpEvent.cancel();
+    cancelPump();
 }
 
 void

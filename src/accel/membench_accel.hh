@@ -54,25 +54,13 @@ class MembenchAccel : public Accelerator
     std::uint64_t archStateCapacity() const override { return 64; }
 
   private:
-    void pump();
+    void pump() final;
     void configure();
-
-    /** Pump-event target: drop occurrences armed before a reset. */
-    void
-    pumpGuarded()
-    {
-        if (_pumpArmEpoch == epoch())
-            pump();
-    }
 
     sim::Rng _rng{1};
     std::uint64_t _issued = 0;
     std::uint64_t _completed = 0;
     sim::Tick _nextAllowed = 0;
-    /** Recyclable throttle wakeup; unarmed while unthrottled. */
-    sim::MemberEvent<MembenchAccel, &MembenchAccel::pumpGuarded>
-        _pumpEvent;
-    std::uint64_t _pumpArmEpoch = 0;
 };
 
 } // namespace optimus::accel

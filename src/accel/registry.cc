@@ -10,15 +10,6 @@
 
 namespace optimus::accel {
 
-const std::vector<std::string> &
-allAppNames()
-{
-    static const std::vector<std::string> names = {
-        "AES", "MD5", "SHA", "FIR", "GRN", "RSD", "SW",
-        "GAU", "GRS", "SBL", "SSSP", "BTC", "MB", "LL"};
-    return names;
-}
-
 std::unique_ptr<Accelerator>
 makeAccelerator(const std::string &app, sim::EventQueue &eq,
                 const sim::PlatformParams &params,

@@ -9,14 +9,10 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "accel/accelerator.hh"
 
 namespace optimus::accel {
-
-/** All benchmark short names, in Table 1 order. */
-const std::vector<std::string> &allAppNames();
 
 /**
  * Construct accelerator @p app ("AES", "MD5", ..., "MB", "LL").

@@ -61,7 +61,6 @@ GrnAccel::GrnAccel(sim::EventQueue &eq,
     : Accelerator(eq, params, std::move(name), 200, scope)
 {
     dma().setMaxOutstanding(24);
-    _pumpEvent.bind(eq, this);
 }
 
 void
@@ -97,9 +96,7 @@ GrnAccel::pump()
     }
     if (now() < _nextAllowed) {
         // Pipeline initiation interval not yet elapsed.
-        if (!_pumpEvent.armed())
-            _pumpArmEpoch = epoch();
-        _pumpEvent.schedule(_nextAllowed);
+        armPump(_nextAllowed);
         return;
     }
 

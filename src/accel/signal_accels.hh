@@ -71,23 +71,12 @@ class GrnAccel : public Accelerator
     std::uint64_t archStateCapacity() const override { return 128; }
 
   private:
-    void pump();
-
-    /** Pump-event target: drop occurrences armed before a reset. */
-    void
-    pumpGuarded()
-    {
-        if (_pumpArmEpoch == epoch())
-            pump();
-    }
+    void pump() final;
 
     algo::GaussianSource _source{1};
     std::uint64_t _generated = 0;     ///< doubles produced so far
     std::uint64_t _pendingWrites = 0;
     sim::Tick _nextAllowed = 0;
-    /** Recyclable initiation-interval wakeup; unarmed while idle. */
-    sim::MemberEvent<GrnAccel, &GrnAccel::pumpGuarded> _pumpEvent;
-    std::uint64_t _pumpArmEpoch = 0;
     /** Pipeline initiation interval between output lines (cycles). */
     static constexpr std::uint32_t kLineGapCycles = 11;
 };

@@ -14,14 +14,13 @@ StreamingAccelerator::StreamingAccelerator(
       _tuning(tuning)
 {
     dma().setMaxOutstanding(_tuning.window);
-    _pumpEvent.bind(eq, this);
 }
 
 void
 StreamingAccelerator::onStart()
 {
     _nextAllowed = 0;
-    _pumpEvent.cancel();
+    cancelPump();
     _nextReadOff = 0;
     _consumedOff = 0;
     _pendingWrites = 0;
@@ -58,9 +57,7 @@ StreamingAccelerator::pump()
         if (now() < _nextAllowed) {
             // The pipeline's initiation interval has not elapsed;
             // one wakeup is armed at the allowed tick.
-            if (!_pumpEvent.armed())
-                _pumpArmEpoch = epoch();
-            _pumpEvent.schedule(_nextAllowed);
+            armPump(_nextAllowed);
             return;
         }
         std::uint64_t off = _nextReadOff;

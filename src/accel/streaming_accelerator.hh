@@ -105,16 +105,7 @@ class StreamingAccelerator : public Accelerator
     }
 
   private:
-    void pump();
-
-    /** Pump-event target: drop occurrences armed before a reset. */
-    void
-    pumpGuarded()
-    {
-        if (_pumpArmEpoch == epoch())
-            pump();
-    }
-
+    void pump() final;
     void onReadLine(std::uint64_t offset, ccip::DmaTxn &txn);
     void drainReorderBuffer();
     void maybeFinish();
@@ -123,11 +114,6 @@ class StreamingAccelerator : public Accelerator
 
     // Pacing state.
     sim::Tick _nextAllowed = 0;
-    /** Recyclable initiation-interval wakeup; unarmed while idle. */
-    sim::MemberEvent<StreamingAccelerator,
-                     &StreamingAccelerator::pumpGuarded>
-        _pumpEvent;
-    std::uint64_t _pumpArmEpoch = 0;
 
     // Stream position state (saved on preempt).
     std::uint64_t _nextReadOff = 0;   ///< next offset to request

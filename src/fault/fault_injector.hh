@@ -77,7 +77,6 @@ class FaultInjector : public ccip::Shell::DmaFaultHook,
                          std::uint64_t fired);
     void fire(const FaultDirective &d, std::uint32_t index);
     void fireWildDma(const FaultDirective &d, std::uint32_t index);
-    bool ruleMatches(Rule &r, std::int32_t slot, std::int32_t vm);
     /** @p host marks a host-side kind (it bumps the host-side
      *  counter). */
     void noteInjection(const FaultDirective &d, std::uint32_t index,

@@ -21,34 +21,6 @@
 
 namespace optimus::fleet {
 
-const char *
-policyName(Policy p)
-{
-    switch (p) {
-      case Policy::kLeastLoaded:
-        return "least-loaded";
-      case Policy::kLocality:
-        return "locality";
-      case Policy::kSloAware:
-        return "slo-aware";
-    }
-    return "?";
-}
-
-Policy
-parsePolicy(const std::string &s)
-{
-    if (s == "least-loaded")
-        return Policy::kLeastLoaded;
-    if (s == "locality")
-        return Policy::kLocality;
-    if (s == "slo-aware")
-        return Policy::kSloAware;
-    OPTIMUS_FATAL("unknown fleet policy '%s' "
-                  "(choices: least-loaded, locality, slo-aware)",
-                  s.c_str());
-}
-
 // ------------------------------------------------- GlobalScheduler
 
 GlobalScheduler::GlobalScheduler(Cluster &cluster, Policy policy)

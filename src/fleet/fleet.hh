@@ -45,7 +45,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -64,11 +63,6 @@ enum class Policy
                   ///< its home rack
     kSloAware,    ///< move the worst live-p99 SLO violator first
 };
-
-const char *policyName(Policy p);
-/** Parse "least-loaded" / "locality" / "slo-aware" (fatal on other
- *  input, listing the choices). */
-Policy parsePolicy(const std::string &s);
 
 /** One logical tenant of the fleet. */
 struct FleetTenantSpec

@@ -8,20 +8,6 @@ cmdPathName(CmdPath p)
     return p == CmdPath::kRing ? "ring" : "mmio";
 }
 
-bool
-parseCmdPath(const std::string &s, CmdPath &out)
-{
-    if (s == "mmio") {
-        out = CmdPath::kMmio;
-        return true;
-    }
-    if (s == "ring") {
-        out = CmdPath::kRing;
-        return true;
-    }
-    return false;
-}
-
 std::uint32_t
 defaultEntries(std::uint32_t batchMax)
 {

@@ -35,7 +35,6 @@
 #define OPTIMUS_RING_RING_HH
 
 #include <cstdint>
-#include <string>
 
 #include "guest/process.hh"
 #include "mem/address.hh"
@@ -55,9 +54,6 @@ enum class CmdPath : std::uint8_t
 
 /** Canonical lowercase name ("mmio" / "ring"). */
 const char *cmdPathName(CmdPath p);
-
-/** Parse "mmio" / "ring"; returns false on anything else. */
-bool parseCmdPath(const std::string &s, CmdPath &out);
 
 // ---------------------------------------------------------------
 // Layout.

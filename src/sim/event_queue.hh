@@ -599,7 +599,7 @@ class EventQueue
 };
 
 /**
- * A recyclable event handle for clocked components: bind a callback
+ * A recyclable event handle for clocked components: bind a target
  * once, then (re)arm it as often as needed with zero allocations and
  * without re-creating the closure. This is the kernel half of the
  * idle clock-gating protocol:
@@ -614,31 +614,24 @@ class EventQueue
  *    producer's deadline is sooner than an already-armed occurrence.
  *
  * cancel() invalidates any armed occurrence (generation check), so a
- * reset component never observes a stale wakeup.
+ * reset component that cancels what it kills never observes a stale
+ * wakeup, and its next arm is a fresh one.
  *
- * Lifetime: a bound PeriodicEvent must outlive any tick the queue
- * will still execute, or the queue must not be run after the owner
- * is destroyed (true for all platform components, which share their
- * System's lifetime).
+ * ArmedEvent holds that protocol once; @p Derived supplies only the
+ * binding and a fire() the armed occurrence calls (PeriodicEvent: a
+ * stored callable; MemberEvent: a member function).
+ *
+ * Lifetime: a bound event must outlive any tick the queue will still
+ * execute, or the queue must not be run after the owner is destroyed
+ * (true for all platform components, which share their System's
+ * lifetime).
  */
-class PeriodicEvent
+template <typename Derived>
+class ArmedEvent
 {
   public:
-    PeriodicEvent() = default;
-    ~PeriodicEvent() { cancel(); }
-
-    PeriodicEvent(const PeriodicEvent &) = delete;
-    PeriodicEvent &operator=(const PeriodicEvent &) = delete;
-
-    /** Attach the queue and the (persistent) callback. */
-    template <typename F>
-    void
-    bind(EventQueue &eq, F fn)
-    {
-        OPTIMUS_ASSERT(!_armed, "rebinding an armed PeriodicEvent");
-        _eq = &eq;
-        _fn = std::move(fn);
-    }
+    ArmedEvent(const ArmedEvent &) = delete;
+    ArmedEvent &operator=(const ArmedEvent &) = delete;
 
     bool armed() const { return _armed; }
 
@@ -649,8 +642,7 @@ class PeriodicEvent
     void
     schedule(Tick when)
     {
-        OPTIMUS_ASSERT(_eq != nullptr && _fn,
-                       "scheduling an unbound PeriodicEvent");
+        OPTIMUS_ASSERT(_eq != nullptr, "scheduling an unbound event");
         if (_armed) {
             if (when >= _when)
                 return;
@@ -663,7 +655,7 @@ class PeriodicEvent
             if (gen != _gen || !_armed)
                 return;
             _armed = false;
-            _fn();
+            static_cast<Derived *>(this)->fire();
         });
     }
 
@@ -671,8 +663,7 @@ class PeriodicEvent
     void
     scheduleIn(Tick delay)
     {
-        OPTIMUS_ASSERT(_eq != nullptr,
-                       "scheduling an unbound PeriodicEvent");
+        OPTIMUS_ASSERT(_eq != nullptr, "scheduling an unbound event");
         schedule(_eq->now() + delay);
     }
 
@@ -686,91 +677,69 @@ class PeriodicEvent
         }
     }
 
+  protected:
+    ArmedEvent() = default;
+    ~ArmedEvent() { cancel(); }
+
+    /** Attach the queue (the derived bind() attaches the target). */
+    void
+    attach(EventQueue &eq)
+    {
+        OPTIMUS_ASSERT(!_armed, "rebinding an armed event");
+        _eq = &eq;
+    }
+
   private:
     EventQueue *_eq = nullptr;
-    InlineFunction<void(), kCompletionCaptureBytes> _fn;
     std::uint64_t _gen = 0;
     Tick _when = 0;
     bool _armed = false;
 };
 
-/**
- * PeriodicEvent specialized for the overwhelmingly common binding —
- * "call this member function on this object" — with the target fixed
- * at compile time. The queued closure then calls the member directly
- * (no second type-erased hop through a stored callable), so a
- * clock-gated component's wakeup costs a single indirect call.
- * Protocol and semantics are identical to PeriodicEvent.
- */
-template <typename Owner, void (Owner::*Fn)()>
-class MemberEvent
+/** An ArmedEvent that fires a stored callable. */
+class PeriodicEvent : public ArmedEvent<PeriodicEvent>
 {
   public:
-    MemberEvent() = default;
-    ~MemberEvent() { cancel(); }
+    /** Attach the queue and the (persistent) callback. */
+    template <typename F>
+    void
+    bind(EventQueue &eq, F fn)
+    {
+        attach(eq);
+        _fn = std::move(fn);
+    }
 
-    MemberEvent(const MemberEvent &) = delete;
-    MemberEvent &operator=(const MemberEvent &) = delete;
+  private:
+    friend class ArmedEvent<PeriodicEvent>;
+    void fire() { _fn(); }
 
+    InlineFunction<void(), kCompletionCaptureBytes> _fn;
+};
+
+/**
+ * An ArmedEvent for the overwhelmingly common binding — "call this
+ * member function on this object" — with the target fixed at compile
+ * time. The queued closure then calls the member directly (no second
+ * type-erased hop through a stored callable), so a clock-gated
+ * component's wakeup costs a single indirect call.
+ */
+template <typename Owner, void (Owner::*Fn)()>
+class MemberEvent : public ArmedEvent<MemberEvent<Owner, Fn>>
+{
+  public:
     /** Attach the queue and the owning object. */
     void
     bind(EventQueue &eq, Owner *owner)
     {
-        OPTIMUS_ASSERT(!_armed, "rebinding an armed MemberEvent");
-        _eq = &eq;
+        this->attach(eq);
         _owner = owner;
     }
 
-    bool armed() const { return _armed; }
-
-    /** Arm at absolute tick @p when; earlier arm wins (see
-     *  PeriodicEvent::schedule). */
-    void
-    schedule(Tick when)
-    {
-        OPTIMUS_ASSERT(_eq != nullptr && _owner != nullptr,
-                       "scheduling an unbound MemberEvent");
-        if (_armed) {
-            if (when >= _when)
-                return;
-            ++_gen; // the armed occurrence becomes a dead no-op
-        }
-        _armed = true;
-        _when = when;
-        std::uint64_t gen = _gen;
-        _eq->scheduleAt(when, [this, gen]() {
-            if (gen != _gen || !_armed)
-                return;
-            _armed = false;
-            (_owner->*Fn)();
-        });
-    }
-
-    /** Arm @p delay ticks from now. */
-    void
-    scheduleIn(Tick delay)
-    {
-        OPTIMUS_ASSERT(_eq != nullptr,
-                       "scheduling an unbound MemberEvent");
-        schedule(_eq->now() + delay);
-    }
-
-    /** Disarm; an in-queue occurrence becomes a dead no-op. */
-    void
-    cancel()
-    {
-        if (_armed) {
-            ++_gen;
-            _armed = false;
-        }
-    }
-
   private:
-    EventQueue *_eq = nullptr;
+    friend class ArmedEvent<MemberEvent>;
+    void fire() { (_owner->*Fn)(); }
+
     Owner *_owner = nullptr;
-    std::uint64_t _gen = 0;
-    Tick _when = 0;
-    bool _armed = false;
 };
 
 } // namespace optimus::sim

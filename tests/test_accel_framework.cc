@@ -141,6 +141,29 @@ TEST(DmaPortTest, ResetDropsStaleResponses)
     EXPECT_TRUE(port.idle());
 }
 
+TEST(DmaPortTest, ResetCancelsTheArmedIssueWakeup)
+{
+    // A request enqueued after a reset, while the pre-reset issue
+    // wakeup is still queued, is issued by a fresh wakeup: the reset
+    // cancelled the old one instead of leaving it armed to be dropped.
+    sim::EventQueue eq;
+    StubFabric fabric(2); // one request per two cycles
+    DmaPort port(eq, 400, "p");
+    port.attach(&fabric);
+
+    for (int i = 0; i < 2; ++i)
+        port.read(mem::Gva(64ULL * i), 64, [](ccip::DmaTxn &) {});
+    EXPECT_EQ(port.queued(), 1u); // the second waits out the interval
+    port.reset();
+    for (int i = 2; i < 4; ++i)
+        port.read(mem::Gva(64ULL * i), 64, [](ccip::DmaTxn &) {});
+    eq.runAll();
+    EXPECT_EQ(port.queued(), 0u);
+    EXPECT_EQ(port.outstanding(), 2u);
+    ASSERT_EQ(fabric.pending.size(), 3u);
+    EXPECT_EQ(fabric.pending[2]->gva.value(), 64u * 3);
+}
+
 TEST(DmaPortTest, ErrorsAreCountedAndSurfaced)
 {
     sim::EventQueue eq;

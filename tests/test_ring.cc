@@ -1,7 +1,8 @@
 /**
  * @file
  * Doorbell-free command/completion ring tests (DESIGN.md §14):
- * guest-side queue mechanics against real process memory; the full
+ * guest-side queue mechanics against real process memory; the device
+ * poller fetching again after a soft reset; the full
  * submit -> poll -> complete path matching the MMIO baseline's
  * results; preemption with a non-empty
  * ring; slot-to-slot migration (device checkpoint/restore) with
@@ -15,8 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "accel/membench_accel.hh"
+#include "accel/regs.hh"
 #include "exp/builders.hh"
 #include "fleet/fleet.hh"
+#include "fpga/accel_port.hh"
 #include "guest/process.hh"
 #include "guest/vm.hh"
 #include "hv/system.hh"
@@ -110,15 +114,88 @@ TEST(RingTest, CmdPathNames)
 {
     EXPECT_STREQ(ring::cmdPathName(ring::CmdPath::kMmio), "mmio");
     EXPECT_STREQ(ring::cmdPathName(ring::CmdPath::kRing), "ring");
-    ring::CmdPath p{};
-    EXPECT_TRUE(ring::parseCmdPath("ring", p));
-    EXPECT_EQ(p, ring::CmdPath::kRing);
-    EXPECT_TRUE(ring::parseCmdPath("mmio", p));
-    EXPECT_EQ(p, ring::CmdPath::kMmio);
-    EXPECT_FALSE(ring::parseCmdPath("doorbell", p));
     EXPECT_EQ(ring::defaultEntries(1), 8u);
     EXPECT_EQ(ring::defaultEntries(8), 16u);
     EXPECT_EQ(ring::defaultEntries(12), 32u);
+}
+
+// ---------------------------------------------------------------
+// The device poller alone, on a fabric that records requests and
+// never answers: a soft reset leaves the poller able to fetch.
+// ---------------------------------------------------------------
+
+class RecordingFabric : public fpga::FabricPort
+{
+  public:
+    void
+    dmaRequest(ccip::DmaTxnPtr txn) override
+    {
+        requests.push_back(std::move(txn));
+    }
+    std::uint32_t injectIntervalCycles() const override { return 2; }
+
+    std::vector<ccip::DmaTxnPtr> requests;
+};
+
+struct PollerRig
+{
+    static constexpr std::uint64_t kBase = 0x10000;
+    static constexpr std::uint32_t kEntries = 8;
+
+    sim::EventQueue eq;
+    sim::PlatformParams params;
+    RecordingFabric fabric;
+    accel::MembenchAccel dev{eq, params, "mb"};
+
+    PollerRig() { dev.attachFabric(&fabric); }
+
+    void
+    arm(std::uint64_t prod_seq)
+    {
+        ring::DeviceConfig cfg{mem::Gva(kBase), kEntries, {}};
+        cfg.state.prodSeq = prod_seq;
+        dev.armRing(cfg);
+    }
+
+    void
+    softReset()
+    {
+        dev.mmioWrite(accel::reg::kCtrl, accel::ctrl::kSoftReset);
+    }
+
+    /** Requests that read submit slot @p seq. */
+    std::size_t
+    fetchesOf(std::uint64_t seq) const
+    {
+        const std::uint64_t at =
+            kBase + ring::submitSlotOff(kEntries, seq);
+        std::size_t n = 0;
+        for (const ccip::DmaTxnPtr &t : fabric.requests)
+            n += !t->isWrite && t->gva.value() == at;
+        return n;
+    }
+};
+
+TEST(RingTest, SoftResetWithPollPendingLeavesPollerFetching)
+{
+    PollerRig rig;
+    rig.arm(0); // arms a poll that finds nothing published
+    rig.softReset();
+    rig.dev.ringNotify(1);
+    rig.eq.runAll();
+    EXPECT_EQ(rig.fetchesOf(0), 1u);
+}
+
+TEST(RingTest, SoftResetWithFetchInFlightLeavesPollerFetching)
+{
+    PollerRig rig;
+    rig.arm(1);
+    rig.eq.runAll();
+    ASSERT_EQ(rig.fetchesOf(0), 1u); // in flight: never answered
+    rig.softReset();                 // the port drops it
+    rig.dev.ringNotify(1);
+    rig.eq.runAll();
+    EXPECT_EQ(rig.fetchesOf(0), 2u);
 }
 
 // ---------------------------------------------------------------
