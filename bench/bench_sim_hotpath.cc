@@ -14,7 +14,6 @@
  */
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "ring/ring.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/pool_alloc.hh"
 #include "sim/stats.hh"
 #include "sim/telemetry.hh"
 
@@ -105,7 +103,6 @@ exp::ResultRow
 dmaPoolChurn(std::uint64_t rounds, std::size_t window)
 {
     sim::EventQueue eq; // owns the arena, like a System context
-    sim::PoolAlloc<ccip::DmaTxn> alloc(eq.arena());
     std::vector<ccip::DmaTxnPtr> live;
     live.reserve(window);
     std::uint64_t acc = 0;
@@ -113,7 +110,7 @@ dmaPoolChurn(std::uint64_t rounds, std::size_t window)
     exp::WallTimer tw;
     for (std::uint64_t r = 0; r < rounds; ++r) {
         for (std::size_t i = 0; i < window; ++i) {
-            auto txn = std::allocate_shared<ccip::DmaTxn>(alloc);
+            ccip::DmaTxnPtr txn = ccip::makeTxn(eq.arena());
             txn->id = r * window + i;
             live.push_back(std::move(txn));
         }
@@ -124,7 +121,7 @@ dmaPoolChurn(std::uint64_t rounds, std::size_t window)
 
     // Read half: one resident window, walked repeatedly.
     for (std::size_t i = 0; i < window; ++i) {
-        auto txn = std::allocate_shared<ccip::DmaTxn>(alloc);
+        ccip::DmaTxnPtr txn = ccip::makeTxn(eq.arena());
         txn->id = i;
         txn->bytes = static_cast<std::uint32_t>(64 + (i % 4) * 64);
         live.push_back(std::move(txn));
@@ -152,11 +149,10 @@ exp::ResultRow
 dmaPoolStampWalk(std::uint64_t rounds, std::size_t resident)
 {
     sim::EventQueue eq;
-    sim::PoolAlloc<ccip::DmaTxn> alloc(eq.arena());
     std::vector<ccip::DmaTxnPtr> txns;
     txns.reserve(resident);
     for (std::size_t i = 0; i < resident; ++i)
-        txns.push_back(std::allocate_shared<ccip::DmaTxn>(alloc));
+        txns.push_back(ccip::makeTxn(eq.arena()));
 
     // Write half: what the auditor + IOMMU stamp per hop.
     exp::WallTimer tw;
@@ -208,13 +204,11 @@ statIncrement(std::uint64_t incrs)
     sim::TelemetryNode &n = tel.node("hot");
     sim::Counter a(&n, "a", "hot counter a");
     sim::Counter b(&n, "b", "hot counter b");
-    sim::Average avg(&n, "avg", "hot average");
 
     exp::WallTimer tw;
     for (std::uint64_t i = 0; i < incrs; ++i) {
         ++a;
         b += i & 7;
-        avg.sample(static_cast<double>(i & 1023));
     }
     double write_ms = tw.ms();
 

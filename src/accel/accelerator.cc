@@ -137,7 +137,6 @@ Accelerator::command(std::uint64_t bits)
 void
 Accelerator::dropInFlight()
 {
-    ++_epoch;
     _dma.reset();
     _pumpEvent.cancel();
     _ringPollEvent.cancel();
@@ -340,14 +339,14 @@ Accelerator::transferStateBlob(
     xfer->lines = (xfer->blob.size() + sim::kCacheLineBytes - 1) /
                   sim::kCacheLineBytes;
 
-    std::uint64_t epoch = _epoch;
+    std::uint64_t epoch = _dma.epoch();
     mem::Gva buf(_stateBuf);
 
     // State moves in MMIO-paced cache-line bursts: one line per
     // _stateLineGap, well below streaming DMA rates. A reset drops
     // the lines not yet issued (epoch) and those in flight (port).
     auto issue_one = [this, epoch, xfer, buf, save]() {
-        if (epoch != _epoch)
+        if (epoch != _dma.epoch())
             return;
         std::uint64_t i = xfer->issued++;
         std::uint64_t off = i * sim::kCacheLineBytes;

@@ -206,9 +206,9 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     void
     scheduleGuarded(std::uint64_t cycles, F fn)
     {
-        std::uint64_t epoch = _epoch;
+        std::uint64_t epoch = _dma.epoch();
         scheduleCycles(cycles, [this, epoch, fn = std::move(fn)]() {
-            if (epoch == _epoch)
+            if (epoch == _dma.epoch())
                 fn();
         });
     }
@@ -220,8 +220,9 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
 
   private:
     /** Kill everything the job has in flight (reset and wedge): the
-     *  port drops its requests, the armed wakeups are cancelled and
-     *  the epoch bump drops what scheduleGuarded() queued. */
+     *  port drops its requests, its epoch bump drops what
+     *  scheduleGuarded() queued and the armed wakeups are
+     *  cancelled. */
     void dropInFlight();
     /** Drop the job (soft and hard reset): dropInFlight() and return
      *  to kIdle. */
@@ -264,9 +265,6 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     bool _wedged = false;
     bool _mmioWedged = false;
     std::uint64_t _syntheticStateBytes = 0;
-    /** Bumped by a reset or wedge: drops what scheduleGuarded() and
-     *  the state-blob transfer scheduled before it. */
-    std::uint64_t _epoch = 0;
     /** Pacing wakeup (armPump()); unarmed while the job is not
      *  waiting out an initiation interval. */
     sim::MemberEvent<Accelerator, &Accelerator::pump> _pumpEvent;

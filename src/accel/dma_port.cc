@@ -5,23 +5,8 @@
 #include <utility>
 
 #include "sim/logging.hh"
-#include "sim/pool_alloc.hh"
 
 namespace optimus::accel {
-
-namespace {
-
-/** Transactions churn at DMA rate; recycle their shared blocks
- *  through this context's arena (context-local, so concurrent
- *  Systems never share allocator state). */
-ccip::DmaTxnPtr
-makeTxn(sim::PoolArena &arena)
-{
-    return std::allocate_shared<ccip::DmaTxn>(
-        sim::PoolAlloc<ccip::DmaTxn>{arena});
-}
-
-} // namespace
 
 DmaPort::DmaPort(sim::EventQueue &eq, std::uint64_t freq_mhz,
                  std::string name, sim::Scope scope)
@@ -31,7 +16,6 @@ DmaPort::DmaPort(sim::EventQueue &eq, std::uint64_t freq_mhz,
       _reads(scope.node, "reads", "DMA reads issued"),
       _writes(scope.node, "writes", "DMA writes issued"),
       _errors(scope.node, "errors", "DMA completions with error"),
-      _latency(scope.node, "latency_ns", "DMA round-trip (ns)"),
       _latencyHist(scope.node, "latency_hist_ns",
                    "DMA round-trip percentiles (ns)")
 {
@@ -43,7 +27,7 @@ DmaPort::read(mem::Gva gva, std::uint32_t bytes, Completion cb)
 {
     OPTIMUS_ASSERT(bytes > 0 && bytes <= sim::kCacheLineBytes,
                    "bad DMA size %u", bytes);
-    ccip::DmaTxnPtr txn = makeTxn(eventq().arena());
+    ccip::DmaTxnPtr txn = ccip::makeTxn(eventq().arena());
     txn->id = _nextId++;
     txn->isWrite = false;
     txn->gva = gva;
@@ -58,7 +42,7 @@ DmaPort::write(mem::Gva gva, const void *data, std::uint32_t bytes,
 {
     OPTIMUS_ASSERT(bytes > 0 && bytes <= sim::kCacheLineBytes,
                    "bad DMA size %u", bytes);
-    ccip::DmaTxnPtr txn = makeTxn(eventq().arena());
+    ccip::DmaTxnPtr txn = ccip::makeTxn(eventq().arena());
     txn->id = _nextId++;
     txn->isWrite = true;
     txn->gva = gva;
@@ -122,8 +106,6 @@ DmaPort::onResponse(std::uint64_t epoch, ccip::DmaTxn &txn,
     --_outstanding;
     if (txn.error)
         ++_errors;
-    _latency.sample(static_cast<double>(now() - txn.issuedAt) /
-                    static_cast<double>(sim::kTickNs));
     _latencyHist.sample((now() - txn.issuedAt) / sim::kTickNs);
 
     if (cb)

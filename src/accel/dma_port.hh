@@ -80,11 +80,12 @@ class DmaPort : public sim::Clocked
      */
     void reset();
 
+    /** Bumped by reset(): what a job scheduled before it is stale. */
+    std::uint64_t epoch() const { return _epoch; }
+
     std::uint64_t readsIssued() const { return _reads.value(); }
     std::uint64_t writesIssued() const { return _writes.value(); }
     std::uint64_t errors() const { return _errors.value(); }
-    const sim::Average &latency() const { return _latency; }
-    const sim::Histogram &latencyHist() const { return _latencyHist; }
 
   private:
     void enqueue(ccip::DmaTxnPtr txn, Completion cb);
@@ -114,9 +115,8 @@ class DmaPort : public sim::Clocked
     sim::Counter _reads;
     sim::Counter _writes;
     sim::Counter _errors;
-    sim::Average _latency;
-    /** Percentile companion to the mean: correlates fabric-level
-     *  tail latency with the service-plane's request tails. */
+    /** Round-trip latency (ns): correlates fabric-level tail latency
+     *  with the service-plane's request tails. */
     sim::Histogram _latencyHist;
 };
 

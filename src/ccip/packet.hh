@@ -17,9 +17,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 
 #include "mem/address.hh"
 #include "sim/inline_function.hh"
+#include "sim/pool_alloc.hh"
 #include "sim/trace_bus.hh"
 #include "sim/types.hh"
 
@@ -81,7 +83,31 @@ struct DmaTxn
     sim::InlineFunction<void(DmaTxn &), 80> onComplete;
 };
 
-using DmaTxnPtr = std::shared_ptr<DmaTxn>;
+/** Ends a transaction: destroys it and gives its block back to the
+ *  free list of the context it came from. */
+struct DmaTxnRecycler
+{
+    sim::PoolArena *arena = nullptr;
+
+    void
+    operator()(DmaTxn *txn) const noexcept
+    {
+        txn->~DmaTxn();
+        arena->give(txn);
+    }
+};
+
+/** The one owner of a DMA: moved hop to hop, from the port that
+ *  issues it to the accelerator that takes its response. */
+using DmaTxnPtr = std::unique_ptr<DmaTxn, DmaTxnRecycler>;
+
+/** A fresh transaction in a block from @p arena, its context's. */
+inline DmaTxnPtr
+makeTxn(sim::PoolArena &arena)
+{
+    return DmaTxnPtr(::new (arena.take(sizeof(DmaTxn))) DmaTxn(),
+                     DmaTxnRecycler{&arena});
+}
 
 /** One MMIO operation on the FPGA's control plane. */
 struct MmioOp

@@ -56,8 +56,7 @@ void
 Shell::issue(DmaTxnPtr txn)
 {
     // The txn travels by move through the whole per-DMA closure chain
-    // (front, host side, front) so one DMA costs one shared_ptr
-    // reference, not one per hop.
+    // (front, host side, front): one owner at every hop.
     Link &link = _selector.select(*txn);
     txn->link = &link == &_upi ? 0 : (&link == &_pcie0 ? 1 : 2);
 

@@ -182,7 +182,7 @@ FaultInjector::fireWildDma(const FaultDirective &d,
     mem::Gva gva = e.valid ? mem::Gva(e.gvaBase + e.window + 0x1000)
                            : mem::Gva(0xdead0000000ULL);
 
-    auto txn = std::make_shared<ccip::DmaTxn>();
+    ccip::DmaTxnPtr txn = ccip::makeTxn(_sys.eq.arena());
     txn->isWrite = true;
     txn->gva = gva;
     txn->bytes = sim::kCacheLineBytes;

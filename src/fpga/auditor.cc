@@ -41,7 +41,7 @@ Auditor::dmaFromAccel(ccip::DmaTxnPtr txn)
         // accelerator does not hang (and tests can observe it).
         ++_rejected;
         txn->error = true;
-        scheduleCycles(_latencyCycles, [txn]() {
+        scheduleCycles(_latencyCycles, [txn = std::move(txn)]() {
             if (txn->onComplete)
                 txn->onComplete(*txn);
         });
@@ -89,7 +89,7 @@ Auditor::pumpStep()
 }
 
 void
-Auditor::deliverDown(const ccip::DmaTxnPtr &txn)
+Auditor::deliverDown(ccip::DmaTxnPtr txn)
 {
     if (txn->tag != _tag) {
         ++_discarded;
@@ -97,10 +97,9 @@ Auditor::deliverDown(const ccip::DmaTxnPtr &txn)
     }
     OPTIMUS_ASSERT(_device != nullptr,
                    "auditor %u has no attached accelerator", _tag);
-    ccip::DmaTxnPtr copy = txn;
     scheduleCycles(_latencyCycles,
-                   [this, copy = std::move(copy)]() mutable {
-                       _device->dmaResponse(std::move(copy));
+                   [this, txn = std::move(txn)]() mutable {
+                       _device->dmaResponse(std::move(txn));
                    });
 }
 

@@ -110,7 +110,7 @@ class Auditor : public sim::Clocked
      * handed to the accelerator only if its tag matches; silently
      * discarded otherwise (lazy routing).
      */
-    void deliverDown(const ccip::DmaTxnPtr &txn);
+    void deliverDown(ccip::DmaTxnPtr txn);
 
     /**
      * An MMIO broadcast down the tree; @p device_offset is the

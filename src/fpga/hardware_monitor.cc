@@ -69,7 +69,7 @@ HardwareMonitor::HardwareMonitor(sim::EventQueue &eq,
         // forwards, so the simulator dispatches to it directly (the
         // auditor still performs the hardware's tag check).
         if (t->tag < _auditors.size())
-            _auditors[t->tag]->deliverDown(t);
+            _auditors[t->tag]->deliverDown(std::move(t));
     });
 
     _shell.setResponseSink(

@@ -56,7 +56,7 @@ class SystemObserver
  *
  * Context-locality invariant: a lone System (or a whole
  * fleet::Cluster) is one self-contained simulation context.
- * Everything mutable it touches — event queue, pooled
+ * Everything mutable it touches — event queue, the free list of
  * DMA-transaction blocks (sim::PoolArena, owned by the event queue),
  * platform components, stats, workload RNGs — lives inside it; no
  * process-global mutable state is read or written while it runs. Any

@@ -129,13 +129,14 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * The simulation context's block-recycling arena. The queue is
-     * the root object of one simulation context (a lone hv::System,
-     * or a whole fleet::Cluster), so it hosts the context-local
-     * allocator state; components reach it through their EventQueue
-     * reference. Destroyed with the queue — i.e. after every
-     * component of the context — so pooled blocks released during
-     * teardown still have a home.
+     * The simulation context's free list of DMA-transaction blocks
+     * (ccip::makeTxn takes from it). The queue is the root object of
+     * one simulation context (a lone hv::System, or a whole
+     * fleet::Cluster), so it hosts the context-local allocator state;
+     * components reach it through their EventQueue reference.
+     * Destroyed with the queue — i.e. after every component of the
+     * context — so a transaction that dies during teardown still
+     * gives its block back.
      */
     PoolArena &arena() { return _arena; }
 
@@ -261,9 +262,8 @@ class EventQueue
 
   private:
     /** First member on purpose: destroyed after the callback pool
-     *  below, whose still-pending closures may release pool-allocated
-     *  shared blocks (DmaTxns) back into this arena during queue
-     *  teardown. */
+     *  below, whose still-pending closures may hold DmaTxns that
+     *  give their blocks back to this arena during queue teardown. */
     PoolArena _arena;
 
     /**

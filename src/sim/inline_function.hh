@@ -6,7 +6,7 @@
  * Every scheduled event and every DMA completion used to pay a heap
  * allocation through std::function's type erasure (libstdc++ inlines
  * only captures up to 16 bytes). The simulator's closures are almost
- * all "a this pointer, an epoch, a shared_ptr, a couple of words" —
+ * all "a this pointer, an epoch, a DMA handle, a couple of words" —
  * comfortably under 88 bytes — so InlineFunction stores them in-place
  * and the event kernel never touches the allocator on the hot path.
  * Oversized captures transparently fall back to the heap, so cold
@@ -24,7 +24,7 @@
  *  - trivially copyable inline targets (this pointers, integers,
  *    epochs — the hot-path majority) relocate with a raw whole-buffer
  *    memcpy: a handful of wide stores, no indirect call;
- *  - all other inline targets (closures holding shared_ptr, a nested
+ *  - all other inline targets (closures holding a DmaTxnPtr, a nested
  *    InlineFunction, std::string, containers, ...) relocate through a
  *    per-type move-construct + destroy thunk, so types with interior
  *    self-pointers (std::string's SSO buffer, std::map's header node,

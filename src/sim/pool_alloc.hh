@@ -1,29 +1,27 @@
 /**
  * @file
- * A fixed-size block recycler for the simulation's hottest
- * shared-object allocation.
+ * The free list that recycles the simulation's DMA-transaction
+ * blocks.
  *
- * Every DMA transaction is materialized as one allocate_shared block
- * (control block + payload, a constant size per type), lives for a few
- * microseconds of simulated time, and dies. The general-purpose
- * allocator handles that fine, but a private free list turns the
- * whole round trip into a push and a pop — no size-class lookup, no
- * arena bookkeeping — and keeps the recycled blocks hot in cache,
- * which matters at hundreds of thousands of transactions per run.
+ * Every DMA is one ccip::DmaTxn in one fixed-size block, owned by one
+ * handle from the port that issues it to the accelerator that takes
+ * its response; it lives for a few microseconds of simulated time and
+ * dies. A streaming run holds hundreds live at once (8 ports with a
+ * 256-request window each), far more than the general-purpose
+ * allocator's per-size thread cache keeps, so a private free list
+ * turns each round trip into a push and a pop and keeps the recycled
+ * blocks hot in cache.
  *
- * The free lists live in a PoolArena owned by the simulation context
- * (the EventQueue): each simulated System recycles only its own
- * blocks, so several Systems can run concurrently on different
- * threads without sharing any allocator state. A pool grows to the
- * high-water mark of simultaneously live objects per context and is
- * trimmed only when the arena dies. Requests for more than one object
- * fall through to the global allocator.
+ * The list lives in a PoolArena owned by the simulation context (the
+ * EventQueue): each simulated System recycles only its own blocks,
+ * so two contexts never share one. It grows to the context's
+ * high-water mark of live transactions and is freed when the arena
+ * dies.
  */
 
 #ifndef OPTIMUS_SIM_POOL_ALLOC_HH
 #define OPTIMUS_SIM_POOL_ALLOC_HH
 
-#include <atomic>
 #include <cstddef>
 #include <new>
 #include <vector>
@@ -31,17 +29,17 @@
 namespace optimus::sim {
 
 /**
- * Per-context home of the recycled blocks: one free list per block
- * type, looked up by a small dense index assigned per instantiated
- * type. Not thread-safe by itself — an arena belongs to exactly one
+ * Per-context home of the recycled blocks: one LIFO free list of
+ * blocks of one size, the size its one client (ccip::makeTxn) asks
+ * for. Not thread-safe by itself — an arena belongs to exactly one
  * simulation context, and that context must only ever be driven from
  * one thread at a time (the context-locality invariant; see
  * hv::System).
  *
- * Lifetime: the arena must outlive every block allocated from it,
- * including shared_ptr control blocks whose last reference is dropped
- * during context teardown. Owning it from the EventQueue — destroyed
- * after every platform component of its System — satisfies this.
+ * Lifetime: the arena must outlive every block taken from it,
+ * including those whose transaction dies during context teardown.
+ * Owning it from the EventQueue — destroyed after every platform
+ * component of its System — satisfies this.
  */
 class PoolArena
 {
@@ -52,97 +50,27 @@ class PoolArena
 
     ~PoolArena()
     {
-        for (auto &blocks : _lists)
-            for (void *b : blocks)
-                ::operator delete(b);
+        for (void *b : _free)
+            ::operator delete(b);
     }
 
-    /** The free list for the block type with index @p type_slot. */
-    std::vector<void *> &
-    list(std::size_t type_slot)
+    /** A block of @p bytes: the last one given back, else fresh
+     *  memory. Every take() on one arena asks for the same size. */
+    void *
+    take(std::size_t bytes)
     {
-        if (type_slot >= _lists.size())
-            _lists.resize(type_slot + 1);
-        return _lists[type_slot];
+        if (_free.empty())
+            return ::operator new(bytes);
+        void *b = _free.back();
+        _free.pop_back();
+        return b;
     }
 
-    /** Process-wide type-index dispenser (init-once per type; the
-     *  indices themselves carry no simulation state). */
-    static std::size_t
-    grabTypeSlot()
-    {
-        static std::atomic<std::size_t> next{0};
-        return next.fetch_add(1, std::memory_order_relaxed);
-    }
+    /** Give back a block taken from this arena. */
+    void give(void *block) { _free.push_back(block); }
 
   private:
-    std::vector<std::vector<void *>> _lists;
-};
-
-/** Dense per-type index into a PoolArena's free lists. */
-template <typename T>
-inline std::size_t
-poolTypeSlot()
-{
-    static const std::size_t slot = PoolArena::grabTypeSlot();
-    return slot;
-}
-
-/** Minimal allocator for std::allocate_shared: recycles single-object
- *  blocks of the rebound internal type through its arena's free
- *  list. */
-template <typename T>
-class PoolAlloc
-{
-  public:
-    using value_type = T;
-
-    explicit PoolAlloc(PoolArena &arena) noexcept : _arena(&arena) {}
-
-    template <typename U>
-    PoolAlloc(const PoolAlloc<U> &o) noexcept : _arena(o._arena)
-    {}
-
-    T *
-    allocate(std::size_t n)
-    {
-        if (n == 1) {
-            std::vector<void *> &p = _arena->list(poolTypeSlot<T>());
-            if (!p.empty()) {
-                void *b = p.back();
-                p.pop_back();
-                return static_cast<T *>(b);
-            }
-        }
-        return static_cast<T *>(::operator new(n * sizeof(T)));
-    }
-
-    void
-    deallocate(T *ptr, std::size_t n) noexcept
-    {
-        if (n == 1) {
-            _arena->list(poolTypeSlot<T>()).push_back(ptr);
-            return;
-        }
-        ::operator delete(ptr);
-    }
-
-    friend bool
-    operator==(const PoolAlloc &a, const PoolAlloc &b) noexcept
-    {
-        return a._arena == b._arena;
-    }
-    friend bool
-    operator!=(const PoolAlloc &a, const PoolAlloc &b) noexcept
-    {
-        return a._arena != b._arena;
-    }
-
-  private:
-    template <typename U>
-    friend class PoolAlloc;
-
-    PoolArena *_arena;
+    std::vector<void *> _free;
 };
 
 } // namespace optimus::sim

@@ -71,21 +71,6 @@ Counter::json(std::ostream &os) const
     os << _value;
 }
 
-void
-Average::printValue(std::ostream &os) const
-{
-    os << "mean=" << mean() << " min=" << min() << " max=" << max()
-       << " n=" << _count;
-}
-
-void
-Average::json(std::ostream &os) const
-{
-    os << "{\"count\": " << _count << ", \"sum\": " << _sum
-       << ", \"mean\": " << mean() << ", \"min\": " << min()
-       << ", \"max\": " << max() << "}";
-}
-
 std::uint32_t
 Histogram::bucketIndex(std::uint64_t v)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
- * A small statistics package: counters, averages, and histograms that
- * register themselves with a telemetry node so harnesses can dump the
- * whole tree (see sim/telemetry.hh).
+ * A small statistics package: counters and histograms that register
+ * themselves with a telemetry node so harnesses can dump the whole
+ * tree (see sim/telemetry.hh).
  */
 
 #ifndef OPTIMUS_SIM_STATS_HH
@@ -77,47 +77,6 @@ class Counter : public Stat
 
   private:
     std::uint64_t _value = 0;
-};
-
-/** Mean of a stream of samples. */
-class Average : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void
-    sample(double v)
-    {
-        _sum += v;
-        ++_count;
-        if (_count == 1 || v < _min)
-            _min = v;
-        if (_count == 1 || v > _max)
-            _max = v;
-    }
-
-    std::uint64_t count() const { return _count; }
-    double sum() const { return _sum; }
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double min() const { return _count ? _min : 0.0; }
-    double max() const { return _count ? _max : 0.0; }
-
-    void printValue(std::ostream &os) const override;
-    void json(std::ostream &os) const override;
-    void
-    reset() override
-    {
-        _sum = 0;
-        _count = 0;
-        _min = 0;
-        _max = 0;
-    }
-
-  private:
-    double _sum = 0;
-    std::uint64_t _count = 0;
-    double _min = 0;
-    double _max = 0;
 };
 
 /**

@@ -1,7 +1,8 @@
 /**
  * @file
  * Accelerator-framework tests: the DMA port's windowing, pacing, and
- * reset semantics; the common register file protocol; doorbells; and
+ * reset semantics; the common register file protocol; doorbells;
+ * what a soft reset drops from an accelerator's own schedule; and
  * in-order delivery through the streaming engine's reorder buffer.
  */
 
@@ -10,10 +11,12 @@
 #include <vector>
 
 #include "accel/accelerator.hh"
+#include "accel/crypto_accels.hh"
 #include "accel/dma_port.hh"
 #include "accel/linkedlist_accel.hh"
 #include "accel/membench_accel.hh"
 #include "accel/regs.hh"
+#include "accel/signal_accels.hh"
 #include "fpga/accel_port.hh"
 #include "sim/event_queue.hh"
 
@@ -44,7 +47,7 @@ class StubFabric : public fpga::FabricPort
     void
     respond(std::size_t i, bool error = false)
     {
-        ccip::DmaTxnPtr t = pending[i];
+        ccip::DmaTxnPtr t = std::move(pending[i]);
         pending.erase(pending.begin() +
                       static_cast<std::ptrdiff_t>(i));
         t->error = error;
@@ -251,6 +254,158 @@ TEST_F(AccelRegFixture, SoftResetKeepsAppRegisters)
     accel.mmioWrite(reg::kCtrl, ctrl::kSoftReset);
     EXPECT_EQ(accel.mmioRead(reg::appReg(0)), 77u);
     EXPECT_EQ(accel.status(), Status::kIdle);
+}
+
+// -----------------------------------------------------------------
+// What a soft reset drops from the accelerator's own schedule: the
+// compute steps scheduleGuarded() queued and the state-blob lines not
+// yet issued. A job started right after the reset runs as a fresh
+// job started at that moment would.
+// -----------------------------------------------------------------
+
+/** One accelerator on a stub fabric answered at the tick each request
+ *  arrives; reads return a pattern of their address. */
+template <typename Accel>
+struct ServedRig
+{
+    sim::EventQueue eq;
+    sim::PlatformParams params;
+    StubFabric fabric;
+    Accel accel{eq, params, "acc"};
+    sim::Tick doneAt = 0;
+    int doorbells = 0;
+    std::size_t writes = 0;
+
+    ServedRig()
+    {
+        accel.attachFabric(&fabric);
+        accel.setDoorbell([this](Accelerator &) {
+            doneAt = eq.now();
+            ++doorbells;
+        });
+    }
+
+    void command(std::uint64_t bits) { accel.mmioWrite(reg::kCtrl, bits); }
+
+    /** Run every event due by @p limit, then advance time to it. */
+    void
+    serve(sim::Tick limit = sim::kTickForever)
+    {
+        for (;;) {
+            if (!fabric.pending.empty()) {
+                ccip::DmaTxn &t = *fabric.pending.front();
+                if (t.isWrite)
+                    ++writes;
+                else
+                    for (std::uint32_t i = 0; i < t.bytes; ++i)
+                        t.data[i] = static_cast<std::uint8_t>(
+                            t.gva.value() * 7 + i);
+                fabric.respond(0);
+            } else if (!eq.empty() && eq.nextEventTick() <= limit) {
+                eq.runOne();
+            } else {
+                break;
+            }
+        }
+        if (limit != sim::kTickForever)
+            eq.runUntil(limit);
+    }
+};
+
+/** Reset @p rig's job at @p at and START again at once; the new job
+ *  must match @p fresh's, started at @p at on an idle device. */
+template <typename Accel>
+void
+expectRestartMatchesFreshJob(ServedRig<Accel> &rig,
+                             ServedRig<Accel> &fresh, sim::Tick at)
+{
+    rig.command(ctrl::kStart);
+    rig.serve(at);
+    ASSERT_EQ(rig.doorbells, 0) << "the first job ended before " << at;
+    ASSERT_EQ(rig.accel.status(), Status::kRunning);
+    rig.command(ctrl::kSoftReset);
+    rig.command(ctrl::kStart);
+    rig.serve();
+
+    fresh.eq.runUntil(at);
+    fresh.command(ctrl::kStart);
+    fresh.serve();
+
+    ASSERT_EQ(fresh.doorbells, 1);
+    EXPECT_EQ(rig.doorbells, 1);
+    EXPECT_EQ(rig.accel.status(), Status::kDone);
+    EXPECT_EQ(rig.doneAt, fresh.doneAt);
+    EXPECT_EQ(rig.accel.result(), fresh.accel.result());
+    EXPECT_EQ(rig.accel.progress(), fresh.accel.progress());
+}
+
+void
+programBtc(BtcAccel &a)
+{
+    a.mmioWrite(reg::appReg(BtcAccel::kRegSrc), 0x40000);
+    a.mmioWrite(reg::appReg(BtcAccel::kRegStartNonce), 0);
+    a.mmioWrite(reg::appReg(BtcAccel::kRegZeroBits), 12);
+}
+
+TEST(ResetScheduleTest, BtcRestartedMidBatchMatchesAFreshJob)
+{
+    ServedRig<BtcAccel> rig;
+    ServedRig<BtcAccel> fresh;
+    programBtc(rig.accel);
+    programBtc(fresh.accel);
+    // Half-way through the third 256-cycle batch at 100 MHz: the
+    // first job's next batch is still queued.
+    expectRestartMatchesFreshJob(rig, fresh, 6'500 * sim::kTickNs);
+    // The new job outlives that queued batch, which would otherwise
+    // start a second mining chain inside it.
+    EXPECT_GT(rig.accel.progress(), 2u * BtcAccel::kBatch);
+}
+
+void
+programSw(SwAccel &a)
+{
+    a.mmioWrite(reg::appReg(SwAccel::kRegSeqA), 0x10000);
+    a.mmioWrite(reg::appReg(SwAccel::kRegLenA), 200);
+    a.mmioWrite(reg::appReg(SwAccel::kRegSeqB), 0x20000);
+    a.mmioWrite(reg::appReg(SwAccel::kRegLenB), 300);
+}
+
+TEST(ResetScheduleTest, SwRestartedMidWavefrontMatchesAFreshJob)
+{
+    ServedRig<SwAccel> rig;
+    ServedRig<SwAccel> fresh;
+    programSw(rig.accel);
+    programSw(fresh.accel);
+    // The 500-cycle wavefront at 100 MHz runs from ~0.1 us to
+    // ~5.1 us; reset half-way.
+    expectRestartMatchesFreshJob(rig, fresh, 2'500 * sim::kTickNs);
+    EXPECT_EQ(rig.accel.progress(), 500u);
+}
+
+TEST(ResetScheduleTest, SoftResetDuringStateSaveIssuesNoFurtherLine)
+{
+    ServedRig<BtcAccel> rig;
+    programBtc(rig.accel);
+    rig.accel.mmioWrite(reg::kStateBuf, 0x80000);
+    rig.accel.setSyntheticStateBytes(16 << 10); // 256 blob lines
+    rig.command(ctrl::kStart);
+    rig.serve(3'000 * sim::kTickNs);
+    ASSERT_EQ(rig.accel.status(), Status::kRunning);
+
+    // The port is idle between batches, so the save starts at once
+    // and paces one line per ~19 ns: reset it part-way.
+    rig.command(ctrl::kPreempt);
+    rig.serve(4'000 * sim::kTickNs);
+    ASSERT_EQ(rig.accel.status(), Status::kSaving);
+    const std::size_t issued = rig.writes;
+    ASSERT_GT(issued, 0u);
+    ASSERT_LT(issued, 256u);
+
+    rig.command(ctrl::kSoftReset);
+    rig.serve();
+    EXPECT_EQ(rig.writes, issued);
+    EXPECT_EQ(rig.accel.status(), Status::kIdle);
+    EXPECT_EQ(rig.doorbells, 0);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "ccip/channel_selector.hh"
@@ -147,7 +148,7 @@ class ShellFixture : public ::testing::Test
     DmaTxnPtr
     makeTxn(bool write, std::uint64_t iova)
     {
-        auto t = std::make_shared<DmaTxn>();
+        DmaTxnPtr t = ccip::makeTxn(eq.arena());
         t->isWrite = write;
         t->iova = mem::Iova(iova);
         t->bytes = 64;
@@ -173,13 +174,13 @@ TEST_F(ShellFixture, WriteThenReadRoundTrip)
     for (int i = 0; i < 64; ++i)
         w->data[static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(i);
-    shell.fromAfu(w);
+    shell.fromAfu(std::move(w));
     runAll();
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_FALSE(responses[0]->error);
 
     auto r = makeTxn(false, 0x40);
-    shell.fromAfu(r);
+    shell.fromAfu(std::move(r));
     runAll();
     ASSERT_EQ(responses.size(), 2u);
     for (int i = 0; i < 64; ++i)
@@ -193,7 +194,7 @@ TEST_F(ShellFixture, WriteThenReadRoundTrip)
 TEST_F(ShellFixture, UnmappedIovaReturnsErrorResponse)
 {
     auto r = makeTxn(false, 0x4000000000ULL);
-    shell.fromAfu(r);
+    shell.fromAfu(std::move(r));
     runAll();
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_TRUE(responses[0]->error);
@@ -204,7 +205,7 @@ TEST_F(ShellFixture, ReadLatencyIsWithinPlatformEnvelope)
     // Warm the IOTLB first.
     auto warm = makeTxn(false, 0x0);
     warm->vc = VChannel::kUpi;
-    shell.fromAfu(warm);
+    shell.fromAfu(std::move(warm));
     runAll();
 
     sim::Tick start = eq.now();
@@ -216,7 +217,7 @@ TEST_F(ShellFixture, ReadLatencyIsWithinPlatformEnvelope)
         if (t->onComplete)
             t->onComplete(*t);
     });
-    shell.fromAfu(r);
+    shell.fromAfu(std::move(r));
     runAll();
     // One UPI round trip + DRAM: should land near 420 ns.
     EXPECT_GT(done, 350 * sim::kTickNs);
@@ -259,7 +260,7 @@ class TracedShellFixture : public ::testing::Test
     DmaTxnPtr
     makeTxn(bool write, std::uint64_t iova)
     {
-        auto t = std::make_shared<DmaTxn>();
+        DmaTxnPtr t = ccip::makeTxn(eq.arena());
         t->isWrite = write;
         t->iova = mem::Iova(iova);
         t->bytes = 64;
@@ -291,9 +292,9 @@ TEST_F(TracedShellFixture, TwoSinksBothObserveTheSameTransaction)
     bus.attach(&collector, mask);
 
     auto w = makeTxn(true, 0x80);
-    shell.fromAfu(w);
+    shell.fromAfu(std::move(w));
     auto bad = makeTxn(false, 0x4000000000ULL); // faults
-    shell.fromAfu(bad);
+    shell.fromAfu(std::move(bad));
     runAll();
 
     EXPECT_EQ(chrome.size(), 2u);

@@ -29,9 +29,9 @@ using namespace optimus::fpga;
 namespace {
 
 ccip::DmaTxnPtr
-makeTxn(std::uint64_t gva, bool write = false)
+makeTxn(sim::EventQueue &eq, std::uint64_t gva, bool write = false)
 {
-    auto t = std::make_shared<ccip::DmaTxn>();
+    ccip::DmaTxnPtr t = ccip::makeTxn(eq.arena());
     t->gva = mem::Gva(gva);
     t->isWrite = write;
     t->bytes = 64;
@@ -67,7 +67,7 @@ TEST(MuxTreeTest, PacketsTraverseToRootWithPipelineLatency)
     });
     ASSERT_TRUE(tree.leafHasSpace(0));
     tree.reserveLeaf(0);
-    tree.fromLeaf(0, makeTxn(0x1000));
+    tree.fromLeaf(0, makeTxn(eq, 0x1000));
     eq.runAll();
     ASSERT_EQ(granted.size(), 1u);
     // An idle tree grants on arrival at every level: the root grants
@@ -84,8 +84,9 @@ TEST(MuxTreeTest, PacketsTraverseToRootWithPipelineLatency)
 class LeafFeeder
 {
   public:
-    LeafFeeder(MuxTree &tree, std::uint32_t leaf, int budget)
-        : _tree(tree), _leaf(leaf), _budget(budget)
+    LeafFeeder(sim::EventQueue &eq, MuxTree &tree, std::uint32_t leaf,
+               int budget)
+        : _eq(eq), _tree(tree), _leaf(leaf), _budget(budget)
     {
         tree.setLeafWake(leaf, [this]() { pump(); });
         pump();
@@ -96,7 +97,7 @@ class LeafFeeder
     {
         while (_budget > 0 && _tree.leafHasSpace(_leaf)) {
             _tree.reserveLeaf(_leaf);
-            auto t = makeTxn(0x1000);
+            auto t = makeTxn(_eq, 0x1000);
             t->tag = static_cast<ccip::AccelTag>(_leaf);
             _tree.fromLeaf(_leaf, std::move(t));
             --_budget;
@@ -104,6 +105,7 @@ class LeafFeeder
     }
 
   private:
+    sim::EventQueue &_eq;
     MuxTree &_tree;
     std::uint32_t _leaf;
     int _budget;
@@ -123,7 +125,7 @@ TEST(MuxTreeTest, RoundRobinSharesRootBandwidthEqually)
     std::vector<std::unique_ptr<LeafFeeder>> feeders;
     for (std::uint32_t leaf = 0; leaf < 8; ++leaf)
         feeders.push_back(
-            std::make_unique<LeafFeeder>(tree, leaf, 400));
+            std::make_unique<LeafFeeder>(eq, tree, leaf, 400));
 
     // Run for exactly 1600 root cycles: room for half the packets.
     eq.runUntil(1600 * sim::periodFromMhz(p.fpgaIfaceMhz));
@@ -144,7 +146,7 @@ TEST(MuxTreeTest, SingleActiveLeafGetsFullBandwidth)
     MuxTree tree(eq, p, 8, 2);
     int delivered = 0;
     tree.setRootSink([&](ccip::DmaTxnPtr, sim::Tick) { ++delivered; });
-    LeafFeeder feeder(tree, 3, 100);
+    LeafFeeder feeder(eq, tree, 3, 100);
     eq.runAll();
     EXPECT_EQ(delivered, 100);
     // The sole active leaf was never throttled below 1 pkt/cycle
@@ -178,7 +180,7 @@ TEST(MuxTreeTest, DownPathBroadcastsAfterLatency)
     MuxTree tree(eq, p, 8, 2);
     sim::Tick delivered_at = 0;
     tree.setDownSink([&](ccip::DmaTxnPtr) { delivered_at = eq.now(); });
-    tree.down(makeTxn(0));
+    tree.down(makeTxn(eq, 0));
     eq.runAll();
     EXPECT_EQ(delivered_at, tree.downLatency());
 }
@@ -197,7 +199,9 @@ class AuditorFixture : public ::testing::Test
         e.window = 64ULL << 30;
         auditor.setOffsetEntry(e);
         auditor.setUpstream(
-            [this](ccip::DmaTxnPtr t) { forwarded.push_back(t); });
+            [this](ccip::DmaTxnPtr t) {
+                forwarded.push_back(std::move(t));
+            });
     }
 
     sim::EventQueue eq;
@@ -207,8 +211,8 @@ class AuditorFixture : public ::testing::Test
 
 TEST_F(AuditorFixture, TranslatesGvaToIovaAndTags)
 {
-    auto t = makeTxn(0x100000000040ULL);
-    auditor.dmaFromAccel(t);
+    auto t = makeTxn(eq, 0x100000000040ULL);
+    auditor.dmaFromAccel(std::move(t));
     eq.runAll();
     ASSERT_EQ(forwarded.size(), 1u);
     EXPECT_EQ(forwarded[0]->iova.value(), 0x20000000040ULL);
@@ -218,9 +222,9 @@ TEST_F(AuditorFixture, TranslatesGvaToIovaAndTags)
 TEST_F(AuditorFixture, RejectsDmaBelowWindow)
 {
     bool error = false;
-    auto t = makeTxn(0x0fff00000000ULL);
+    auto t = makeTxn(eq, 0x0fff00000000ULL);
     t->onComplete = [&](ccip::DmaTxn &d) { error = d.error; };
-    auditor.dmaFromAccel(t);
+    auditor.dmaFromAccel(std::move(t));
     eq.runAll();
     EXPECT_TRUE(forwarded.empty());
     EXPECT_TRUE(error);
@@ -230,18 +234,18 @@ TEST_F(AuditorFixture, RejectsDmaBelowWindow)
 TEST_F(AuditorFixture, RejectsDmaPastWindowEnd)
 {
     // One byte past the 64 GB window.
-    auto t = makeTxn(0x100000000000ULL + (64ULL << 30) - 63);
+    auto t = makeTxn(eq, 0x100000000000ULL + (64ULL << 30) - 63);
     bool error = false;
     t->onComplete = [&](ccip::DmaTxn &d) { error = d.error; };
-    auditor.dmaFromAccel(t);
+    auditor.dmaFromAccel(std::move(t));
     eq.runAll();
     EXPECT_TRUE(error);
 }
 
 TEST_F(AuditorFixture, LastInWindowLineIsAccepted)
 {
-    auto t = makeTxn(0x100000000000ULL + (64ULL << 30) - 64);
-    auditor.dmaFromAccel(t);
+    auto t = makeTxn(eq, 0x100000000000ULL + (64ULL << 30) - 64);
+    auditor.dmaFromAccel(std::move(t));
     eq.runAll();
     EXPECT_EQ(forwarded.size(), 1u);
 }
@@ -249,10 +253,10 @@ TEST_F(AuditorFixture, LastInWindowLineIsAccepted)
 TEST_F(AuditorFixture, InvalidEntryRejectsEverything)
 {
     auditor.setOffsetEntry(OffsetEntry{});
-    auto t = makeTxn(0x100000000000ULL);
+    auto t = makeTxn(eq, 0x100000000000ULL);
     bool error = false;
     t->onComplete = [&](ccip::DmaTxn &d) { error = d.error; };
-    auditor.dmaFromAccel(t);
+    auditor.dmaFromAccel(std::move(t));
     eq.runAll();
     EXPECT_TRUE(error);
 }
@@ -269,12 +273,12 @@ TEST_F(AuditorFixture, DownstreamTagFilter)
     } dev;
     auditor.setDevice(&dev);
 
-    auto mine = makeTxn(0);
+    auto mine = makeTxn(eq, 0);
     mine->tag = 3;
-    auto other = makeTxn(0);
+    auto other = makeTxn(eq, 0);
     other->tag = 5;
-    auditor.deliverDown(mine);
-    auditor.deliverDown(other);
+    auditor.deliverDown(std::move(mine));
+    auditor.deliverDown(std::move(other));
     eq.runAll();
     EXPECT_EQ(dev.responses, 1);
     EXPECT_EQ(auditor.discardedResponses(), 1u);
@@ -426,7 +430,7 @@ TEST_F(MonitorFixture, UpiReadEventBudgetAndLatency)
         std::uint64_t events;
     };
     auto read = [&]() {
-        auto t = makeTxn(0x40);
+        auto t = makeTxn(eq, 0x40);
         t->vc = ccip::VChannel::kUpi;
         sim::Tick issued = eq.now();
         std::uint64_t before = eq.executed();

@@ -1,127 +1,87 @@
 /**
  * @file
- * PoolArena / PoolAlloc: per-context block recycling. The arena is
- * the context-local replacement for the old process-global free
- * list; these tests pin the recycling behavior and, critically, the
- * isolation between arenas that makes concurrent Systems safe.
+ * PoolArena and DmaTxnPtr: every DMA transaction is one move-only
+ * handle whose block comes from, and goes back to, its context's free
+ * list. These tests pin the recycling, the isolation between contexts
+ * that makes concurrent Systems safe, and the teardown order that
+ * lets transactions still held by pending closures give their blocks
+ * back.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <memory>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 #include "ccip/packet.hh"
 #include "sim/event_queue.hh"
-#include "sim/pool_alloc.hh"
 
 using namespace optimus;
 
 namespace {
 
-struct Block
-{
-    std::uint64_t payload[8] = {};
-};
+// One owner per DMA: a transaction is passed on, never shared.
+static_assert(!std::is_copy_constructible_v<ccip::DmaTxnPtr> &&
+                  !std::is_copy_assignable_v<ccip::DmaTxnPtr>,
+              "a DmaTxnPtr must be move-only");
+static_assert(std::is_nothrow_move_constructible_v<ccip::DmaTxnPtr>,
+              "a DmaTxnPtr must move without throwing");
 
-TEST(PoolAlloc, ReusesFreedBlock)
+TEST(PoolArena, FreedBlockIsReusedByTheNextTransaction)
 {
-    sim::PoolArena arena;
-    sim::PoolAlloc<Block> alloc(arena);
-
-    Block *a = alloc.allocate(1);
-    alloc.deallocate(a, 1);
-    // The free list is LIFO: the very next single-block allocation
-    // must return the recycled block, not fresh memory.
-    Block *b = alloc.allocate(1);
-    EXPECT_EQ(a, b);
-    alloc.deallocate(b, 1);
+    sim::EventQueue eq;
+    ccip::DmaTxnPtr a = ccip::makeTxn(eq.arena());
+    a->id = 7;
+    a->error = true;
+    const ccip::DmaTxn *first = a.get();
+    a.reset();
+    // The free list is LIFO: the very next transaction must reuse the
+    // block, not fresh memory, and start from a fresh DmaTxn.
+    ccip::DmaTxnPtr b = ccip::makeTxn(eq.arena());
+    EXPECT_EQ(b.get(), first);
+    EXPECT_EQ(b->id, 0u);
+    EXPECT_FALSE(b->error);
 }
 
-TEST(PoolAlloc, ArenasAreIsolated)
+TEST(PoolArena, QueuesNeverShareABlock)
 {
-    sim::PoolArena arena_a;
-    sim::PoolArena arena_b;
-    sim::PoolAlloc<Block> alloc_a(arena_a);
-    sim::PoolAlloc<Block> alloc_b(arena_b);
-
-    Block *a = alloc_a.allocate(1);
-    alloc_a.deallocate(a, 1);
-    // A block freed into arena A must never be served from arena B:
-    // that would be cross-context sharing, the exact bug class the
-    // per-context arena eliminates.
-    Block *b = alloc_b.allocate(1);
-    EXPECT_NE(a, b);
-    alloc_b.deallocate(b, 1);
-    // ...while arena A still serves its own recycled block.
-    Block *a2 = alloc_a.allocate(1);
-    EXPECT_EQ(a, a2);
-    alloc_a.deallocate(a2, 1);
+    sim::EventQueue eq_a;
+    sim::EventQueue eq_b;
+    ccip::DmaTxnPtr a = ccip::makeTxn(eq_a.arena());
+    const ccip::DmaTxn *freed = a.get();
+    a.reset();
+    // A block freed into context A must never be served to context
+    // B: that would be cross-context sharing.
+    ccip::DmaTxnPtr b = ccip::makeTxn(eq_b.arena());
+    EXPECT_NE(b.get(), freed);
+    b.reset();
+    // ...while context A still serves its own recycled block.
+    ccip::DmaTxnPtr a2 = ccip::makeTxn(eq_a.arena());
+    EXPECT_EQ(a2.get(), freed);
 }
 
-TEST(PoolAlloc, MultiElementAllocationsBypassThePool)
+TEST(PoolArena, QueueTeardownReturnsHeldTransactions)
 {
-    sim::PoolArena arena;
-    sim::PoolAlloc<Block> alloc(arena);
-
-    Block *arr = alloc.allocate(4);
-    ASSERT_NE(arr, nullptr);
-    alloc.deallocate(arr, 4);
-    // A recycled single block is unaffected by array traffic.
-    Block *one = alloc.allocate(1);
-    alloc.deallocate(one, 1);
-    EXPECT_EQ(alloc.allocate(1), one);
-    alloc.deallocate(one, 1);
-}
-
-TEST(PoolAlloc, EqualityFollowsTheArena)
-{
-    sim::PoolArena arena_a;
-    sim::PoolArena arena_b;
-    sim::PoolAlloc<Block> a1(arena_a);
-    sim::PoolAlloc<Block> a2(arena_a);
-    sim::PoolAlloc<Block> b(arena_b);
-
-    EXPECT_TRUE(a1 == a2);
-    EXPECT_FALSE(a1 == b);
-    EXPECT_TRUE(a1 != b);
-
-    // Rebinding keeps the arena: required so containers and
-    // allocate_shared control blocks recycle into the same context.
-    sim::PoolAlloc<std::uint64_t> rebound(a1);
-    EXPECT_TRUE(rebound == sim::PoolAlloc<std::uint64_t>(a2));
-}
-
-TEST(PoolAlloc, AllocateSharedRecyclesThroughArena)
-{
-    sim::PoolArena arena;
-    void *first = nullptr;
+    // Each transaction's completion holds a token; a transaction that
+    // is destroyed drops it, and its recycler gives the block back.
+    auto token = std::make_shared<int>(0);
     {
-        auto p = std::allocate_shared<ccip::DmaTxn>(
-            sim::PoolAlloc<ccip::DmaTxn>(arena));
-        first = p.get();
+        sim::EventQueue eq;
+        // One block already back on the free list...
+        ccip::makeTxn(eq.arena()).reset();
+        // ...and transactions held by closures that never run.
+        for (int i = 0; i < 8; ++i) {
+            ccip::DmaTxnPtr t = ccip::makeTxn(eq.arena());
+            t->onComplete = [token](ccip::DmaTxn &) {};
+            eq.scheduleIn(1000 + i, [t = std::move(t)]() {});
+        }
+        EXPECT_EQ(token.use_count(), 9);
     }
-    // The combined control+object block went back to the arena and
-    // is handed out again for the next transaction.
-    auto q = std::allocate_shared<ccip::DmaTxn>(
-        sim::PoolAlloc<ccip::DmaTxn>(arena));
-    EXPECT_EQ(first, q.get());
-}
-
-TEST(PoolAlloc, EventQueueHostsTheContextArena)
-{
-    // Components reach the context arena through their EventQueue;
-    // two queues are two contexts.
-    sim::EventQueue eq1;
-    sim::EventQueue eq2;
-    EXPECT_NE(&eq1.arena(), &eq2.arena());
-
-    sim::PoolAlloc<Block> alloc(eq1.arena());
-    Block *blk = alloc.allocate(1);
-    alloc.deallocate(blk, 1);
-    EXPECT_EQ(alloc.allocate(1), blk);
-    alloc.deallocate(blk, 1);
+    // The queue's closures died before its arena: every transaction
+    // was destroyed and its block freed (LeakSanitizer checks the
+    // frees under ASan).
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 } // namespace

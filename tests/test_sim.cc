@@ -118,24 +118,17 @@ TEST(ClockedTest, ScheduleCyclesLandsOnEdges)
     EXPECT_EQ(fired_at, 5000u + 2 * 2500u);
 }
 
-TEST(StatsTest, CounterAndAverage)
+TEST(StatsTest, Counter)
 {
     Telemetry t("test");
     Counter c(&t.root(), "c", "a counter");
-    Average a(&t.root(), "a", "an average");
     c += 5;
     ++c;
     EXPECT_EQ(c.value(), 6u);
-    a.sample(1.0);
-    a.sample(3.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 3.0);
-    EXPECT_EQ(t.root().stats().size(), 2u);
+    EXPECT_EQ(t.root().stats().size(), 1u);
 
     t.resetAll();
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(a.count(), 0u);
 }
 
 TEST(StatsTest, HistogramPercentiles)

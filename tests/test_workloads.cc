@@ -160,11 +160,11 @@ TEST(SlicingArithmeticTest, OffsetWrapsCorrectly)
         auditor.setOffsetEntry(e);
 
         std::uint64_t in_window = rng.below(e.window - 64) & ~63ULL;
-        auto t = std::make_shared<ccip::DmaTxn>();
+        ccip::DmaTxnPtr t = ccip::makeTxn(eq.arena());
         t->gva = mem::Gva(window_base + in_window);
         t->bytes = 64;
         out.clear();
-        auditor.dmaFromAccel(t);
+        auditor.dmaFromAccel(std::move(t));
         eq.runAll();
         ASSERT_EQ(out.size(), 1u) << trial;
         EXPECT_EQ(out[0]->iova.value(), slice_base + in_window)
@@ -204,12 +204,12 @@ TEST(SlicingArithmeticTest, EveryOffsetRejectsOutsideWindow)
                 gva = e.gvaBase + e.window + 64;
             break;
         }
-        auto t = std::make_shared<ccip::DmaTxn>();
+        ccip::DmaTxnPtr t = ccip::makeTxn(eq.arena());
         t->gva = mem::Gva(gva & ~63ULL);
         t->bytes = 64;
         bool error = false;
         t->onComplete = [&](ccip::DmaTxn &d) { error = d.error; };
-        auditor.dmaFromAccel(t);
+        auditor.dmaFromAccel(std::move(t));
         eq.runAll();
         EXPECT_TRUE(error) << "gva 0x" << std::hex << gva;
     }
