@@ -109,7 +109,7 @@ sha256DoubleHash80B(const exp::RunContext &ctx)
     std::uint64_t sum = 0;
     exp::WallTimer t;
     for (std::uint64_t i = 0; i < iters; ++i) {
-        auto d = algo::Sha256::doubleHash(header, sizeof(header));
+        auto d = algo::doubleSha256(header, sizeof(header));
         sum += d[0];
         ++header[0];
     }

@@ -72,11 +72,8 @@ Accelerator::mmioRead(std::uint64_t offset)
       default:
         break;
     }
-    if (offset >= reg::kApp0 &&
-        offset < reg::kApp0 + 8ULL * reg::kNumAppRegs &&
-        offset % 8 == 0) {
-        return _appRegs[(offset - reg::kApp0) / 8];
-    }
+    if (const auto idx = reg::appIndex(offset))
+        return _appRegs[*idx];
     return 0;
 }
 
@@ -93,14 +90,8 @@ Accelerator::mmioWrite(std::uint64_t offset, std::uint64_t value)
         _stateBuf = value;
         return;
     }
-    if (offset >= reg::kApp0 &&
-        offset < reg::kApp0 + 8ULL * reg::kNumAppRegs &&
-        offset % 8 == 0) {
-        std::uint32_t idx =
-            static_cast<std::uint32_t>((offset - reg::kApp0) / 8);
-        _appRegs[idx] = value;
-        onAppRegWrite(idx, value);
-    }
+    if (const auto idx = reg::appIndex(offset))
+        _appRegs[*idx] = value;
     // Other offsets are read-only or unmapped; writes are ignored,
     // as real MMIO register files do.
 }

@@ -147,14 +147,6 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     /** Clear job state on a soft or hard reset. */
     virtual void onSoftReset() {}
 
-    /** Observe application-register writes (optional). */
-    virtual void
-    onAppRegWrite(std::uint32_t idx, std::uint64_t value)
-    {
-        (void)idx;
-        (void)value;
-    }
-
     /**
      * Write the minimal architectural state needed to resume the job
      * into the preempt blob, after the framework's header (the

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "sim/logging.hh"
-
 namespace optimus::algo {
 
 namespace {
@@ -38,24 +36,22 @@ rotl(std::uint32_t x, std::uint32_t c)
 } // namespace
 
 void
-Md5::reset()
+Md5Core::reset()
 {
-    _h[0] = 0x67452301;
-    _h[1] = 0xefcdab89;
-    _h[2] = 0x98badcfe;
-    _h[3] = 0x10325476;
-    _totalLen = 0;
-    _bufLen = 0;
+    h[0] = 0x67452301;
+    h[1] = 0xefcdab89;
+    h[2] = 0x98badcfe;
+    h[3] = 0x10325476;
 }
 
 void
-Md5::processBlock(const std::uint8_t *block)
+Md5Core::compress(const std::uint8_t *block)
 {
     std::uint32_t m[16];
     for (int i = 0; i < 16; ++i)
         std::memcpy(&m[i], block + i * 4, 4);
 
-    std::uint32_t a = _h[0], b = _h[1], c = _h[2], d = _h[3];
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
     for (std::uint32_t i = 0; i < 64; ++i) {
         std::uint32_t f;
         std::uint32_t g;
@@ -78,112 +74,21 @@ Md5::processBlock(const std::uint8_t *block)
         b = b + rotl(a + f + kK[i] + m[g], kShift[i]);
         a = tmp;
     }
-    _h[0] += a;
-    _h[1] += b;
-    _h[2] += c;
-    _h[3] += d;
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
 }
 
-void
-Md5::update(const void *data, std::size_t len)
+Md5Core::Digest
+Md5Core::digest() const
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    _totalLen += len;
-
-    if (_bufLen > 0) {
-        std::size_t need = 64 - _bufLen;
-        std::size_t take = len < need ? len : need;
-        std::memcpy(_buf + _bufLen, p, take);
-        _bufLen += take;
-        p += take;
-        len -= take;
-        if (_bufLen == 64) {
-            processBlock(_buf);
-            _bufLen = 0;
-        }
-    }
-    while (len >= 64) {
-        processBlock(p);
-        p += 64;
-        len -= 64;
-    }
-    if (len > 0) {
-        std::memcpy(_buf, p, len);
-        _bufLen = len;
-    }
-}
-
-Md5::Digest
-Md5::finish()
-{
-    // Padding: 0x80, zeros, then the 64-bit length at byte 56, in
-    // one block or, when fewer than 8 bytes are left after 0x80, two.
-    _buf[_bufLen++] = 0x80;
-    if (_bufLen > 56) {
-        std::memset(_buf + _bufLen, 0, 64 - _bufLen);
-        processBlock(_buf);
-        _bufLen = 0;
-    }
-    std::memset(_buf + _bufLen, 0, 56 - _bufLen);
-    const std::uint64_t bit_len = _totalLen * 8;
-    for (int i = 0; i < 8; ++i)
-        _buf[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-    processBlock(_buf);
-
     Digest d;
     for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 4; ++j) {
-            d[i * 4 + j] =
-                static_cast<std::uint8_t>(_h[i] >> (8 * j));
-        }
+        for (int j = 0; j < 4; ++j)
+            d[i * 4 + j] = static_cast<std::uint8_t>(h[i] >> (8 * j));
     }
-    reset();
     return d;
 }
 
-Md5::Digest
-Md5::hash(const void *data, std::size_t len)
-{
-    Md5 md5;
-    md5.update(data, len);
-    return md5.finish();
-}
-
 } // namespace optimus::algo
-
-std::vector<std::uint8_t>
-optimus::algo::Md5::serialize() const
-{
-    std::vector<std::uint8_t> blob(sizeof(_h) + 8 + 8 + 64);
-    std::uint8_t *p = blob.data();
-    std::memcpy(p, _h, sizeof(_h));
-    p += sizeof(_h);
-    std::memcpy(p, &_totalLen, 8);
-    p += 8;
-    std::uint64_t buf_len = _bufLen;
-    std::memcpy(p, &buf_len, 8);
-    p += 8;
-    std::memcpy(p, _buf, 64);
-    return blob;
-}
-
-void
-optimus::algo::Md5::deserialize(const std::vector<std::uint8_t> &blob)
-{
-    // The blob comes back from guest memory: check it before use.
-    OPTIMUS_ASSERT(blob.size() >= sizeof(_h) + 8 + 8 + sizeof(_buf),
-                   "short MD5 state (%zu bytes)", blob.size());
-    const std::uint8_t *p = blob.data();
-    std::memcpy(_h, p, sizeof(_h));
-    p += sizeof(_h);
-    std::memcpy(&_totalLen, p, 8);
-    p += 8;
-    std::uint64_t buf_len = 0;
-    std::memcpy(&buf_len, p, 8);
-    p += 8;
-    OPTIMUS_ASSERT(buf_len < sizeof(_buf),
-                   "MD5 state buffer fill %llu out of range",
-                   static_cast<unsigned long long>(buf_len));
-    _bufLen = static_cast<std::size_t>(buf_len);
-    std::memcpy(_buf, p, sizeof(_buf));
-}

@@ -8,45 +8,30 @@
 #define OPTIMUS_ACCEL_ALGO_MD5_HH
 
 #include <array>
-#include <cstdint>
 #include <cstddef>
-#include <vector>
+#include <cstdint>
+
+#include "accel/algo/block_hash.hh"
 
 namespace optimus::algo {
 
-/** Incremental MD5 hasher. */
-class Md5
+/** MD5's compression core: the length field is little-endian. */
+struct Md5Core
 {
-  public:
     using Digest = std::array<std::uint8_t, 16>;
-
-    Md5() { reset(); }
+    static constexpr std::size_t kBlockBytes = 64;
+    static constexpr std::size_t kLenBytes = 8;
+    static constexpr bool kBigEndian = false;
 
     void reset();
-    void update(const void *data, std::size_t len);
-    Digest finish();
+    void compress(const std::uint8_t *block);
+    Digest digest() const;
 
-    /** One-shot convenience. */
-    static Digest hash(const void *data, std::size_t len);
-
-    /** Serialize internal state (for accelerator preemption). */
-    std::vector<std::uint8_t> serialize() const;
-    /**
-     * Restore a serialize()d state. The blob may come from guest
-     * memory, so a short blob or a buffer fill at or past the block
-     * size panics instead of corrupting memory.
-     */
-    void deserialize(const std::vector<std::uint8_t> &blob);
-
-  private:
-    void processBlock(const std::uint8_t *block);
-
-    std::uint32_t _h[4];
-    std::uint64_t _totalLen;
-    std::uint8_t _buf[64];
-    /** Bytes held in _buf; always below the block size. */
-    std::size_t _bufLen;
+    std::uint32_t h[4] = {};
 };
+
+/** Incremental MD5 hasher. */
+using Md5 = BlockHash<Md5Core>;
 
 } // namespace optimus::algo
 

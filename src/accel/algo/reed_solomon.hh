@@ -34,7 +34,6 @@ class Gf256
     std::uint8_t pow(std::uint8_t a, int n) const;
 
     std::uint8_t expTable(int i) const { return _exp[i % 255]; }
-    int logTable(std::uint8_t a) const { return _log[a]; }
 
   private:
     std::array<std::uint8_t, 512> _exp{};

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "sim/logging.hh"
-
 namespace optimus::algo {
 
 namespace {
@@ -142,18 +140,16 @@ rounds512(std::uint64_t (&s)[8], std::uint64_t (&w)[16],
 // --------------------------------------------------------------- SHA-256
 
 void
-Sha256::reset()
+Sha256Core::reset()
 {
     static constexpr std::uint32_t init[8] = {
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-    std::memcpy(_h, init, sizeof(_h));
-    _totalLen = 0;
-    _bufLen = 0;
+    std::memcpy(h, init, sizeof(h));
 }
 
 void
-Sha256::processBlock(const std::uint8_t *block)
+Sha256Core::compress(const std::uint8_t *block)
 {
     std::uint32_t w[64];
     for (int i = 0; i < 16; ++i) {
@@ -170,18 +166,18 @@ Sha256::processBlock(const std::uint8_t *block)
         w[i] = w[i - 16] + s0 + w[i - 7] + s1;
     }
 
-    std::uint32_t a = _h[0], b = _h[1], c = _h[2], d = _h[3];
-    std::uint32_t e = _h[4], f = _h[5], g = _h[6], h = _h[7];
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+    std::uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
     for (int i = 0; i < 64; ++i) {
         std::uint32_t s1 =
             rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
         std::uint32_t ch = (e & f) ^ (~e & g);
-        std::uint32_t t1 = h + s1 + ch + kK256[i] + w[i];
+        std::uint32_t t1 = hh + s1 + ch + kK256[i] + w[i];
         std::uint32_t s0 =
             rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
         std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
         std::uint32_t t2 = s0 + maj;
-        h = g;
+        hh = g;
         g = f;
         f = e;
         e = d + t1;
@@ -190,212 +186,71 @@ Sha256::processBlock(const std::uint8_t *block)
         b = a;
         a = t1 + t2;
     }
-    _h[0] += a;
-    _h[1] += b;
-    _h[2] += c;
-    _h[3] += d;
-    _h[4] += e;
-    _h[5] += f;
-    _h[6] += g;
-    _h[7] += h;
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+    h[4] += e;
+    h[5] += f;
+    h[6] += g;
+    h[7] += hh;
 }
 
-void
-Sha256::update(const void *data, std::size_t len)
+Sha256Core::Digest
+Sha256Core::digest() const
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    _totalLen += len;
-
-    if (_bufLen > 0) {
-        std::size_t need = 64 - _bufLen;
-        std::size_t take = len < need ? len : need;
-        std::memcpy(_buf + _bufLen, p, take);
-        _bufLen += take;
-        p += take;
-        len -= take;
-        if (_bufLen == 64) {
-            processBlock(_buf);
-            _bufLen = 0;
-        }
-    }
-    while (len >= 64) {
-        processBlock(p);
-        p += 64;
-        len -= 64;
-    }
-    if (len > 0) {
-        std::memcpy(_buf, p, len);
-        _bufLen = len;
-    }
-}
-
-Sha256::Digest
-Sha256::finish()
-{
-    // Padding: 0x80, zeros, then the 64-bit length at byte 56, in
-    // one block or, when fewer than 8 bytes are left after 0x80, two.
-    _buf[_bufLen++] = 0x80;
-    if (_bufLen > 56) {
-        std::memset(_buf + _bufLen, 0, 64 - _bufLen);
-        processBlock(_buf);
-        _bufLen = 0;
-    }
-    std::memset(_buf + _bufLen, 0, 56 - _bufLen);
-    storeBe64(_buf + 56, _totalLen * 8);
-    processBlock(_buf);
-
     Digest d;
     for (int i = 0; i < 8; ++i) {
-        d[i * 4] = static_cast<std::uint8_t>(_h[i] >> 24);
-        d[i * 4 + 1] = static_cast<std::uint8_t>(_h[i] >> 16);
-        d[i * 4 + 2] = static_cast<std::uint8_t>(_h[i] >> 8);
-        d[i * 4 + 3] = static_cast<std::uint8_t>(_h[i]);
+        d[i * 4] = static_cast<std::uint8_t>(h[i] >> 24);
+        d[i * 4 + 1] = static_cast<std::uint8_t>(h[i] >> 16);
+        d[i * 4 + 2] = static_cast<std::uint8_t>(h[i] >> 8);
+        d[i * 4 + 3] = static_cast<std::uint8_t>(h[i]);
     }
-    reset();
     return d;
 }
 
 Sha256::Digest
-Sha256::hash(const void *data, std::size_t len)
+doubleSha256(const void *data, std::size_t len)
 {
-    Sha256 s;
-    s.update(data, len);
-    return s.finish();
-}
-
-Sha256::Digest
-Sha256::doubleHash(const void *data, std::size_t len)
-{
-    Digest first = hash(data, len);
-    return hash(first.data(), first.size());
+    const Sha256::Digest first = Sha256::hash(data, len);
+    return Sha256::hash(first.data(), first.size());
 }
 
 // --------------------------------------------------------------- SHA-512
 
 void
-Sha512::reset()
+Sha512Core::reset()
 {
     static constexpr std::uint64_t init[8] = {
         0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL,
         0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL,
         0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
         0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL};
-    std::memcpy(_h, init, sizeof(_h));
-    _totalLen = 0;
-    _bufLen = 0;
+    std::memcpy(h, init, sizeof(h));
 }
 
 void
-Sha512::processBlock(const std::uint8_t *block)
+Sha512Core::compress(const std::uint8_t *block)
 {
     std::uint64_t w[16];
     for (int i = 0; i < 16; ++i)
         w[i] = loadBe64(block + 8 * i);
     std::uint64_t s[8];
-    std::memcpy(s, _h, sizeof(s));
+    std::memcpy(s, h, sizeof(s));
     rounds512(s, w, std::make_integer_sequence<unsigned, 80>{});
     // 80 rounds rotate the slots ten full turns: s[i] is back to
     // holding working variable i.
     for (int i = 0; i < 8; ++i)
-        _h[i] += s[i];
+        h[i] += s[i];
 }
 
-void
-Sha512::update(const void *data, std::size_t len)
+Sha512Core::Digest
+Sha512Core::digest() const
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    _totalLen += len;
-
-    if (_bufLen > 0) {
-        std::size_t need = 128 - _bufLen;
-        std::size_t take = len < need ? len : need;
-        std::memcpy(_buf + _bufLen, p, take);
-        _bufLen += take;
-        p += take;
-        len -= take;
-        if (_bufLen == 128) {
-            processBlock(_buf);
-            _bufLen = 0;
-        }
-    }
-    while (len >= 128) {
-        processBlock(p);
-        p += 128;
-        len -= 128;
-    }
-    if (len > 0) {
-        std::memcpy(_buf, p, len);
-        _bufLen = len;
-    }
-}
-
-Sha512::Digest
-Sha512::finish()
-{
-    // Padding: 0x80, zeros, then the 128-bit length at byte 112, in
-    // one block or, when fewer than 16 bytes are left after 0x80, two.
-    _buf[_bufLen++] = 0x80;
-    if (_bufLen > 112) {
-        std::memset(_buf + _bufLen, 0, 128 - _bufLen);
-        processBlock(_buf);
-        _bufLen = 0;
-    }
-    std::memset(_buf + _bufLen, 0, 112 - _bufLen);
-    // The high 64 length bits are zero for any simulated input size.
-    std::memset(_buf + 112, 0, 8);
-    storeBe64(_buf + 120, _totalLen * 8);
-    processBlock(_buf);
-
     Digest d;
     for (int i = 0; i < 8; ++i)
-        storeBe64(d.data() + 8 * i, _h[i]);
-    reset();
+        storeBe64(d.data() + 8 * i, h[i]);
     return d;
-}
-
-Sha512::Digest
-Sha512::hash(const void *data, std::size_t len)
-{
-    Sha512 s;
-    s.update(data, len);
-    return s.finish();
-}
-
-std::vector<std::uint8_t>
-Sha512::serialize() const
-{
-    std::vector<std::uint8_t> blob(sizeof(_h) + 8 + 8 + 128);
-    std::uint8_t *p = blob.data();
-    std::memcpy(p, _h, sizeof(_h));
-    p += sizeof(_h);
-    std::memcpy(p, &_totalLen, 8);
-    p += 8;
-    std::uint64_t buf_len = _bufLen;
-    std::memcpy(p, &buf_len, 8);
-    p += 8;
-    std::memcpy(p, _buf, 128);
-    return blob;
-}
-
-void
-Sha512::deserialize(const std::vector<std::uint8_t> &blob)
-{
-    // The blob comes back from guest memory: check it before use.
-    OPTIMUS_ASSERT(blob.size() >= sizeof(_h) + 8 + 8 + sizeof(_buf),
-                   "short SHA-512 state (%zu bytes)", blob.size());
-    const std::uint8_t *p = blob.data();
-    std::memcpy(_h, p, sizeof(_h));
-    p += sizeof(_h);
-    std::memcpy(&_totalLen, p, 8);
-    p += 8;
-    std::uint64_t buf_len = 0;
-    std::memcpy(&buf_len, p, 8);
-    p += 8;
-    OPTIMUS_ASSERT(buf_len < sizeof(_buf),
-                   "SHA-512 state buffer fill %llu out of range",
-                   static_cast<unsigned long long>(buf_len));
-    _bufLen = static_cast<std::size_t>(buf_len);
-    std::memcpy(_buf, p, sizeof(_buf));
 }
 
 } // namespace optimus::algo

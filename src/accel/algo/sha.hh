@@ -11,71 +11,48 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "accel/algo/block_hash.hh"
 
 namespace optimus::algo {
 
-/** Incremental SHA-256. */
-class Sha256
+/** SHA-256's compression core. */
+struct Sha256Core
 {
-  public:
     using Digest = std::array<std::uint8_t, 32>;
-
-    Sha256() { reset(); }
+    static constexpr std::size_t kBlockBytes = 64;
+    static constexpr std::size_t kLenBytes = 8;
+    static constexpr bool kBigEndian = true;
 
     void reset();
-    void update(const void *data, std::size_t len);
-    Digest finish();
+    void compress(const std::uint8_t *block);
+    Digest digest() const;
 
-    static Digest hash(const void *data, std::size_t len);
-
-    /** Bitcoin-style double hash: SHA256(SHA256(data)). */
-    static Digest doubleHash(const void *data, std::size_t len);
-
-  private:
-    void processBlock(const std::uint8_t *block);
-
-    std::uint32_t _h[8];
-    std::uint64_t _totalLen;
-    std::uint8_t _buf[64];
-    /** Bytes held in _buf; always below the block size. */
-    std::size_t _bufLen;
+    std::uint32_t h[8] = {};
 };
 
-/** Incremental SHA-512. */
-class Sha512
+/** SHA-512's compression core: a 128-bit length field. */
+struct Sha512Core
 {
-  public:
     using Digest = std::array<std::uint8_t, 64>;
-
-    Sha512() { reset(); }
+    static constexpr std::size_t kBlockBytes = 128;
+    static constexpr std::size_t kLenBytes = 16;
+    static constexpr bool kBigEndian = true;
 
     void reset();
-    void update(const void *data, std::size_t len);
-    Digest finish();
+    void compress(const std::uint8_t *block);
+    Digest digest() const;
 
-    static Digest hash(const void *data, std::size_t len);
-
-    /** Serialize internal state (for accelerator preemption). */
-    std::vector<std::uint8_t> serialize() const;
-    /**
-     * Restore a serialize()d state. The blob may come from guest
-     * memory, so a short blob or a buffer fill at or past the block
-     * size panics instead of corrupting memory.
-     */
-    void deserialize(const std::vector<std::uint8_t> &blob);
-
-  private:
-    void processBlock(const std::uint8_t *block);
-
-    std::uint64_t _h[8];
-    /** Total length in bytes (128-bit length field: low word only,
-     *  sufficient for simulated inputs). */
-    std::uint64_t _totalLen;
-    std::uint8_t _buf[128];
-    /** Bytes held in _buf; always below the block size. */
-    std::size_t _bufLen;
+    std::uint64_t h[8] = {};
 };
+
+/** Incremental SHA-256. */
+using Sha256 = BlockHash<Sha256Core>;
+/** Incremental SHA-512. */
+using Sha512 = BlockHash<Sha512Core>;
+
+/** Bitcoin-style double hash: SHA256(SHA256(data)). */
+Sha256::Digest doubleSha256(const void *data, std::size_t len);
 
 } // namespace optimus::algo
 

@@ -35,62 +35,6 @@ AesAccel::consumeLine(std::uint64_t offset, const std::uint8_t *data,
     emit(dst() + offset, out, bytes);
 }
 
-// ------------------------------------------------------------------ MD5
-
-Md5Accel::Md5Accel(sim::EventQueue &eq,
-                   const sim::PlatformParams &params, std::string name,
-                   sim::Scope scope)
-    : StreamingAccelerator(eq, params, std::move(name), 100,
-                           Tuning{64, 3}, scope)
-{
-}
-
-void
-Md5Accel::consumeLine(std::uint64_t offset, const std::uint8_t *data,
-                      std::uint32_t bytes)
-{
-    (void)offset;
-    _md5.update(data, bytes);
-}
-
-void
-Md5Accel::streamEnd()
-{
-    algo::Md5::Digest digest = _md5.finish();
-    std::memcpy(&_result8, digest.data(), 8);
-    if (dst().value() != 0)
-        emit(dst(), digest.data(),
-             static_cast<std::uint32_t>(digest.size()));
-}
-
-// ------------------------------------------------------------------ SHA
-
-ShaAccel::ShaAccel(sim::EventQueue &eq,
-                   const sim::PlatformParams &params, std::string name,
-                   sim::Scope scope)
-    : StreamingAccelerator(eq, params, std::move(name), 200,
-                           Tuning{64, 6}, scope)
-{
-}
-
-void
-ShaAccel::consumeLine(std::uint64_t offset, const std::uint8_t *data,
-                      std::uint32_t bytes)
-{
-    (void)offset;
-    _sha.update(data, bytes);
-}
-
-void
-ShaAccel::streamEnd()
-{
-    algo::Sha512::Digest digest = _sha.finish();
-    std::memcpy(&_result8, digest.data(), 8);
-    if (dst().value() != 0)
-        emit(dst(), digest.data(),
-             static_cast<std::uint32_t>(digest.size()));
-}
-
 // ------------------------------------------------------------------ BTC
 
 BtcAccel::BtcAccel(sim::EventQueue &eq,
@@ -165,8 +109,7 @@ BtcAccel::mineBatch()
     std::array<std::uint8_t, 80> hdr = _header;
     for (std::uint32_t i = 0; i < kBatch; ++i) {
         std::memcpy(hdr.data() + 76, &_nonce, 4);
-        algo::Sha256::Digest d =
-            algo::Sha256::doubleHash(hdr.data(), hdr.size());
+        algo::Sha256::Digest d = algo::doubleSha256(hdr.data(), hdr.size());
         if (hasLeadingZeroBits(d, zero_bits)) {
             finish(_nonce);
             return;

@@ -7,6 +7,7 @@
 #ifndef OPTIMUS_ACCEL_CRYPTO_ACCELS_HH
 #define OPTIMUS_ACCEL_CRYPTO_ACCELS_HH
 
+#include <cstring>
 #include <memory>
 #include <optional>
 
@@ -52,68 +53,64 @@ class AesAccel : public StreamingAccelerator
 };
 
 /**
- * MD5 hasher: streams SRC..SRC+LEN through the digest; at the end
- * writes the 16-byte digest to DST and latches its first 8 bytes
- * into RESULT.
+ * A hasher, MD5 or SHA-512 (@p Hash): streams SRC..SRC+LEN through
+ * the digest; at the end writes the digest to DST (when set) and
+ * latches its first 8 bytes into RESULT. Its saved state is the
+ * hash's own, under @p label in restore failures.
  */
-class Md5Accel : public StreamingAccelerator
+template <typename Hash>
+class HashAccel : public StreamingAccelerator
 {
   public:
-    Md5Accel(sim::EventQueue &eq, const sim::PlatformParams &params,
-             std::string name, sim::Scope scope = {});
+    HashAccel(sim::EventQueue &eq, const sim::PlatformParams &params,
+              std::string name, std::uint64_t freq_mhz, Tuning tuning,
+              const char *label, std::uint64_t state_capacity,
+              sim::Scope scope)
+        : StreamingAccelerator(eq, params, std::move(name), freq_mhz,
+                               tuning, scope),
+          _label(label),
+          _stateCapacity(state_capacity)
+    {
+    }
 
   protected:
-    void streamBegin() override { _md5.reset(); }
-    void consumeLine(std::uint64_t offset, const std::uint8_t *data,
-                     std::uint32_t bytes) override;
-    void streamEnd() override;
+    void streamBegin() override { _hash.reset(); }
+    void
+    consumeLine(std::uint64_t offset, const std::uint8_t *data,
+                std::uint32_t bytes) override
+    {
+        (void)offset;
+        _hash.update(data, bytes);
+    }
+    void
+    streamEnd() override
+    {
+        const typename Hash::Digest digest = _hash.finish();
+        std::memcpy(&_result8, digest.data(), 8);
+        if (dst().value() != 0)
+            emit(dst(), digest.data(),
+                 static_cast<std::uint32_t>(digest.size()));
+    }
     std::uint64_t resultValue() const override { return _result8; }
     void saveTransformState(StateWriter &w) const override
     {
-        w.bytes(_md5.serialize());
+        _hash.save(w);
     }
-    void restoreTransformState(StateReader &r) override
+    void
+    restoreTransformState(StateReader &r) override
     {
-        _md5.deserialize(r.rest());
+        r.label(_label);
+        _hash.restore(r);
     }
     std::uint64_t transformStateCapacity() const override
     {
-        return 128;
+        return _stateCapacity;
     }
 
   private:
-    algo::Md5 _md5;
-    std::uint64_t _result8 = 0;
-};
-
-/** SHA-512 hasher: like MD5 but with a 64-byte digest. */
-class ShaAccel : public StreamingAccelerator
-{
-  public:
-    ShaAccel(sim::EventQueue &eq, const sim::PlatformParams &params,
-             std::string name, sim::Scope scope = {});
-
-  protected:
-    void streamBegin() override { _sha.reset(); }
-    void consumeLine(std::uint64_t offset, const std::uint8_t *data,
-                     std::uint32_t bytes) override;
-    void streamEnd() override;
-    std::uint64_t resultValue() const override { return _result8; }
-    void saveTransformState(StateWriter &w) const override
-    {
-        w.bytes(_sha.serialize());
-    }
-    void restoreTransformState(StateReader &r) override
-    {
-        _sha.deserialize(r.rest());
-    }
-    std::uint64_t transformStateCapacity() const override
-    {
-        return 256;
-    }
-
-  private:
-    algo::Sha512 _sha;
+    const char *_label;
+    std::uint64_t _stateCapacity;
+    Hash _hash;
     std::uint64_t _result8 = 0;
 };
 

@@ -19,14 +19,16 @@ makeAccelerator(const std::string &app, sim::EventQueue &eq,
         return std::make_unique<AesAccel>(eq, params,
                                           std::move(instance_name),
                                           scope);
+    // The state capacities size STATE_SIZE, and so the lines each
+    // PREEMPT moves.
     if (app == "MD5")
-        return std::make_unique<Md5Accel>(eq, params,
-                                          std::move(instance_name),
-                                          scope);
+        return std::make_unique<HashAccel<algo::Md5>>(
+            eq, params, std::move(instance_name), 100,
+            StreamingAccelerator::Tuning{64, 3}, "MD5", 128, scope);
     if (app == "SHA")
-        return std::make_unique<ShaAccel>(eq, params,
-                                          std::move(instance_name),
-                                          scope);
+        return std::make_unique<HashAccel<algo::Sha512>>(
+            eq, params, std::move(instance_name), 200,
+            StreamingAccelerator::Tuning{64, 6}, "SHA-512", 256, scope);
     if (app == "FIR")
         return std::make_unique<FirAccel>(eq, params,
                                           std::move(instance_name),

@@ -13,6 +13,7 @@
 #define OPTIMUS_ACCEL_REGS_HH
 
 #include <cstdint>
+#include <optional>
 
 namespace optimus::accel {
 
@@ -45,6 +46,16 @@ constexpr std::uint64_t
 appReg(std::uint32_t idx)
 {
     return kApp0 + 8ULL * idx;
+}
+
+/** The index of the application register at @p offset, if it names
+ *  one. */
+constexpr std::optional<std::uint32_t>
+appIndex(std::uint64_t offset)
+{
+    if (offset < kApp0 || offset >= appReg(kNumAppRegs) || offset % 8 != 0)
+        return std::nullopt;
+    return static_cast<std::uint32_t>((offset - kApp0) / 8);
 }
 } // namespace reg
 

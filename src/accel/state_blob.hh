@@ -37,10 +37,6 @@ class StateWriter
     void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
     void f64(double v) { bytes(&v, sizeof(v)); }
     void bytes(const void *p, std::size_t n) { bytes(p, n, n); }
-    void bytes(const std::vector<std::uint8_t> &v)
-    {
-        bytes(v.data(), v.size());
-    }
 
     /** @p n bytes of @p p in a fixed @p slot-byte field; the rest of
      *  the slot stays zero. */
@@ -140,15 +136,6 @@ class StateReader
                        static_cast<unsigned long long>(len));
         _pos += len;
         return StateReader(_data + _pos - len, len);
-    }
-
-    /** Everything left, for state an algorithm serializes itself. */
-    std::vector<std::uint8_t>
-    rest()
-    {
-        std::vector<std::uint8_t> out(_data + _pos, _data + _size);
-        _pos = _size;
-        return out;
     }
 
     /** Fail the restore unless @p ok holds for field value @p v. */

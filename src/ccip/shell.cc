@@ -225,12 +225,13 @@ Shell::mmioFromHost(MmioOp op)
 {
     OPTIMUS_ASSERT(_mmioSink != nullptr, "shell has no AFU MMIO sink");
     // The op crosses to the FPGA; the completion pays the return trip.
-    auto inner = std::move(op.onComplete);
-    op.onComplete = [this, inner = std::move(inner)](std::uint64_t v) {
-        if (inner)
+    if (op.onComplete) {
+        op.onComplete = [this, done = std::move(op.onComplete)](
+                            std::uint64_t v) mutable {
             _eq.scheduleIn(_mmioLinkLatency,
-                           [inner, v]() { inner(v); });
-    };
+                           [done = std::move(done), v]() { done(v); });
+        };
+    }
     _eq.scheduleIn(_mmioLinkLatency, [this, op = std::move(op)]() mutable {
         _mmioSink(std::move(op));
     });

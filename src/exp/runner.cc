@@ -424,9 +424,9 @@ Runner::run(const Options &opts)
         for (auto &th : pool)
             th.join();
     }
-    _wallMs = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
 
     for (std::size_t i = 0; i < jobs.size(); ++i)
         _results[jobs[i].table].rows.push_back(std::move(slots[i]));
@@ -446,7 +446,7 @@ Runner::run(const Options &opts)
         _errors.push_back("--json " + opts.jsonPath + ": cannot write");
 
     std::fprintf(stderr, "[%s] %zu scenario(s), jobs=%u, %.0f ms\n",
-                 _bench.c_str(), jobs.size(), opts.jobs, _wallMs);
+                 _bench.c_str(), jobs.size(), opts.jobs, wall_ms);
     for (const std::string &e : _errors)
         std::fprintf(stderr, "[%s] FAILED %s\n", _bench.c_str(),
                      e.c_str());

@@ -116,9 +116,6 @@ class Runner
         return _results;
     }
 
-    /** Wall-clock of the last run()'s execute phase, ms. */
-    double wallMs() const { return _wallMs; }
-
     /** "name: reason" for every run error of the last run(): each
      *  scenario that threw, and "--telemetry FILE" or "--json PATH"
      *  for each file that could not be written. */
@@ -146,7 +143,6 @@ class Runner
     std::vector<TableSpec> _tables;
     std::vector<TableResult> _results;
     std::vector<std::string> _errors;
-    double _wallMs = 0;
 };
 
 } // namespace optimus::exp

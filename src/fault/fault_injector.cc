@@ -15,10 +15,7 @@ FaultInjector::FaultInjector(hv::System &sys, FaultPlan plan)
       _trace(&sys.trace),
       _comp(sys.trace.registerComponent("fault")),
       _injections(&sys.telemetry.node("fault"), "injections",
-                  "faults injected (FPGA-domain kinds)"),
-      _hostInjections(&sys.telemetry.node("fault"),
-                      "host_injections",
-                      "faults injected (host-domain kinds)"),
+                  "faults injected"),
       _dmaDrops(&sys.telemetry.node("fault"), "dma_drops",
                 "CCI-P responses dropped"),
       _dmaDelays(&sys.telemetry.node("fault"), "dma_delays",
@@ -97,13 +94,9 @@ FaultInjector::scheduleOneShot(const FaultDirective &d,
 void
 FaultInjector::noteInjection(const FaultDirective &d,
                              std::uint32_t index, std::uint64_t addr,
-                             std::uint16_t vm, std::uint16_t proc,
-                             bool host)
+                             std::uint16_t vm, std::uint16_t proc)
 {
-    if (host)
-        ++_hostInjections;
-    else
-        ++_injections;
+    ++_injections;
     if (_trace && _trace->wants(sim::TraceKind::kFaultInject)) {
         sim::TraceRecord r;
         r.kind = sim::TraceKind::kFaultInject;
@@ -130,8 +123,7 @@ FaultInjector::fire(const FaultDirective &d, std::uint32_t index)
         std::uint32_t idx = d.set % tlb.entries();
         if (tlb.poisonSet(idx))
             ++_poisoned;
-        noteInjection(d, index, idx, sim::kNoOwner, sim::kNoOwner,
-                      /*host=*/true);
+        noteInjection(d, index, idx, sim::kNoOwner, sim::kNoOwner);
         return;
     }
 
@@ -254,8 +246,7 @@ FaultInjector::forceFault(mem::Iova iova, bool is_write,
             continue;
         ++r.used;
         ++_xlatFaults;
-        noteInjection(r.d, r.index, iova.value(), vm, proc,
-                      /*host=*/true);
+        noteInjection(r.d, r.index, iova.value(), vm, proc);
         return true;
     }
     return false;

@@ -51,13 +51,7 @@ class FaultInjector : public ccip::Shell::DmaFaultHook,
     bool forceFault(mem::Iova iova, bool is_write, std::uint16_t vm,
                     std::uint16_t proc) override;
 
-    /** All injections, both sides' counters summed (the FPGA-side
-     *  kinds count in `injections`, the host-side kinds — IOTLB
-     *  poison, forced translation faults — in `host_injections`). */
-    std::uint64_t injections() const
-    {
-        return _injections.value() + _hostInjections.value();
-    }
+    std::uint64_t injections() const { return _injections.value(); }
     std::uint64_t wildDmasCaught() const
     {
         return _wildCaught.value();
@@ -77,11 +71,9 @@ class FaultInjector : public ccip::Shell::DmaFaultHook,
                          std::uint64_t fired);
     void fire(const FaultDirective &d, std::uint32_t index);
     void fireWildDma(const FaultDirective &d, std::uint32_t index);
-    /** @p host marks a host-side kind (it bumps the host-side
-     *  counter). */
     void noteInjection(const FaultDirective &d, std::uint32_t index,
                        std::uint64_t addr, std::uint16_t vm,
-                       std::uint16_t proc, bool host = false);
+                       std::uint16_t proc);
 
     hv::System &_sys;
     FaultPlan _plan;
@@ -96,7 +88,6 @@ class FaultInjector : public ccip::Shell::DmaFaultHook,
     std::uint32_t _comp = 0;
 
     sim::Counter _injections;
-    sim::Counter _hostInjections;
     sim::Counter _dmaDrops;
     sim::Counter _dmaDelays;
     sim::Counter _xlatFaults;

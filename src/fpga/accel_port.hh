@@ -35,6 +35,20 @@ class AccelDevice
     virtual void hardReset() = 0;
 };
 
+/** Perform @p op on register @p reg of @p dev and complete it: a
+ *  write acks with the value written, a read with the value read. */
+inline void
+mmioAccess(AccelDevice &dev, std::uint64_t reg, ccip::MmioOp &op)
+{
+    std::uint64_t v = op.value;
+    if (op.isWrite)
+        dev.mmioWrite(reg, v);
+    else
+        v = dev.mmioRead(reg);
+    if (op.onComplete)
+        op.onComplete(v);
+}
+
 /** What an accelerator can ask of the fabric it is attached to. */
 class FabricPort
 {

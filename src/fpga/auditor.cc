@@ -111,16 +111,7 @@ Auditor::mmioDown(ccip::MmioOp &op, std::uint64_t my_base)
     OPTIMUS_ASSERT(_device != nullptr,
                    "auditor %u has no attached accelerator", _tag);
 
-    const std::uint64_t reg = op.offset - my_base;
-    if (op.isWrite) {
-        _device->mmioWrite(reg, op.value);
-        if (op.onComplete)
-            op.onComplete(op.value);
-    } else {
-        std::uint64_t v = _device->mmioRead(reg);
-        if (op.onComplete)
-            op.onComplete(v);
-    }
+    mmioAccess(*_device, op.offset - my_base, op);
     return true;
 }
 

@@ -102,16 +102,22 @@ HardwareMonitor::mmioFromShell(ccip::MmioOp op)
         return;
     }
 
-    // Non-management MMIOs ride the tree down to the auditors.
-    auto shared = std::make_shared<ccip::MmioOp>(std::move(op));
-    _eq.scheduleIn(_mmioTreeLatency, [this, shared]() {
-        for (std::uint32_t i = 0; i < _auditors.size(); ++i) {
-            if (_auditors[i]->mmioDown(*shared, accelMmioBase(i)))
-                return;
-        }
+    // Non-management MMIOs ride the tree down to the auditors. The
+    // hardware broadcasts each one and every auditor filters by page;
+    // only the page's owner accepts, so the simulator hands it to
+    // that auditor directly (which still checks the page).
+    _eq.scheduleIn(_mmioTreeLatency, [this, op = std::move(op)]() mutable {
+        // Below the first accelerator page the difference wraps to a
+        // page past every auditor.
+        const std::uint64_t page =
+            (op.offset - accelMmioBase(0)) / kAccelMmioBytes;
+        if (page < _auditors.size() &&
+            _auditors[page]->mmioDown(
+                op, accelMmioBase(static_cast<std::uint32_t>(page))))
+            return;
         ++_droppedMmio;
-        if (!shared->isWrite && shared->onComplete)
-            shared->onComplete(~0ULL); // master abort reads as -1
+        if (!op.isWrite && op.onComplete)
+            op.onComplete(~0ULL); // master abort reads as -1
     });
 }
 

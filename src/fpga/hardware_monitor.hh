@@ -67,9 +67,10 @@ class HardwareMonitor
 
     /**
      * Handle an MMIO op arriving from the shell: intercepted by the
-     * VCU when it falls in the management page, broadcast to the
-     * auditors otherwise. Out-of-range accesses are discarded (reads
-     * return all-ones, like a PCIe master abort).
+     * VCU when it falls in the management page, sent down the tree to
+     * the auditor of the page it names otherwise. Out-of-range
+     * accesses are discarded (reads return all-ones, like a PCIe
+     * master abort).
      */
     void mmioFromShell(ccip::MmioOp op);
 

@@ -121,7 +121,6 @@ class AccelHandle
 
     bool ringEnabled() const { return _submitQ.valid(); }
     ring::SubmitQueue &submitQueue() { return _submitQ; }
-    ring::CompleteQueue &completeQueue() { return _completeQ; }
 
     /**
      * Submit one job through the ring: write the entry, publish the

@@ -273,16 +273,12 @@ OptimusHv::trapWrite(VirtualAccel &v, std::uint64_t r,
     // scheduleVaccel() replays them otherwise.
     if (r == reg::kStateBuf) {
         v._ctx.stateBufGva = value;
-    } else if (r >= reg::kApp0 &&
-               r < reg::kApp0 + 8ULL * reg::kNumAppRegs &&
-               r % 8 == 0) {
-        auto idx =
-            static_cast<std::uint32_t>((r - reg::kApp0) / 8);
-        v._ctx.regCache[idx] = value;
+    } else if (const auto idx = reg::appIndex(r)) {
+        v._ctx.regCache[*idx] = value;
         if (std::find(v._ctx.touchedRegs.begin(),
                       v._ctx.touchedRegs.end(),
-                      idx) == v._ctx.touchedRegs.end()) {
-            v._ctx.touchedRegs.push_back(idx);
+                      *idx) == v._ctx.touchedRegs.end()) {
+            v._ctx.touchedRegs.push_back(*idx);
         }
     } else {
         done(); // read-only or unknown register: ignored
@@ -326,9 +322,8 @@ OptimusHv::mmioRead(VirtualAccel &v, std::uint64_t r,
                                    : v._ctx.cachedProgress);
             return;
         }
-        if (r >= reg::kApp0 &&
-            r < reg::kApp0 + 8ULL * reg::kNumAppRegs && r % 8 == 0) {
-            done(v._ctx.regCache[(r - reg::kApp0) / 8]);
+        if (const auto idx = reg::appIndex(r)) {
+            done(v._ctx.regCache[*idx]);
             return;
         }
         if (!sched) {

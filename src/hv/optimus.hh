@@ -359,7 +359,6 @@ class OptimusHv
      * default — the fault-free path never schedules a check).
      */
     void setWatchdog(sim::Tick deadline);
-    sim::Tick watchdogDeadline() const { return _wdDeadline; }
 
     std::uint64_t watchdogFires() const
     {

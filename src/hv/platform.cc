@@ -60,27 +60,9 @@ Platform::Platform(sim::EventQueue &eq, PlatformConfig config,
         _shell.setMmioSink([a](ccip::MmioOp op) {
             // The pass-through device's BAR0 maps its register page
             // directly; offsets arrive page-relative.
-            std::uint64_t reg = op.offset % fpga::kAccelMmioBytes;
-            if (op.isWrite) {
-                a->mmioWrite(reg, op.value);
-                if (op.onComplete)
-                    op.onComplete(op.value);
-            } else {
-                std::uint64_t v = a->mmioRead(reg);
-                if (op.onComplete)
-                    op.onComplete(v);
-            }
+            fpga::mmioAccess(*a, op.offset % fpga::kAccelMmioBytes, op);
         });
     }
-}
-
-fpga::FabricPort &
-Platform::fabric(std::uint32_t idx)
-{
-    OPTIMUS_ASSERT(idx < _accels.size(), "bad slot index");
-    if (_monitor)
-        return _monitor->port(idx);
-    return *_ptFabric;
 }
 
 } // namespace optimus::hv

@@ -85,9 +85,6 @@ class Platform
         return *_accels[idx];
     }
 
-    /** The fabric attachment point for slot @p idx. */
-    fpga::FabricPort &fabric(std::uint32_t idx);
-
     sim::Telemetry &telemetry() { return _telemetry; }
     sim::TraceBus &trace() { return _trace; }
 

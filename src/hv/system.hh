@@ -135,7 +135,6 @@ class System
     }
 
     AccelHandle &handle(std::size_t i) { return *_handles[i]; }
-    std::size_t numHandles() const { return _handles.size(); }
 
     /**
      * Advance the simulation up to and including @p limit (for a

@@ -64,6 +64,21 @@ class StreamWorkloadBase : public Workload
     std::uint64_t inputBytes() const override { return _bytes; }
 
   protected:
+    /** Random input at SRC, @p out_bytes at DST, then SRC, DST and
+     *  LEN: each a timed guest call, so the order is part of every
+     *  result. */
+    void
+    programStream(std::uint64_t out_bytes)
+    {
+        _input = randomBytes(_bytes, _seed);
+        _src = _h.dmaAlloc(_bytes);
+        _dst = _h.dmaAlloc(out_bytes);
+        _h.memWrite(_src, _input.data(), _bytes);
+        _h.writeAppReg(sreg::kSrc, _src.value());
+        _h.writeAppReg(sreg::kDst, _dst.value());
+        _h.writeAppReg(sreg::kLen, _bytes);
+    }
+
     AccelHandle &_h;
     std::uint64_t _bytes;
     std::uint64_t _seed;
@@ -80,13 +95,7 @@ class AesWorkload : public StreamWorkloadBase
     void
     program() override
     {
-        _input = randomBytes(_bytes, _seed);
-        _src = _h.dmaAlloc(_bytes);
-        _dst = _h.dmaAlloc(_bytes);
-        _h.memWrite(_src, _input.data(), _bytes);
-        _h.writeAppReg(sreg::kSrc, _src.value());
-        _h.writeAppReg(sreg::kDst, _dst.value());
-        _h.writeAppReg(sreg::kLen, _bytes);
+        programStream(_bytes);
         _h.writeAppReg(accel::AesAccel::kRegKeyLo,
                        0x0706050403020100ULL + _seed);
         _h.writeAppReg(accel::AesAccel::kRegKeyHi,
@@ -111,7 +120,10 @@ class AesWorkload : public StreamWorkloadBase
     }
 };
 
-class Md5Workload : public StreamWorkloadBase
+/** MD5 or SHA-512 (@p Hash): the digest at DST and its first 8 bytes
+ *  in RESULT. */
+template <typename Hash>
+class HashWorkload : public StreamWorkloadBase
 {
   public:
     using StreamWorkloadBase::StreamWorkloadBase;
@@ -119,53 +131,20 @@ class Md5Workload : public StreamWorkloadBase
     void
     program() override
     {
-        _input = randomBytes(_bytes, _seed);
-        _src = _h.dmaAlloc(_bytes);
-        _dst = _h.dmaAlloc(64);
-        _h.memWrite(_src, _input.data(), _bytes);
-        _h.writeAppReg(sreg::kSrc, _src.value());
-        _h.writeAppReg(sreg::kDst, _dst.value());
-        _h.writeAppReg(sreg::kLen, _bytes);
-    }
-
-    bool
-    verify() override
-    {
-        auto expect = algo::Md5::hash(_input.data(), _input.size());
-        algo::Md5::Digest got;
-        _h.memRead(_dst, got.data(), got.size());
-        std::uint64_t result8 = 0;
-        std::memcpy(&result8, expect.data(), 8);
-        return got == expect && _h.peekResult() == result8;
-    }
-};
-
-class ShaWorkload : public StreamWorkloadBase
-{
-  public:
-    using StreamWorkloadBase::StreamWorkloadBase;
-
-    void
-    program() override
-    {
-        _input = randomBytes(_bytes, _seed);
+        programStream(64);
         _expect.reset();
-        _src = _h.dmaAlloc(_bytes);
-        _dst = _h.dmaAlloc(64);
-        _h.memWrite(_src, _input.data(), _bytes);
-        _h.writeAppReg(sreg::kSrc, _src.value());
-        _h.writeAppReg(sreg::kDst, _dst.value());
-        _h.writeAppReg(sreg::kLen, _bytes);
     }
 
     bool
     verify() override
     {
         if (!_expect)
-            _expect = algo::Sha512::hash(_input.data(), _input.size());
-        algo::Sha512::Digest got;
+            _expect = Hash::hash(_input.data(), _input.size());
+        typename Hash::Digest got;
         _h.memRead(_dst, got.data(), got.size());
-        return got == *_expect;
+        std::uint64_t result8 = 0;
+        std::memcpy(&result8, _expect->data(), 8);
+        return got == *_expect && _h.peekResult() == result8;
     }
 
   private:
@@ -175,7 +154,7 @@ class ShaWorkload : public StreamWorkloadBase
      * program() computes it and later ones reuse it; every verify()
      * still reads the device's output.
      */
-    std::optional<algo::Sha512::Digest> _expect;
+    std::optional<typename Hash::Digest> _expect;
 };
 
 class FirWorkload : public StreamWorkloadBase
@@ -186,13 +165,7 @@ class FirWorkload : public StreamWorkloadBase
     void
     program() override
     {
-        _input = randomBytes(_bytes, _seed);
-        _src = _h.dmaAlloc(_bytes);
-        _dst = _h.dmaAlloc(_bytes);
-        _h.memWrite(_src, _input.data(), _bytes);
-        _h.writeAppReg(sreg::kSrc, _src.value());
-        _h.writeAppReg(sreg::kDst, _dst.value());
-        _h.writeAppReg(sreg::kLen, _bytes);
+        programStream(_bytes);
     }
 
     bool
@@ -407,13 +380,7 @@ class GrsWorkload : public StreamWorkloadBase
     void
     program() override
     {
-        _input = randomBytes(_bytes, _seed);
-        _src = _h.dmaAlloc(_bytes);
-        _dst = _h.dmaAlloc(_bytes / 4);
-        _h.memWrite(_src, _input.data(), _bytes);
-        _h.writeAppReg(sreg::kSrc, _src.value());
-        _h.writeAppReg(sreg::kDst, _dst.value());
-        _h.writeAppReg(sreg::kLen, _bytes);
+        programStream(_bytes / 4);
     }
 
     bool
@@ -443,13 +410,7 @@ class RowFilterWorkload : public StreamWorkloadBase
     void
     program() override
     {
-        _input = randomBytes(_bytes, _seed);
-        _src = _h.dmaAlloc(_bytes);
-        _dst = _h.dmaAlloc(_bytes);
-        _h.memWrite(_src, _input.data(), _bytes);
-        _h.writeAppReg(sreg::kSrc, _src.value());
-        _h.writeAppReg(sreg::kDst, _dst.value());
-        _h.writeAppReg(sreg::kLen, _bytes);
+        programStream(_bytes);
         _h.writeAppReg(accel::RowFilterAccel::kRegWidth, kWidth);
     }
 
@@ -548,7 +509,7 @@ class BtcWorkload : public Workload
         auto nonce = static_cast<std::uint32_t>(_h.peekResult());
         std::vector<std::uint8_t> hdr = _header;
         std::memcpy(hdr.data() + 76, &nonce, 4);
-        auto d = algo::Sha256::doubleHash(hdr.data(), 80);
+        auto d = algo::doubleSha256(hdr.data(), 80);
         for (std::uint32_t i = 0; i < _zeroBits; i += 8) {
             std::uint32_t in_byte =
                 _zeroBits - i >= 8 ? 8 : _zeroBits - i;
@@ -658,9 +619,11 @@ Workload::create(const std::string &app, AccelHandle &handle,
     if (app == "AES")
         return std::make_unique<AesWorkload>(handle, bytes, seed);
     if (app == "MD5")
-        return std::make_unique<Md5Workload>(handle, bytes, seed);
+        return std::make_unique<HashWorkload<algo::Md5>>(handle, bytes,
+                                                         seed);
     if (app == "SHA")
-        return std::make_unique<ShaWorkload>(handle, bytes, seed);
+        return std::make_unique<HashWorkload<algo::Sha512>>(handle,
+                                                            bytes, seed);
     if (app == "FIR")
         return std::make_unique<FirWorkload>(handle, bytes, seed);
     if (app == "GRN")

@@ -55,11 +55,6 @@ class FrameAllocator
 
     std::uint64_t framesAllocated() const { return _allocated; }
     std::uint64_t framesPinned() const { return _pinned.size(); }
-    std::uint64_t
-    framesFree() const
-    {
-        return (_limit - _next) / _frameBytes + _freeList.size();
-    }
 
   private:
     std::uint64_t _frameBytes;

@@ -74,7 +74,6 @@ class HostMemory
      * for those regions (reads return zero). Off by default.
      */
     void setScratchWrites(bool on) { _scratchWrites = on; }
-    bool scratchWrites() const { return _scratchWrites; }
 
   private:
     static constexpr std::uint64_t kFrameBytes = kPage4K;

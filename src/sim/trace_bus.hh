@@ -136,7 +136,6 @@ class TraceBus
     {
         return _paths[id];
     }
-    std::size_t numComponents() const { return _paths.size(); }
 
     void attach(TraceSink *sink,
                 std::uint32_t kind_mask = kAllTraceKinds);

@@ -152,7 +152,7 @@ TEST(BtcModelTest, FindsTheFirstQualifyingNonce)
     auto qualifies = [&](std::uint32_t n) {
         std::vector<std::uint8_t> hd = header;
         std::memcpy(hd.data() + 76, &n, 4);
-        auto d = algo::Sha256::doubleHash(hd.data(), 80);
+        auto d = algo::doubleSha256(hd.data(), 80);
         return d[0] == 0;
     };
     EXPECT_TRUE(qualifies(nonce));

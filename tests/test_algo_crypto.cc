@@ -3,8 +3,9 @@
  * Known-answer tests for the cryptographic kernels: FIPS-197 AES
  * vectors, RFC 1321 MD5 vectors, FIPS 180-4 SHA vectors, digests at
  * the padding boundaries (generated with Python's hashlib), and the
- * serialization round-trips used by accelerator preemption, including
- * the rejection of a malformed state blob.
+ * save/restore round-trips through the job-state codec used by
+ * accelerator preemption, including the saved layout and the
+ * rejection of a malformed state.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,11 @@
 #include "accel/algo/aes128.hh"
 #include "accel/algo/md5.hh"
 #include "accel/algo/sha.hh"
+#include "accel/state_blob.hh"
 
 using namespace optimus::algo;
+using optimus::accel::StateReader;
+using optimus::accel::StateWriter;
 
 namespace {
 
@@ -49,6 +53,28 @@ hexHash(const std::string &in)
 {
     auto d = Hash::hash(in.data(), in.size());
     return hex(d.data(), d.size());
+}
+
+/** @p h's state as a PREEMPT saves it. */
+template <typename Hash>
+std::vector<std::uint8_t>
+saved(const Hash &h)
+{
+    std::vector<std::uint8_t> blob(Hash::kStateBytes);
+    StateWriter w(blob.data(), blob.size());
+    h.save(w);
+    return blob;
+}
+
+/** Restore @p blob into @p h as a RESUME reads it, under @p label. */
+template <typename Hash>
+void
+restore(Hash &h, const std::vector<std::uint8_t> &blob,
+        const char *label = "hash")
+{
+    StateReader r(blob.data(), blob.size());
+    r.label(label);
+    h.restore(r);
 }
 
 TEST(Aes128Test, Fips197AppendixB)
@@ -143,33 +169,34 @@ TEST(Md5Test, IncrementalMatchesOneShot)
     EXPECT_EQ(inc.finish(), Md5::hash(input.data(), input.size()));
 }
 
-TEST(Md5Test, SerializeRoundTrip)
+TEST(Md5Test, SaveRestoreRoundTrip)
 {
     std::string part1 = "The quick brown fox ";
     std::string part2 = "jumps over the lazy dog";
 
     Md5 a;
     a.update(part1.data(), part1.size());
-    auto blob = a.serialize();
+    auto blob = saved(a);
 
     Md5 b;
-    b.deserialize(blob);
+    restore(b, blob);
     b.update(part2.data(), part2.size());
     a.update(part2.data(), part2.size());
     EXPECT_EQ(a.finish(), b.finish());
 }
 
-TEST(Md5Test, DeserializeRejectsMalformedBlob)
+TEST(Md5Test, RestoreRejectsMalformedState)
 {
     Md5 md5;
-    std::vector<std::uint8_t> blob = md5.serialize();
+    std::vector<std::uint8_t> blob = saved(md5);
     std::vector<std::uint8_t> short_blob(blob.begin(), blob.end() - 1);
-    EXPECT_DEATH(md5.deserialize(short_blob), "short MD5 state");
+    EXPECT_DEATH(restore(md5, short_blob, "MD5"), "short MD5 state");
 
     // Buffer fill after the state words and the total length.
     const std::uint64_t full = 64;
     std::memcpy(blob.data() + 16 + 8, &full, 8);
-    EXPECT_DEATH(md5.deserialize(blob), "fill 64 out of range");
+    EXPECT_DEATH(restore(md5, blob, "MD5"),
+                 "MD5 state buffer fill 64 out of range");
 }
 
 TEST(Sha256Test, Fips180Vectors)
@@ -217,7 +244,7 @@ TEST(Sha256Test, DoubleHashMatchesComposition)
     std::string msg = "bitcoin block header";
     auto once = Sha256::hash(msg.data(), msg.size());
     auto twice = Sha256::hash(once.data(), once.size());
-    EXPECT_EQ(Sha256::doubleHash(msg.data(), msg.size()), twice);
+    EXPECT_EQ(doubleSha256(msg.data(), msg.size()), twice);
 }
 
 TEST(Sha512Test, Fips180Vectors)
@@ -283,43 +310,104 @@ TEST(Sha512Test, PaddingBoundaries)
               "0f1790a8330d8677429d91a5");
 }
 
-TEST(Sha512Test, IncrementalAndSerializeRoundTrip)
-{
-    // Splitting at every offset of a 300-byte input leaves every
-    // buffer fill from 0 to 127 in the state, on both sides of the
-    // padding's 112-byte boundary.
-    const std::string input = pattern(300);
-    const Sha512::Digest want = Sha512::hash(input.data(), input.size());
-    for (std::size_t k = 0; k <= input.size(); ++k) {
-        const char *rest = input.data() + k;
-        const std::size_t rest_len = input.size() - k;
-        Sha512 a;
-        a.update(input.data(), k);
-        const std::vector<std::uint8_t> blob = a.serialize();
-        Sha512 b;
-        b.deserialize(blob);
-        Sha512 prefix;
-        prefix.deserialize(blob);
-        a.update(rest, rest_len);
-        b.update(rest, rest_len);
-        EXPECT_EQ(a.finish(), want) << "split at " << k;
-        EXPECT_EQ(b.finish(), want) << "restored at " << k;
-        EXPECT_EQ(prefix.finish(), Sha512::hash(input.data(), k))
-            << "finished at " << k;
-    }
-}
-
-TEST(Sha512Test, DeserializeRejectsMalformedBlob)
+TEST(Sha512Test, RestoreRejectsMalformedState)
 {
     Sha512 sha;
-    std::vector<std::uint8_t> blob = sha.serialize();
+    std::vector<std::uint8_t> blob = saved(sha);
     std::vector<std::uint8_t> short_blob(blob.begin(), blob.end() - 1);
-    EXPECT_DEATH(sha.deserialize(short_blob), "short SHA-512 state");
+    EXPECT_DEATH(restore(sha, short_blob, "SHA-512"),
+                 "short SHA-512 state");
 
     // Buffer fill after the state words and the total length.
     const std::uint64_t full = 128;
     std::memcpy(blob.data() + 64 + 8, &full, 8);
-    EXPECT_DEATH(sha.deserialize(blob), "fill 128 out of range");
+    EXPECT_DEATH(restore(sha, blob, "SHA-512"),
+                 "SHA-512 state buffer fill 128 out of range");
+}
+
+template <typename Hash>
+class BlockHashTest : public ::testing::Test
+{
+};
+using Hashes = ::testing::Types<Md5, Sha256, Sha512>;
+TYPED_TEST_SUITE(BlockHashTest, Hashes);
+
+TYPED_TEST(BlockHashTest, IncrementalAndSaveRestoreAtEverySplit)
+{
+    // Splitting at every offset of a 300-byte input leaves every
+    // buffer fill below the block size in the state, on both sides
+    // of the padding's length boundary.
+    using Hash = TypeParam;
+    const std::string input = pattern(300);
+    const typename Hash::Digest want =
+        Hash::hash(input.data(), input.size());
+    for (std::size_t k = 0; k <= input.size(); ++k) {
+        const char *rest = input.data() + k;
+        const std::size_t rest_len = input.size() - k;
+        Hash a;
+        a.update(input.data(), k);
+        const std::vector<std::uint8_t> blob = saved(a);
+        Hash b;
+        restore(b, blob);
+        Hash prefix;
+        restore(prefix, blob);
+        a.update(rest, rest_len);
+        b.update(rest, rest_len);
+        EXPECT_EQ(a.finish(), want) << "split at " << k;
+        EXPECT_EQ(b.finish(), want) << "restored at " << k;
+        EXPECT_EQ(prefix.finish(), Hash::hash(input.data(), k))
+            << "finished at " << k;
+    }
+}
+
+/** A hash fed the first 10 bytes of @p input, then the rest: every
+ *  byte of its block buffer has been written. */
+template <typename Hash>
+Hash
+fed(const std::string &input)
+{
+    Hash h;
+    h.update(input.data(), 10);
+    h.update(input.data() + 10, input.size() - 10);
+    return h;
+}
+
+/** The saved layout of fed(@p input): the chaining @p words in host
+ *  order, the u64 total length, the u64 buffer fill, then the block
+ *  buffer, which holds the tail after what the last full block left. */
+template <typename Hash, typename Word, std::size_t N>
+std::vector<std::uint8_t>
+layout(const Word (&words)[N], const std::string &input)
+{
+    const std::size_t block = Hash::kBlockBytes;
+    const std::uint64_t total = input.size();
+    const std::uint64_t fill = total % block;
+    std::vector<std::uint8_t> blob(Hash::kStateBytes);
+    std::uint8_t *p = blob.data();
+    std::memcpy(p, words, sizeof(words));
+    std::memcpy(p + sizeof(words), &total, 8);
+    std::memcpy(p + sizeof(words) + 8, &fill, 8);
+    p += sizeof(words) + 16;
+    std::memcpy(p, input.data() + total - fill, fill);
+    std::memcpy(p + fill, input.data() + total - block, block - fill);
+    return blob;
+}
+
+TEST(HashStateTest, SavedBytesKeepTheirLayout)
+{
+    // Chaining words after one compressed block of pattern(100) and
+    // pattern(200), as the saved state has always recorded them.
+    const std::uint32_t md5_words[4] = {0x9144d9ca, 0xd901e4c9,
+                                        0x72fc5b38, 0x625ff51e};
+    const std::uint64_t sha_words[8] = {
+        0x8e03953cd57cd687ULL, 0x9321270afa70c582ULL,
+        0x7bb5b69be59a8f01ULL, 0x30147e94f2aedf7bULL,
+        0xdc01c56c92343ca8ULL, 0xbd837bb7f0208f5aULL,
+        0x23e155694516b6f1ULL, 0x47099d491a30b151ULL};
+    EXPECT_EQ(saved(fed<Md5>(pattern(100))),
+              layout<Md5>(md5_words, pattern(100)));
+    EXPECT_EQ(saved(fed<Sha512>(pattern(200))),
+              layout<Sha512>(sha_words, pattern(200)));
 }
 
 } // namespace

@@ -169,6 +169,10 @@ TEST(PreemptionTest, CorruptStateBufferFailsTheResume)
         // total length.
         {"SHA", 512 * 1024, 112, 200,
          "SHA-512 state buffer fill 200 out of range"},
+        // MD5's follows its four words and total length; a full
+        // block is already out of range.
+        {"MD5", 512 * 1024, 64, 64,
+         "MD5 state buffer fill 64 out of range"},
         // A transform length near 2^64 must not wrap the bounds check.
         {"SHA", 512 * 1024, 32, ~0ULL - 7, "truncated arch state"},
         // RSD: the fill follows the 256-byte codeword slot.
