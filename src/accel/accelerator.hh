@@ -136,10 +136,6 @@ class Accelerator : public fpga::AccelDevice, public sim::Clocked
     bool ringArmed() const { return _ringArmed; }
     const ring::DeviceState &ringState() const { return _ring.state; }
 
-    std::uint64_t ringPolls() const { return _ringPolls.value(); }
-    std::uint64_t ringFetches() const { return _ringFetches.value(); }
-    std::uint64_t ringPosts() const { return _ringPosts.value(); }
-
   protected:
     /** Begin the configured job (app registers hold parameters). */
     virtual void onStart() = 0;

@@ -38,9 +38,6 @@ class LinkedlistAccel : public Accelerator
                     const sim::PlatformParams &params, std::string name,
                     sim::Scope scope = {});
 
-    /** Nodes visited so far. */
-    std::uint64_t nodesWalked() const { return progress(); }
-
     /** Sum of the first payload word of every visited node. */
     std::uint64_t checksum() const { return _checksum; }
 

@@ -42,9 +42,6 @@ class MembenchAccel : public Accelerator
                   const sim::PlatformParams &params, std::string name,
                   sim::Scope scope = {});
 
-    /** Completed operations (PROGRESS register equivalent). */
-    std::uint64_t completedOps() const { return progress(); }
-
   protected:
     void onStart() override;
     void onSoftReset() override;

@@ -102,8 +102,6 @@ class Shell
     Link &pcie0() { return _pcie0; }
     Link &pcie1() { return _pcie1; }
 
-    std::uint64_t dmaReads() const { return _dmaReads.value(); }
-    std::uint64_t dmaWrites() const { return _dmaWrites.value(); }
     std::uint64_t dmaRetries() const { return _dmaRetries.value(); }
     std::uint64_t dmaDropped() const { return _dmaDropped.value(); }
 

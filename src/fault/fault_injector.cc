@@ -188,7 +188,7 @@ FaultInjector::fireWildDma(const FaultDirective &d,
     ++_wildIssued;
     noteInjection(d, index, gva.value(), aud.ownerVm(),
                   aud.ownerProc());
-    aud.dmaFromAccel(std::move(txn));
+    aud.dmaRequest(std::move(txn));
 }
 
 FaultInjector::Action

@@ -3,16 +3,17 @@
 #include <utility>
 
 #include "fpga/mmio_layout.hh"
+#include "fpga/mux_tree.hh"
 #include "sim/logging.hh"
 
 namespace optimus::fpga {
 
-Auditor::Auditor(sim::EventQueue &eq, std::uint64_t freq_mhz,
-                 ccip::AccelTag tag, std::uint32_t latency_cycles,
-                 sim::Scope scope)
-    : sim::Clocked(eq, freq_mhz),
+Auditor::Auditor(sim::EventQueue &eq, const sim::PlatformParams &params,
+                 ccip::AccelTag tag, sim::Scope scope)
+    : sim::Clocked(eq, params.fpgaIfaceMhz),
       _tag(tag),
-      _latencyCycles(latency_cycles),
+      _latencyCycles(params.auditorCycles),
+      _injectInterval(params.monitorInjectInterval),
       _rejected(scope.node, "rejected_dmas",
                 "DMA requests outside the allowed window"),
       _discarded(scope.node, "discarded_responses",
@@ -24,7 +25,15 @@ Auditor::Auditor(sim::EventQueue &eq, std::uint64_t freq_mhz,
 }
 
 void
-Auditor::dmaFromAccel(ccip::DmaTxnPtr txn)
+Auditor::attachLeaf(MuxNode &node, std::uint32_t port)
+{
+    _leaf = &node;
+    _leafPort = port;
+    node.setWake(port, [this]() { pumpUpstream(); });
+}
+
+void
+Auditor::dmaRequest(ccip::DmaTxnPtr txn)
 {
     // Attribution: everything this DMA touches downstream (IOTLB,
     // links, shell counters, trace records) knows its tenant.
@@ -64,7 +73,7 @@ Auditor::pumpUpstream()
     // One packet per cycle into the tree, gated by the leaf credit.
     // While idle or stalled the pump event stays unarmed (clock
     // gating); the leaf's credit return calls back in here.
-    if (_upstreamHasSpace && !_upstreamHasSpace())
+    if (!_leaf->hasSpace(_leafPort))
         return;
     _pumpEvent.schedule(std::max(nextEdge(), _busyUntil));
 }
@@ -74,16 +83,15 @@ Auditor::pumpStep()
 {
     if (_outQueue.empty())
         return;
-    if (_upstreamHasSpace && !_upstreamHasSpace())
+    if (!_leaf->hasSpace(_leafPort))
         return;
     ccip::DmaTxnPtr txn = std::move(_outQueue.front());
     _outQueue.pop_front();
-    if (_upstreamReserve)
-        _upstreamReserve();
+    _leaf->reserve(_leafPort);
     _busyUntil = now() + clockPeriod();
     scheduleCycles(_latencyCycles,
                    [this, txn = std::move(txn)]() mutable {
-                       _upstream(std::move(txn));
+                       _leaf->arrive(_leafPort, std::move(txn));
                    });
     pumpUpstream();
 }

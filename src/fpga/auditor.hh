@@ -20,9 +20,12 @@
 #include "ccip/packet.hh"
 #include "fpga/accel_port.hh"
 #include "sim/clocked.hh"
+#include "sim/platform_params.hh"
 #include "sim/stats.hh"
 
 namespace optimus::fpga {
+
+class MuxNode;
 
 /** One entry of the VCU's offset table, as seen by an auditor. */
 struct OffsetEntry
@@ -36,25 +39,19 @@ struct OffsetEntry
     std::uint64_t window = 0;
 };
 
-/** The auditor guarding one physical accelerator. */
-class Auditor : public sim::Clocked
+/**
+ * The auditor guarding one physical accelerator. It is the fabric port
+ * its accelerator issues DMAs through, and the only input of its
+ * multiplexer-tree leaf, which it feeds over the same ready/valid
+ * credits a mux node uses toward its parent.
+ */
+class Auditor : public sim::Clocked, public FabricPort
 {
   public:
-    /** Inline-stored hooks (see inline_function.hh): fired per DMA
-     *  packet with word-sized captures, so they skip std::function's
-     *  double indirection and never allocate. */
-    using Forward = sim::InlineFunction<void(ccip::DmaTxnPtr),
-                                        sim::kCompletionCaptureBytes>;
-    using SpaceCheck =
-        sim::InlineFunction<bool(), sim::kCompletionCaptureBytes>;
-    using Notify =
-        sim::InlineFunction<void(), sim::kCompletionCaptureBytes>;
-
-    Auditor(sim::EventQueue &eq, std::uint64_t freq_mhz,
-            ccip::AccelTag tag, std::uint32_t latency_cycles,
-            sim::Scope scope = {});
-
-    ccip::AccelTag tag() const { return _tag; }
+    /** Runs on the fabric interface clock, with the monitor's
+     *  auditor latency and injection interval. */
+    Auditor(sim::EventQueue &eq, const sim::PlatformParams &params,
+            ccip::AccelTag tag, sim::Scope scope = {});
 
     /**
      * The tenant currently scheduled behind this auditor; every
@@ -79,23 +76,11 @@ class Auditor : public sim::Clocked
     void setDevice(AccelDevice *dev) { _device = dev; }
     AccelDevice *device() const { return _device; }
 
-    /** Where upstream (tree-bound) packets are forwarded. */
-    void setUpstream(Forward f) { _upstream = std::move(f); }
-
     /**
-     * Ready/valid flow control toward the tree leaf: @p has_space
-     * queries the leaf's input credit and @p reserve claims it. When
-     * unset the upstream is assumed always ready (unit tests).
+     * Feed input @p port of the tree's bottom-row @p node: claim its
+     * credit before each packet, and wake on its credit return.
      */
-    void
-    setUpstreamFlowControl(SpaceCheck has_space, Notify reserve)
-    {
-        _upstreamHasSpace = std::move(has_space);
-        _upstreamReserve = std::move(reserve);
-    }
-
-    /** Credit-return notification from the tree leaf. */
-    void pumpUpstream();
+    void attachLeaf(MuxNode &node, std::uint32_t port);
 
     /**
      * A DMA request from the accelerator: translate GVA -> IOVA,
@@ -103,7 +88,15 @@ class Auditor : public sim::Clocked
      * request outside the window is rejected with an error response —
      * the isolation guarantee of page table slicing.
      */
-    void dmaFromAccel(ccip::DmaTxnPtr txn);
+    void dmaRequest(ccip::DmaTxnPtr txn) override;
+
+    /** PlatformParams::monitorInjectInterval: the paper's one request
+     *  per two cycles (Section 6.3). */
+    std::uint32_t
+    injectIntervalCycles() const override
+    {
+        return _injectInterval;
+    }
 
     /**
      * A downstream packet (broadcast by the tree). Accepted and
@@ -113,10 +106,9 @@ class Auditor : public sim::Clocked
     void deliverDown(ccip::DmaTxnPtr txn);
 
     /**
-     * An MMIO broadcast down the tree; @p device_offset is the
-     * absolute offset within the whole device MMIO space, and
-     * @p my_base the base of this accelerator's page. Accepts only
-     * in-range accesses.
+     * An MMIO broadcast down the tree; @p op's offset is absolute
+     * within the whole device MMIO space, and @p my_base the base of
+     * this accelerator's page. Accepts only in-range accesses.
      * @retval true the op was accepted and completed.
      */
     bool mmioDown(ccip::MmioOp &op, std::uint64_t my_base);
@@ -130,14 +122,16 @@ class Auditor : public sim::Clocked
   private:
     ccip::AccelTag _tag;
     std::uint32_t _latencyCycles;
+    std::uint32_t _injectInterval;
     std::uint16_t _vm = sim::kNoOwner;
     std::uint16_t _proc = sim::kNoOwner;
     OffsetEntry _entry;
     AccelDevice *_device = nullptr;
-    Forward _upstream;
-    SpaceCheck _upstreamHasSpace;
-    Notify _upstreamReserve;
+    MuxNode *_leaf = nullptr;
+    std::uint32_t _leafPort = 0;
 
+    /** Arm the pump if a packet waits and the leaf has a credit. */
+    void pumpUpstream();
     void pumpStep();
 
     /** Translated packets waiting for a leaf credit (bounded by the

@@ -14,7 +14,6 @@ HardwareMonitor::HardwareMonitor(sim::EventQueue &eq,
                                  sim::Scope scope)
     : _eq(eq),
       _shell(shell),
-      _injectInterval(params.monitorInjectInterval),
       _vcuLatency(params.vcuCycles *
                   sim::periodFromMhz(params.fpgaIfaceMhz)),
       _mmioTreeLatency((params.muxUpCyclesPerLevel +
@@ -31,27 +30,10 @@ HardwareMonitor::HardwareMonitor(sim::EventQueue &eq,
 
     for (std::uint32_t i = 0; i < num_accels; ++i) {
         _auditors.push_back(std::make_unique<Auditor>(
-            eq, params.fpgaIfaceMhz, static_cast<ccip::AccelTag>(i),
-            params.auditorCycles,
+            eq, params, static_cast<ccip::AccelTag>(i),
             scope.sub(sim::strprintf("auditor%u", i))));
-        _ports.push_back(std::make_unique<Port>(*this, i));
-
-        Auditor *a = _auditors.back().get();
-        // Bind the leaf's attach point once: the flow-control hooks
-        // run per packet and poll the bottom-row node directly.
         auto [leaf_node, leaf_port] = _tree.leafAttach(i);
-        a->setUpstream([node = leaf_node,
-                        port = leaf_port](ccip::DmaTxnPtr t) {
-            node->arrive(port, std::move(t));
-        });
-        a->setUpstreamFlowControl(
-            [node = leaf_node, port = leaf_port]() {
-                return node->hasSpace(port);
-            },
-            [node = leaf_node, port = leaf_port]() {
-                node->reserve(port);
-            });
-        _tree.setLeafWake(i, [a]() { a->pumpUpstream(); });
+        _auditors.back()->attachLeaf(*leaf_node, leaf_port);
     }
 
     // Neither the root's pipeline nor the VCU arbitrates, so a packet
@@ -76,20 +58,6 @@ HardwareMonitor::HardwareMonitor(sim::EventQueue &eq,
         [this](ccip::DmaTxnPtr t) { _tree.down(std::move(t)); });
     _shell.setMmioSink(
         [this](ccip::MmioOp op) { mmioFromShell(std::move(op)); });
-}
-
-void
-HardwareMonitor::attachAccelerator(std::uint32_t idx, AccelDevice *dev)
-{
-    OPTIMUS_ASSERT(idx < _auditors.size(), "bad accelerator index");
-    _auditors[idx]->setDevice(dev);
-}
-
-FabricPort &
-HardwareMonitor::port(std::uint32_t idx)
-{
-    OPTIMUS_ASSERT(idx < _ports.size(), "bad accelerator index");
-    return *_ports[idx];
 }
 
 void
@@ -191,14 +159,6 @@ HardwareMonitor::handleVcuMmio(ccip::MmioOp &op)
     }
     if (op.onComplete)
         op.onComplete(read_value);
-}
-
-void
-HardwareMonitor::setOffsetEntryDirect(std::uint32_t idx,
-                                      const OffsetEntry &e)
-{
-    OPTIMUS_ASSERT(idx < _auditors.size(), "bad accelerator index");
-    _auditors[idx]->setOffsetEntry(e);
 }
 
 } // namespace optimus::fpga

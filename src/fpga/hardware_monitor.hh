@@ -56,14 +56,8 @@ class HardwareMonitor
         return static_cast<std::uint32_t>(_auditors.size());
     }
 
-    /** Attach an accelerator behind auditor @p idx. */
-    void attachAccelerator(std::uint32_t idx, AccelDevice *dev);
-
-    /** The fabric port accelerator @p idx issues DMAs through. */
-    FabricPort &port(std::uint32_t idx);
-
+    /** Auditor @p idx: accelerator @p idx's fabric port. */
     Auditor &auditor(std::uint32_t idx) { return *_auditors[idx]; }
-    MuxTree &tree() { return _tree; }
 
     /**
      * Handle an MMIO op arriving from the shell: intercepted by the
@@ -74,53 +68,22 @@ class HardwareMonitor
      */
     void mmioFromShell(ccip::MmioOp op);
 
-    /** Direct (untimed) offset-table access for white-box tests. */
-    void setOffsetEntryDirect(std::uint32_t idx, const OffsetEntry &e);
-
     std::uint64_t droppedMmios() const { return _droppedMmio.value(); }
 
   private:
-    /** Per-accelerator fabric attachment point. */
-    class Port : public FabricPort
-    {
-      public:
-        Port(HardwareMonitor &m, std::uint32_t idx)
-            : _m(m), _idx(idx)
-        {
-        }
-        void
-        dmaRequest(ccip::DmaTxnPtr txn) override
-        {
-            _m._auditors[_idx]->dmaFromAccel(std::move(txn));
-        }
-        std::uint32_t
-        injectIntervalCycles() const override
-        {
-            return _m._injectInterval;
-        }
-
-      private:
-        HardwareMonitor &_m;
-        std::uint32_t _idx;
-    };
-
     void handleVcuMmio(ccip::MmioOp &op);
 
     sim::EventQueue &_eq;
     ccip::Shell &_shell;
-    std::uint32_t _injectInterval;
     sim::Tick _vcuLatency;
     sim::Tick _mmioTreeLatency;
 
     MuxTree _tree;
     std::vector<std::unique_ptr<Auditor>> _auditors;
-    std::vector<std::unique_ptr<Port>> _ports;
     VcuState _vcu;
 
     sim::Counter _droppedMmio;
     sim::Counter _vcuMmios;
-
-    friend class Port;
 };
 
 } // namespace optimus::fpga

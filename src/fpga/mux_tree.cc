@@ -184,48 +184,12 @@ MuxTree::setRootSink(MuxNode::RootSink d)
 std::pair<MuxNode *, std::uint32_t>
 MuxTree::leafAttach(std::uint32_t leaf)
 {
-    return {&leafNode(leaf), leafPort(leaf)};
-}
-
-MuxNode &
-MuxTree::leafNode(std::uint32_t leaf) const
-{
     OPTIMUS_ASSERT(leaf < _leaves, "bad leaf index");
     const auto &bottom = _nodes[_levels - 1];
     std::uint32_t node_idx = leaf / _arity;
     OPTIMUS_ASSERT(node_idx < bottom.size(),
                    "leaf maps past bottom row");
-    return *bottom[node_idx];
-}
-
-std::uint32_t
-MuxTree::leafPort(std::uint32_t leaf) const
-{
-    return leaf % _arity;
-}
-
-bool
-MuxTree::leafHasSpace(std::uint32_t leaf) const
-{
-    return leafNode(leaf).hasSpace(leafPort(leaf));
-}
-
-void
-MuxTree::reserveLeaf(std::uint32_t leaf)
-{
-    leafNode(leaf).reserve(leafPort(leaf));
-}
-
-void
-MuxTree::fromLeaf(std::uint32_t leaf, ccip::DmaTxnPtr txn)
-{
-    leafNode(leaf).arrive(leafPort(leaf), std::move(txn));
-}
-
-void
-MuxTree::setLeafWake(std::uint32_t leaf, MuxNode::Wake w)
-{
-    leafNode(leaf).setWake(leafPort(leaf), std::move(w));
+    return {bottom[node_idx].get(), leaf % _arity};
 }
 
 void
@@ -241,14 +205,6 @@ MuxTree::down(ccip::DmaTxnPtr txn)
                    [this, txn = std::move(txn)]() mutable {
                        _downSink(std::move(txn));
                    });
-}
-
-MuxNode &
-MuxTree::node(std::uint32_t level, std::uint32_t idx)
-{
-    OPTIMUS_ASSERT(level < _nodes.size() && idx < _nodes[level].size(),
-                   "bad node coordinates");
-    return *_nodes[level][idx];
 }
 
 } // namespace optimus::fpga

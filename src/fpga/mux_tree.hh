@@ -130,11 +130,6 @@ class MuxNode : public sim::Clocked
     /** (Re)arm the service loop; idempotent. */
     void scheduleService();
 
-    std::uint32_t arity() const
-    {
-        return static_cast<std::uint32_t>(_queues.size());
-    }
-
   private:
     void service();
 
@@ -171,22 +166,11 @@ class MuxTree
             std::uint32_t leaves, std::uint32_t arity = 2,
             sim::Scope scope = {});
 
-    std::uint32_t leaves() const { return _leaves; }
     std::uint32_t levels() const { return _levels; }
 
-    // ---- leaf-side ready/valid interface (used by the auditors) ----
-    /** Resolve a leaf's attach point (bottom-row node + input port)
-     *  once, so per-packet flow-control hooks poll the node directly
-     *  instead of re-deriving the mapping on every check. */
+    /** A leaf's attach point: the bottom-row node and the input port
+     *  its auditor feeds. */
     std::pair<MuxNode *, std::uint32_t> leafAttach(std::uint32_t leaf);
-    /** Whether leaf @p leaf can accept a packet right now. */
-    bool leafHasSpace(std::uint32_t leaf) const;
-    /** Claim the slot (packet enters the leaf pipeline). */
-    void reserveLeaf(std::uint32_t leaf);
-    /** Deliver the packet claimed with reserveLeaf. */
-    void fromLeaf(std::uint32_t leaf, ccip::DmaTxnPtr txn);
-    /** Credit-return notification for leaf @p leaf. */
-    void setLeafWake(std::uint32_t leaf, MuxNode::Wake w);
 
     /** Where packets emerging from the root are delivered (the VCU),
      *  at grant time with the tick they leave the root's pipeline:
@@ -208,13 +192,7 @@ class MuxTree
     /** One-way downstream latency through all levels. */
     sim::Tick downLatency() const { return _downLatency; }
 
-    /** Access a node for white-box tests: level 0 is the root. */
-    MuxNode &node(std::uint32_t level, std::uint32_t idx);
-
   private:
-    MuxNode &leafNode(std::uint32_t leaf) const;
-    std::uint32_t leafPort(std::uint32_t leaf) const;
-
     sim::EventQueue &_eq;
     std::uint32_t _leaves;
     std::uint32_t _arity;

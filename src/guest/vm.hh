@@ -56,8 +56,6 @@ class Vm
         return _processes;
     }
 
-    std::uint64_t ramBytes() const { return _ramBytes; }
-
   private:
     std::string _name;
     mem::HostMemory &_memory;

@@ -242,7 +242,6 @@ OptimusHv::trapWrite(VirtualAccel &v, std::uint64_t r,
             // A fresh START acknowledges and clears any earlier
             // fault; a quarantined vaccel becomes eligible again.
             v._ctx.errStatus = 0;
-            v._ctx.quarantined = false;
             if (!sched) {
                 v._ctx.pendingStart = true;
                 wake(v);
@@ -256,7 +255,6 @@ OptimusHv::trapWrite(VirtualAccel &v, std::uint64_t r,
             v._ctx.pendingStart = false;
             v._ctx.savedContext = false;
             v._ctx.errStatus = 0;
-            v._ctx.quarantined = false;
             if (!sched) {
                 done();
                 return;
@@ -447,7 +445,6 @@ OptimusHv::ringPublish(VirtualAccel &v, std::uint64_t prod_seq,
             // preempted job just queues more entries.
             v._ctx.visibleStatus = Status::kRunning;
             v._ctx.errStatus = 0;
-            v._ctx.quarantined = false;
             v._resultFromCtx = false;
             if (isScheduled(v)) {
                 _platform.accel(v._slot).ringNotify(prod);
@@ -1238,7 +1235,6 @@ OptimusHv::quarantine(VirtualAccel &v)
     ++v._sched->watchdogFires;
     noteError(v, accel::errst::kWatchdog);
     v._ctx.visibleStatus = Status::kError;
-    v._ctx.quarantined = true;
     wakeGuest(v);
     v._ctx.pendingStart = false;
     v._ctx.savedContext = false;

@@ -66,7 +66,6 @@ struct VaccelContext
     std::uint64_t cachedResult = 0;
     std::uint64_t cachedProgress = 0;
     std::uint64_t errStatus = 0;
-    bool quarantined = false;
     /** Command-ring attachment (entries != 0 once setupRing() ran)
      *  and mirrored cursors (DESIGN.md §14): the guest's publish
      *  cursor and the device poller's fetch/post cursors, refreshed at
@@ -87,14 +86,6 @@ class VirtualAccel
     std::uint32_t slot() const { return _slot; }
     guest::Process &process() const { return *_proc; }
 
-    /**
-     * Attribution indices stamped into every DMA this vaccel's
-     * tenant issues while scheduled: the owning VM's index among
-     * created VMs, and the process's index within that VM.
-     */
-    std::uint16_t vmId() const { return _vmId; }
-    std::uint16_t procId() const { return _procId; }
-
     /** Base of the guest-virtual DMA window (the 64 GB slice). */
     mem::Gva windowBase() const { return _windowBase; }
     std::uint64_t windowBytes() const { return _windowBytes; }
@@ -111,7 +102,11 @@ class VirtualAccel
      *  register this tenant reads.  Cleared by START / SOFT_RESET. */
     std::uint64_t errorStatus() const { return _ctx.errStatus; }
     /** Whether the watchdog quarantined this vaccel. */
-    bool quarantined() const { return _ctx.quarantined; }
+    bool
+    quarantined() const
+    {
+        return (_ctx.errStatus & accel::errst::kWatchdog) != 0;
+    }
 
     /** Invoked (like an interrupt) on job DONE / ERROR. A ring
      *  vaccel's handler instead runs where its completion entries
@@ -136,10 +131,6 @@ class VirtualAccel
     /** Whether this vaccel drives its jobs through a shared-memory
      *  command ring (OptimusHv::setupRing) instead of MMIO START. */
     bool ringEnabled() const { return _ctx.ring.entries != 0; }
-    /** Hypervisor mirror of the guest's published submit cursor. */
-    std::uint64_t ringProdSeq() const { return _ctx.ring.state.prodSeq; }
-    /** Hypervisor mirror of the device's completion cursor. */
-    std::uint64_t ringCompSeq() const { return _ctx.ring.state.compSeq; }
 
   private:
     friend class OptimusHv;
@@ -183,6 +174,9 @@ class VirtualAccel
     std::uint32_t _id = 0;
     std::uint32_t _slot = 0;
     guest::Process *_proc = nullptr;
+    /** Attribution indices stamped into every DMA this vaccel's
+     *  tenant issues while scheduled: the owning VM's index among
+     *  created VMs, and the process's index within that VM. */
     std::uint16_t _vmId = sim::kNoOwner;
     std::uint16_t _procId = sim::kNoOwner;
     std::unique_ptr<SchedStats> _sched;

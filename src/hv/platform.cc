@@ -47,8 +47,8 @@ Platform::Platform(sim::EventQueue &eq, PlatformConfig config,
             _config.treeArity,
             sim::Scope{&telemetry.node("fabric"), &trace});
         for (std::uint32_t i = 0; i < _accels.size(); ++i) {
-            _monitor->attachAccelerator(i, _accels[i].get());
-            _accels[i]->attachFabric(&_monitor->port(i));
+            _monitor->auditor(i).setDevice(_accels[i].get());
+            _accels[i]->attachFabric(&_monitor->auditor(i));
         }
     } else {
         _ptFabric = std::make_unique<PassthroughFabric>(_shell);

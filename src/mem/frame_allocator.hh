@@ -31,8 +31,6 @@ class FrameAllocator
     FrameAllocator(Hpa base, Hpa limit,
                    std::uint64_t frame_bytes = kPage4K);
 
-    std::uint64_t frameBytes() const { return _frameBytes; }
-
     /** Allocate one frame. Throws via fatal() when exhausted. */
     Hpa allocate();
 

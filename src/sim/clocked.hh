@@ -27,8 +27,7 @@ class Clocked
 {
   public:
     Clocked(EventQueue &eq, std::uint64_t freq_mhz)
-        : _eq(eq), _freqMhz(freq_mhz),
-          _period(periodFromMhz(freq_mhz)), _periodDiv(_period)
+        : _eq(eq), _period(periodFromMhz(freq_mhz)), _periodDiv(_period)
     {
         OPTIMUS_ASSERT(freq_mhz > 0 && freq_mhz <= 1000000,
                        "bad frequency %llu MHz",
@@ -37,19 +36,12 @@ class Clocked
 
     EventQueue &eventq() const { return _eq; }
     Tick now() const { return _eq.now(); }
-    std::uint64_t freqMhz() const { return _freqMhz; }
     Tick clockPeriod() const { return _period; }
 
     /** Ticks covered by @p cycles of this clock. */
     Tick cyclesToTicks(std::uint64_t cycles) const
     {
         return cycles * _period;
-    }
-
-    /** Whole cycles elapsed by tick @p t (rounded down). */
-    std::uint64_t ticksToCycles(Tick t) const
-    {
-        return _periodDiv.divide(t);
     }
 
     /**
@@ -75,7 +67,6 @@ class Clocked
 
   private:
     EventQueue &_eq;
-    std::uint64_t _freqMhz;
     Tick _period;
     /** Reciprocal form of _period (exact; see fastdiv.hh). */
     InvariantDiv _periodDiv;

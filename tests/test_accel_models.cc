@@ -4,8 +4,9 @@
  * uniform end-to-end sweep: count-limited linked-list walks, MemBench
  * target/mixed modes, Reed-Solomon failure accounting, Bitcoin
  * difficulty handling, GRN reproducibility, SSSP round/relaxation
- * accounting against the software reference, and SSSP's rejection of
- * an edge that leaves the graph.
+ * accounting against the software reference, SSSP's rejection of
+ * an edge that leaves the graph, and each model's clock against
+ * Table 1.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +19,10 @@
 #include "accel/crypto_accels.hh"
 #include "accel/linkedlist_accel.hh"
 #include "accel/membench_accel.hh"
+#include "accel/registry.hh"
 #include "accel/signal_accels.hh"
 #include "accel/sssp_accel.hh"
+#include "fpga/resources.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
 
@@ -27,6 +30,20 @@ using namespace optimus;
 using namespace optimus::hv;
 
 namespace {
+
+// Table 1's clock column (bench_table1_apps prints it) is stated
+// apart from the MHz each model's constructor runs at.
+TEST(Table1ClockTest, EveryModelRunsAtItsTable1Clock)
+{
+    sim::EventQueue eq;
+    sim::PlatformParams params;
+    ASSERT_EQ(fpga::ResourceModel::apps().size(), 14u);
+    for (const fpga::AppResources &app : fpga::ResourceModel::apps()) {
+        auto a = accel::makeAccelerator(app.name, eq, params, app.name);
+        EXPECT_EQ(a->clockPeriod(), sim::periodFromMhz(app.freqMhz))
+            << app.name;
+    }
+}
 
 TEST(LinkedListModelTest, CountLimitStopsTheWalkEarly)
 {

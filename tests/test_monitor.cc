@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "ccip/shell.hh"
@@ -65,9 +66,10 @@ TEST(MuxTreeTest, PacketsTraverseToRootWithPipelineLatency)
         granted.push_back(eq.now());
         leaves.push_back(leave);
     });
-    ASSERT_TRUE(tree.leafHasSpace(0));
-    tree.reserveLeaf(0);
-    tree.fromLeaf(0, makeTxn(eq, 0x1000));
+    auto [leaf, port] = tree.leafAttach(0);
+    ASSERT_TRUE(leaf->hasSpace(port));
+    leaf->reserve(port);
+    leaf->arrive(port, makeTxn(eq, 0x1000));
     eq.runAll();
     ASSERT_EQ(granted.size(), 1u);
     // An idle tree grants on arrival at every level: the root grants
@@ -86,28 +88,30 @@ class LeafFeeder
   public:
     LeafFeeder(sim::EventQueue &eq, MuxTree &tree, std::uint32_t leaf,
                int budget)
-        : _eq(eq), _tree(tree), _leaf(leaf), _budget(budget)
+        : _eq(eq), _leaf(leaf), _budget(budget)
     {
-        tree.setLeafWake(leaf, [this]() { pump(); });
+        std::tie(_node, _port) = tree.leafAttach(leaf);
+        _node->setWake(_port, [this]() { pump(); });
         pump();
     }
 
     void
     pump()
     {
-        while (_budget > 0 && _tree.leafHasSpace(_leaf)) {
-            _tree.reserveLeaf(_leaf);
+        while (_budget > 0 && _node->hasSpace(_port)) {
+            _node->reserve(_port);
             auto t = makeTxn(_eq, 0x1000);
             t->tag = static_cast<ccip::AccelTag>(_leaf);
-            _tree.fromLeaf(_leaf, std::move(t));
+            _node->arrive(_port, std::move(t));
             --_budget;
         }
     }
 
   private:
     sim::EventQueue &_eq;
-    MuxTree &_tree;
     std::uint32_t _leaf;
+    MuxNode *_node;
+    std::uint32_t _port;
     int _budget;
 };
 
@@ -164,9 +168,10 @@ TEST(MuxTreeTest, CreditsBoundInFlightPackets)
 
     // Without consuming credits the leaf accepts only kQueueDepth
     // packets before reporting full.
+    auto [leaf, port] = tree.leafAttach(0);
     int accepted = 0;
-    while (tree.leafHasSpace(0) && accepted < 100) {
-        tree.reserveLeaf(0);
+    while (leaf->hasSpace(port) && accepted < 100) {
+        leaf->reserve(port);
         ++accepted;
     }
     EXPECT_EQ(accepted,
@@ -187,10 +192,12 @@ TEST(MuxTreeTest, DownPathBroadcastsAfterLatency)
 
 // -------------------------------------------------------------- auditor
 
+/** Auditor 3 feeding a one-leaf tree whose root collects what it
+ *  forwards. */
 class AuditorFixture : public ::testing::Test
 {
   protected:
-    AuditorFixture() : auditor(eq, 400, 3, 1)
+    AuditorFixture()
     {
         OffsetEntry e;
         e.valid = true;
@@ -198,21 +205,24 @@ class AuditorFixture : public ::testing::Test
         e.offset = 0x20000000000ULL - e.gvaBase; // slice at 2 TB
         e.window = 64ULL << 30;
         auditor.setOffsetEntry(e);
-        auditor.setUpstream(
-            [this](ccip::DmaTxnPtr t) {
-                forwarded.push_back(std::move(t));
-            });
+        auto [leaf, port] = tree.leafAttach(0);
+        auditor.attachLeaf(*leaf, port);
+        tree.setRootSink([this](ccip::DmaTxnPtr t, sim::Tick) {
+            forwarded.push_back(std::move(t));
+        });
     }
 
     sim::EventQueue eq;
-    Auditor auditor;
+    sim::PlatformParams params;
+    MuxTree tree{eq, params, 1};
+    Auditor auditor{eq, params, 3};
     std::vector<ccip::DmaTxnPtr> forwarded;
 };
 
 TEST_F(AuditorFixture, TranslatesGvaToIovaAndTags)
 {
     auto t = makeTxn(eq, 0x100000000040ULL);
-    auditor.dmaFromAccel(std::move(t));
+    auditor.dmaRequest(std::move(t));
     eq.runAll();
     ASSERT_EQ(forwarded.size(), 1u);
     EXPECT_EQ(forwarded[0]->iova.value(), 0x20000000040ULL);
@@ -224,7 +234,7 @@ TEST_F(AuditorFixture, RejectsDmaBelowWindow)
     bool error = false;
     auto t = makeTxn(eq, 0x0fff00000000ULL);
     t->onComplete = [&](ccip::DmaTxn &d) { error = d.error; };
-    auditor.dmaFromAccel(std::move(t));
+    auditor.dmaRequest(std::move(t));
     eq.runAll();
     EXPECT_TRUE(forwarded.empty());
     EXPECT_TRUE(error);
@@ -237,7 +247,7 @@ TEST_F(AuditorFixture, RejectsDmaPastWindowEnd)
     auto t = makeTxn(eq, 0x100000000000ULL + (64ULL << 30) - 63);
     bool error = false;
     t->onComplete = [&](ccip::DmaTxn &d) { error = d.error; };
-    auditor.dmaFromAccel(std::move(t));
+    auditor.dmaRequest(std::move(t));
     eq.runAll();
     EXPECT_TRUE(error);
 }
@@ -245,7 +255,7 @@ TEST_F(AuditorFixture, RejectsDmaPastWindowEnd)
 TEST_F(AuditorFixture, LastInWindowLineIsAccepted)
 {
     auto t = makeTxn(eq, 0x100000000000ULL + (64ULL << 30) - 64);
-    auditor.dmaFromAccel(std::move(t));
+    auditor.dmaRequest(std::move(t));
     eq.runAll();
     EXPECT_EQ(forwarded.size(), 1u);
 }
@@ -256,7 +266,7 @@ TEST_F(AuditorFixture, InvalidEntryRejectsEverything)
     auto t = makeTxn(eq, 0x100000000000ULL);
     bool error = false;
     t->onComplete = [&](ccip::DmaTxn &d) { error = d.error; };
-    auditor.dmaFromAccel(std::move(t));
+    auditor.dmaRequest(std::move(t));
     eq.runAll();
     EXPECT_TRUE(error);
 }
@@ -358,7 +368,7 @@ TEST_F(MonitorFixture, ResetTablePulsesSelectedAccelerators)
     };
     Dev devs[4];
     for (std::uint32_t i = 0; i < 4; ++i)
-        monitor.attachAccelerator(i, &devs[i]);
+        monitor.auditor(i).setDevice(&devs[i]);
 
     vcuWrite(vcu_reg::kResetTable, 0b0101);
     EXPECT_EQ(devs[0].resets, 1);
@@ -388,7 +398,7 @@ TEST_F(MonitorFixture, AccelMmioRoutedByPageAndIsolated)
     };
     Dev devs[4];
     for (std::uint32_t i = 0; i < 4; ++i)
-        monitor.attachAccelerator(i, &devs[i]);
+        monitor.auditor(i).setDevice(&devs[i]);
 
     ccip::MmioOp op;
     op.isWrite = true;
@@ -417,11 +427,11 @@ TEST_F(MonitorFixture, UpiReadEventBudgetAndLatency)
     };
     Dev dev;
     dev.eq = &eq;
-    monitor.attachAccelerator(1, &dev);
+    monitor.auditor(1).setDevice(&dev);
     OffsetEntry e;
     e.valid = true;
     e.window = mem::kPage2M;
-    monitor.setOffsetEntryDirect(1, e);
+    monitor.auditor(1).setOffsetEntry(e);
     iommu.pageTable().map(mem::Iova(0), mem::Hpa(mem::kPage2M));
 
     struct Read
@@ -434,7 +444,7 @@ TEST_F(MonitorFixture, UpiReadEventBudgetAndLatency)
         t->vc = ccip::VChannel::kUpi;
         sim::Tick issued = eq.now();
         std::uint64_t before = eq.executed();
-        monitor.port(1).dmaRequest(std::move(t));
+        monitor.auditor(1).dmaRequest(std::move(t));
         eq.runAll();
         return Read{dev.doneAt - issued, eq.executed() - before};
     };

@@ -14,6 +14,7 @@
 
 #include "accel/linkedlist_accel.hh"
 #include "fpga/auditor.hh"
+#include "fpga/mux_tree.hh"
 #include "hv/system.hh"
 #include "hv/workloads.hh"
 #include "sim/rng.hh"
@@ -141,10 +142,15 @@ TEST(WorkloadDeterminismTest, SameSeedSameResult)
 TEST(SlicingArithmeticTest, OffsetWrapsCorrectly)
 {
     sim::EventQueue eq;
+    sim::PlatformParams params;
     std::vector<ccip::DmaTxnPtr> out;
-    fpga::Auditor auditor(eq, 400, 0, 1);
-    auditor.setUpstream(
-        [&](ccip::DmaTxnPtr t) { out.push_back(std::move(t)); });
+    fpga::MuxTree tree(eq, params, 1);
+    tree.setRootSink([&](ccip::DmaTxnPtr t, sim::Tick) {
+        out.push_back(std::move(t));
+    });
+    fpga::Auditor auditor(eq, params, 0);
+    auto [leaf, port] = tree.leafAttach(0);
+    auditor.attachLeaf(*leaf, port);
 
     sim::Rng rng(11);
     for (int trial = 0; trial < 200; ++trial) {
@@ -164,7 +170,7 @@ TEST(SlicingArithmeticTest, OffsetWrapsCorrectly)
         t->gva = mem::Gva(window_base + in_window);
         t->bytes = 64;
         out.clear();
-        auditor.dmaFromAccel(std::move(t));
+        auditor.dmaRequest(std::move(t));
         eq.runAll();
         ASSERT_EQ(out.size(), 1u) << trial;
         EXPECT_EQ(out[0]->iova.value(), slice_base + in_window)
@@ -175,10 +181,14 @@ TEST(SlicingArithmeticTest, OffsetWrapsCorrectly)
 TEST(SlicingArithmeticTest, EveryOffsetRejectsOutsideWindow)
 {
     sim::EventQueue eq;
-    fpga::Auditor auditor(eq, 400, 0, 1);
-    auditor.setUpstream([](ccip::DmaTxnPtr) {
+    sim::PlatformParams params;
+    fpga::MuxTree tree(eq, params, 1);
+    tree.setRootSink([](ccip::DmaTxnPtr, sim::Tick) {
         FAIL() << "out-of-window DMA escaped the auditor";
     });
+    fpga::Auditor auditor(eq, params, 0);
+    auto [leaf, port] = tree.leafAttach(0);
+    auditor.attachLeaf(*leaf, port);
 
     fpga::OffsetEntry e;
     e.valid = true;
@@ -209,7 +219,7 @@ TEST(SlicingArithmeticTest, EveryOffsetRejectsOutsideWindow)
         t->bytes = 64;
         bool error = false;
         t->onComplete = [&](ccip::DmaTxn &d) { error = d.error; };
-        auditor.dmaFromAccel(std::move(t));
+        auditor.dmaRequest(std::move(t));
         eq.runAll();
         EXPECT_TRUE(error) << "gva 0x" << std::hex << gva;
     }
